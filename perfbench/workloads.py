@@ -27,14 +27,13 @@ class Workload:
     loop: tuple[str, ...]     # CLI stages of a timed pass; the others run in set-up
     order: str                # track --order
     expected_order: int
-    max_traj_rms_mhz: float | None
 
 
 WORKLOADS = {
     w.name: w
     for w in (
-        Workload("pipeline_A", "device_A", 250, 3, STAGES, "auto", 1, 3.0),
-        Workload("track_B", "device_B", 150, 3, ("track",), "2", 2, None),
+        Workload("pipeline_A", "device_A", 250, 3, STAGES, "auto", 1),
+        Workload("track_B", "device_B", 150, 3, ("track",), "2", 2),
     )
 }
 
@@ -142,14 +141,35 @@ class Instance:
         _require(math.isfinite(fit["misfit"]), "track: misfit is not finite")
         rows = _csv_rows(self.out / "trajectory.csv")
         _require(len(rows) == order * n, f"track: {len(rows)} trajectory rows")
-        _require(len(_csv_rows(self.out / "correlation.csv")) == n, "track: correlation rows")
+        pairs = _csv_rows(self.out / "correlation.csv")
+        _require(len(pairs) == n, "track: correlation rows")
+        measured = self.pkg.tracker.LifetimeSeries.from_csv(self.fit / "series.csv")
+        scenario, defects = self.truth()
+        true = self.pkg.synth.true_lifetime_series(scenario, defects)
+        chi_fit = chi(measured, np.array([float(r["t1e_fit_us"]) for r in pairs]),
+                      np.array([float(r["t1f_fit_us"]) for r in pairs]))
+        chi_true = chi(measured, true.t1e_us, true.t1f_us)
+        _require(chi_fit <= chi_true,
+                 f"track: fitted lifetimes have chi {chi_fit:.4g}, the true ones {chi_true:.4g}")
         fitted = np.array([[float(r["omega_mhz"]) for r in rows if int(r["tls"]) == k]
                            for k in range(order)])
-        rms = trajectory_rms(fitted, *self.truth())
+        rms = trajectory_rms(fitted, scenario, defects)
         self.quality.update(traj_rms_mhz=rms, misfit=float(fit["misfit"]))
-        if w.max_traj_rms_mhz is not None:
-            _require(rms <= w.max_traj_rms_mhz,
-                     f"track: trajectory RMS {rms:.3f} MHz above {w.max_traj_rms_mhz} MHz")
+
+
+def chi(measured, t1e_us: np.ndarray, t1f_us: np.ndarray) -> float:
+    """Chi of model lifetimes against a measured series with reported errors.
+
+    Each epoch and channel gives the residual of the model rate against the
+    measured rate, in units of the rate's standard error, propagated from the
+    reported lifetime error: (T_meas / T_model - 1) * T_meas / err.
+    """
+    r = np.concatenate([
+        (measured.t1e_us / t1e_us - 1.0) * measured.t1e_us / measured.err_e_us,
+        (measured.t1f_us / t1f_us - 1.0) * measured.t1f_us / measured.err_f_us,
+    ])
+    _require(bool(np.all(np.isfinite(r))), "track: non-finite lifetime residuals")
+    return float(np.sqrt(np.sum(r**2)))
 
 
 def trajectory_rms(fitted: np.ndarray, scenario, defects) -> float:
