@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -95,14 +97,43 @@ def _write_manifest(out_dir: Path, subcommand: str, resolved: dict, inputs: list
         json.dump(manifest, fh, indent=1)
 
 
+def _is_number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
+def _valid_tracker_value(value, default) -> bool:
+    """Whether a JSON ``value`` has the type of the tracker field's ``default``."""
+    if isinstance(default, DecayRates):
+        return (isinstance(value, dict) and set(value) <= {"gamma10", "gamma21"}
+                and all(_is_number(v) and v >= 0.0 for v in value.values()))
+    if isinstance(default, tuple):
+        return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+    if isinstance(default, float):
+        return _is_number(value)
+    return type(value) is type(default)  # int or bool
+
+
+_EXPECTED = {DecayRates: "an object of finite gamma10, gamma21 >= 0", tuple: "two finite numbers",
+             float: "a finite number", int: "an integer", bool: "true or false"}
+
+
 def _tracker_config(config: dict) -> TrackerConfig:
     cfg = TrackerConfig()
-    for key, value in config.get("tracker", {}).items():
-        if not hasattr(cfg, key):
-            raise InvalidParameterError(f"unknown tracker config key {key!r}")
-        if key == "fixed_background" and isinstance(value, dict):
+    section = config.get("tracker", {})
+    if not isinstance(section, dict):
+        raise InvalidParameterError("tracker: expected an object")
+    known = {f.name for f in fields(TrackerConfig)}
+    for key, value in section.items():
+        if key not in known:
+            raise InvalidParameterError(f"tracker.{key}: unknown tracker config key")
+        default = getattr(cfg, key)
+        if not _valid_tracker_value(value, default):
+            raise InvalidParameterError(
+                f"tracker.{key}: expected {_EXPECTED[type(default)]}, got {value!r}"
+            )
+        if isinstance(default, DecayRates):
             value = DecayRates(value.get("gamma10", 0.0), value.get("gamma21", 0.0))
-        setattr(cfg, key, value)
+        setattr(cfg, key, tuple(value) if isinstance(default, tuple) else value)
     return cfg
 
 

@@ -9,7 +9,8 @@ to this package's contracts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -73,29 +74,28 @@ class LeastSquaresProblem:
 
 @dataclass
 class FitResult:
-    """Outcome of a least-squares solve."""
+    """Outcome of a least-squares solve.
+
+    ``jacobian`` is the last Jacobian the solver formed and ``cost`` the
+    final squared residual norm.  ``covariance`` is computed from them the
+    first time it is read.
+    """
 
     parameters: np.ndarray
     residual_norm: float
-    covariance: Optional[np.ndarray]
     converged: bool
     iterations: int
+    jacobian: np.ndarray = field(repr=False)
+    cost: float
+
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        return _covariance(self.jacobian, self.cost)
 
     def standard_errors(self) -> np.ndarray:
-        if self.covariance is None:
-            return np.full(self.parameters.size, np.nan)
         d = np.diag(self.covariance).copy()
         d[d < 0.0] = 0.0
         return np.sqrt(d)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "parameters": [float(p) for p in self.parameters],
-            "residual_norm": float(self.residual_norm),
-            "standard_errors": [float(s) for s in self.standard_errors()],
-            "converged": bool(self.converged),
-            "iterations": int(self.iterations),
-        }
 
 
 def _eval_residual(fn, x, what="residual"):
@@ -166,7 +166,7 @@ def levenberg_marquardt(
     cost = float(r @ r)
     if cost == 0.0:
         jac = jacobian_at(x, r)
-        return FitResult(x, 0.0, _covariance(jac, 0.0), True, 0)
+        return FitResult(x, 0.0, True, 0, jac, 0.0)
 
     lam = options.lambda_init
     converged = False
@@ -225,7 +225,7 @@ def levenberg_marquardt(
 
     if jac is None:
         jac = jacobian_at(x, r)
-    return FitResult(x, math.sqrt(cost), _covariance(jac, cost), converged, iteration)
+    return FitResult(x, math.sqrt(cost), converged, iteration, jac, cost)
 
 
 def solve(

@@ -188,10 +188,6 @@ class ConfusionMatrix:
     def condition_number(self) -> float:
         return float(np.linalg.cond(self.m))
 
-    def apply(self, state: PopulationState) -> PopulationState:
-        """Forward-corrupt an ideal population vector: p_expt = M p_ideal."""
-        return PopulationState.from_vector(self.m @ state.vector())
-
     def to_json_dict(self) -> dict:
         return {
             "schema_version": CONFUSION_SCHEMA_VERSION,

@@ -154,6 +154,27 @@ def lorentzian_density(center_mhz, linewidth_mhz, probe_mhz):
     return float(out) if out.ndim == 0 else out
 
 
+def lorentzian_rates(device: DeviceFrequencies, coupling, linewidth, freqs, background,
+                     f_multiplier: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """The forward model: (gamma_10, gamma_21) for defect frequencies of shape (order, ...).
+
+    ``coupling`` and ``linewidth`` hold one value per defect and
+    ``background`` is the (gamma_10, gamma_21) floor.  Starting from the
+    floor, each defect in turn adds B*gamma/(Delta^2 + gamma^2) with Delta its
+    detuning from omega_01 (gamma_10) or omega_12 (gamma_21); the gamma_21
+    term is scaled by ``f_multiplier``.  No validation or conversion: the
+    tracker calls this in its innermost loops.
+    """
+    g10 = np.full(freqs.shape[1:], background[0], dtype=float)
+    g21 = np.full(freqs.shape[1:], background[1], dtype=float)
+    for n in range(freqs.shape[0]):
+        de = device.omega_01 - freqs[n]
+        df = device.omega_12 - freqs[n]
+        g10 = g10 + coupling[n] * linewidth[n] / (de**2 + linewidth[n] ** 2)
+        g21 = g21 + f_multiplier * coupling[n] * linewidth[n] / (df**2 + linewidth[n] ** 2)
+    return g10, g21
+
+
 def transition_rates(
     tls: TlsParameterSet,
     device: DeviceFrequencies,
@@ -173,17 +194,7 @@ def transition_rates(
             "transition_rates requires at least one defect; "
             "use rates_with_background for a pure background floor"
         )
-    if not 0 <= epoch < tls.n_epochs:
-        raise InvalidParameterError(f"epoch {epoch} outside trajectory range 0..{tls.n_epochs - 1}")
-    g10 = 0.0
-    g21 = 0.0
-    for d in tls.defects:
-        w = float(d.trajectory_mhz[epoch])
-        g10 += d.coupling_weight * lorentzian_density(w, d.linewidth_mhz, device.omega_01)
-        g21 += f_multiplier * d.coupling_weight * lorentzian_density(
-            w, d.linewidth_mhz, device.omega_12
-        )
-    return DecayRates(g10, g21)
+    return rates_with_background(tls, device, ZERO_RATES, epoch, f_multiplier)
 
 
 def rates_with_background(
@@ -202,8 +213,10 @@ def rates_with_background(
     bg = tls.background if background is None else background
     if not tls.defects:
         return bg
-    r = transition_rates(tls, device, epoch, f_multiplier)
-    return DecayRates(r.gamma_10 + bg.gamma_10, r.gamma_21 + bg.gamma_21)
+    if not 0 <= epoch < tls.n_epochs:
+        raise InvalidParameterError(f"epoch {epoch} outside trajectory range 0..{tls.n_epochs - 1}")
+    g10, g21 = rate_series(tls, device, bg, f_multiplier)
+    return DecayRates(float(g10[epoch]), float(g21[epoch]))
 
 
 def rate_series(
@@ -214,14 +227,11 @@ def rate_series(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized per-epoch (gamma_10, gamma_21) arrays over all epochs."""
     bg = tls.background if background is None else background
-    n = tls.n_epochs
-    g10 = np.full(n, bg.gamma_10)
-    g21 = np.full(n, bg.gamma_21)
-    for d in tls.defects:
-        g10 = g10 + d.coupling_weight * lorentzian_density(
-            d.trajectory_mhz, d.linewidth_mhz, device.omega_01
-        )
-        g21 = g21 + f_multiplier * d.coupling_weight * lorentzian_density(
-            d.trajectory_mhz, d.linewidth_mhz, device.omega_12
-        )
-    return g10, g21
+    return lorentzian_rates(
+        device,
+        np.array([d.coupling_weight for d in tls.defects]),
+        np.array([d.linewidth_mhz for d in tls.defects]),
+        np.array([d.trajectory_mhz for d in tls.defects]).reshape(len(tls), tls.n_epochs),
+        (bg.gamma_10, bg.gamma_21),
+        f_multiplier,
+    )

@@ -38,7 +38,8 @@ import numpy as np
 from .dynamics import DecayRates, ZERO_RATES
 from .errors import InvalidParameterError, UndefinedCorrelationError
 from .optimize import FitOptions, LeastSquaresProblem, grid_refine_1d, levenberg_marquardt
-from .tls import DeviceFrequencies, TlsDefect, TlsParameterSet
+from .tls import (DeviceFrequencies, TlsDefect, TlsParameterSet, lorentzian_density,
+                  lorentzian_rates)
 
 _TINY = 1e-300
 
@@ -60,6 +61,9 @@ class LifetimeSeries:
         n = self.epochs_hr.size
         if self.t1e_us.shape != (n,) or self.t1f_us.shape != (n,):
             raise InvalidParameterError("epochs, t1e and t1f must have equal length")
+        for name in ("epochs_hr", "t1e_us", "t1f_us"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvalidParameterError(f"{name} must be finite")
         if n and np.any(np.diff(self.epochs_hr) <= 0.0):
             raise InvalidParameterError("epoch timestamps must be strictly increasing")
         if np.any(self.t1e_us <= 0.0) or np.any(self.t1f_us <= 0.0):
@@ -68,8 +72,8 @@ class LifetimeSeries:
             v = getattr(self, name)
             if v is not None:
                 v = np.asarray(v, dtype=float)
-                if v.shape != (n,) or np.any(v < 0.0):
-                    raise InvalidParameterError(f"{name} must be non-negative, length {n}")
+                if v.shape != (n,) or np.any(v < 0.0) or not np.all(np.isfinite(v)):
+                    raise InvalidParameterError(f"{name} must be finite, >= 0, length {n}")
                 setattr(self, name, v)
 
     @property
@@ -100,6 +104,7 @@ class LifetimeSeries:
     @classmethod
     def from_csv(cls, path) -> "LifetimeSeries":
         cols = {k: [] for k in ("timestamp_hr", "t1e_us", "t1f_us", "err_e", "err_f")}
+        first_blank = {}
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
@@ -112,16 +117,20 @@ class LifetimeSeries:
                 for k in ("err_e", "err_f"):
                     if row.get(k) not in (None, ""):
                         cols[k].append(float(row[k]))
-        errs = {}
+                    else:
+                        first_blank.setdefault(k, reader.line_num)
         for k in ("err_e", "err_f"):
-            if len(cols[k]) == len(cols["timestamp_hr"]) and cols[k]:
-                errs[k] = np.array(cols[k])
+            if cols[k] and k in first_blank:
+                # a partly blank error column would silently drop the weighting
+                raise InvalidParameterError(
+                    f"{path}: line {first_blank[k]}: {k} is blank but other rows have it"
+                )
         return cls(
             np.array(cols["timestamp_hr"]),
             np.array(cols["t1e_us"]),
             np.array(cols["t1f_us"]),
-            errs.get("err_e"),
-            errs.get("err_f"),
+            np.array(cols["err_e"]) if cols["err_e"] else None,
+            np.array(cols["err_f"]) if cols["err_f"] else None,
         )
 
 
@@ -144,7 +153,6 @@ class TrackerConfig:
     tie_rel: float = 0.05            # candidates within this relative misfit tie-break
     tie_abs: float = 1e-12
     probe_tie_abs: float = 1e-5      # start probes below this misfit gap count as tied
-    drift_penalty: float = 0.0       # 1/MHz^2; pulls epochs toward previous-iterate neighbors
     fit_background: bool = True
     fixed_background: DecayRates = field(default_factory=lambda: ZERO_RATES)
     f_multiplier: float = 1.0        # extra weight on the |2>->|1> channel per defect
@@ -155,6 +163,10 @@ class TrackerConfig:
     def band(self, device: DeviceFrequencies) -> tuple[float, float]:
         return (device.omega_12 - self.band_margin_mhz,
                 device.omega_01 + self.band_margin_mhz)
+
+    def n_globals(self, order: int) -> int:
+        """Parameters shared by all epochs: (B, gamma) per defect plus the fitted floor."""
+        return 2 * order + (2 if self.fit_background else 0)
 
 
 DEFAULT_TRACKER_CONFIG = TrackerConfig()
@@ -208,25 +220,6 @@ class TrackerFit:
 # -- internal model arithmetic ---------------------------------------------
 
 
-def _model_rates(
-    device: DeviceFrequencies,
-    coupling: np.ndarray,
-    linewidth: np.ndarray,
-    bg: np.ndarray,
-    freqs: np.ndarray,
-    f_multiplier: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rate arrays for defect frequencies ``freqs`` of shape (order, ...)."""
-    g10 = np.full(freqs.shape[1:], bg[0], dtype=float)
-    g21 = np.full(freqs.shape[1:], bg[1], dtype=float)
-    for n in range(freqs.shape[0]):
-        de = device.omega_01 - freqs[n]
-        df = device.omega_12 - freqs[n]
-        g10 = g10 + coupling[n] * linewidth[n] / (de**2 + linewidth[n] ** 2)
-        g21 = g21 + f_multiplier * coupling[n] * linewidth[n] / (df**2 + linewidth[n] ** 2)
-    return g10, g21
-
-
 def _stacked_residuals(g10_model, g21_model, g10_meas, g21_meas,
                        w_e=1.0, w_f=1.0) -> np.ndarray:
     # epoch-major (e, f) interleaving; fixed order keeps the misfit
@@ -249,7 +242,7 @@ class _Workspace:
         self.g10_meas, self.g21_meas = series.rates()
         self.n = series.n_epochs
         self.band = config.band(device)
-        self.n_globals = 2 * order + (2 if config.fit_background else 0)
+        self.n_globals = config.n_globals(order)
         # residual weights: inverse relative lifetime errors when reported
         if config.use_reported_errors and series.has_errors:
             self.w_e = 1.0 / np.maximum(series.err_e_us / series.t1e_us, 1e-12)
@@ -274,8 +267,8 @@ class _Workspace:
         return self.config.misfit_floor * n_res
 
     def residuals(self, coupling, linewidth, bg, traj) -> np.ndarray:
-        g10, g21 = _model_rates(
-            self.device, coupling, linewidth, bg, traj, self.config.f_multiplier
+        g10, g21 = lorentzian_rates(
+            self.device, coupling, linewidth, traj, bg, self.config.f_multiplier
         )
         return _stacked_residuals(g10, g21, self.g10_meas, self.g21_meas,
                                   self.w_e, self.w_f)
@@ -285,8 +278,8 @@ class _Workspace:
 
     def epoch_cost(self, freqs: np.ndarray, epoch: int, coupling, linewidth, bg) -> np.ndarray:
         """Vectorized per-epoch cost over candidate frequencies (order, m)."""
-        g10, g21 = _model_rates(self.device, coupling, linewidth, bg, freqs,
-                                self.config.f_multiplier)
+        g10, g21 = lorentzian_rates(self.device, coupling, linewidth, freqs, bg,
+                                    self.config.f_multiplier)
         return (self.w_e[epoch] * (1.0 - g10 / self.g10_meas[epoch])) ** 2 + (
             self.w_f[epoch] * (1.0 - g21 / self.g21_meas[epoch])
         ) ** 2
@@ -334,12 +327,7 @@ class _Workspace:
     def joint_residual(self, x: np.ndarray) -> np.ndarray:
         glob, traj = self.unpack_joint(x)
         coupling, linewidth, bg = self.unpack_globals(glob)
-        r = self.residuals(coupling, linewidth, bg, traj)
-        pen = self.config.drift_penalty
-        if pen > 0.0 and self.n > 1:
-            sw = math.sqrt(pen)
-            r = np.concatenate([r, (sw * np.diff(traj, axis=1)).reshape(-1)])
-        return r
+        return self.residuals(coupling, linewidth, bg, traj)
 
     def joint_jacobian(self, x: np.ndarray) -> np.ndarray:
         """Analytic derivatives of the joint residual.
@@ -350,11 +338,8 @@ class _Workspace:
         """
         glob, traj = self.unpack_joint(x)
         coupling, linewidth, bg = self.unpack_globals(glob)
-        cfg = self.config
         n, order = self.n, self.order
-        n_rows = 2 * n
-        pen_rows = order * (n - 1) if (cfg.drift_penalty > 0.0 and n > 1) else 0
-        jac = np.zeros((n_rows + pen_rows, x.size))
+        jac = np.zeros((2 * n, x.size))
         scale_e = -self.w_e / self.g10_meas
         scale_f = -self.config.f_multiplier * self.w_f / self.g21_meas
         for k in range(order):
@@ -372,18 +357,9 @@ class _Workspace:
             cols = self.n_globals + k * n + np.arange(n)
             jac[2 * np.arange(n), cols] = scale_e * b * 2.0 * g * de / den_e**2
             jac[2 * np.arange(n) + 1, cols] = scale_f * b * 2.0 * g * df / den_f**2
-        if cfg.fit_background:
+        if self.config.fit_background:
             jac[0::2, 2 * order] = -self.w_e / self.g10_meas
             jac[1::2, 2 * order + 1] = -self.w_f / self.g21_meas
-        if pen_rows:
-            sw = math.sqrt(cfg.drift_penalty)
-            row = n_rows
-            for k in range(order):
-                base = self.n_globals + k * n
-                for i in range(n - 1):
-                    jac[row, base + i + 1] = sw
-                    jac[row, base + i] = -sw
-                    row += 1
         return jac
 
 
@@ -412,14 +388,11 @@ def _initial_states(ws: _Workspace) -> list[tuple[np.ndarray, np.ndarray]]:
     med_f = float(np.median(ws.g21_meas))
     blo, bhi = cfg.coupling_bounds
 
-    def lorentz(w, probe):
-        return g0 / ((probe - w) ** 2 + g0**2)
-
     states = []
     if ws.order == 1:
         for w in (w12 + 0.25 * span, w12 + 0.5 * span, w12 + 0.75 * span):
-            ae = lorentz(w, w01) / med_e
-            af = lorentz(w, w12) / med_f
+            ae = lorentzian_density(w, g0, w01) / med_e
+            af = lorentzian_density(w, g0, w12) / med_f
             b0 = float(np.clip((ae + af) / (ae**2 + af**2), blo, bhi))
             glob = [b0, g0] + ([0.0, 0.0] if cfg.fit_background else [])
             states.append((np.array(glob), np.full((1, ws.n), w)))
@@ -431,8 +404,8 @@ def _initial_states(ws: _Workspace) -> list[tuple[np.ndarray, np.ndarray]]:
         ]
         for w1, w2 in pairs:
             a = np.array([
-                [lorentz(w1, w01), lorentz(w2, w01)],
-                [lorentz(w1, w12), lorentz(w2, w12)],
+                [lorentzian_density(w1, g0, w01), lorentzian_density(w2, g0, w01)],
+                [lorentzian_density(w1, g0, w12), lorentzian_density(w2, g0, w12)],
             ])
             try:
                 b = np.linalg.solve(a, np.array([med_e, med_f]))
@@ -459,19 +432,14 @@ def _select_candidate(cands: list[tuple[np.ndarray, float]], ref: Optional[np.nd
     return min(near, key=lambda c: float(np.sum(np.abs(c[0] - ref))))[0]
 
 
-def _epoch_candidates_1d(ws: _Workspace, epoch: int, coupling, linewidth, bg,
-                         prev_traj: Optional[np.ndarray]) -> list[tuple[np.ndarray, float]]:
+def _epoch_candidates_1d(ws: _Workspace, epoch: int, coupling, linewidth,
+                         bg) -> list[tuple[np.ndarray, float]]:
     cfg = ws.config
     xs = np.linspace(ws.band[0], ws.band[1], cfg.coarse_points)
     fs = ws.epoch_cost(xs[None, :], epoch, coupling, linewidth, bg)
-    if cfg.drift_penalty > 0.0 and prev_traj is not None:
-        fs = fs + _drift_terms(xs, epoch, prev_traj[0], cfg.drift_penalty)
 
     def objective(w: float) -> float:
-        c = float(ws.epoch_cost(np.array([[w]]), epoch, coupling, linewidth, bg)[0])
-        if cfg.drift_penalty > 0.0 and prev_traj is not None:
-            c += float(_drift_terms(np.array([w]), epoch, prev_traj[0], cfg.drift_penalty)[0])
-        return c
+        return float(ws.epoch_cost(np.array([[w]]), epoch, coupling, linewidth, bg)[0])
 
     idx = _local_minima(fs)[: cfg.max_candidates]
     cands = []
@@ -481,15 +449,6 @@ def _epoch_candidates_1d(ws: _Workspace, epoch: int, coupling, linewidth, bg,
         x = grid_refine_1d(objective, (float(a), float(b)), 3, cfg.refine_tol_mhz)
         cands.append((np.array([x]), objective(x)))
     return cands
-
-
-def _drift_terms(xs: np.ndarray, epoch: int, prev: np.ndarray, weight: float) -> np.ndarray:
-    pen = np.zeros_like(xs)
-    if epoch > 0:
-        pen = pen + weight * (xs - prev[epoch - 1]) ** 2
-    if epoch + 1 < prev.size:
-        pen = pen + weight * (xs - prev[epoch + 1]) ** 2
-    return pen
 
 
 def _local_minima(fs: np.ndarray) -> list[int]:
@@ -528,18 +487,10 @@ def _epoch_candidates_2d(ws: _Workspace, epoch: int, coupling, linewidth, bg,
     hi = np.full(2, ws.band[1])
 
     def residual(p):
-        g10, g21 = _model_rates(ws.device, coupling, linewidth, bg, p[:, None],
-                                cfg.f_multiplier)
-        r = [ws.w_e[epoch] * (1.0 - g10[0] / ws.g10_meas[epoch]),
-             ws.w_f[epoch] * (1.0 - g21[0] / ws.g21_meas[epoch])]
-        if cfg.drift_penalty > 0.0 and prev_traj is not None:
-            sw = math.sqrt(cfg.drift_penalty)
-            for k in range(2):
-                if epoch > 0:
-                    r.append(sw * (p[k] - prev_traj[k, epoch - 1]))
-                if epoch + 1 < ws.n:
-                    r.append(sw * (p[k] - prev_traj[k, epoch + 1]))
-        return np.array(r)
+        g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, p[:, None], bg,
+                                    cfg.f_multiplier)
+        return np.array([ws.w_e[epoch] * (1.0 - g10[0] / ws.g10_meas[epoch]),
+                         ws.w_f[epoch] * (1.0 - g21[0] / ws.g21_meas[epoch])])
 
     cands = []
     for seed in seeds:
@@ -559,10 +510,11 @@ def _solve_epochs(ws: _Workspace, coupling, linewidth, bg,
     the final selection runs in epoch order so near-equal minima tie-break
     toward the previous epoch's chosen frequency.
     """
-    maker = _epoch_candidates_1d if ws.order == 1 else _epoch_candidates_2d
-    all_cands = [
-        maker(ws, e, coupling, linewidth, bg, prev_traj) for e in range(ws.n)
-    ]
+    if ws.order == 1:
+        all_cands = [_epoch_candidates_1d(ws, e, coupling, linewidth, bg) for e in range(ws.n)]
+    else:
+        all_cands = [_epoch_candidates_2d(ws, e, coupling, linewidth, bg, prev_traj)
+                     for e in range(ws.n)]
     traj = np.empty((ws.order, ws.n))
     ref = None if prev_traj is None else prev_traj[:, 0].copy()
     for e in range(ws.n):
@@ -635,7 +587,7 @@ def track_tls(
     traj = _solve_epochs(ws, coupling, linewidth, bg, traj)
     misfit = ws.misfit(coupling, linewidth, bg, traj)
 
-    g10, g21 = _model_rates(device, coupling, linewidth, bg, traj, config.f_multiplier)
+    g10, g21 = lorentzian_rates(device, coupling, linewidth, traj, bg, config.f_multiplier)
     defects = [
         TlsDefect(float(coupling[k]), float(linewidth[k]), traj[k].copy())
         for k in range(order)
@@ -656,10 +608,6 @@ def track_tls(
     )
 
 
-def _global_parameter_count(order: int, config: TrackerConfig) -> int:
-    return 2 * order + (2 if config.fit_background else 0)
-
-
 def information_score(
     fit: TrackerFit, series: LifetimeSeries, config: TrackerConfig = DEFAULT_TRACKER_CONFIG
 ) -> float:
@@ -672,17 +620,10 @@ def information_score(
     the data exactly) comparable.
     """
     n_res = 2 * series.n_epochs
-    k = _global_parameter_count(fit.model_order, config) + series.n_epochs * fit.model_order
-    g10_fit, g21_fit = fit.fitted_rate_arrays()
-    g10_meas, g21_meas = series.rates()
+    k = config.n_globals(fit.model_order) + series.n_epochs * fit.model_order
     if config.use_reported_errors and series.has_errors:
-        rel_e = np.maximum(series.err_e_us / series.t1e_us, 1e-12)
-        rel_f = np.maximum(series.err_f_us / series.t1f_us, 1e-12)
-        chi2 = float(
-            np.sum(((1.0 - g10_fit / g10_meas) / rel_e) ** 2)
-            + np.sum(((1.0 - g21_fit / g21_meas) / rel_f) ** 2)
-        )
-        return chi2 + k * math.log(n_res)
+        # the tracker's misfit is already weighted by the reported errors
+        return fit.misfit**2 + k * math.log(n_res)
     # misfits below the tracker's own convergence floor are numerically
     # equal; without the clamp a saturated model's ln(misfit^2) diverges
     floor_sq = config.misfit_floor**2 * n_res

@@ -232,6 +232,32 @@ class TestTrack:
         dev.write_text(json.dumps({"frequency": 1.0}))
         assert main(["track", str(spath), "--device", str(dev), "--order", "1"]) == 2
 
+    def test_non_finite_series_exit_2(self, tmp_path, capsys):
+        spath, dev, _ = self.make_series_csv(tmp_path, epochs=12)
+        lines = spath.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "nan"
+        lines[3] = ",".join(cells)
+        spath.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fit"
+        assert main(["track", str(spath), "--device", str(dev),
+                     "--order", "1", "--out", str(out)]) == 2
+        assert main(["correlate", str(spath), "--out", str(out)]) == 2
+        assert "t1e_us must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tracker, path", [
+        ({"coarse_points": "abc"}, "tracker.coarse_points"),
+        ({"outer_iterations": 2.5}, "tracker.outer_iterations"),
+        ({"drift_penalty": 0.1}, "tracker.drift_penalty: unknown"),
+    ])
+    def test_bad_tracker_config_exit_2(self, tmp_path, capsys, tracker, path):
+        spath, dev, _ = self.make_series_csv(tmp_path, epochs=12)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tracker": tracker}))
+        assert main(["track", str(spath), "--device", str(dev), "--order", "1",
+                     "--config", str(cfg), "--out", str(tmp_path / "fit")]) == 2
+        assert path in capsys.readouterr().err
+
     def test_order_auto_selects_two_tls(self, tmp_path):
         device_b = DeviceFrequencies(5810.32, -201.32)
         sc = tiny_scenario(

@@ -127,6 +127,10 @@ class TestRobustness:
         assert np.allclose(cov, cov.T)
         assert np.all(np.linalg.eigvalsh(cov) >= -1e-12)
         assert np.all(result.standard_errors() >= 0.0)
+        m, n = a.shape
+        expected = np.linalg.inv(a.T @ a) * result.residual_norm**2 / (m - n)
+        # the solver's Jacobian is a forward difference of the linear residual
+        assert np.allclose(cov, expected, rtol=1e-6, atol=0.0)
 
 
 class TestGridRefine:

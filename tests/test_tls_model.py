@@ -10,6 +10,7 @@ from tlstrack.tls import (
     TlsDefect,
     TlsParameterSet,
     lorentzian_density,
+    lorentzian_rates,
     rate_series,
     rates_with_background,
     transition_rates,
@@ -131,6 +132,31 @@ class TestBackground:
         bare = transition_rates(tls, DEVICE_A, 0)
         assert rates.gamma_10 == pytest.approx(bare.gamma_10 + 1e-3)
         assert rates.gamma_21 == pytest.approx(bare.gamma_21 + 2e-3)
+
+
+class TestForwardModel:
+    def test_public_functions_match_forward_model(self):
+        defects = [
+            TlsDefect(1.7, 8.0, np.linspace(4600.0, 4700.0, 6)),
+            TlsDefect(0.3, 2.0, np.linspace(4580.0, 4560.0, 6)),
+        ]
+        bg = DecayRates(1e-3, 2e-3)
+        tls = TlsParameterSet(defects, bg)
+        coupling = np.array([d.coupling_weight for d in defects])
+        linewidth = np.array([d.linewidth_mhz for d in defects])
+        freqs = np.array([d.trajectory_mhz for d in defects])
+        with_bg = lorentzian_rates(DEVICE_A, coupling, linewidth, freqs,
+                                   (bg.gamma_10, bg.gamma_21), f_multiplier=2.0)
+        bare = lorentzian_rates(DEVICE_A, coupling, linewidth, freqs, (0.0, 0.0),
+                                f_multiplier=2.0)
+        for e in range(tls.n_epochs):
+            assert rates_with_background(tls, DEVICE_A, epoch=e, f_multiplier=2.0) == \
+                DecayRates(with_bg[0][e], with_bg[1][e])
+            assert transition_rates(tls, DEVICE_A, e, f_multiplier=2.0) == \
+                DecayRates(bare[0][e], bare[1][e])
+        series = rate_series(tls, DEVICE_A, f_multiplier=2.0)
+        assert np.array_equal(series[0], with_bg[0])
+        assert np.array_equal(series[1], with_bg[1])
 
 
 class TestModelProperties:

@@ -58,6 +58,16 @@ class TestLifetimeSeries:
             LifetimeSeries(np.array([0.0, 1.0]), np.array([1.0, -1.0]), np.ones(2))
         with pytest.raises(InvalidParameterError):
             LifetimeSeries(np.array([0.0, 1.0]), np.ones(3), np.ones(2))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidParameterError):
+                LifetimeSeries(np.array([0.0, bad]), np.ones(2), np.ones(2))
+            with pytest.raises(InvalidParameterError):
+                LifetimeSeries(np.array([0.0, 1.0]), np.array([1.0, bad]), np.ones(2))
+            with pytest.raises(InvalidParameterError):
+                LifetimeSeries(np.array([0.0, 1.0]), np.ones(2), np.array([bad, 1.0]))
+            with pytest.raises(InvalidParameterError):
+                LifetimeSeries(np.array([0.0, 1.0]), np.ones(2), np.ones(2),
+                               np.array([0.1, bad]), np.ones(2))
 
     def test_csv_round_trip(self, tmp_path):
         series = LifetimeSeries(
@@ -89,6 +99,17 @@ class TestLifetimeSeries:
         path = tmp_path / "series.csv"
         path.write_text("timestamp_hr,t1e_us,t1f_us\n0.0,150.0,60.0\n1.0,140.0,61.0\n")
         assert not LifetimeSeries.from_csv(path).has_errors
+
+    def test_csv_partly_blank_errors_rejected(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text(
+            "timestamp_hr,t1e_us,t1f_us,err_e,err_f\n"
+            "0.0,150.0,60.0,2.0,1.0\n"
+            "0.5,140.0,65.0,2.0,\n"
+            "1.0,145.0,62.0,2.0,\n"
+        )
+        with pytest.raises(InvalidParameterError, match=r"series\.csv: line 3: err_f"):
+            LifetimeSeries.from_csv(path)
 
 
 class TestCorrelation:
