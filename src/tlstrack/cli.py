@@ -117,6 +117,13 @@ _EXPECTED = {DecayRates: "an object of finite gamma10, gamma21 >= 0", tuple: "tw
              float: "a finite number", int: "an integer", bool: "true or false"}
 
 
+def _jobs(args, config: dict) -> int:
+    jobs = _resolve(args.jobs, config, "jobs", 1)
+    if type(jobs) is not int or jobs < 1:
+        raise InvalidParameterError(f"jobs: expected an integer >= 1, got {jobs!r}")
+    return jobs
+
+
 def _tracker_config(config: dict) -> TrackerConfig:
     cfg = TrackerConfig()
     section = config.get("tracker", {})
@@ -154,7 +161,7 @@ def cmd_simulate(args, config: dict) -> int:
     scenario = load_scenario(scenario_path)
     if args.seed is not None:
         scenario.master_seed = args.seed
-    jobs = int(_resolve(args.jobs, config, "jobs", 1))
+    jobs = _jobs(args, config)
 
     out = _resolve_out(args.out, Path(f"{scenario.name}_run"))
     out.mkdir(parents=True, exist_ok=True)
@@ -194,7 +201,7 @@ def cmd_fit_series(args, config: dict) -> int:
         confusion_doc = ConfusionMatrix.from_json(confusion_path).to_json_dict()
 
     weighting = _resolve(args.weighting, config, "weighting", "uniform")
-    jobs = int(_resolve(args.jobs, config, "jobs", 1))
+    jobs = _jobs(args, config)
     scenario_doc = {}
     scenario_path = run_dir / "scenario.json"
     if scenario_path.exists():

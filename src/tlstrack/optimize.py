@@ -4,6 +4,10 @@ Small and self-contained on purpose: the fitting problems in this package
 have at most a handful of parameters, and keeping the solver local makes the
 bound handling, finite-difference stepping, and convergence reporting exact
 to this package's contracts.
+
+The batched forms, ``levenberg_marquardt_batch`` and ``grid_refine``, solve
+many independent small problems as array operations and give each problem
+the same result, bit for bit, as solving it alone.
 """
 
 from __future__ import annotations
@@ -228,6 +232,169 @@ def levenberg_marquardt(
     return FitResult(x, math.sqrt(cost), converged, iteration, jac, cost)
 
 
+def levenberg_marquardt_batch(
+    residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    initial: np.ndarray,
+    lower=None,
+    upper=None,
+    options: FitOptions = DEFAULT_OPTIONS,
+) -> list[FitResult]:
+    """Solve k independent bounded problems, each exactly as :func:`levenberg_marquardt`.
+
+    ``initial`` is (k, n) and the bounds broadcast to it.  ``residual(x, rows)``
+    maps the (len(rows), n) parameters of the problems ``rows`` to their
+    (len(rows), m) residuals; row i must depend on ``x[i]`` and ``rows[i]``
+    only.  Every problem keeps its own damping schedule and stopping tests,
+    and the dot products run through the same BLAS kernels as the scalar
+    solver's, so each result is bit-identical to a one-problem solve.  If
+    any problem fails, the error the one-at-a-time loop would raise first
+    (the lowest failing problem's) is raised.
+    """
+    x = np.array(initial, dtype=float)
+    k, n = x.shape
+    lo = np.broadcast_to(-np.inf if lower is None else np.asarray(lower, dtype=float), (k, n))
+    hi = np.broadcast_to(np.inf if upper is None else np.asarray(upper, dtype=float), (k, n))
+    if np.any(lo > x) or np.any(x > hi):
+        raise InvalidParameterError("initial guess must satisfy lower <= x0 <= upper")
+    errors: dict[int, Exception] = {}
+
+    def fail(rows, exc_of):
+        for row in rows:
+            errors.setdefault(int(row), exc_of(row))
+
+    def evaluate(xs, rows):
+        r = np.asarray(residual(xs, rows), dtype=float)
+        return r, np.all(np.isfinite(r), axis=1)
+
+    def jacobian(rows):
+        """Forward differences as in finite_difference_jacobian; also returns,
+        per row, the first perturbed point whose residual was non-finite."""
+        xr, rr = x[rows], r[rows]
+        jac = np.empty((rows.size, rr.shape[1], n))
+        bad: dict[int, np.ndarray] = {}
+        for i in range(n):
+            h = np.maximum(options.fd_step, options.fd_step * np.abs(xr[:, i]))
+            h = np.where(xr[:, i] + h > hi[rows, i], -h, h)
+            xp = xr.copy()
+            xp[:, i] += h
+            rp, ok = evaluate(xp, rows)
+            for j in np.flatnonzero(~ok):
+                bad.setdefault(int(rows[j]), xp[j])
+            jac[:, :, i] = (rp - rr) / h[:, None]
+        return jac, bad
+
+    all_rows = np.arange(k)
+    r, ok = evaluate(x, all_rows)
+    fail(all_rows[~ok], lambda row: InvalidParameterError(
+        "residual is not finite at the initial guess"))
+    cost = np.vecdot(r, r)
+    jac = np.zeros((k, r.shape[1], n))
+    iterations = np.zeros(k, dtype=int)
+    converged = ok & (cost == 0.0)
+    active = ok & ~converged
+    lam = np.full(k, options.lambda_init)
+
+    # a zero-cost start, or a zero iteration budget, still forms the final
+    # Jacobian; as in the scalar solver, a failure there carries the
+    # perturbed point rather than the start
+    direct = np.flatnonzero(converged | (active & (options.max_iterations < 1)))
+    if direct.size:
+        jac[direct], bad = jacobian(direct)
+        fail(bad, lambda row: FitDivergedError(
+            f"non-finite residual (jacobian) at parameters {bad[row]!r}", bad[row]))
+
+    for iteration in range(1, options.max_iterations + 1):
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
+            break
+        iterations[rows] = iteration
+        jac[rows], bad = jacobian(rows)
+        if bad:
+            fail(bad, lambda row: FitDivergedError(
+                f"non-finite residual (jacobian) at parameters {bad[row]!r}", x[row].copy()))
+            active[list(bad)] = False
+            rows = np.flatnonzero(active)
+        ja, ra, xa = jac[rows], r[rows], x[rows]
+        grad = np.matmul(ja.swapaxes(1, 2), ra[:, :, None])[:, :, 0]
+        # projected gradient: directions pushing outside the box do not count
+        pg = grad.copy()
+        pg[(xa <= lo[rows]) & (grad > 0.0)] = 0.0
+        pg[(xa >= hi[rows]) & (grad < 0.0)] = 0.0
+        stop = np.max(np.abs(pg), axis=1) <= options.gtol
+        converged[rows[stop]] = True
+        active[rows[stop]] = False
+        rows, ja, grad = rows[~stop], ja[~stop], grad[~stop]
+
+        jtj = np.matmul(ja.swapaxes(1, 2), ja)
+        diag = np.diagonal(jtj, axis1=1, axis2=2).copy()
+        diag[diag <= 0.0] = 1.0
+        damping = np.zeros_like(jtj)
+        damping[:, np.arange(n), np.arange(n)] = diag
+        # one pass per damping trial; `pending` indexes into rows
+        pending = np.arange(rows.size)
+        while pending.size:
+            # no descent direction within the damping budget: local minimum
+            # to working precision
+            exhausted = lam[rows[pending]] > options.lambda_max
+            converged[rows[pending[exhausted]]] = True
+            active[rows[pending[exhausted]]] = False
+            pending = pending[~exhausted]
+            if pending.size == 0:
+                break
+            prow = rows[pending]
+            a = jtj[pending] + lam[prow][:, None, None] * damping[pending]
+            b = -grad[pending]
+            try:
+                step = np.linalg.solve(a, b[:, :, None])[:, :, 0]
+                solved = np.ones(pending.size, dtype=bool)
+            except np.linalg.LinAlgError:
+                # a stacked solve fails as a whole: retry one problem at a
+                # time so only the singular ones raise their damping
+                step = np.zeros_like(b)
+                solved = np.zeros(pending.size, dtype=bool)
+                for j in range(pending.size):
+                    try:
+                        step[j] = np.linalg.solve(a[j], b[j])
+                        solved[j] = True
+                    except np.linalg.LinAlgError:
+                        pass
+            lam[prow[~solved]] *= options.lambda_increase
+            singular = pending[~solved]
+            pending, prow, step = pending[solved], prow[solved], step[solved]
+            if pending.size == 0:
+                pending = singular
+                continue
+
+            x_old = x[prow]
+            x_new = np.clip(x_old + step, lo[prow], hi[prow])
+            r_new, ok = evaluate(x_new, prow)
+            fail(prow[~ok], lambda row: FitDivergedError(
+                f"non-finite residual at trial parameters {x_new[prow == row][0]!r}",
+                x[row].copy()))
+            active[prow[~ok]] = False
+            cost_new = np.vecdot(r_new, r_new)
+            better = ok & (cost_new < cost[prow])
+            worse = ok & ~better
+            lam[prow[worse]] *= options.lambda_increase
+            acc = prow[better]
+            dx = x_new[better] - x_old[better]
+            step_norm = np.sqrt(np.vecdot(dx, dx))
+            rel_decrease = (cost[acc] - cost_new[better]) / cost[acc]
+            x[acc], r[acc], cost[acc] = x_new[better], r_new[better], cost_new[better]
+            lam[acc] = np.maximum(lam[acc] / options.lambda_decrease, 1e-14)
+            x_norm = np.sqrt(np.vecdot(x[acc], x[acc]))
+            done = (rel_decrease <= options.ftol) | (
+                step_norm <= options.xtol * (x_norm + options.xtol))
+            converged[acc[done]] = True
+            active[acc[done]] = False
+            pending = np.sort(np.concatenate([singular, pending[worse]]))
+
+    if errors:
+        raise errors[min(errors)]
+    return [FitResult(x[i], math.sqrt(cost[i]), bool(converged[i]), int(iterations[i]),
+                      jac[i], float(cost[i])) for i in range(k)]
+
+
 def solve(
     residual: Callable[[np.ndarray], np.ndarray],
     initial: Sequence[float],
@@ -257,36 +424,79 @@ def grid_refine_1d(
         raise InvalidParameterError(f"interval must satisfy hi > lo, got {interval!r}")
     if coarse_points < 3:
         raise InvalidParameterError("coarse_points must be >= 3")
-    xs = np.linspace(lo, hi, int(coarse_points))
-    fs = np.array([float(objective(float(x))) for x in xs])
-    if not np.all(np.isfinite(fs)):
-        bad = xs[~np.isfinite(fs)][0]
-        raise InvalidObjectiveError(f"objective non-finite on coarse grid at {bad}")
-    i = int(np.argmin(fs))
-    best_x, best_f = float(xs[i]), float(fs[i])
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, xs.size - 1)])
+
+    def batch_objective(xs: np.ndarray) -> np.ndarray:
+        return np.array([float(objective(float(v))) for v in xs.ravel()]).reshape(xs.shape)
+
+    x, _ = grid_refine(batch_objective, np.array([lo]), np.array([hi]), int(coarse_points), tol)
+    return float(x[0])
+
+
+def grid_refine(
+    objective: Callable[[np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    coarse_points: int,
+    tol: float = 1e-4,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`grid_refine_1d` on the k intervals [lo_i, hi_i] (hi > lo) at once.
+
+    ``objective`` maps points of shape (k, ...), row i inside interval i, to
+    their values.  Returns the best abscissa and its value per interval.
+    """
+    xs = np.linspace(lo, hi, coarse_points, axis=-1)
+    fs = objective(xs)
+    bad = ~np.isfinite(fs)
+    if np.any(bad):
+        row = int(np.argmax(np.any(bad, axis=1)))
+        raise InvalidObjectiveError(
+            f"objective non-finite on coarse grid at {xs[row][bad[row]][0]}"
+        )
+    rows = np.arange(xs.shape[0])
+    i = np.argmin(fs, axis=1)
+    best_x, best_f = xs[rows, i], fs[rows, i]
+    a = xs[rows, np.maximum(i - 1, 0)]
+    b = xs[rows, np.minimum(i + 1, coarse_points - 1)]
     x, f = _golden_section(objective, a, b, tol)
-    return x if f < best_f else best_x
+    better = f < best_f
+    return np.where(better, x, best_x), np.where(better, f, best_f)
 
 
-def _golden_section(objective, a: float, b: float, tol: float) -> tuple[float, float]:
+def _golden_section(
+    objective: Callable[[np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    tol: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Golden-section search on each interval [a_i, b_i] at once.
+
+    Each interval shrinks until it is no wider than ``tol``; an interval
+    that is done is frozen while the others go on.  ``objective`` maps k
+    points to k values.  Returns the best point seen and its value per
+    interval.
+    """
     c = b - GOLDEN_RATIO * (b - a)
     d = a + GOLDEN_RATIO * (b - a)
-    fc = float(objective(c))
-    fd = float(objective(d))
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN_RATIO * (b - a)
-            fc = float(objective(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN_RATIO * (b - a)
-            fd = float(objective(d))
-        if fc < best_f:
-            best_x, best_f = c, fc
-        if fd < best_f:
-            best_x, best_f = d, fd
+    fc = objective(c)
+    fd = objective(d)
+    first = fc <= fd
+    best_x, best_f = np.where(first, c, d), np.where(first, fc, fd)
+    active = b - a > tol
+    while np.any(active):
+        # left: the minimum lies in [a, d], so d -> b, c -> d and a new c;
+        # right: it lies in [c, b], so c -> a, d -> c and a new d
+        left = active & (fc <= fd)
+        right = active & ~left
+        b = np.where(left, d, b)
+        a = np.where(right, c, a)
+        c, d = (np.where(left, b - GOLDEN_RATIO * (b - a), np.where(right, d, c)),
+                np.where(right, a + GOLDEN_RATIO * (b - a), np.where(left, c, d)))
+        f_new = objective(np.where(left, c, d))
+        fc, fd = (np.where(left, f_new, np.where(right, fd, fc)),
+                  np.where(right, f_new, np.where(left, fc, fd)))
+        # a frozen interval's fc and fd never beat its best, so it needs no mask
+        for x, f in ((c, fc), (d, fd)):
+            better = f < best_f
+            best_x, best_f = np.where(better, x, best_x), np.where(better, f, best_f)
+        active = b - a > tol
     return best_x, best_f

@@ -8,8 +8,9 @@ by all epochs, and a free defect frequency per epoch.
 The solve alternates two moves until the misfit settles:
 
 (i)  per-epoch frequency solves at fixed globals -- a coarse grid sweep of
-     the search band plus local refinement, with near-equal minima
-     tie-broken toward the previous epoch's frequency (continuity);
+     the search band plus local refinement, run for all epochs at once as
+     array operations, then near-equal minima tie-broken toward the
+     previous epoch's frequency (continuity) in epoch order;
 (ii) a bounded Levenberg-Marquardt update of the globals on the stacked
      two-channel residuals, performed jointly with the trajectory (the
      model's derivatives are supplied analytically).  Updating the globals
@@ -37,7 +38,8 @@ import numpy as np
 
 from .dynamics import DecayRates, ZERO_RATES
 from .errors import InvalidParameterError, UndefinedCorrelationError
-from .optimize import FitOptions, LeastSquaresProblem, grid_refine_1d, levenberg_marquardt
+from .optimize import (FitOptions, LeastSquaresProblem, grid_refine, levenberg_marquardt,
+                       levenberg_marquardt_batch)
 from .tls import (DeviceFrequencies, TlsDefect, TlsParameterSet, lorentzian_density,
                   lorentzian_rates)
 
@@ -109,14 +111,23 @@ class LifetimeSeries:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise InvalidParameterError(f"{path}: empty series file")
+
+            def number(row, k) -> float:
+                try:
+                    return float(row[k])
+                except ValueError:
+                    raise InvalidParameterError(
+                        f"{path}: line {reader.line_num}: {k} is not a number: {row[k]!r}"
+                    ) from None
+
             for row in reader:
                 for k in ("timestamp_hr", "t1e_us", "t1f_us"):
                     if row.get(k) in (None, ""):
                         raise InvalidParameterError(f"{path}: missing column {k}")
-                    cols[k].append(float(row[k]))
+                    cols[k].append(number(row, k))
                 for k in ("err_e", "err_f"):
                     if row.get(k) not in (None, ""):
-                        cols[k].append(float(row[k]))
+                        cols[k].append(number(row, k))
                     else:
                         first_blank.setdefault(k, reader.line_num)
         for k in ("err_e", "err_f"):
@@ -276,13 +287,16 @@ class _Workspace:
     def misfit(self, coupling, linewidth, bg, traj) -> float:
         return float(np.linalg.norm(self.residuals(coupling, linewidth, bg, traj)))
 
-    def epoch_cost(self, freqs: np.ndarray, epoch: int, coupling, linewidth, bg) -> np.ndarray:
-        """Vectorized per-epoch cost over candidate frequencies (order, m)."""
-        g10, g21 = lorentzian_rates(self.device, coupling, linewidth, freqs, bg,
-                                    self.config.f_multiplier)
-        return (self.w_e[epoch] * (1.0 - g10 / self.g10_meas[epoch])) ** 2 + (
-            self.w_f[epoch] * (1.0 - g21 / self.g21_meas[epoch])
-        ) ** 2
+    def epoch_residuals(self, g10, g21, epochs):
+        """The two residuals of model rates against the measured rates of
+        ``epochs`` (an index array broadcasting against the rates)."""
+        return (self.w_e[epochs] * (1.0 - g10 / self.g10_meas[epochs]),
+                self.w_f[epochs] * (1.0 - g21 / self.g21_meas[epochs]))
+
+    def epoch_cost(self, g10, g21, epochs) -> np.ndarray:
+        """Squared two-channel misfit of model rates, per epoch of ``epochs``."""
+        r_e, r_f = self.epoch_residuals(g10, g21, epochs)
+        return r_e**2 + r_f**2
 
     # -- packing: [B_k, gamma_k]*order, [bg_e, bg_f]?, omega[k, :] flattened
 
@@ -432,89 +446,90 @@ def _select_candidate(cands: list[tuple[np.ndarray, float]], ref: Optional[np.nd
     return min(near, key=lambda c: float(np.sum(np.abs(c[0] - ref))))[0]
 
 
-def _epoch_candidates_1d(ws: _Workspace, epoch: int, coupling, linewidth,
-                         bg) -> list[tuple[np.ndarray, float]]:
+def _candidates_1d(ws: _Workspace, coupling, linewidth,
+                   bg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Refined local minima of every epoch's cost on the coarse grid.
+
+    Returns each candidate's epoch, its (1, k) frequencies and its cost,
+    epoch by epoch and, within an epoch, in increasing coarse-grid cost.
+    """
     cfg = ws.config
     xs = np.linspace(ws.band[0], ws.band[1], cfg.coarse_points)
-    fs = ws.epoch_cost(xs[None, :], epoch, coupling, linewidth, bg)
+    g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, xs[None, :], bg,
+                                cfg.f_multiplier)
+    fs = ws.epoch_cost(g10, g21, np.arange(ws.n)[:, None])
+    padded = np.pad(fs, ((0, 0), (1, 1)), constant_values=np.inf)
+    is_min = (fs <= padded[:, :-2]) & (fs <= padded[:, 2:])
+    # local minima first, then by cost; the sort is stable, so ties keep grid order
+    idx = np.lexsort((fs, ~is_min), axis=-1)[:, : cfg.max_candidates]
+    epochs, slot = np.nonzero(np.take_along_axis(is_min, idx, axis=-1))
+    i = idx[epochs, slot]
+    lo = xs[np.maximum(i - 1, 0)]
+    hi = xs[np.minimum(i + 1, xs.size - 1)]
 
-    def objective(w: float) -> float:
-        return float(ws.epoch_cost(np.array([[w]]), epoch, coupling, linewidth, bg)[0])
+    def objective(w: np.ndarray) -> np.ndarray:
+        g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, w[None], bg,
+                                    cfg.f_multiplier)
+        return ws.epoch_cost(g10, g21, epochs.reshape((-1,) + (1,) * (w.ndim - 1)))
 
-    idx = _local_minima(fs)[: cfg.max_candidates]
-    cands = []
-    for i in idx:
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, xs.size - 1)]
-        x = grid_refine_1d(objective, (float(a), float(b)), 3, cfg.refine_tol_mhz)
-        cands.append((np.array([x]), objective(x)))
-    return cands
-
-
-def _local_minima(fs: np.ndarray) -> list[int]:
-    idx = []
-    for i in range(fs.size):
-        left = fs[i - 1] if i > 0 else np.inf
-        right = fs[i + 1] if i + 1 < fs.size else np.inf
-        if fs[i] <= left and fs[i] <= right:
-            idx.append(i)
-    idx.sort(key=lambda i: fs[i])
-    return idx
+    x, f = grid_refine(objective, lo, hi, 3, cfg.refine_tol_mhz)
+    return epochs, x[None, :], f
 
 
-def _epoch_candidates_2d(ws: _Workspace, epoch: int, coupling, linewidth, bg,
-                         prev_traj: Optional[np.ndarray]) -> list[tuple[np.ndarray, float]]:
+def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bounded LM solves of every epoch from its best separated grid points
+    (plus the previous frequency pair), all epochs in one batch."""
     cfg = ws.config
     m = cfg.coarse_points_2d
     axis = np.linspace(ws.band[0], ws.band[1], m)
     w1, w2 = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([w1.ravel(), w2.ravel()])
-    fs = ws.epoch_cost(grid, epoch, coupling, linewidth, bg)
-
-    order_idx = np.argsort(fs)
+    g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, grid, bg, cfg.f_multiplier)
     cell = (ws.band[1] - ws.band[0]) / (m - 1)
-    seeds: list[np.ndarray] = []
-    for i in order_idx:
-        pt = grid[:, i]
-        if all(np.max(np.abs(pt - s)) > 1.5 * cell for s in seeds):
-            seeds.append(pt)
-        if len(seeds) >= cfg.max_candidates:
-            break
-    if prev_traj is not None:
-        seeds.append(prev_traj[:, epoch].copy())
 
-    lo = np.full(2, ws.band[0])
-    hi = np.full(2, ws.band[1])
+    epochs, starts = [], []
+    for epoch in range(ws.n):
+        seeds: list[np.ndarray] = []
+        for i in np.argsort(ws.epoch_cost(g10, g21, epoch)):
+            pt = grid[:, i]
+            if all(np.max(np.abs(pt - s)) > 1.5 * cell for s in seeds):
+                seeds.append(pt)
+            if len(seeds) >= cfg.max_candidates:
+                break
+        if prev_traj is not None:
+            seeds.append(prev_traj[:, epoch].copy())
+        epochs += [epoch] * len(seeds)
+        starts += seeds
+    epochs = np.array(epochs)
 
-    def residual(p):
-        g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, p[:, None], bg,
-                                    cfg.f_multiplier)
-        return np.array([ws.w_e[epoch] * (1.0 - g10[0] / ws.g10_meas[epoch]),
-                         ws.w_f[epoch] * (1.0 - g21[0] / ws.g21_meas[epoch])])
+    def residual(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, p.T, bg, cfg.f_multiplier)
+        return np.stack(ws.epoch_residuals(g10, g21, epochs[rows]), axis=1)
 
-    cands = []
-    for seed in seeds:
-        result = levenberg_marquardt(
-            LeastSquaresProblem(residual, np.clip(seed, lo, hi), lo, hi),
-            FitOptions(max_iterations=100),
-        )
-        cands.append((result.parameters.copy(), float(result.residual_norm**2)))
-    return cands
+    results = levenberg_marquardt_batch(
+        residual, np.clip(np.array(starts), ws.band[0], ws.band[1]), ws.band[0], ws.band[1],
+        FitOptions(max_iterations=100),
+    )
+    x = np.array([res.parameters for res in results]).T
+    return epochs, x, np.array([res.residual_norm**2 for res in results])
 
 
 def _solve_epochs(ws: _Workspace, coupling, linewidth, bg,
                   prev_traj: Optional[np.ndarray]) -> np.ndarray:
     """Per-epoch frequency solves followed by a sequential continuity pass.
 
-    Candidate generation for each epoch is independent (parallelizable);
-    the final selection runs in epoch order so near-equal minima tie-break
-    toward the previous epoch's chosen frequency.
+    The candidates of all epochs are found at once; the final selection runs
+    in epoch order so near-equal minima tie-break toward the previous
+    epoch's chosen frequency.
     """
     if ws.order == 1:
-        all_cands = [_epoch_candidates_1d(ws, e, coupling, linewidth, bg) for e in range(ws.n)]
+        epochs, x, f = _candidates_1d(ws, coupling, linewidth, bg)
     else:
-        all_cands = [_epoch_candidates_2d(ws, e, coupling, linewidth, bg, prev_traj)
-                     for e in range(ws.n)]
+        epochs, x, f = _candidates_2d(ws, coupling, linewidth, bg, prev_traj)
+    all_cands: list[list[tuple[np.ndarray, float]]] = [[] for _ in range(ws.n)]
+    for j, epoch in enumerate(epochs):
+        all_cands[epoch].append((x[:, j], float(f[j])))
     traj = np.empty((ws.order, ws.n))
     ref = None if prev_traj is None else prev_traj[:, 0].copy()
     for e in range(ws.n):

@@ -245,6 +245,21 @@ class TestTrack:
         assert main(["correlate", str(spath), "--out", str(out)]) == 2
         assert "t1e_us must be finite" in capsys.readouterr().err
 
+    def test_non_numeric_series_exit_2(self, tmp_path, capsys):
+        spath, dev, _ = self.make_series_csv(tmp_path, epochs=12)
+        lines = spath.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[1] = "abc"
+        lines[3] = ",".join(cells)
+        spath.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fit"
+        assert main(["track", str(spath), "--device", str(dev),
+                     "--order", "1", "--out", str(out)]) == 2
+        assert main(["correlate", str(spath), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("line 4: t1e_us is not a number: 'abc'") == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("tracker, path", [
         ({"coarse_points": "abc"}, "tracker.coarse_points"),
         ({"outer_iterations": 2.5}, "tracker.outer_iterations"),
@@ -333,6 +348,27 @@ class TestConfigPrecedence:
         assert main(["simulate", str(spath), "--out", str(out), "--config", str(cfg)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["resolved_config"]["jobs"] == 2
+
+    @pytest.mark.parametrize("jobs", ["abc", 2.5, 0, True])
+    def test_bad_jobs_exit_2(self, run_dir, tmp_path, capsys, monkeypatch, jobs):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("tlstrack.cli.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("tlstrack.synth.ProcessPoolExecutor", no_pool)
+        spath = write_scenario(tmp_path / "s.json", tiny_scenario())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": jobs}))
+        out = tmp_path / "run2"
+        assert main(["simulate", str(spath), "--out", str(out), "--config", str(cfg)]) == 2
+        assert not out.exists()
+        assert main(["fit-series", str(run_dir), "--config", str(cfg)]) == 2
+        assert not (run_dir / "fits.json").exists()
+        assert capsys.readouterr().err.count(f"jobs: expected an integer >= 1, got {jobs!r}") == 2
+
+    def test_zero_jobs_flag_exit_2(self, run_dir, capsys):
+        assert main(["fit-series", str(run_dir), "--jobs", "0"]) == 2
+        assert "jobs: expected an integer >= 1, got 0" in capsys.readouterr().err
 
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TLSTRACK_OUT_ROOT", str(tmp_path / "root"))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlstrack.errors import (
     FitDivergedError,
@@ -11,6 +13,8 @@ from tlstrack.optimize import (
     LeastSquaresProblem,
     finite_difference_jacobian,
     grid_refine_1d,
+    levenberg_marquardt,
+    levenberg_marquardt_batch,
     solve,
 )
 from tlstrack.tls import DeviceFrequencies, lorentzian_density
@@ -173,6 +177,43 @@ class TestGridRefine:
         x = grid_refine_1d(objective, (device.omega_12, device.omega_01), 257)
         assert abs(x - w_true) <= 1e-3
 
+    def test_matches_scalar_golden_section(self):
+        # the batched search takes the same steps as the textbook scalar loop
+        def reference(objective, lo, hi, n, tol):
+            xs = np.linspace(lo, hi, n)
+            fs = np.array([objective(float(x)) for x in xs])
+            i = int(np.argmin(fs))
+            a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, n - 1)])
+            golden = (5.0**0.5 - 1.0) / 2.0
+            c, d = b - golden * (b - a), a + golden * (b - a)
+            fc, fd = objective(c), objective(d)
+            best_x, best_f = (c, fc) if fc <= fd else (d, fd)
+            while b - a > tol:
+                if fc <= fd:
+                    b, d, fd = d, c, fc
+                    c = b - golden * (b - a)
+                    fc = objective(c)
+                else:
+                    a, c, fc = c, d, fd
+                    d = a + golden * (b - a)
+                    fd = objective(d)
+                if fc < best_f:
+                    best_x, best_f = c, fc
+                if fd < best_f:
+                    best_x, best_f = d, fd
+            return best_x if best_f < fs[i] else float(xs[i])
+
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            coeffs = rng.normal(size=5)
+
+            def objective(w):
+                return float(np.polyval(coeffs, w) + 0.3 * np.cos(5.0 * w))
+
+            for n, tol in ((3, 1e-4), (17, 1e-9), (40, 1e-2)):
+                got = grid_refine_1d(objective, (-1.5, 2.0), n, tol)
+                assert got == reference(objective, -1.5, 2.0, n, tol)
+
     def test_invalid_inputs(self):
         with pytest.raises(InvalidParameterError):
             grid_refine_1d(lambda w: w, (1.0, 1.0), 10)
@@ -180,3 +221,153 @@ class TestGridRefine:
             grid_refine_1d(lambda w: w, (0.0, 1.0), 2)
         with pytest.raises(InvalidObjectiveError):
             grid_refine_1d(lambda w: float("nan"), (0.0, 1.0), 5)
+
+
+class LorentzianPair:
+    """k two-parameter problems: the centres of two unit-weight Lorentzians
+    seen at a few probes, one target per problem (a batch residual)."""
+
+    probes = np.linspace(4600.0, 4900.0, 5)
+
+    def __init__(self, centers, gamma=15.0):
+        self.gamma = gamma
+        self.target = self.model(np.asarray(centers, dtype=float))
+
+    def model(self, p):
+        g = self.gamma
+        return sum(g / ((self.probes - p[:, k, None]) ** 2 + g**2) for k in range(2))
+
+    def __call__(self, p, rows):
+        return self.model(p) / self.target[rows] - 1.0
+
+    def one(self, row):
+        return lambda p: self(p[None, :], np.array([row]))[0]
+
+
+def solve_each(problem, initial, lower, upper, options):
+    k = initial.shape[0]
+    lower = np.broadcast_to(lower, initial.shape)
+    upper = np.broadcast_to(upper, initial.shape)
+    return [
+        levenberg_marquardt(
+            LeastSquaresProblem(problem.one(i), initial[i], lower[i], upper[i]), options)
+        for i in range(k)
+    ]
+
+
+def assert_same(batch, scalar):
+    assert len(batch) == len(scalar)
+    for b, s in zip(batch, scalar):
+        assert b.parameters.tobytes() == s.parameters.tobytes()
+        assert b.cost == s.cost
+        assert b.residual_norm == s.residual_norm
+        assert b.iterations == s.iterations
+        assert b.converged == s.converged
+        assert b.jacobian.tobytes() == s.jacobian.tobytes()
+
+
+class TestBatchMatchesScalar:
+    centers = np.array([[4650.0, 4820.0], [4700.0, 4710.0], [4630.0, 4880.0],
+                        [4750.0, 4800.0], [4690.0, 4860.0]])
+    initial = np.array([[4650.0, 4820.0],    # zero cost at the start
+                        [4680.0, 4760.0],
+                        [4700.0, 4800.0],
+                        [4745.0, 4805.0],
+                        [4620.0, 4890.0]])
+    lower = np.array([4600.0, 4600.0])
+    upper = np.array([4900.0, 4850.0])       # the last problem's 4860 lies outside
+
+    def check(self, options):
+        problem = LorentzianPair(self.centers)
+        initial = np.clip(self.initial, self.lower, self.upper)
+        batch = levenberg_marquardt_batch(problem, initial, self.lower, self.upper, options)
+        assert_same(batch, solve_each(problem, initial, self.lower, self.upper, options))
+        return batch
+
+    def test_default_options(self):
+        batch = self.check(FitOptions())
+        assert batch[0].iterations == 0 and batch[0].cost == 0.0
+        assert batch[4].parameters[1] == self.upper[1]    # active bound
+        assert all(r.converged for r in batch)
+        assert len({r.iterations for r in batch}) > 2
+
+    def test_iteration_cap(self):
+        batch = self.check(FitOptions(max_iterations=3, gtol=0.0, ftol=0.0, xtol=0.0))
+        assert [r.converged for r in batch] == [True, False, False, False, False]
+        assert [r.iterations for r in batch] == [0, 3, 3, 3, 3]
+
+    def test_no_iterations(self):
+        batch = self.check(FitOptions(max_iterations=0))
+        assert [r.iterations for r in batch] == [0] * 5
+
+    def test_singular_solves_retry_one_problem_at_a_time(self, monkeypatch):
+        # a solve that calls a damped matrix singular while its first
+        # diagonal entry is small, so the damping must rise problem by problem
+        solve_ = np.linalg.solve
+        raised = {2: 0, 3: 0}
+
+        def fussy(a, b):
+            if np.any(a[..., 0, 0] < 0.02):
+                raised[a.ndim] += 1
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve_(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", fussy)
+        self.check(FitOptions())
+        assert raised[3] > 0 and raised[2] > 0
+
+    def test_divergence_raises_the_first_failing_problem(self):
+        problem = LorentzianPair(self.centers)
+
+        def residual(p, rows):
+            r = problem(p, rows)
+            # problems 2 and 3 diverge once a centre crosses 4790 MHz
+            r[np.isin(rows, [2, 3]) & np.any(p > 4790.0, axis=1)] = np.nan
+            return r
+
+        initial = np.array([[4650.0, 4821.0], [4680.0, 4760.0], [4700.0, 4780.0],
+                            [4745.0, 4785.0], [4620.0, 4700.0]])
+        with pytest.raises(FitDivergedError) as batch_err:
+            levenberg_marquardt_batch(residual, initial)
+        with pytest.raises(FitDivergedError) as scalar_err:
+            for i in range(initial.shape[0]):
+                solve(lambda p, i=i: residual(p[None, :], np.array([i]))[0], initial[i])
+        assert str(batch_err.value) == str(scalar_err.value)
+        assert (batch_err.value.last_parameters.tobytes()
+                == scalar_err.value.last_parameters.tobytes())
+
+    def test_non_finite_start_rejected(self):
+        problem = LorentzianPair(self.centers)
+
+        def residual(p, rows):
+            r = problem(p, rows)
+            r[rows == 3] = np.inf
+            return r
+
+        with pytest.raises(InvalidParameterError, match="initial guess"):
+            levenberg_marquardt_batch(residual, self.initial)
+
+    def test_start_outside_bounds_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            levenberg_marquardt_batch(LorentzianPair(self.centers), self.initial,
+                                      self.lower, np.array([4900.0, 4800.0]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.lists(
+            st.tuples(*[st.floats(4610.0, 4890.0)] * 4, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+            min_size=1, max_size=6,
+        ),
+        width=st.floats(20.0, 300.0),
+        gamma=st.floats(2.0, 60.0),
+    )
+    def test_property_random_bounds_and_starts(self, data, width, gamma):
+        data = np.array(data)
+        centers, starts = data[:, :2], data[:, 2:4]
+        # a box of the drawn width around each start, clipped to the probe band
+        lower = np.maximum(starts - width * data[:, 4:5], 4600.0)
+        upper = np.minimum(starts + width * data[:, 5:6], 4900.0)
+        problem = LorentzianPair(centers, gamma)
+        options = FitOptions(max_iterations=40)
+        batch = levenberg_marquardt_batch(problem, starts, lower, upper, options)
+        assert_same(batch, solve_each(problem, starts, lower, upper, options))

@@ -5,7 +5,9 @@ from tlstrack.dynamics import DecayRates
 from tlstrack.errors import InvalidParameterError, UndefinedCorrelationError
 from tlstrack.synth import DriftProcess, Scenario, TlsTruth, generate_trajectories, \
     true_lifetime_series
-from tlstrack.tls import DeviceFrequencies, rate_series
+from tlstrack import tracker
+from tlstrack.optimize import FitOptions, LeastSquaresProblem, grid_refine_1d, levenberg_marquardt
+from tlstrack.tls import DeviceFrequencies, lorentzian_rates, rate_series
 from tlstrack.tracker import (
     LifetimeSeries,
     TrackerConfig,
@@ -239,6 +241,86 @@ class TestTwoTlsTracking:
         # equal up to floating-point addition reordering
         assert np.allclose(g10a, g10b, rtol=1e-14, atol=0)
         assert np.allclose(g21a, g21b, rtol=1e-14, atol=0)
+
+
+def reference_solve_epochs(ws, coupling, linewidth, bg, prev_traj):
+    """Stage (i) one epoch and one candidate at a time: a scalar grid refine
+    per 1-D local minimum, a scalar LM solve per 2-D start."""
+    cfg = ws.config
+
+    def cost(freqs, e):
+        g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, freqs, bg, cfg.f_multiplier)
+        return ((ws.w_e[e] * (1.0 - g10 / ws.g10_meas[e])) ** 2
+                + (ws.w_f[e] * (1.0 - g21 / ws.g21_meas[e])) ** 2)
+
+    traj = np.empty((ws.order, ws.n))
+    ref = None if prev_traj is None else prev_traj[:, 0].copy()
+    for e in range(ws.n):
+        cands = []
+        if ws.order == 1:
+            xs = np.linspace(ws.band[0], ws.band[1], cfg.coarse_points)
+            fs = np.concatenate([[np.inf], cost(xs[None, :], e), [np.inf]])
+            minima = [i for i in range(xs.size) if fs[i + 1] <= min(fs[i], fs[i + 2])]
+            minima.sort(key=lambda i: fs[i + 1])
+
+            def objective(w):
+                return float(cost(np.array([[w]]), e)[0])
+
+            for i in minima[: cfg.max_candidates]:
+                a, b = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+                x = grid_refine_1d(objective, (float(a), float(b)), 3, cfg.refine_tol_mhz)
+                cands.append((np.array([x]), objective(x)))
+        else:
+            m = cfg.coarse_points_2d
+            axis = np.linspace(ws.band[0], ws.band[1], m)
+            w1, w2 = np.meshgrid(axis, axis, indexing="ij")
+            grid = np.stack([w1.ravel(), w2.ravel()])
+            cell = (ws.band[1] - ws.band[0]) / (m - 1)
+            seeds = []
+            for i in np.argsort(cost(grid, e)):
+                if all(np.max(np.abs(grid[:, i] - s)) > 1.5 * cell for s in seeds):
+                    seeds.append(grid[:, i])
+                if len(seeds) >= cfg.max_candidates:
+                    break
+            if prev_traj is not None:
+                seeds.append(prev_traj[:, e])
+            lo, hi = np.full(2, ws.band[0]), np.full(2, ws.band[1])
+
+            def residual(p):
+                g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, p[:, None], bg,
+                                            cfg.f_multiplier)
+                return np.array([ws.w_e[e] * (1.0 - g10[0] / ws.g10_meas[e]),
+                                 ws.w_f[e] * (1.0 - g21[0] / ws.g21_meas[e])])
+
+            for seed in seeds:
+                result = levenberg_marquardt(
+                    LeastSquaresProblem(residual, np.clip(seed, lo, hi), lo, hi),
+                    FitOptions(max_iterations=100),
+                )
+                cands.append((result.parameters.copy(), float(result.residual_norm**2)))
+        ref = traj[:, e] = tracker._select_candidate(cands, ref, cfg)
+    return traj
+
+
+class TestBatchedEpochSolves:
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_bit_identical_to_one_epoch_at_a_time(self, order):
+        truths = [
+            TlsTruth(DriftProcess("ornstein_uhlenbeck", 5770.32, 6.235, 0.24, seed=21), 1.0, 12.0),
+            TlsTruth(DriftProcess("ornstein_uhlenbeck", 5639.0, 3.0, 0.3, seed=22), 0.8, 10.0),
+        ]
+        clean, _ = synthetic_series(DEVICE_B, truths, DecayRates(1e-3, 2e-3), 12, seed=4)
+        rng = np.random.default_rng(8)
+        t1e = clean.t1e_us * (1.0 + 0.02 * rng.standard_normal(12))
+        t1f = clean.t1f_us * (1.0 + 0.02 * rng.standard_normal(12))
+        series = LifetimeSeries(clean.epochs_hr, t1e, t1f, 0.02 * t1e, 0.02 * t1f)
+        ws = tracker._Workspace(series, DEVICE_B, order, TrackerConfig())
+        for k, (glob, traj) in enumerate(tracker._initial_states(ws)):
+            coupling, linewidth, bg = ws.unpack_globals(glob * (1.0 + 0.3 * k))
+            for prev in (None, traj + 7.0 * k):
+                got = tracker._solve_epochs(ws, coupling, linewidth, bg, prev)
+                want = reference_solve_epochs(ws, coupling, linewidth, bg, prev)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestWarningsAndErrors:
