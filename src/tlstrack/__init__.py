@@ -25,10 +25,8 @@ from .optimize import (
     FitOptions,
     FitResult,
     LeastSquaresProblem,
-    grid_refine,
     grid_refine_1d,
     levenberg_marquardt,
-    levenberg_marquardt_batch,
 )
 from .readout import (
     ConfusionMatrix,

@@ -115,6 +115,8 @@ def _valid_tracker_value(value, default) -> bool:
 
 _EXPECTED = {DecayRates: "an object of finite gamma10, gamma21 >= 0", tuple: "two finite numbers",
              float: "a finite number", int: "an integer", bool: "true or false"}
+# grid sizes below these leave no interval to refine
+_TRACKER_MINIMUM = {"coarse_points": 2, "coarse_points_2d": 2}
 
 
 def _jobs(args, config: dict) -> int:
@@ -137,6 +139,10 @@ def _tracker_config(config: dict) -> TrackerConfig:
         if not _valid_tracker_value(value, default):
             raise InvalidParameterError(
                 f"tracker.{key}: expected {_EXPECTED[type(default)]}, got {value!r}"
+            )
+        if key in _TRACKER_MINIMUM and value < _TRACKER_MINIMUM[key]:
+            raise InvalidParameterError(
+                f"tracker.{key}: expected an integer >= {_TRACKER_MINIMUM[key]}, got {value!r}"
             )
         if isinstance(default, DecayRates):
             value = DecayRates(value.get("gamma10", 0.0), value.get("gamma21", 0.0))

@@ -6,8 +6,11 @@ bound handling, finite-difference stepping, and convergence reporting exact
 to this package's contracts.
 
 The batched forms, ``levenberg_marquardt_batch`` and ``grid_refine``, solve
-many independent small problems as array operations and give each problem
-the same result, bit for bit, as solving it alone.
+many independent small problems as array operations. Each problem takes the
+same arithmetic steps as when solved alone; the results agree bit for bit
+where the stacked ``matmul``/``vecdot`` reach the same BLAS kernels as the
+one-problem ``@`` and ``norm`` (checked by the tests on numpy 2.4 with
+OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations
@@ -235,8 +238,8 @@ def levenberg_marquardt(
 def levenberg_marquardt_batch(
     residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
     initial: np.ndarray,
-    lower=None,
-    upper=None,
+    lower,
+    upper,
     options: FitOptions = DEFAULT_OPTIONS,
 ) -> list[FitResult]:
     """Solve k independent bounded problems, each exactly as :func:`levenberg_marquardt`.
@@ -245,15 +248,16 @@ def levenberg_marquardt_batch(
     maps the (len(rows), n) parameters of the problems ``rows`` to their
     (len(rows), m) residuals; row i must depend on ``x[i]`` and ``rows[i]``
     only.  Every problem keeps its own damping schedule and stopping tests,
-    and the dot products run through the same BLAS kernels as the scalar
-    solver's, so each result is bit-identical to a one-problem solve.  If
+    and the dot products use stacked ``matmul`` and ``vecdot`` so that, with
+    the BLAS build the tests run on, each result is bit-identical to a
+    one-problem solve.  If
     any problem fails, the error the one-at-a-time loop would raise first
     (the lowest failing problem's) is raised.
     """
     x = np.array(initial, dtype=float)
     k, n = x.shape
-    lo = np.broadcast_to(-np.inf if lower is None else np.asarray(lower, dtype=float), (k, n))
-    hi = np.broadcast_to(np.inf if upper is None else np.asarray(upper, dtype=float), (k, n))
+    lo = np.broadcast_to(np.asarray(lower, dtype=float), (k, n))
+    hi = np.broadcast_to(np.asarray(upper, dtype=float), (k, n))
     if np.any(lo > x) or np.any(x > hi):
         raise InvalidParameterError("initial guess must satisfy lower <= x0 <= upper")
     errors: dict[int, Exception] = {}
@@ -444,6 +448,13 @@ def grid_refine(
     ``objective`` maps points of shape (k, ...), row i inside interval i, to
     their values.  Returns the best abscissa and its value per interval.
     """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    bad = ~(hi > lo)
+    if np.any(bad):
+        row = int(np.argmax(bad))
+        raise InvalidParameterError(
+            f"interval must satisfy hi > lo, got {(float(lo[row]), float(hi[row]))!r}"
+        )
     xs = np.linspace(lo, hi, coarse_points, axis=-1)
     fs = objective(xs)
     bad = ~np.isfinite(fs)

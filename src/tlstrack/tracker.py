@@ -553,6 +553,11 @@ def track_tls(
         raise InvalidParameterError(f"model order must be 1 or 2, got {order!r}")
     if series.n_epochs < 3:
         raise InvalidParameterError("need at least 3 epochs to track")
+    band = config.band(device)
+    if not band[1] > band[0]:
+        raise InvalidParameterError(
+            f"band_margin_mhz {config.band_margin_mhz} leaves an empty search band {band!r}"
+        )
 
     warnings = []
     if series.n_epochs < 10:

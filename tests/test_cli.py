@@ -264,6 +264,9 @@ class TestTrack:
         ({"coarse_points": "abc"}, "tracker.coarse_points"),
         ({"outer_iterations": 2.5}, "tracker.outer_iterations"),
         ({"drift_penalty": 0.1}, "tracker.drift_penalty: unknown"),
+        ({"coarse_points": 1}, "tracker.coarse_points: expected an integer >= 2"),
+        ({"coarse_points_2d": 1}, "tracker.coarse_points_2d: expected an integer >= 2"),
+        ({"band_margin_mhz": -1000.0}, "empty search band"),
     ])
     def test_bad_tracker_config_exit_2(self, tmp_path, capsys, tracker, path):
         spath, dev, _ = self.make_series_csv(tmp_path, epochs=12)

@@ -12,6 +12,7 @@ from tlstrack.optimize import (
     FitOptions,
     LeastSquaresProblem,
     finite_difference_jacobian,
+    grid_refine,
     grid_refine_1d,
     levenberg_marquardt,
     levenberg_marquardt_batch,
@@ -222,6 +223,10 @@ class TestGridRefine:
         with pytest.raises(InvalidObjectiveError):
             grid_refine_1d(lambda w: float("nan"), (0.0, 1.0), 5)
 
+    def test_batch_rejects_empty_interval(self):
+        with pytest.raises(InvalidParameterError, match=r"hi > lo, got \(2.0, 2.0\)"):
+            grid_refine(lambda w: w, np.array([0.0, 2.0, 3.0]), np.array([1.0, 2.0, 1.0]), 3)
+
 
 class LorentzianPair:
     """k two-parameter problems: the centres of two unit-weight Lorentzians
@@ -328,7 +333,7 @@ class TestBatchMatchesScalar:
         initial = np.array([[4650.0, 4821.0], [4680.0, 4760.0], [4700.0, 4780.0],
                             [4745.0, 4785.0], [4620.0, 4700.0]])
         with pytest.raises(FitDivergedError) as batch_err:
-            levenberg_marquardt_batch(residual, initial)
+            levenberg_marquardt_batch(residual, initial, -np.inf, np.inf)
         with pytest.raises(FitDivergedError) as scalar_err:
             for i in range(initial.shape[0]):
                 solve(lambda p, i=i: residual(p[None, :], np.array([i]))[0], initial[i])
@@ -345,7 +350,7 @@ class TestBatchMatchesScalar:
             return r
 
         with pytest.raises(InvalidParameterError, match="initial guess"):
-            levenberg_marquardt_batch(residual, self.initial)
+            levenberg_marquardt_batch(residual, self.initial, -np.inf, np.inf)
 
     def test_start_outside_bounds_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -334,6 +334,15 @@ class TestWarningsAndErrors:
         with pytest.raises(InvalidParameterError):
             track_tls(series, DEVICE_A, 1)
 
+    def test_empty_search_rejected(self):
+        series = LifetimeSeries(np.arange(30.0), np.full(30, 100.0), np.full(30, 60.0))
+        # one coarse point leaves each refine interval a single point
+        with pytest.raises(InvalidParameterError, match="hi > lo"):
+            track_tls(series, DEVICE_A, 1, TrackerConfig(coarse_points=1))
+        for margin in (-200.0, -(DEVICE_A.omega_01 - DEVICE_A.omega_12) / 2):
+            with pytest.raises(InvalidParameterError, match="empty search band"):
+                track_tls(series, DEVICE_A, 2, TrackerConfig(band_margin_mhz=margin))
+
     def test_few_epoch_warnings(self):
         truths = [TlsTruth(DriftProcess("static", 4650.0), 9.9, 14.0)]
         series, _ = synthetic_series(DEVICE_A, truths, DecayRates(1e-3, 1e-3), 5)
