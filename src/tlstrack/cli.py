@@ -115,8 +115,9 @@ def _valid_tracker_value(value, default) -> bool:
 
 _EXPECTED = {DecayRates: "an object of finite gamma10, gamma21 >= 0", tuple: "two finite numbers",
              float: "a finite number", int: "an integer", bool: "true or false"}
-# grid sizes below these leave no interval to refine
-_TRACKER_MINIMUM = {"coarse_points": 2, "coarse_points_2d": 2}
+# smaller grids leave no interval to refine, and no candidate leaves an
+# epoch without a frequency
+_TRACKER_MINIMUM = {"coarse_points": 2, "coarse_points_2d": 2, "max_candidates": 1}
 
 
 def _jobs(args, config: dict) -> int:

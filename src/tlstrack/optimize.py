@@ -5,12 +5,9 @@ have at most a handful of parameters, and keeping the solver local makes the
 bound handling, finite-difference stepping, and convergence reporting exact
 to this package's contracts.
 
-The batched forms, ``levenberg_marquardt_batch`` and ``grid_refine``, solve
-many independent small problems as array operations. Each problem takes the
-same arithmetic steps as when solved alone; the results agree bit for bit
-where the stacked ``matmul``/``vecdot`` reach the same BLAS kernels as the
-one-problem ``@`` and ``norm`` (checked by the tests on numpy 2.4 with
-OpenBLAS 0.3.31).
+``grid_refine`` refines many independent intervals at once as array
+operations; each interval gets the result it would get alone, and
+``grid_refine_1d`` is the one-interval case.
 """
 
 from __future__ import annotations
@@ -233,170 +230,6 @@ def levenberg_marquardt(
     if jac is None:
         jac = jacobian_at(x, r)
     return FitResult(x, math.sqrt(cost), converged, iteration, jac, cost)
-
-
-def levenberg_marquardt_batch(
-    residual: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    initial: np.ndarray,
-    lower,
-    upper,
-    options: FitOptions = DEFAULT_OPTIONS,
-) -> list[FitResult]:
-    """Solve k independent bounded problems, each exactly as :func:`levenberg_marquardt`.
-
-    ``initial`` is (k, n) and the bounds broadcast to it.  ``residual(x, rows)``
-    maps the (len(rows), n) parameters of the problems ``rows`` to their
-    (len(rows), m) residuals; row i must depend on ``x[i]`` and ``rows[i]``
-    only.  Every problem keeps its own damping schedule and stopping tests,
-    and the dot products use stacked ``matmul`` and ``vecdot`` so that, with
-    the BLAS build the tests run on, each result is bit-identical to a
-    one-problem solve.  If
-    any problem fails, the error the one-at-a-time loop would raise first
-    (the lowest failing problem's) is raised.
-    """
-    x = np.array(initial, dtype=float)
-    k, n = x.shape
-    lo = np.broadcast_to(np.asarray(lower, dtype=float), (k, n))
-    hi = np.broadcast_to(np.asarray(upper, dtype=float), (k, n))
-    if np.any(lo > x) or np.any(x > hi):
-        raise InvalidParameterError("initial guess must satisfy lower <= x0 <= upper")
-    errors: dict[int, Exception] = {}
-
-    def fail(rows, exc_of):
-        for row in rows:
-            errors.setdefault(int(row), exc_of(row))
-
-    def evaluate(xs, rows):
-        r = np.asarray(residual(xs, rows), dtype=float)
-        return r, np.all(np.isfinite(r), axis=1)
-
-    def jacobian(rows):
-        """Forward differences as in finite_difference_jacobian; also returns,
-        per row, the first perturbed point whose residual was non-finite."""
-        xr, rr = x[rows], r[rows]
-        jac = np.empty((rows.size, rr.shape[1], n))
-        bad: dict[int, np.ndarray] = {}
-        for i in range(n):
-            h = np.maximum(options.fd_step, options.fd_step * np.abs(xr[:, i]))
-            h = np.where(xr[:, i] + h > hi[rows, i], -h, h)
-            xp = xr.copy()
-            xp[:, i] += h
-            rp, ok = evaluate(xp, rows)
-            for j in np.flatnonzero(~ok):
-                bad.setdefault(int(rows[j]), xp[j])
-            jac[:, :, i] = (rp - rr) / h[:, None]
-        return jac, bad
-
-    all_rows = np.arange(k)
-    r, ok = evaluate(x, all_rows)
-    fail(all_rows[~ok], lambda row: InvalidParameterError(
-        "residual is not finite at the initial guess"))
-    cost = np.vecdot(r, r)
-    jac = np.zeros((k, r.shape[1], n))
-    iterations = np.zeros(k, dtype=int)
-    converged = ok & (cost == 0.0)
-    active = ok & ~converged
-    lam = np.full(k, options.lambda_init)
-
-    # a zero-cost start, or a zero iteration budget, still forms the final
-    # Jacobian; as in the scalar solver, a failure there carries the
-    # perturbed point rather than the start
-    direct = np.flatnonzero(converged | (active & (options.max_iterations < 1)))
-    if direct.size:
-        jac[direct], bad = jacobian(direct)
-        fail(bad, lambda row: FitDivergedError(
-            f"non-finite residual (jacobian) at parameters {bad[row]!r}", bad[row]))
-
-    for iteration in range(1, options.max_iterations + 1):
-        rows = np.flatnonzero(active)
-        if rows.size == 0:
-            break
-        iterations[rows] = iteration
-        jac[rows], bad = jacobian(rows)
-        if bad:
-            fail(bad, lambda row: FitDivergedError(
-                f"non-finite residual (jacobian) at parameters {bad[row]!r}", x[row].copy()))
-            active[list(bad)] = False
-            rows = np.flatnonzero(active)
-        ja, ra, xa = jac[rows], r[rows], x[rows]
-        grad = np.matmul(ja.swapaxes(1, 2), ra[:, :, None])[:, :, 0]
-        # projected gradient: directions pushing outside the box do not count
-        pg = grad.copy()
-        pg[(xa <= lo[rows]) & (grad > 0.0)] = 0.0
-        pg[(xa >= hi[rows]) & (grad < 0.0)] = 0.0
-        stop = np.max(np.abs(pg), axis=1) <= options.gtol
-        converged[rows[stop]] = True
-        active[rows[stop]] = False
-        rows, ja, grad = rows[~stop], ja[~stop], grad[~stop]
-
-        jtj = np.matmul(ja.swapaxes(1, 2), ja)
-        diag = np.diagonal(jtj, axis1=1, axis2=2).copy()
-        diag[diag <= 0.0] = 1.0
-        damping = np.zeros_like(jtj)
-        damping[:, np.arange(n), np.arange(n)] = diag
-        # one pass per damping trial; `pending` indexes into rows
-        pending = np.arange(rows.size)
-        while pending.size:
-            # no descent direction within the damping budget: local minimum
-            # to working precision
-            exhausted = lam[rows[pending]] > options.lambda_max
-            converged[rows[pending[exhausted]]] = True
-            active[rows[pending[exhausted]]] = False
-            pending = pending[~exhausted]
-            if pending.size == 0:
-                break
-            prow = rows[pending]
-            a = jtj[pending] + lam[prow][:, None, None] * damping[pending]
-            b = -grad[pending]
-            try:
-                step = np.linalg.solve(a, b[:, :, None])[:, :, 0]
-                solved = np.ones(pending.size, dtype=bool)
-            except np.linalg.LinAlgError:
-                # a stacked solve fails as a whole: retry one problem at a
-                # time so only the singular ones raise their damping
-                step = np.zeros_like(b)
-                solved = np.zeros(pending.size, dtype=bool)
-                for j in range(pending.size):
-                    try:
-                        step[j] = np.linalg.solve(a[j], b[j])
-                        solved[j] = True
-                    except np.linalg.LinAlgError:
-                        pass
-            lam[prow[~solved]] *= options.lambda_increase
-            singular = pending[~solved]
-            pending, prow, step = pending[solved], prow[solved], step[solved]
-            if pending.size == 0:
-                pending = singular
-                continue
-
-            x_old = x[prow]
-            x_new = np.clip(x_old + step, lo[prow], hi[prow])
-            r_new, ok = evaluate(x_new, prow)
-            fail(prow[~ok], lambda row: FitDivergedError(
-                f"non-finite residual at trial parameters {x_new[prow == row][0]!r}",
-                x[row].copy()))
-            active[prow[~ok]] = False
-            cost_new = np.vecdot(r_new, r_new)
-            better = ok & (cost_new < cost[prow])
-            worse = ok & ~better
-            lam[prow[worse]] *= options.lambda_increase
-            acc = prow[better]
-            dx = x_new[better] - x_old[better]
-            step_norm = np.sqrt(np.vecdot(dx, dx))
-            rel_decrease = (cost[acc] - cost_new[better]) / cost[acc]
-            x[acc], r[acc], cost[acc] = x_new[better], r_new[better], cost_new[better]
-            lam[acc] = np.maximum(lam[acc] / options.lambda_decrease, 1e-14)
-            x_norm = np.sqrt(np.vecdot(x[acc], x[acc]))
-            done = (rel_decrease <= options.ftol) | (
-                step_norm <= options.xtol * (x_norm + options.xtol))
-            converged[acc[done]] = True
-            active[acc[done]] = False
-            pending = np.sort(np.concatenate([singular, pending[worse]]))
-
-    if errors:
-        raise errors[min(errors)]
-    return [FitResult(x[i], math.sqrt(cost[i]), bool(converged[i]), int(iterations[i]),
-                      jac[i], float(cost[i])) for i in range(k)]
 
 
 def solve(

@@ -38,8 +38,7 @@ import numpy as np
 
 from .dynamics import DecayRates, ZERO_RATES
 from .errors import InvalidParameterError, UndefinedCorrelationError
-from .optimize import (FitOptions, LeastSquaresProblem, grid_refine, levenberg_marquardt,
-                       levenberg_marquardt_batch)
+from .optimize import FitOptions, LeastSquaresProblem, grid_refine, levenberg_marquardt
 from .tls import (DeviceFrequencies, TlsDefect, TlsParameterSet, lorentzian_density,
                   lorentzian_rates)
 
@@ -231,6 +230,16 @@ class TrackerFit:
 # -- internal model arithmetic ---------------------------------------------
 
 
+def _frequency_derivatives(device: DeviceFrequencies, b, g, w, scale_e, scale_f):
+    """d(r_e, r_f)/d(omega) of one defect with coupling b and linewidth g at
+    frequencies w; ``scale_e`` and ``scale_f`` turn a rate derivative into a
+    residual derivative (-w_e/Gamma10_meas and -f_multiplier*w_f/Gamma21_meas)."""
+    de = device.omega_01 - w
+    df = device.omega_12 - w
+    return (scale_e * b * 2.0 * g * de / (de**2 + g**2) ** 2,
+            scale_f * b * 2.0 * g * df / (df**2 + g**2) ** 2)
+
+
 def _stacked_residuals(g10_model, g21_model, g10_meas, g21_meas,
                        w_e=1.0, w_f=1.0) -> np.ndarray:
     # epoch-major (e, f) interleaving; fixed order keeps the misfit
@@ -369,8 +378,8 @@ class _Workspace:
             jac[1::2, 2 * k + 1] = scale_f * b * (df**2 - g**2) / den_f**2
             # per-epoch frequencies
             cols = self.n_globals + k * n + np.arange(n)
-            jac[2 * np.arange(n), cols] = scale_e * b * 2.0 * g * de / den_e**2
-            jac[2 * np.arange(n) + 1, cols] = scale_f * b * 2.0 * g * df / den_f**2
+            jac[2 * np.arange(n), cols], jac[2 * np.arange(n) + 1, cols] = (
+                _frequency_derivatives(self.device, b, g, w, scale_e, scale_f))
         if self.config.fit_background:
             jac[0::2, 2 * order] = -self.w_e / self.g10_meas
             jac[1::2, 2 * order + 1] = -self.w_f / self.g21_meas
@@ -478,7 +487,7 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
 
 def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[np.ndarray]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bounded LM solves of every epoch from its best separated grid points
+    """Damped Newton solves of every epoch from its best separated grid points
     (plus the previous frequency pair), all epochs in one batch."""
     cfg = ws.config
     m = cfg.coarse_points_2d
@@ -502,17 +511,80 @@ def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[
         epochs += [epoch] * len(seeds)
         starts += seeds
     epochs = np.array(epochs)
+    x, cost = _solve_frequency_pairs(ws, coupling, linewidth, bg, epochs, np.array(starts).T)
+    return epochs, x, cost
 
-    def residual(p: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, p.T, bg, cfg.f_multiplier)
-        return np.stack(ws.epoch_residuals(g10, g21, epochs[rows]), axis=1)
 
-    results = levenberg_marquardt_batch(
-        residual, np.clip(np.array(starts), ws.band[0], ws.band[1]), ws.band[0], ws.band[1],
-        FitOptions(max_iterations=100),
-    )
-    x = np.array([res.parameters for res in results]).T
-    return epochs, x, np.array([res.residual_norm**2 for res in results])
+def _solve_frequency_pairs(ws: _Workspace, coupling, linewidth, bg, epochs: np.ndarray,
+                           x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounded Levenberg-Marquardt on the two-defect problem of every column
+    of ``x`` (the two frequencies) against the two rates of ``epochs``.
+
+    Each problem is square, 2 residuals in 2 frequencies, so the damped
+    normal equations are 2x2 and solved in closed form from the analytic
+    Jacobian; with lambda > 0 they are positive definite.  Steps are clipped
+    to the band, and the stopping tests and damping schedule are those of
+    :func:`levenberg_marquardt` with 100 iterations.  Each pass works on the
+    problems still active.  Returns the final frequencies and costs.
+    """
+    opt, cfg, (lo, hi) = FitOptions(max_iterations=100), ws.config, ws.band
+    scale_e = -ws.w_e[epochs] / ws.g10_meas[epochs]
+    scale_f = -cfg.f_multiplier * ws.w_f[epochs] / ws.g21_meas[epochs]
+
+    def residuals(x, cols):
+        g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, x, bg, cfg.f_multiplier)
+        return ws.epoch_residuals(g10, g21, epochs[cols])
+
+    x = np.clip(x, lo, hi)
+    r_e, r_f = residuals(x, slice(None))
+    cost = r_e**2 + r_f**2
+    lam = np.full(cost.size, opt.lambda_init)
+    active = cost > 0.0
+    for _ in range(opt.max_iterations):
+        cols = np.flatnonzero(active)
+        if cols.size == 0:
+            break
+        xa = x[:, cols]
+        # J = [[e0, e1], [f0, f1]]: d(r_e, r_f)/d(omega_0, omega_1)
+        (e0, f0), (e1, f1) = (
+            _frequency_derivatives(ws.device, coupling[k], linewidth[k], xa[k],
+                                   scale_e[cols], scale_f[cols]) for k in (0, 1))
+        grad = np.stack([e0 * r_e[cols] + f0 * r_f[cols], e1 * r_e[cols] + f1 * r_f[cols]])
+        # projected gradient: directions pushing outside the band do not count
+        outward = ((xa <= lo) & (grad > 0.0)) | ((xa >= hi) & (grad < 0.0))
+        stop = np.max(np.abs(np.where(outward, 0.0, grad)), axis=0) <= opt.gtol
+        active[cols[stop]] = False
+        h00, h01, h11 = e0**2 + f0**2, e0 * e1 + f0 * f1, e1**2 + f1**2
+        d0, d1 = np.where(h00 > 0.0, h00, 1.0), np.where(h11 > 0.0, h11, 1.0)
+        pending = np.flatnonzero(~stop)      # positions in cols
+        while pending.size:
+            p = cols[pending]
+            # no descent direction within the damping budget: a local minimum
+            # to working precision
+            exhausted = lam[p] > opt.lambda_max
+            active[p[exhausted]] = False
+            pending, p = pending[~exhausted], p[~exhausted]
+            a = h00[pending] + lam[p] * d0[pending]
+            c = h11[pending] + lam[p] * d1[pending]
+            b = h01[pending]
+            det = a * c - b * b
+            g0, g1 = grad[:, pending]
+            x_new = np.clip(x[:, p] + np.stack([b * g1 - c * g0, b * g0 - a * g1]) / det, lo, hi)
+            re_new, rf_new = residuals(x_new, p)
+            cost_new = re_new**2 + rf_new**2
+            better = cost_new < cost[p]
+            lam[p[~better]] *= opt.lambda_increase
+            acc, dx = p[better], x_new[:, better] - x[:, p[better]]
+            rel_decrease = (cost[acc] - cost_new[better]) / cost[acc]
+            x[:, acc], r_e[acc], r_f[acc] = x_new[:, better], re_new[better], rf_new[better]
+            cost[acc] = cost_new[better]
+            lam[acc] = np.maximum(lam[acc] / opt.lambda_decrease, 1e-14)
+            x_norm = np.sqrt(x[0, acc] ** 2 + x[1, acc] ** 2)
+            done = (rel_decrease <= opt.ftol) | (
+                np.sqrt(dx[0] ** 2 + dx[1] ** 2) <= opt.xtol * (x_norm + opt.xtol))
+            active[acc[done]] = False
+            pending = pending[~better]
+    return x, cost
 
 
 def _solve_epochs(ws: _Workspace, coupling, linewidth, bg,
@@ -557,6 +629,10 @@ def track_tls(
     if not band[1] > band[0]:
         raise InvalidParameterError(
             f"band_margin_mhz {config.band_margin_mhz} leaves an empty search band {band!r}"
+        )
+    if config.max_candidates < 1:
+        raise InvalidParameterError(
+            f"max_candidates must be >= 1, got {config.max_candidates!r}"
         )
 
     warnings = []

@@ -267,6 +267,7 @@ class TestTrack:
         ({"coarse_points": 1}, "tracker.coarse_points: expected an integer >= 2"),
         ({"coarse_points_2d": 1}, "tracker.coarse_points_2d: expected an integer >= 2"),
         ({"band_margin_mhz": -1000.0}, "empty search band"),
+        ({"max_candidates": 0}, "tracker.max_candidates: expected an integer >= 1"),
     ])
     def test_bad_tracker_config_exit_2(self, tmp_path, capsys, tracker, path):
         spath, dev, _ = self.make_series_csv(tmp_path, epochs=12)

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from tlstrack.errors import (
     FitDivergedError,
@@ -15,7 +13,6 @@ from tlstrack.optimize import (
     grid_refine,
     grid_refine_1d,
     levenberg_marquardt,
-    levenberg_marquardt_batch,
     solve,
 )
 from tlstrack.tls import DeviceFrequencies, lorentzian_density
@@ -226,153 +223,3 @@ class TestGridRefine:
     def test_batch_rejects_empty_interval(self):
         with pytest.raises(InvalidParameterError, match=r"hi > lo, got \(2.0, 2.0\)"):
             grid_refine(lambda w: w, np.array([0.0, 2.0, 3.0]), np.array([1.0, 2.0, 1.0]), 3)
-
-
-class LorentzianPair:
-    """k two-parameter problems: the centres of two unit-weight Lorentzians
-    seen at a few probes, one target per problem (a batch residual)."""
-
-    probes = np.linspace(4600.0, 4900.0, 5)
-
-    def __init__(self, centers, gamma=15.0):
-        self.gamma = gamma
-        self.target = self.model(np.asarray(centers, dtype=float))
-
-    def model(self, p):
-        g = self.gamma
-        return sum(g / ((self.probes - p[:, k, None]) ** 2 + g**2) for k in range(2))
-
-    def __call__(self, p, rows):
-        return self.model(p) / self.target[rows] - 1.0
-
-    def one(self, row):
-        return lambda p: self(p[None, :], np.array([row]))[0]
-
-
-def solve_each(problem, initial, lower, upper, options):
-    k = initial.shape[0]
-    lower = np.broadcast_to(lower, initial.shape)
-    upper = np.broadcast_to(upper, initial.shape)
-    return [
-        levenberg_marquardt(
-            LeastSquaresProblem(problem.one(i), initial[i], lower[i], upper[i]), options)
-        for i in range(k)
-    ]
-
-
-def assert_same(batch, scalar):
-    assert len(batch) == len(scalar)
-    for b, s in zip(batch, scalar):
-        assert b.parameters.tobytes() == s.parameters.tobytes()
-        assert b.cost == s.cost
-        assert b.residual_norm == s.residual_norm
-        assert b.iterations == s.iterations
-        assert b.converged == s.converged
-        assert b.jacobian.tobytes() == s.jacobian.tobytes()
-
-
-class TestBatchMatchesScalar:
-    centers = np.array([[4650.0, 4820.0], [4700.0, 4710.0], [4630.0, 4880.0],
-                        [4750.0, 4800.0], [4690.0, 4860.0]])
-    initial = np.array([[4650.0, 4820.0],    # zero cost at the start
-                        [4680.0, 4760.0],
-                        [4700.0, 4800.0],
-                        [4745.0, 4805.0],
-                        [4620.0, 4890.0]])
-    lower = np.array([4600.0, 4600.0])
-    upper = np.array([4900.0, 4850.0])       # the last problem's 4860 lies outside
-
-    def check(self, options):
-        problem = LorentzianPair(self.centers)
-        initial = np.clip(self.initial, self.lower, self.upper)
-        batch = levenberg_marquardt_batch(problem, initial, self.lower, self.upper, options)
-        assert_same(batch, solve_each(problem, initial, self.lower, self.upper, options))
-        return batch
-
-    def test_default_options(self):
-        batch = self.check(FitOptions())
-        assert batch[0].iterations == 0 and batch[0].cost == 0.0
-        assert batch[4].parameters[1] == self.upper[1]    # active bound
-        assert all(r.converged for r in batch)
-        assert len({r.iterations for r in batch}) > 2
-
-    def test_iteration_cap(self):
-        batch = self.check(FitOptions(max_iterations=3, gtol=0.0, ftol=0.0, xtol=0.0))
-        assert [r.converged for r in batch] == [True, False, False, False, False]
-        assert [r.iterations for r in batch] == [0, 3, 3, 3, 3]
-
-    def test_no_iterations(self):
-        batch = self.check(FitOptions(max_iterations=0))
-        assert [r.iterations for r in batch] == [0] * 5
-
-    def test_singular_solves_retry_one_problem_at_a_time(self, monkeypatch):
-        # a solve that calls a damped matrix singular while its first
-        # diagonal entry is small, so the damping must rise problem by problem
-        solve_ = np.linalg.solve
-        raised = {2: 0, 3: 0}
-
-        def fussy(a, b):
-            if np.any(a[..., 0, 0] < 0.02):
-                raised[a.ndim] += 1
-                raise np.linalg.LinAlgError("Singular matrix")
-            return solve_(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", fussy)
-        self.check(FitOptions())
-        assert raised[3] > 0 and raised[2] > 0
-
-    def test_divergence_raises_the_first_failing_problem(self):
-        problem = LorentzianPair(self.centers)
-
-        def residual(p, rows):
-            r = problem(p, rows)
-            # problems 2 and 3 diverge once a centre crosses 4790 MHz
-            r[np.isin(rows, [2, 3]) & np.any(p > 4790.0, axis=1)] = np.nan
-            return r
-
-        initial = np.array([[4650.0, 4821.0], [4680.0, 4760.0], [4700.0, 4780.0],
-                            [4745.0, 4785.0], [4620.0, 4700.0]])
-        with pytest.raises(FitDivergedError) as batch_err:
-            levenberg_marquardt_batch(residual, initial, -np.inf, np.inf)
-        with pytest.raises(FitDivergedError) as scalar_err:
-            for i in range(initial.shape[0]):
-                solve(lambda p, i=i: residual(p[None, :], np.array([i]))[0], initial[i])
-        assert str(batch_err.value) == str(scalar_err.value)
-        assert (batch_err.value.last_parameters.tobytes()
-                == scalar_err.value.last_parameters.tobytes())
-
-    def test_non_finite_start_rejected(self):
-        problem = LorentzianPair(self.centers)
-
-        def residual(p, rows):
-            r = problem(p, rows)
-            r[rows == 3] = np.inf
-            return r
-
-        with pytest.raises(InvalidParameterError, match="initial guess"):
-            levenberg_marquardt_batch(residual, self.initial, -np.inf, np.inf)
-
-    def test_start_outside_bounds_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            levenberg_marquardt_batch(LorentzianPair(self.centers), self.initial,
-                                      self.lower, np.array([4900.0, 4800.0]))
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        data=st.lists(
-            st.tuples(*[st.floats(4610.0, 4890.0)] * 4, st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
-            min_size=1, max_size=6,
-        ),
-        width=st.floats(20.0, 300.0),
-        gamma=st.floats(2.0, 60.0),
-    )
-    def test_property_random_bounds_and_starts(self, data, width, gamma):
-        data = np.array(data)
-        centers, starts = data[:, :2], data[:, 2:4]
-        # a box of the drawn width around each start, clipped to the probe band
-        lower = np.maximum(starts - width * data[:, 4:5], 4600.0)
-        upper = np.minimum(starts + width * data[:, 5:6], 4900.0)
-        problem = LorentzianPair(centers, gamma)
-        options = FitOptions(max_iterations=40)
-        batch = levenberg_marquardt_batch(problem, starts, lower, upper, options)
-        assert_same(batch, solve_each(problem, starts, lower, upper, options))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlstrack.dynamics import DecayRates
 from tlstrack.errors import InvalidParameterError, UndefinedCorrelationError
@@ -9,6 +11,7 @@ from tlstrack import tracker
 from tlstrack.optimize import FitOptions, LeastSquaresProblem, grid_refine_1d, levenberg_marquardt
 from tlstrack.tls import DeviceFrequencies, lorentzian_rates, rate_series
 from tlstrack.tracker import (
+    DEFAULT_TRACKER_CONFIG,
     LifetimeSeries,
     TrackerConfig,
     information_score,
@@ -243,9 +246,10 @@ class TestTwoTlsTracking:
         assert np.allclose(g21a, g21b, rtol=1e-14, atol=0)
 
 
-def reference_solve_epochs(ws, coupling, linewidth, bg, prev_traj):
+def reference_solve_epochs(ws, coupling, linewidth, bg, prev_traj, solve_pair=None):
     """Stage (i) one epoch and one candidate at a time: a scalar grid refine
-    per 1-D local minimum, a scalar LM solve per 2-D start."""
+    per 1-D local minimum, ``solve_pair(epoch, start)`` per 2-D start.
+    Returns the trajectory and each epoch's best candidate cost."""
     cfg = ws.config
 
     def cost(freqs, e):
@@ -253,7 +257,7 @@ def reference_solve_epochs(ws, coupling, linewidth, bg, prev_traj):
         return ((ws.w_e[e] * (1.0 - g10 / ws.g10_meas[e])) ** 2
                 + (ws.w_f[e] * (1.0 - g21 / ws.g21_meas[e])) ** 2)
 
-    traj = np.empty((ws.order, ws.n))
+    traj, best = np.empty((ws.order, ws.n)), np.empty(ws.n)
     ref = None if prev_traj is None else prev_traj[:, 0].copy()
     for e in range(ws.n):
         cands = []
@@ -284,43 +288,134 @@ def reference_solve_epochs(ws, coupling, linewidth, bg, prev_traj):
                     break
             if prev_traj is not None:
                 seeds.append(prev_traj[:, e])
-            lo, hi = np.full(2, ws.band[0]), np.full(2, ws.band[1])
-
-            def residual(p):
-                g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, p[:, None], bg,
-                                            cfg.f_multiplier)
-                return np.array([ws.w_e[e] * (1.0 - g10[0] / ws.g10_meas[e]),
-                                 ws.w_f[e] * (1.0 - g21[0] / ws.g21_meas[e])])
-
-            for seed in seeds:
-                result = levenberg_marquardt(
-                    LeastSquaresProblem(residual, np.clip(seed, lo, hi), lo, hi),
-                    FitOptions(max_iterations=100),
-                )
-                cands.append((result.parameters.copy(), float(result.residual_norm**2)))
+            cands = [solve_pair(e, seed) for seed in seeds]
         ref = traj[:, e] = tracker._select_candidate(cands, ref, cfg)
-    return traj
+        best[e] = min(f for _, f in cands)
+    return traj, best
+
+
+def scalar_lm_pair(ws, coupling, linewidth, bg):
+    """Scalar bounded LM on one epoch's two frequencies, with the analytic
+    Jacobian written out independently of the tracker."""
+    cfg = ws.config
+    lo, hi = np.full(2, ws.band[0]), np.full(2, ws.band[1])
+
+    def solve_pair(e, seed):
+        def residual(p):
+            g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, p[:, None], bg,
+                                        cfg.f_multiplier)
+            return np.array([ws.w_e[e] * (1.0 - g10[0] / ws.g10_meas[e]),
+                             ws.w_f[e] * (1.0 - g21[0] / ws.g21_meas[e])])
+
+        def jacobian(p):
+            de, df = ws.device.omega_01 - p, ws.device.omega_12 - p
+            g2 = linewidth**2
+            dg10 = 2.0 * coupling * linewidth * de / (de**2 + g2) ** 2
+            dg21 = 2.0 * cfg.f_multiplier * coupling * linewidth * df / (df**2 + g2) ** 2
+            return np.array([-ws.w_e[e] / ws.g10_meas[e] * dg10,
+                             -ws.w_f[e] / ws.g21_meas[e] * dg21])
+
+        result = levenberg_marquardt(
+            LeastSquaresProblem(residual, np.clip(seed, lo, hi), lo, hi, jacobian=jacobian),
+            FitOptions(max_iterations=100),
+        )
+        return result.parameters.copy(), result.cost
+
+    return solve_pair
+
+
+def batch_of_one_pair(ws, coupling, linewidth, bg):
+    """The tracker's 2x2 solve on a single (epoch, start) problem."""
+    def solve_pair(e, seed):
+        x, cost = tracker._solve_frequency_pairs(ws, coupling, linewidth, bg, np.array([e]),
+                                                 seed[:, None])
+        return x[:, 0], float(cost[0])
+
+    return solve_pair
+
+
+def epoch_solve_cases(order):
+    """Fixed globals (perturbed starts) and previous trajectories on a small
+    noisy two-defect series."""
+    truths = [
+        TlsTruth(DriftProcess("ornstein_uhlenbeck", 5770.32, 6.235, 0.24, seed=21), 1.0, 12.0),
+        TlsTruth(DriftProcess("ornstein_uhlenbeck", 5639.0, 3.0, 0.3, seed=22), 0.8, 10.0),
+    ]
+    clean, _ = synthetic_series(DEVICE_B, truths, DecayRates(1e-3, 2e-3), 12, seed=4)
+    rng = np.random.default_rng(8)
+    t1e = clean.t1e_us * (1.0 + 0.02 * rng.standard_normal(12))
+    t1f = clean.t1f_us * (1.0 + 0.02 * rng.standard_normal(12))
+    series = LifetimeSeries(clean.epochs_hr, t1e, t1f, 0.02 * t1e, 0.02 * t1f)
+    ws = tracker._Workspace(series, DEVICE_B, order, TrackerConfig())
+    for k, (glob, traj) in enumerate(tracker._initial_states(ws)):
+        coupling, linewidth, bg = ws.unpack_globals(glob * (1.0 + 0.3 * k))
+        for prev in (None, traj + 7.0 * k):
+            yield ws, coupling, linewidth, bg, prev
 
 
 class TestBatchedEpochSolves:
     @pytest.mark.parametrize("order", [1, 2])
     def test_bit_identical_to_one_epoch_at_a_time(self, order):
-        truths = [
-            TlsTruth(DriftProcess("ornstein_uhlenbeck", 5770.32, 6.235, 0.24, seed=21), 1.0, 12.0),
-            TlsTruth(DriftProcess("ornstein_uhlenbeck", 5639.0, 3.0, 0.3, seed=22), 0.8, 10.0),
-        ]
-        clean, _ = synthetic_series(DEVICE_B, truths, DecayRates(1e-3, 2e-3), 12, seed=4)
-        rng = np.random.default_rng(8)
-        t1e = clean.t1e_us * (1.0 + 0.02 * rng.standard_normal(12))
-        t1f = clean.t1f_us * (1.0 + 0.02 * rng.standard_normal(12))
-        series = LifetimeSeries(clean.epochs_hr, t1e, t1f, 0.02 * t1e, 0.02 * t1f)
-        ws = tracker._Workspace(series, DEVICE_B, order, TrackerConfig())
-        for k, (glob, traj) in enumerate(tracker._initial_states(ws)):
-            coupling, linewidth, bg = ws.unpack_globals(glob * (1.0 + 0.3 * k))
-            for prev in (None, traj + 7.0 * k):
-                got = tracker._solve_epochs(ws, coupling, linewidth, bg, prev)
-                want = reference_solve_epochs(ws, coupling, linewidth, bg, prev)
-                assert got.tobytes() == want.tobytes()
+        for ws, coupling, linewidth, bg, prev in epoch_solve_cases(order):
+            got = tracker._solve_epochs(ws, coupling, linewidth, bg, prev)
+            want, _ = reference_solve_epochs(ws, coupling, linewidth, bg, prev,
+                                             batch_of_one_pair(ws, coupling, linewidth, bg))
+            assert got.tobytes() == want.tobytes()
+
+    def test_order2_best_cost_not_above_scalar_lm(self):
+        for ws, coupling, linewidth, bg, prev in epoch_solve_cases(2):
+            epochs, _, f = tracker._candidates_2d(ws, coupling, linewidth, bg, prev)
+            got = np.full(ws.n, np.inf)
+            np.minimum.at(got, epochs, f)
+            _, want = reference_solve_epochs(ws, coupling, linewidth, bg, prev,
+                                             scalar_lm_pair(ws, coupling, linewidth, bg))
+            assert np.all(got <= want * (1.0 + 1e-12) + 1e-15)
+
+
+class TestFrequencyPairSolve:
+    coupling, linewidth, bg = np.array([1.0, 0.8]), np.array([12.0, 10.0]), np.array([1e-3, 2e-3])
+    truth = np.array([[5770.0, 5775.5, 5768.2, 5790.0], [5639.0, 5641.0, 5630.0, 5650.0]])
+
+    def workspace(self, truth, config=DEFAULT_TRACKER_CONFIG, lift_e=1.0):
+        g10, g21 = lorentzian_rates(DEVICE_B, self.coupling, self.linewidth, truth, self.bg)
+        series = LifetimeSeries(np.arange(truth.shape[1], dtype=float), 1.0 / (lift_e * g10),
+                                1.0 / g21)
+        return tracker._Workspace(series, DEVICE_B, 2, config)
+
+    def solve(self, ws, epochs, x0):
+        return tracker._solve_frequency_pairs(ws, self.coupling, self.linewidth, self.bg,
+                                              epochs, x0)
+
+    def start_cost(self, ws, epochs, x0):
+        g10, g21 = lorentzian_rates(DEVICE_B, self.coupling, self.linewidth, x0, self.bg)
+        return ws.epoch_cost(g10, g21, epochs)
+
+    @pytest.mark.parametrize("offset", [(3.0, -3.0), (-4.0, 2.0), (5.0, 5.0)])
+    def test_noiseless_starts_reach_truth(self, offset):
+        ws = self.workspace(self.truth)
+        x, _ = self.solve(ws, np.arange(4), self.truth + np.array(offset)[:, None])
+        assert np.max(np.abs(x - self.truth)) <= 1e-6
+
+    def test_outward_gradient_stays_on_band_edge(self):
+        # defect 0 sits above the band, so the cost falls outward from its edge
+        truth = np.array([[5830.0, 5835.0], [5639.0, 5645.0]])
+        ws = self.workspace(truth, TrackerConfig(band_margin_mhz=10.0))
+        x0 = np.array([[ws.band[1], ws.band[1]], [5639.0, 5645.0]])
+        x, cost = self.solve(ws, np.arange(2), x0)
+        assert np.all(x[0] == ws.band[1])
+        assert np.all(cost <= self.start_cost(ws, np.arange(2), x0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(starts=st.lists(st.tuples(*[st.floats(*TrackerConfig().band(DEVICE_B))] * 2,
+                                     st.integers(0, 3)), min_size=1, max_size=8))
+    def test_property_cost_never_rises_and_stays_in_band(self, starts):
+        # a 3% lift on the measured Gamma10 leaves every problem a non-zero cost
+        ws = self.workspace(self.truth, lift_e=1.03)
+        data = np.array(starts)
+        x0, epochs = data[:, :2].T, data[:, 2].astype(int)
+        x, cost = self.solve(ws, epochs, x0)
+        assert np.all(cost <= self.start_cost(ws, epochs, x0))
+        assert np.all((x >= ws.band[0]) & (x <= ws.band[1]))
 
 
 class TestWarningsAndErrors:
@@ -342,6 +437,12 @@ class TestWarningsAndErrors:
         for margin in (-200.0, -(DEVICE_A.omega_01 - DEVICE_A.omega_12) / 2):
             with pytest.raises(InvalidParameterError, match="empty search band"):
                 track_tls(series, DEVICE_A, 2, TrackerConfig(band_margin_mhz=margin))
+
+    def test_no_candidates_rejected(self):
+        series = LifetimeSeries(np.arange(30.0), np.full(30, 100.0), np.full(30, 60.0))
+        for order in (1, 2):
+            with pytest.raises(InvalidParameterError, match="max_candidates"):
+                track_tls(series, DEVICE_A, order, TrackerConfig(max_candidates=0))
 
     def test_few_epoch_warnings(self):
         truths = [TlsTruth(DriftProcess("static", 4650.0), 9.9, 14.0)]
