@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -33,29 +33,52 @@ class IqBlobModel:
     """Gaussian readout blobs for states |0>, |1>, |2> in the IQ plane.
 
     ``means`` has shape (3, 2); ``covariances`` has shape (3, 2, 2) and every
-    covariance must be symmetric positive definite.
+    covariance must be symmetric positive definite.  Both are stored as
+    read-only copies, so the per-blob precision matrices, half
+    log-determinants and Cholesky factors computed here stay valid.
     """
 
     means: np.ndarray
     covariances: np.ndarray
+    _precisions: np.ndarray = field(init=False, repr=False, compare=False)
+    _half_log_dets: np.ndarray = field(init=False, repr=False, compare=False)
+    _cholesky: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        covs = np.asarray(self.covariances, dtype=float)
+        means = np.array(self.means, dtype=float)
+        covs = np.array(self.covariances, dtype=float)
         if means.shape != (3, 2):
             raise InvalidParameterError(f"means must have shape (3, 2), got {means.shape}")
         if covs.shape != (3, 2, 2):
             raise InvalidParameterError(
                 f"covariances must have shape (3, 2, 2), got {covs.shape}"
             )
+        with np.errstate(all="ignore"):
+            det = np.linalg.det(covs)
         for k in range(3):
             c = covs[k]
             if not np.allclose(c, c.T, rtol=0.0, atol=1e-12):
                 raise InvalidParameterError(f"covariance of blob {k} is not symmetric")
             if np.any(np.linalg.eigvalsh(c) <= 0.0):
                 raise InvalidParameterError(f"covariance of blob {k} is not positive definite")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covariances", covs)
+            if not (math.isfinite(det[k]) and det[k] > 0.0):
+                raise InvalidParameterError(
+                    f"covariance of blob {k} is numerically singular (determinant {det[k]:.3g})"
+                )
+        cached = {
+            "means": means,
+            "covariances": covs,
+            "_precisions": np.linalg.inv(covs),
+            "_half_log_dets": 0.5 * np.log(det),
+            "_cholesky": np.linalg.cholesky(covs),
+        }
+        for name, value in cached.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # rebuild through the constructor, so an unpickled copy is read-only too
+        return type(self), (self.means, self.covariances)
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,15 +151,13 @@ def calibrate_equilateral_radius(
 
 def _log_likelihoods(blobs: IqBlobModel, points: np.ndarray) -> np.ndarray:
     out = np.empty((points.shape[0], 3))
+    x, y = points[:, 0], points[:, 1]
     for k in range(3):
-        cov = blobs.covariances[k]
-        det = float(np.linalg.det(cov))
-        if det <= 0.0 or not math.isfinite(det):
-            raise InvalidParameterError(f"singular covariance for blob {k}")
-        inv = np.linalg.inv(cov)
-        d = points - blobs.means[k]
-        quad = np.einsum("ni,ij,nj->n", d, inv, d)
-        out[:, k] = -0.5 * quad - 0.5 * math.log(det)
+        (pxx, pxy), (pyx, pyy) = blobs._precisions[k]
+        dx = x - blobs.means[k, 0]
+        dy = y - blobs.means[k, 1]
+        quad = pxx * dx * dx + (pxy + pyx) * dx * dy + pyy * dy * dy
+        out[:, k] = -0.5 * quad - blobs._half_log_dets[k]
     return out
 
 
@@ -159,9 +180,8 @@ def sample_blob(
     blobs: IqBlobModel, state: int, n: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Draw ``n`` IQ points from blob ``state`` using the supplied stream."""
-    chol = np.linalg.cholesky(blobs.covariances[state])
     z = rng.standard_normal((n, 2))
-    return blobs.means[state] + z @ chol.T
+    return blobs.means[state] + z @ blobs._cholesky[state].T
 
 
 @dataclass(frozen=True)
@@ -242,18 +262,13 @@ def assignment_fidelity(m: ConfusionMatrix) -> float:
     return m.fidelity
 
 
-def mitigate(
-    m: ConfusionMatrix, observed: PopulationState, clip: bool = True
-) -> PopulationState:
-    """Recover ideal populations by applying the inverse confusion matrix.
-
-    With ``clip`` (default) negative components of the raw inverse are set
-    to zero and the vector renormalized to unit sum; with ``clip=False`` the
-    raw inverse is returned even if slightly unphysical.
-    """
+def _require_stable(m: ConfusionMatrix) -> None:
     cond = m.condition_number
     if not math.isfinite(cond) or cond >= MITIGATION_CONDITION_LIMIT:
         raise MitigationUnstableError(cond)
+
+
+def _solve_and_clip(m: ConfusionMatrix, observed: PopulationState, clip: bool) -> PopulationState:
     p = np.linalg.solve(m.m, observed.vector())
     if clip and np.any(p < 0.0):
         p = np.clip(p, 0.0, None)
@@ -264,11 +279,26 @@ def mitigate(
     return PopulationState.from_vector(p)
 
 
+def mitigate(
+    m: ConfusionMatrix, observed: PopulationState, clip: bool = True
+) -> PopulationState:
+    """Recover ideal populations by applying the inverse confusion matrix.
+
+    With ``clip`` (default) negative components of the raw inverse are set
+    to zero and the vector renormalized to unit sum; with ``clip=False`` the
+    raw inverse is returned even if slightly unphysical.
+    """
+    _require_stable(m)
+    return _solve_and_clip(m, observed, clip)
+
+
 def mitigate_trace(m: ConfusionMatrix, trace: PopulationTrace, clip: bool = True) -> PopulationTrace:
-    """Apply :func:`mitigate` to every delay point of a trace."""
+    """Apply :func:`mitigate` to every delay point of a trace, checking the
+    matrix's condition number once."""
+    _require_stable(m)
     corrected = np.empty_like(trace.populations)
     for i in range(len(trace)):
-        corrected[i] = mitigate(m, trace.state(i), clip=clip).vector()
+        corrected[i] = _solve_and_clip(m, trace.state(i), clip).vector()
     return PopulationTrace(trace.delays.copy(), corrected, None if trace.shots is None else trace.shots.copy())
 
 

@@ -364,22 +364,26 @@ def _sample_epoch_trace(
     ideal = closed_form_populations(rates, delays).T
     if exact:
         return PopulationTrace(delays.copy(), ideal)
-    observed = np.empty_like(ideal)
+    counts = np.empty((delays.size, 3), dtype=np.int64)
+    points = None if blobs is None else np.empty((delays.size * shots, 2))
     for i in range(delays.size):
         p = np.clip(ideal[i], 0.0, None)
         p = p / p.sum()
-        counts = rng.multinomial(shots, p)
-        if blobs is None:
-            assigned = counts
-        else:
-            assigned = np.zeros(3, dtype=int)
+        counts[i] = rng.multinomial(shots, p)
+        if blobs is not None:
+            row = i * shots
             for k in range(3):
-                if counts[k] == 0:
+                n = int(counts[i, k])
+                if n == 0:
                     continue
-                states = classify_points(blobs, sample_blob(blobs, k, int(counts[k]), rng))
-                assigned += np.bincount(states, minlength=3)
-        observed[i] = assigned / float(shots)
-    return PopulationTrace(delays.copy(), observed, np.full(delays.size, shots))
+                points[row:row + n] = sample_blob(blobs, k, n, rng)
+                row += n
+    if blobs is not None:
+        # one classification per epoch; each delay owns `shots` consecutive rows
+        states = classify_points(blobs, points)
+        delay_index = np.repeat(np.arange(delays.size), shots)
+        counts = np.bincount(3 * delay_index + states, minlength=counts.size).reshape(counts.shape)
+    return PopulationTrace(delays.copy(), counts / float(shots), np.full(delays.size, shots))
 
 
 def synthesize_epoch(scenario: Scenario, epoch: int, rates: DecayRates) -> PopulationTrace:

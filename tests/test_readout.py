@@ -1,3 +1,6 @@
+import math
+import pickle
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,28 @@ def iso_blobs(means):
     return IqBlobModel(np.asarray(means, dtype=float), ISO.copy())
 
 
+CORRELATED = IqBlobModel(
+    np.array([[0.0, 1.6], [-1.4, -0.8], [1.4, -0.8]]),
+    np.array([
+        [[1.0, 0.6], [0.6, 0.8]],
+        [[0.5, -0.3], [-0.3, 1.4]],
+        [[2.0, 0.9], [0.9, 0.7]],
+    ]),
+)
+
+
+def einsum_log_likelihoods(blobs, points):
+    """Log-likelihoods the way the classifier first computed them: a fresh
+    inverse and determinant per blob and a three-index einsum."""
+    out = np.empty((points.shape[0], 3))
+    for k in range(3):
+        cov = blobs.covariances[k]
+        d = points - blobs.means[k]
+        quad = np.einsum("ni,ij,nj->n", d, np.linalg.inv(cov), d)
+        out[:, k] = -0.5 * quad - 0.5 * math.log(float(np.linalg.det(cov)))
+    return out
+
+
 def gauss_elim_solve(a, b):
     """Independent 3x3 solver: Gaussian elimination with partial pivoting."""
     a = np.array(a, dtype=float)
@@ -55,6 +80,8 @@ class TestClassify:
     def test_tie_breaks_to_lower_index(self):
         blobs = iso_blobs([[0, 0], [2, 0], [10, 10]])
         assert classify(blobs, [1.0, 0.0]) == 0
+        relabeled = iso_blobs([[10, 10], [2, 0], [0, 0]])
+        assert np.array_equal(classify_points(relabeled, [[1.0, 0.0], [1.0, 5.0]]), [1, 1])
 
     def test_likelihood_comparison(self):
         # nearest mean wins for equal isotropic covariances
@@ -80,6 +107,33 @@ class TestClassify:
         blobs = IqBlobModel(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]), covs)
         # x=4 is 1.33 sigma from blob 0 along its wide axis, 1 sigma from blob 1
         assert classify(blobs, [4.0, 0.0]) == 1
+
+    def test_closed_form_matches_einsum_arithmetic(self):
+        points = np.random.default_rng(17).normal(scale=2.0, size=(100_000, 2))
+        expected = np.argmax(einsum_log_likelihoods(CORRELATED, points), axis=1)
+        assert np.array_equal(classify_points(CORRELATED, points), expected)
+        assert set(np.unique(expected)) == {0, 1, 2}
+
+    def test_model_arrays_read_only(self):
+        means = np.array(CORRELATED.means)
+        blobs = IqBlobModel(means, CORRELATED.covariances)
+        with pytest.raises(ValueError):
+            blobs.covariances[0, 0, 0] = 4.0
+        with pytest.raises(ValueError):
+            blobs.means[1] = 0.0
+        means[0] = 9.0  # the caller's array is copied, not frozen or shared
+        assert blobs.means[0, 0] == 0.0
+        copy = pickle.loads(pickle.dumps(blobs))
+        assert not copy.covariances.flags.writeable
+        assert np.array_equal(classify_points(copy, means), classify_points(blobs, means))
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_numerically_singular_covariance_rejected(self, scale):
+        # positive eigenvalues, but the determinant under- or overflows
+        covs = ISO.copy()
+        covs[2] *= scale
+        with pytest.raises(InvalidParameterError, match="blob 2 is numerically singular"):
+            IqBlobModel(np.zeros((3, 2)), covs)
 
     def test_invalid_covariance(self):
         with pytest.raises(InvalidParameterError):
@@ -196,6 +250,9 @@ class TestMitigation:
         with pytest.raises(MitigationUnstableError) as exc:
             mitigate(cm, PopulationState(0.4, 0.4, 0.2))
         assert exc.value.condition_number >= 1e6
+        trace = closed_form_trace(DecayRates(1 / 155.0, 1 / 64.0), np.geomspace(1, 600, 4))
+        with pytest.raises(MitigationUnstableError):
+            mitigate_trace(cm, trace)
 
     def test_mitigate_trace(self):
         m = ConfusionMatrix(_random_stochastic(np.random.default_rng(3)))
@@ -204,6 +261,9 @@ class TestMitigation:
         noisy = type(trace)(trace.delays, corrupted)
         recovered = mitigate_trace(m, noisy, clip=False)
         assert np.max(np.abs(recovered.populations - trace.populations)) < 1e-10
+        clipped = mitigate_trace(m, noisy)
+        for i in range(len(noisy)):
+            assert np.array_equal(clipped.populations[i], mitigate(m, noisy.state(i)).vector())
 
 
 def _random_stochastic(rng):

@@ -1,15 +1,17 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from tlstrack.dynamics import DecayRates, closed_form_populations
 from tlstrack.errors import InvalidParameterError, ScenarioSchemaError
-from tlstrack.readout import equilateral_blobs
+from tlstrack.readout import IqBlobModel, equilateral_blobs
 from tlstrack.synth import (
     DriftProcess,
     Scenario,
     TlsTruth,
+    _sample_epoch_trace,
     bundled_scenario,
     derive_rng,
     generate_trajectories,
@@ -151,6 +153,60 @@ class TestSynthesis:
         traces, _, _ = synthesize_experiment(small_scenario())
         assert traces[0].shots is not None
         assert np.all(traces[0].shots == 500)
+
+
+CORRELATED_BLOBS = IqBlobModel(
+    np.array([[0.0, 1.7], [-1.5, -0.9], [1.5, -0.9]]),
+    np.array([
+        [[1.0, 0.6], [0.6, 0.8]],
+        [[0.5, -0.3], [-0.3, 1.4]],
+        [[2.0, 0.9], [0.9, 0.7]],
+    ]),
+)
+
+
+def reference_epoch_trace(delays, rates, shots, blobs, rng):
+    """Per-(delay, state) sampling and classification: a multinomial draw per
+    delay, then each non-zero state's shots drawn from its own Cholesky
+    factor and classified with a fresh inverse, determinant and einsum."""
+    ideal = closed_form_populations(rates, delays).T
+    observed = np.empty_like(ideal)
+    for i in range(delays.size):
+        p = np.clip(ideal[i], 0.0, None)
+        counts = rng.multinomial(shots, p / p.sum())
+        if blobs is None:
+            observed[i] = counts / float(shots)
+            continue
+        assigned = np.zeros(3, dtype=int)
+        for k in range(3):
+            if counts[k] == 0:
+                continue
+            z = rng.standard_normal((int(counts[k]), 2))
+            pts = blobs.means[k] + z @ np.linalg.cholesky(blobs.covariances[k]).T
+            ll = np.empty((pts.shape[0], 3))
+            for j in range(3):
+                d = pts - blobs.means[j]
+                cov = blobs.covariances[j]
+                ll[:, j] = (-0.5 * np.einsum("ni,ij,nj->n", d, np.linalg.inv(cov), d)
+                            - 0.5 * math.log(float(np.linalg.det(cov))))
+            assigned += np.bincount(np.argmax(ll, axis=1), minlength=3)
+        observed[i] = assigned / float(shots)
+    return observed
+
+
+class TestEpochStreams:
+    @pytest.mark.parametrize("blobs", [CORRELATED_BLOBS, None], ids=["correlated", "no_blobs"])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_bit_identical_to_per_state_loop(self, blobs, seed):
+        # delay 0 prepares |2> only, so states 0 and 1 draw no shots there
+        delays = np.concatenate([[0.0], np.geomspace(0.5, 900.0, 11)])
+        rates = DecayRates(1 / 60.0, 1 / 25.0)
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _sample_epoch_trace(delays, rates, 300, blobs, False, got_rng)
+        expected = reference_epoch_trace(delays, rates, 300, blobs, ref_rng)
+        assert np.array_equal(got.populations, expected)
+        assert np.array_equal(got.shots, np.full(delays.size, 300))
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestScenarioJson:
