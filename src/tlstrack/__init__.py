@@ -14,7 +14,6 @@ from .dynamics import (
 )
 from .errors import (
     FitDivergedError,
-    InvalidObjectiveError,
     InvalidParameterError,
     MitigationUnstableError,
     ScenarioSchemaError,
@@ -25,7 +24,6 @@ from .optimize import (
     FitOptions,
     FitResult,
     LeastSquaresProblem,
-    grid_refine_1d,
     levenberg_marquardt,
 )
 from .readout import (

@@ -64,7 +64,7 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise InvalidParameterError(f"config file {path}: not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise InvalidParameterError(f"config file {path}: expected a JSON object")
@@ -115,9 +115,9 @@ def _valid_tracker_value(value, default) -> bool:
 
 _EXPECTED = {DecayRates: "an object of finite gamma10, gamma21 >= 0", tuple: "two finite numbers",
              float: "a finite number", int: "an integer", bool: "true or false"}
-# smaller grids leave no interval to refine, and no candidate leaves an
+# the two-defect grid needs both band edges, and no candidate leaves an
 # epoch without a frequency
-_TRACKER_MINIMUM = {"coarse_points": 2, "coarse_points_2d": 2, "max_candidates": 1}
+_TRACKER_MINIMUM = {"coarse_points_2d": 2, "max_candidates": 1}
 
 
 def _jobs(args, config: dict) -> int:

@@ -35,10 +35,6 @@ class FitDivergedError(TlstrackError):
         super().__init__(message)
 
 
-class InvalidObjectiveError(TlstrackError):
-    """Objective returned a non-finite value where finiteness is required."""
-
-
 class UndefinedCorrelationError(TlstrackError, ValueError):
     """Correlation requested for a series with zero variance."""
 

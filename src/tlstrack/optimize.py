@@ -1,13 +1,9 @@
-"""Levenberg-Marquardt least squares with box bounds, plus a 1-D grid refiner.
+"""Levenberg-Marquardt least squares with box bounds.
 
 Small and self-contained on purpose: the fitting problems in this package
 have at most a handful of parameters, and keeping the solver local makes the
 bound handling, finite-difference stepping, and convergence reporting exact
 to this package's contracts.
-
-``grid_refine`` refines many independent intervals at once as array
-operations; each interval gets the result it would get alone, and
-``grid_refine_1d`` is the one-interval case.
 """
 
 from __future__ import annotations
@@ -19,9 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import FitDivergedError, InvalidObjectiveError, InvalidParameterError
-
-GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
+from .errors import FitDivergedError, InvalidParameterError
 
 
 @dataclass
@@ -241,106 +235,3 @@ def solve(
 ) -> FitResult:
     """Convenience wrapper around :func:`levenberg_marquardt`."""
     return levenberg_marquardt(LeastSquaresProblem(residual, initial, lower, upper), options)
-
-
-def grid_refine_1d(
-    objective: Callable[[float], float],
-    interval: tuple[float, float],
-    coarse_points: int,
-    tol: float = 1e-4,
-) -> float:
-    """Coarse uniform scan followed by golden-section refinement.
-
-    Returns the abscissa of the best point seen, so the refined result is
-    never worse than the best coarse-grid point.  Raises
-    ``InvalidObjectiveError`` if the objective is non-finite anywhere on the
-    coarse grid.
-    """
-    lo, hi = float(interval[0]), float(interval[1])
-    if not hi > lo:
-        raise InvalidParameterError(f"interval must satisfy hi > lo, got {interval!r}")
-    if coarse_points < 3:
-        raise InvalidParameterError("coarse_points must be >= 3")
-
-    def batch_objective(xs: np.ndarray) -> np.ndarray:
-        return np.array([float(objective(float(v))) for v in xs.ravel()]).reshape(xs.shape)
-
-    x, _ = grid_refine(batch_objective, np.array([lo]), np.array([hi]), int(coarse_points), tol)
-    return float(x[0])
-
-
-def grid_refine(
-    objective: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    coarse_points: int,
-    tol: float = 1e-4,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`grid_refine_1d` on the k intervals [lo_i, hi_i] (hi > lo) at once.
-
-    ``objective`` maps points of shape (k, ...), row i inside interval i, to
-    their values.  Returns the best abscissa and its value per interval.
-    """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    bad = ~(hi > lo)
-    if np.any(bad):
-        row = int(np.argmax(bad))
-        raise InvalidParameterError(
-            f"interval must satisfy hi > lo, got {(float(lo[row]), float(hi[row]))!r}"
-        )
-    xs = np.linspace(lo, hi, coarse_points, axis=-1)
-    fs = objective(xs)
-    bad = ~np.isfinite(fs)
-    if np.any(bad):
-        row = int(np.argmax(np.any(bad, axis=1)))
-        raise InvalidObjectiveError(
-            f"objective non-finite on coarse grid at {xs[row][bad[row]][0]}"
-        )
-    rows = np.arange(xs.shape[0])
-    i = np.argmin(fs, axis=1)
-    best_x, best_f = xs[rows, i], fs[rows, i]
-    a = xs[rows, np.maximum(i - 1, 0)]
-    b = xs[rows, np.minimum(i + 1, coarse_points - 1)]
-    x, f = _golden_section(objective, a, b, tol)
-    better = f < best_f
-    return np.where(better, x, best_x), np.where(better, f, best_f)
-
-
-def _golden_section(
-    objective: Callable[[np.ndarray], np.ndarray],
-    a: np.ndarray,
-    b: np.ndarray,
-    tol: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section search on each interval [a_i, b_i] at once.
-
-    Each interval shrinks until it is no wider than ``tol``; an interval
-    that is done is frozen while the others go on.  ``objective`` maps k
-    points to k values.  Returns the best point seen and its value per
-    interval.
-    """
-    c = b - GOLDEN_RATIO * (b - a)
-    d = a + GOLDEN_RATIO * (b - a)
-    fc = objective(c)
-    fd = objective(d)
-    first = fc <= fd
-    best_x, best_f = np.where(first, c, d), np.where(first, fc, fd)
-    active = b - a > tol
-    while np.any(active):
-        # left: the minimum lies in [a, d], so d -> b, c -> d and a new c;
-        # right: it lies in [c, b], so c -> a, d -> c and a new d
-        left = active & (fc <= fd)
-        right = active & ~left
-        b = np.where(left, d, b)
-        a = np.where(right, c, a)
-        c, d = (np.where(left, b - GOLDEN_RATIO * (b - a), np.where(right, d, c)),
-                np.where(right, a + GOLDEN_RATIO * (b - a), np.where(left, c, d)))
-        f_new = objective(np.where(left, c, d))
-        fc, fd = (np.where(left, f_new, np.where(right, fd, fc)),
-                  np.where(right, f_new, np.where(left, fc, fd)))
-        # a frozen interval's fc and fd never beat its best, so it needs no mask
-        for x, f in ((c, fc), (d, fd)):
-            better = f < best_f
-            best_x, best_f = np.where(better, x, best_x), np.where(better, f, best_f)
-        active = b - a > tol
-    return best_x, best_f

@@ -422,7 +422,8 @@ def synthesize_experiment(
 
 def write_run_directory(scenario: Scenario, out_dir, jobs: int = 1) -> Path:
     """Materialize a run: traces/epoch_XXXX.csv, confusion.json, truth.json,
-    scenario.json, and the ground-truth lifetime series as series.csv."""
+    scenario.json, and the ground-truth lifetime series as truth_series.csv
+    (``fit-series`` writes the measured series.csv beside it)."""
     out = Path(out_dir)
     traces, confusion, truth = synthesize_experiment(scenario, jobs=jobs)
     (out / "traces").mkdir(parents=True, exist_ok=True)
@@ -430,7 +431,7 @@ def write_run_directory(scenario: Scenario, out_dir, jobs: int = 1) -> Path:
         json.dump(scenario_to_json_dict(scenario), fh, indent=1)
     confusion.to_json(out / "confusion.json")
     truth.to_json(out / "truth.json")
-    true_lifetime_series(scenario, truth).to_csv(out / "series.csv")
+    true_lifetime_series(scenario, truth).to_csv(out / "truth_series.csv")
     for e, trace in enumerate(traces):
         trace.to_csv(out / "traces" / f"epoch_{e:04d}.csv")
     return out

@@ -119,6 +119,7 @@ class TraceFit:
             "stderr_t1f": self.stderr_t1f,
             "residual_norm": self.residual_norm,
             "converged": self.converged,
+            "iterations": self.iterations,
         }
 
 

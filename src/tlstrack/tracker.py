@@ -7,10 +7,12 @@ by all epochs, and a free defect frequency per epoch.
 
 The solve alternates two moves until the misfit settles:
 
-(i)  per-epoch frequency solves at fixed globals -- a coarse grid sweep of
-     the search band plus local refinement, run for all epochs at once as
-     array operations, then near-equal minima tie-broken toward the
-     previous epoch's frequency (continuity) in epoch order;
+(i)  per-epoch frequency solves at fixed globals, run for all epochs at
+     once as array operations -- for one defect the exact local minima over
+     the search band, from the roots of the cost's stationarity polynomial;
+     for two, damped Newton solves from the best points of a coarse grid --
+     then near-equal minima tie-broken toward the previous epoch's
+     frequency (continuity) in epoch order;
 (ii) a bounded Levenberg-Marquardt update of the globals on the stacked
      two-channel residuals, performed jointly with the trajectory (the
      model's derivatives are supplied analytically).  Updating the globals
@@ -38,7 +40,7 @@ import numpy as np
 
 from .dynamics import DecayRates, ZERO_RATES
 from .errors import InvalidParameterError, UndefinedCorrelationError
-from .optimize import FitOptions, LeastSquaresProblem, grid_refine, levenberg_marquardt
+from .optimize import FitOptions, LeastSquaresProblem, levenberg_marquardt
 from .tls import (DeviceFrequencies, TlsDefect, TlsParameterSet, lorentzian_density,
                   lorentzian_rates)
 
@@ -106,7 +108,8 @@ class LifetimeSeries:
     def from_csv(cls, path) -> "LifetimeSeries":
         cols = {k: [] for k in ("timestamp_hr", "t1e_us", "t1f_us", "err_e", "err_f")}
         first_blank = {}
-        with open(path, newline="") as fh:
+        # bytes that are not UTF-8 read as U+FFFD, so such a cell is not a number
+        with open(path, newline="", errors="replace") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise InvalidParameterError(f"{path}: empty series file")
@@ -149,10 +152,8 @@ class TrackerConfig:
     """Knobs for the alternating-minimization tracker."""
 
     band_margin_mhz: float = 200.0   # search band extends this far past both transitions
-    coarse_points: int = 257         # 1-D per-epoch grid size
     coarse_points_2d: int = 60       # per-axis grid size for the two-defect solve
-    max_candidates: int = 4          # refined local minima kept per epoch
-    refine_tol_mhz: float = 1e-4
+    max_candidates: int = 4          # lowest local minima kept per epoch
     outer_iterations: int = 50
     probe_iterations: int = 2        # outer cycles spent on each start before selection
     joint_lm_iterations: int = 150   # LM budget for each globals+trajectory update
@@ -457,32 +458,62 @@ def _select_candidate(cands: list[tuple[np.ndarray, float]], ref: Optional[np.nd
 
 def _candidates_1d(ws: _Workspace, coupling, linewidth,
                    bg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Refined local minima of every epoch's cost on the coarse grid.
+    """Local minima of every epoch's cost over the band, from its stationary points.
+
+    In u = (omega - mid)/h, with mid the band centre and h its half-width,
+    an epoch's residuals are r_e = a_e - C_e/E_e(u) and r_f = a_f - C_f/E_f(u)
+    with E_e = (u - u_01)^2 + (gamma/h)^2 and E_f alike at u_12.  The cost's
+    stationary points are the real roots of the degree-9 polynomial
+    C_e (a_e E_e - C_e)(u_01 - u) E_f^3 + C_f (a_f E_f - C_f)(u_12 - u) E_e^3,
+    found for all epochs at once as companion-matrix eigenvalues.  The cost
+    is monotone between consecutive stationary points, so among the sorted
+    real parts of all roots, clipped to the band, and the two band edges,
+    the distinct points no higher than both neighbours are its local minima.
 
     Returns each candidate's epoch, its (1, k) frequencies and its cost,
-    epoch by epoch and, within an epoch, in increasing coarse-grid cost.
+    epoch by epoch and, within an epoch, in increasing cost.
     """
-    cfg = ws.config
-    xs = np.linspace(ws.band[0], ws.band[1], cfg.coarse_points)
-    g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, xs[None, :], bg,
-                                cfg.f_multiplier)
-    fs = ws.epoch_cost(g10, g21, np.arange(ws.n)[:, None])
+    cfg, dev = ws.config, ws.device
+    mid, h = (ws.band[0] + ws.band[1]) / 2.0, (ws.band[1] - ws.band[0]) / 2.0
+    u01, u12, g2 = (dev.omega_01 - mid) / h, (dev.omega_12 - mid) / h, (linewidth[0] / h) ** 2
+    # polynomials as coefficient arrays, highest power first
+    e_e, e_f = np.array([1.0, -2.0 * u01, u01**2 + g2]), np.array([1.0, -2.0 * u12, u12**2 + g2])
+    p_e = np.polymul([-1.0, u01], np.polymul(e_f, np.polymul(e_f, e_f)))
+    p_f = np.polymul([-1.0, u12], np.polymul(e_e, np.polymul(e_e, e_e)))
+    basis = np.zeros((4, 10))
+    basis[0], basis[1, 2:] = np.polymul(e_e, p_e), p_e
+    basis[2], basis[3, 2:] = np.polymul(e_f, p_f), p_f
+    a_e = ws.w_e * (1.0 - bg[0] / ws.g10_meas)
+    a_f = ws.w_f * (1.0 - bg[1] / ws.g21_meas)
+    c_e = ws.w_e * coupling[0] * linewidth[0] / (ws.g10_meas * h * h)
+    c_f = ws.w_f * cfg.f_multiplier * coupling[0] * linewidth[0] / (ws.g21_meas * h * h)
+    # einsum, unlike a BLAS matmul, sums each epoch alike whatever the batch
+    coef = np.einsum("nk,kj->nj", np.stack([c_e * a_e, -c_e**2, c_f * a_f, -c_f**2], axis=1),
+                     basis)
+    # the leading coefficient -(C_e a_e + C_f a_f) is 0 where the floor equals
+    # both measured rates; dropping leading zeros multiplies by a power of u,
+    # which only adds roots at u = 0
+    lead = np.argmax(coef != 0.0, axis=1)
+    coef = np.take_along_axis(np.pad(coef, ((0, 0), (0, 9))), lead[:, None] + np.arange(10),
+                              axis=1)
+    companion = np.zeros((ws.n, 9, 9))
+    companion[:, 0] = -coef[:, 1:] / coef[:, :1]
+    companion[:, np.arange(1, 9), np.arange(8)] = 1.0
+    u = np.clip(np.linalg.eigvals(companion).real, -1.0, 1.0)
+    u = np.sort(np.concatenate([u, np.broadcast_to([-1.0, 1.0], (ws.n, 2))], axis=1))
+    # a point ties with its own copy (a conjugate pair, a clipped root) in the
+    # neighbour test, so copies become NaN, which sorts last and costs inf
+    u[:, 1:][u[:, 1:] == u[:, :-1]] = np.nan
+    xs = mid + h * np.sort(u)
+    g10, g21 = lorentzian_rates(dev, coupling, linewidth, xs[None], bg, cfg.f_multiplier)
+    fs = np.where(np.isnan(xs), np.inf, ws.epoch_cost(g10, g21, np.arange(ws.n)[:, None]))
     padded = np.pad(fs, ((0, 0), (1, 1)), constant_values=np.inf)
-    is_min = (fs <= padded[:, :-2]) & (fs <= padded[:, 2:])
-    # local minima first, then by cost; the sort is stable, so ties keep grid order
+    is_min = (fs <= padded[:, :-2]) & (fs <= padded[:, 2:]) & (fs < np.inf)
+    # local minima first, then by cost; the sort is stable, so ties keep band order
     idx = np.lexsort((fs, ~is_min), axis=-1)[:, : cfg.max_candidates]
     epochs, slot = np.nonzero(np.take_along_axis(is_min, idx, axis=-1))
     i = idx[epochs, slot]
-    lo = xs[np.maximum(i - 1, 0)]
-    hi = xs[np.minimum(i + 1, xs.size - 1)]
-
-    def objective(w: np.ndarray) -> np.ndarray:
-        g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, w[None], bg,
-                                    cfg.f_multiplier)
-        return ws.epoch_cost(g10, g21, epochs.reshape((-1,) + (1,) * (w.ndim - 1)))
-
-    x, f = grid_refine(objective, lo, hi, 3, cfg.refine_tol_mhz)
-    return epochs, x[None, :], f
+    return epochs, xs[epochs, i][None], fs[epochs, i]
 
 
 def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[np.ndarray]
@@ -710,10 +741,14 @@ def information_score(
     """Bayesian information criterion for one tracker fit.
 
     With per-epoch standard errors available the Gaussian log-likelihood
-    with *known* variances is used: score = chi^2 + k ln(N).  Otherwise the
-    common-variance form N ln(misfit^2/N) + k ln(N) applies, with the
-    squared misfit floored to keep a saturated model (which can interpolate
-    the data exactly) comparable.
+    with *known* variances is used: score = chi^2 + k ln(n), for k
+    parameters and n = 2N residuals of N epochs.  The two-defect model then
+    saturates -- its 2N + 4 parameters (plus the floor) can interpolate the
+    2N residuals -- so it lands at chi^2 ~ 0; its k exceeds the one-defect
+    k by N + 2, so BIC picks order 1 exactly when chi_1^2 < (N + 2) ln(2N).
+    Without errors the common-variance form n ln(misfit^2/n) + k ln(n)
+    applies, with the squared misfit floored to keep a saturated model
+    comparable.
     """
     n_res = 2 * series.n_epochs
     k = config.n_globals(fit.model_order) + series.n_epochs * fit.model_order

@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tlstrack.cli import main
 from tlstrack.dynamics import DecayRates
@@ -14,7 +21,7 @@ from tlstrack.synth import (
     generate_trajectories,
 )
 from tlstrack.tls import DeviceFrequencies
-from tlstrack.tracker import LifetimeSeries
+from tlstrack.tracker import LifetimeSeries, TrackerConfig
 
 DEVICE = DeviceFrequencies(4822.08, -280.37)
 
@@ -101,7 +108,7 @@ class TestSimulate:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["simulate", str(spath), "--out", str(out1)]) == 0
         assert main(["simulate", str(spath), "--out", str(out2), "--jobs", "2"]) == 0
-        for name in ("traces/epoch_0000.csv", "traces/epoch_0003.csv", "series.csv"):
+        for name in ("traces/epoch_0000.csv", "traces/epoch_0003.csv", "truth_series.csv"):
             assert (out1 / name).read_text() == (out2 / name).read_text()
 
 
@@ -113,14 +120,18 @@ class TestFitSeries:
         spath = write_scenario(tmp_path / "s.json", sc)
         out = tmp_path / "run"
         assert main(["simulate", str(spath), "--out", str(out)]) == 0
-        truth_series = LifetimeSeries.from_csv(out / "series.csv")
+        truth_bytes = (out / "truth_series.csv").read_bytes()
+        truth_series = LifetimeSeries.from_csv(out / "truth_series.csv")
         assert main(["fit-series", str(out)]) == 0
+        # fitting into the run directory leaves the ground truth alone
+        assert (out / "truth_series.csv").read_bytes() == truth_bytes
         fitted = LifetimeSeries.from_csv(out / "series.csv")
         assert np.allclose(fitted.t1e_us, truth_series.t1e_us, rtol=1e-6)
         assert np.allclose(fitted.t1f_us, truth_series.t1f_us, rtol=1e-6)
         doc = json.loads((out / "fits.json").read_text())
         assert len(doc["fits"]) == 4
         assert all(f["converged"] for f in doc["fits"])
+        assert all(type(f["iterations"]) is int and f["iterations"] > 0 for f in doc["fits"])
 
     def test_converged_flag_column(self, run_dir):
         assert main(["fit-series", str(run_dir)]) == 0
@@ -169,7 +180,7 @@ class TestFitSeries:
         spath = write_scenario(tmp_path / "s.json", sc)
         out = tmp_path / "run"
         assert main(["simulate", str(spath), "--out", str(out)]) == 0
-        truth = LifetimeSeries.from_csv(out / "series.csv")
+        truth = LifetimeSeries.from_csv(out / "truth_series.csv")
 
         on = tmp_path / "mit_on"
         off = tmp_path / "mit_off"
@@ -261,10 +272,10 @@ class TestTrack:
         assert not out.exists()
 
     @pytest.mark.parametrize("tracker, path", [
-        ({"coarse_points": "abc"}, "tracker.coarse_points"),
+        ({"coarse_points": 257}, "tracker.coarse_points"),
         ({"outer_iterations": 2.5}, "tracker.outer_iterations"),
         ({"drift_penalty": 0.1}, "tracker.drift_penalty: unknown"),
-        ({"coarse_points": 1}, "tracker.coarse_points: expected an integer >= 2"),
+        ({"refine_tol_mhz": 1e-4}, "tracker.refine_tol_mhz: unknown"),
         ({"coarse_points_2d": 1}, "tracker.coarse_points_2d: expected an integer >= 2"),
         ({"band_margin_mhz": -1000.0}, "empty search band"),
         ({"max_candidates": 0}, "tracker.max_candidates: expected an integer >= 1"),
@@ -379,3 +390,144 @@ class TestConfigPrecedence:
         spath = write_scenario(tmp_path / "s.json", tiny_scenario(epochs=1))
         assert main(["simulate", str(spath), "--out", "nested/run"]) == 0
         assert (tmp_path / "root" / "nested" / "run" / "manifest.json").exists()
+
+
+# -- property: malformed input exits 2 with a one-line error -----------------
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """A valid scenario, run directory, series CSV and device file, so that
+    each example breaks exactly one input."""
+    root = tmp_path_factory.mktemp("cli_inputs")
+    scenario = write_scenario(root / "scenario.json", tiny_scenario())
+    run = root / "run"
+    assert main(["simulate", str(scenario), "--out", str(run)]) == 0
+    sc = tiny_scenario(epochs=12, exact_populations=True)
+    clean = true_lifetime_series(sc, generate_trajectories(sc))
+    series = root / "series.csv"
+    LifetimeSeries(clean.epochs_hr, clean.t1e_us, clean.t1f_us,
+                   0.02 * clean.t1e_us, 0.02 * clean.t1f_us).to_csv(series)
+    device = root / "device.json"
+    device.write_text(json.dumps({"omega01_mhz": DEVICE.omega_01,
+                                  "anharmonicity_mhz": DEVICE.anharmonicity}))
+    return {"scenario": scenario, "run": run, "series": series, "device": device}
+
+
+def run_cli(inputs, command, tmp, config=None, series=None) -> tuple[int, str]:
+    argv = {
+        "simulate": ["simulate", str(inputs["scenario"])],
+        "fit-series": ["fit-series", str(inputs["run"])],
+        "track": ["track", str(series or inputs["series"]), "--device", str(inputs["device"]),
+                  "--order", "1"],
+        "correlate": ["correlate", str(series or inputs["series"])],
+    }[command] + ["--out", str(tmp / "out")]
+    if config is not None:
+        argv += ["--config", str(config)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _not_an_object(text: str) -> bool:
+    try:
+        return not isinstance(json.loads(text), dict)
+    except ValueError:
+        return True
+
+
+# values of a type no tracker field accepts
+_WRONG_TYPE = st.one_of(st.none(), st.text(max_size=4), st.lists(st.text(max_size=2), max_size=1))
+_FIELDS = [f.name for f in fields(TrackerConfig)]
+_UNKNOWN_KEY = st.one_of(st.sampled_from(["coarse_points", "refine_tol_mhz", "drift_penalty"]),
+                         st.text(max_size=6).filter(lambda k: k not in _FIELDS))
+
+# (commands it applies to, config document text)
+_BAD_CONFIGS = st.one_of(
+    st.tuples(st.just(("simulate", "fit-series", "track", "correlate")), st.one_of(
+        st.text(max_size=8).map(lambda t: "{" + t).filter(_not_an_object),
+        st.one_of(st.none(), st.integers(), st.text(max_size=4),
+                  st.lists(st.integers(), max_size=2)).map(json.dumps),
+    )),
+    st.tuples(st.just(("simulate", "fit-series")), st.one_of(
+        _WRONG_TYPE, st.booleans(), st.floats(allow_nan=False), st.integers(max_value=0),
+    ).map(lambda v: json.dumps({"jobs": v}))),
+    st.tuples(st.just(("fit-series",)), st.one_of(
+        st.none(), st.integers(), st.text(max_size=8).filter(lambda w: w not in ("uniform", "binomial")),
+    ).map(lambda v: json.dumps({"weighting": v}))),
+    st.tuples(st.just(("track",)), st.one_of(
+        _WRONG_TYPE.map(lambda v: {"tracker": v}),
+        st.builds(lambda k, v: {"tracker": {k: v}}, _UNKNOWN_KEY, st.integers()),
+        st.builds(lambda k, v: {"tracker": {k: v}}, st.sampled_from(_FIELDS), _WRONG_TYPE),
+        st.integers(max_value=0).map(lambda v: {"tracker": {"max_candidates": v}}),
+        st.integers(max_value=1).map(lambda v: {"tracker": {"coarse_points_2d": v}}),
+    ).map(json.dumps)),
+)
+
+# (column, bad cell) pairs: each cell breaks the row wherever it sits; the
+# file is written as Latin-1, so "\xff" and "\xc3(" are bytes that are not UTF-8
+_BAD_CELLS = st.one_of(
+    st.tuples(st.sampled_from(["t1e_us", "t1f_us"]),
+              st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e400", "0", "-0", "-1.5",
+                               "1\xff", "1\xc3(", "1\x00"])),
+    st.tuples(st.just("timestamp_hr"), st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e400"])),
+    st.tuples(st.sampled_from(["err_e", "err_f"]), st.sampled_from(["", "abc", "nan", "-1"])),
+)
+
+
+class TestMalformedInputProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(case=_BAD_CONFIGS, pick=st.integers(0, 3))
+    @example(case=(("track",), '{"tracker": {"coarse_points": 257}}'), pick=0)
+    @example(case=(("track",), '{"tracker": {"refine_tol_mhz": 0.0001}}'), pick=0)
+    @example(case=(("simulate", "fit-series", "track", "correlate"), '{"jobs": "\udcff"}'), pick=3)
+    def test_bad_config_exit_2(self, cli_inputs, case, pick):
+        commands, text = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = tmp / "cfg.json"
+            # surrogateescape writes "\udcff" as the byte 0xff, which is not UTF-8
+            cfg.write_bytes(text.encode("utf-8", "surrogateescape"))
+            code, err = run_cli(cli_inputs, commands[pick % len(commands)], tmp, config=cfg)
+        assert code == 2, err
+        assert err.startswith("error: ") and "Traceback" not in err
+        if '"tracker": {' in text:
+            assert "tracker." in err
+
+    @settings(max_examples=40, deadline=None)
+    @given(command=st.sampled_from(["track", "correlate"]), row=st.integers(1, 12),
+           damage=st.one_of(
+               st.tuples(st.just("cell"), _BAD_CELLS),
+               st.tuples(st.just("repeat timestamp"), st.none()),
+               st.tuples(st.just("rename column"),
+                         st.sampled_from(["timestamp_hr", "t1e_us", "t1f_us"])),
+               st.tuples(st.just("keep lines"), st.integers(0, 3)),
+           ))
+    @example(command="correlate", row=2, damage=("cell", ("t1e_us", "1\xff")))
+    @example(command="track", row=2, damage=("cell", ("t1f_us", "1\xc3(")))
+    def test_bad_series_exit_2(self, cli_inputs, command, row, damage):
+        lines = cli_inputs["series"].read_text().splitlines()
+        header = lines[0].split(",")
+        kind, what = damage
+        if kind == "cell":
+            cells = lines[row].split(",")
+            cells[header.index(what[0])] = what[1]
+            lines[row] = ",".join(cells)
+        elif kind == "repeat timestamp":
+            target = max(row, 2)
+            cells = lines[target].split(",")
+            cells[0] = lines[target - 1].split(",")[0]
+            lines[target] = ",".join(cells)
+        elif kind == "rename column":
+            lines[0] = lines[0].replace(what, what + "_x")
+        else:
+            # an empty file, or fewer than the 3 epochs both commands need
+            lines = lines[:what]
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            series = tmp / "series.csv"
+            series.write_bytes("".join(line + "\n" for line in lines).encode("latin-1"))
+            code, err = run_cli(cli_inputs, command, tmp, series=series)
+        assert code == 2, err
+        assert err.startswith("error: ") and "Traceback" not in err

@@ -1,21 +1,15 @@
 import numpy as np
 import pytest
 
-from tlstrack.errors import (
-    FitDivergedError,
-    InvalidObjectiveError,
-    InvalidParameterError,
-)
+from tlstrack.errors import FitDivergedError, InvalidParameterError
 from tlstrack.optimize import (
     FitOptions,
     LeastSquaresProblem,
     finite_difference_jacobian,
-    grid_refine,
-    grid_refine_1d,
     levenberg_marquardt,
     solve,
 )
-from tlstrack.tls import DeviceFrequencies, lorentzian_density
+from tlstrack.tls import lorentzian_density
 
 
 class TestLinearProblems:
@@ -133,93 +127,3 @@ class TestRobustness:
         expected = np.linalg.inv(a.T @ a) * result.residual_norm**2 / (m - n)
         # the solver's Jacobian is a forward difference of the linear residual
         assert np.allclose(cov, expected, rtol=1e-6, atol=0.0)
-
-
-class TestGridRefine:
-    def test_parabola(self):
-        x = grid_refine_1d(lambda w: (w - 4900.0) ** 2, (4800.0, 5000.0), 21)
-        assert abs(x - 4900.0) <= 1e-4
-
-    def test_two_minima_picks_deeper(self):
-        def objective(w):
-            return min((w - 2.0) ** 2 + 0.5, 2.0 * (w - 8.0) ** 2)
-
-        x = grid_refine_1d(objective, (0.0, 10.0), 41)
-        assert abs(x - 8.0) <= 1e-4
-
-    def test_never_worse_than_coarse_best(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            coeffs = rng.normal(size=4)
-
-            def objective(w):
-                return float(np.polyval(coeffs, w) + 0.05 * np.sin(7.0 * w))
-
-            xs = np.linspace(-2.0, 2.0, 31)
-            best_coarse = min(objective(float(v)) for v in xs)
-            x = grid_refine_1d(objective, (-2.0, 2.0), 31)
-            assert objective(x) <= best_coarse + 1e-12
-
-    def test_single_tls_frequency_recovery(self):
-        # two-channel relative-misfit objective around a known defect
-        device = DeviceFrequencies(4822.08, -280.37)
-        b, g, w_true = 9.9, 14.0, 4642.0
-        g10 = b * lorentzian_density(w_true, g, device.omega_01)
-        g21 = b * lorentzian_density(w_true, g, device.omega_12)
-
-        def objective(w):
-            m10 = b * lorentzian_density(w, g, device.omega_01)
-            m21 = b * lorentzian_density(w, g, device.omega_12)
-            return (1.0 - m10 / g10) ** 2 + (1.0 - m21 / g21) ** 2
-
-        x = grid_refine_1d(objective, (device.omega_12, device.omega_01), 257)
-        assert abs(x - w_true) <= 1e-3
-
-    def test_matches_scalar_golden_section(self):
-        # the batched search takes the same steps as the textbook scalar loop
-        def reference(objective, lo, hi, n, tol):
-            xs = np.linspace(lo, hi, n)
-            fs = np.array([objective(float(x)) for x in xs])
-            i = int(np.argmin(fs))
-            a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, n - 1)])
-            golden = (5.0**0.5 - 1.0) / 2.0
-            c, d = b - golden * (b - a), a + golden * (b - a)
-            fc, fd = objective(c), objective(d)
-            best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-            while b - a > tol:
-                if fc <= fd:
-                    b, d, fd = d, c, fc
-                    c = b - golden * (b - a)
-                    fc = objective(c)
-                else:
-                    a, c, fc = c, d, fd
-                    d = a + golden * (b - a)
-                    fd = objective(d)
-                if fc < best_f:
-                    best_x, best_f = c, fc
-                if fd < best_f:
-                    best_x, best_f = d, fd
-            return best_x if best_f < fs[i] else float(xs[i])
-
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            coeffs = rng.normal(size=5)
-
-            def objective(w):
-                return float(np.polyval(coeffs, w) + 0.3 * np.cos(5.0 * w))
-
-            for n, tol in ((3, 1e-4), (17, 1e-9), (40, 1e-2)):
-                got = grid_refine_1d(objective, (-1.5, 2.0), n, tol)
-                assert got == reference(objective, -1.5, 2.0, n, tol)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(InvalidParameterError):
-            grid_refine_1d(lambda w: w, (1.0, 1.0), 10)
-        with pytest.raises(InvalidParameterError):
-            grid_refine_1d(lambda w: w, (0.0, 1.0), 2)
-        with pytest.raises(InvalidObjectiveError):
-            grid_refine_1d(lambda w: float("nan"), (0.0, 1.0), 5)
-
-    def test_batch_rejects_empty_interval(self):
-        with pytest.raises(InvalidParameterError, match=r"hi > lo, got \(2.0, 2.0\)"):
-            grid_refine(lambda w: w, np.array([0.0, 2.0, 3.0]), np.array([1.0, 2.0, 1.0]), 3)

@@ -272,7 +272,8 @@ class TestRunDirectory:
         out = write_run_directory(sc, tmp_path / "run")
         assert (out / "confusion.json").exists()
         assert (out / "truth.json").exists()
-        assert (out / "series.csv").exists()
+        assert (out / "truth_series.csv").exists()
+        assert not (out / "series.csv").exists()
         assert (out / "scenario.json").exists()
         files = sorted(p.name for p in (out / "traces").iterdir())
         assert files == ["epoch_0000.csv", "epoch_0001.csv", "epoch_0002.csv"]

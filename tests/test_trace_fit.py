@@ -141,5 +141,5 @@ def test_fit_json_schema():
     doc = fit.to_json_dict()
     assert set(doc) == {
         "t1e_us", "t1f_us", "gamma10", "gamma21",
-        "stderr_t1e", "stderr_t1f", "residual_norm", "converged",
+        "stderr_t1e", "stderr_t1f", "residual_norm", "converged", "iterations",
     }

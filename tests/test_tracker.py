@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from tlstrack.dynamics import DecayRates
 from tlstrack.errors import InvalidParameterError, UndefinedCorrelationError
 from tlstrack.synth import DriftProcess, Scenario, TlsTruth, generate_trajectories, \
     true_lifetime_series
 from tlstrack import tracker
-from tlstrack.optimize import FitOptions, LeastSquaresProblem, grid_refine_1d, levenberg_marquardt
+from tlstrack.optimize import FitOptions, LeastSquaresProblem, levenberg_marquardt
 from tlstrack.tls import DeviceFrequencies, lorentzian_rates, rate_series
 from tlstrack.tracker import (
     DEFAULT_TRACKER_CONFIG,
@@ -246,34 +247,32 @@ class TestTwoTlsTracking:
         assert np.allclose(g21a, g21b, rtol=1e-14, atol=0)
 
 
-def reference_solve_epochs(ws, coupling, linewidth, bg, prev_traj, solve_pair=None):
-    """Stage (i) one epoch and one candidate at a time: a scalar grid refine
-    per 1-D local minimum, ``solve_pair(epoch, start)`` per 2-D start.
-    Returns the trajectory and each epoch's best candidate cost."""
-    cfg = ws.config
-
+def epoch_cost_function(ws, coupling, linewidth, bg):
+    """cost(freqs, e): epoch e's squared two-channel misfit at frequencies of
+    shape (order, ...), written out independently of the tracker."""
     def cost(freqs, e):
-        g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, freqs, bg, cfg.f_multiplier)
+        g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, freqs, bg,
+                                    ws.config.f_multiplier)
         return ((ws.w_e[e] * (1.0 - g10 / ws.g10_meas[e])) ** 2
                 + (ws.w_f[e] * (1.0 - g21 / ws.g21_meas[e])) ** 2)
 
+    return cost
+
+
+def reference_solve_epochs(ws, coupling, linewidth, bg, prev_traj, solve):
+    """Stage (i) one epoch at a time, then the continuity selection.
+
+    One defect: ``solve(e)`` gives epoch e's candidates.  Two defects:
+    ``solve(e, start)`` gives one candidate per start, from the best
+    separated coarse-grid points plus the previous pair.  Returns the
+    trajectory and each epoch's best candidate cost."""
+    cfg = ws.config
+    cost = epoch_cost_function(ws, coupling, linewidth, bg)
     traj, best = np.empty((ws.order, ws.n)), np.empty(ws.n)
     ref = None if prev_traj is None else prev_traj[:, 0].copy()
     for e in range(ws.n):
-        cands = []
         if ws.order == 1:
-            xs = np.linspace(ws.band[0], ws.band[1], cfg.coarse_points)
-            fs = np.concatenate([[np.inf], cost(xs[None, :], e), [np.inf]])
-            minima = [i for i in range(xs.size) if fs[i + 1] <= min(fs[i], fs[i + 2])]
-            minima.sort(key=lambda i: fs[i + 1])
-
-            def objective(w):
-                return float(cost(np.array([[w]]), e)[0])
-
-            for i in minima[: cfg.max_candidates]:
-                a, b = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
-                x = grid_refine_1d(objective, (float(a), float(b)), 3, cfg.refine_tol_mhz)
-                cands.append((np.array([x]), objective(x)))
+            cands = solve(e)
         else:
             m = cfg.coarse_points_2d
             axis = np.linspace(ws.band[0], ws.band[1], m)
@@ -288,10 +287,49 @@ def reference_solve_epochs(ws, coupling, linewidth, bg, prev_traj, solve_pair=No
                     break
             if prev_traj is not None:
                 seeds.append(prev_traj[:, e])
-            cands = [solve_pair(e, seed) for seed in seeds]
+            cands = [solve(e, seed) for seed in seeds]
         ref = traj[:, e] = tracker._select_candidate(cands, ref, cfg)
         best[e] = min(f for _, f in cands)
     return traj, best
+
+
+def bounded_scalar_minima(ws, coupling, linewidth, bg, points=257):
+    """An independent one-defect solve: the lowest ``max_candidates`` local
+    minima of a uniform grid, each refined by scipy's bounded scalar search
+    between its grid neighbours (the better of the two points is kept)."""
+    cost = epoch_cost_function(ws, coupling, linewidth, bg)
+    xs = np.linspace(ws.band[0], ws.band[1], points)
+
+    def solve(e):
+        fs = cost(xs[None, :], e)
+        padded = np.concatenate([[np.inf], fs, [np.inf]])
+        minima = [i for i in range(points) if fs[i] <= min(padded[i], padded[i + 2])]
+        minima.sort(key=lambda i: fs[i])
+        cands = []
+        for i in minima[: ws.config.max_candidates]:
+            result = minimize_scalar(lambda w: float(cost(np.array([[w]]), e)[0]),
+                                     bounds=(xs[max(i - 1, 0)], xs[min(i + 1, points - 1)]),
+                                     method="bounded", options={"xatol": 1e-7})
+            x, f = (result.x, result.fun) if result.fun < fs[i] else (xs[i], fs[i])
+            cands.append((np.array([x]), float(f)))
+        return cands
+
+    return solve
+
+
+def one_epoch_workspaces(ws, coupling, linewidth, bg):
+    """The tracker's one-defect solve on a workspace holding epoch e alone."""
+    s = ws.series
+
+    def solve(e):
+        one = slice(e, e + 1)
+        series = LifetimeSeries(s.epochs_hr[one], s.t1e_us[one], s.t1f_us[one],
+                                s.err_e_us[one], s.err_f_us[one])
+        _, x, f = tracker._candidates_1d(tracker._Workspace(series, ws.device, 1, ws.config),
+                                         coupling, linewidth, bg)
+        return [(x[:, j], float(f[j])) for j in range(f.size)]
+
+    return solve
 
 
 def scalar_lm_pair(ws, coupling, linewidth, bg):
@@ -356,10 +394,11 @@ def epoch_solve_cases(order):
 class TestBatchedEpochSolves:
     @pytest.mark.parametrize("order", [1, 2])
     def test_bit_identical_to_one_epoch_at_a_time(self, order):
+        one_at_a_time = one_epoch_workspaces if order == 1 else batch_of_one_pair
         for ws, coupling, linewidth, bg, prev in epoch_solve_cases(order):
             got = tracker._solve_epochs(ws, coupling, linewidth, bg, prev)
             want, _ = reference_solve_epochs(ws, coupling, linewidth, bg, prev,
-                                             batch_of_one_pair(ws, coupling, linewidth, bg))
+                                             one_at_a_time(ws, coupling, linewidth, bg))
             assert got.tobytes() == want.tobytes()
 
     def test_order2_best_cost_not_above_scalar_lm(self):
@@ -370,6 +409,89 @@ class TestBatchedEpochSolves:
             _, want = reference_solve_epochs(ws, coupling, linewidth, bg, prev,
                                              scalar_lm_pair(ws, coupling, linewidth, bg))
             assert np.all(got <= want * (1.0 + 1e-12) + 1e-15)
+
+
+def best_costs(n, epochs, costs):
+    best = np.full(n, np.inf)
+    np.minimum.at(best, epochs, costs)
+    return best
+
+
+def assert_not_above_bounded_scalar(ws, coupling, linewidth, bg):
+    """Every exact candidate is a local minimum in the band, and every
+    epoch's best costs no more than the best of the grid-plus-bounded-search
+    comparator."""
+    epochs, x, f = tracker._candidates_1d(ws, coupling, linewidth, bg)
+    assert np.all(np.isfinite(f)) and np.all((x >= ws.band[0]) & (x <= ws.band[1]))
+    cost = epoch_cost_function(ws, coupling, linewidth, bg)
+    for step in (-1e-3, 1e-3):
+        assert np.all(cost(np.clip(x + step, *ws.band), epochs) >= f * (1.0 - 1e-9) - 1e-15)
+    _, want = reference_solve_epochs(ws, coupling, linewidth, bg, None,
+                                     bounded_scalar_minima(ws, coupling, linewidth, bg))
+    assert np.all(best_costs(ws.n, epochs, f) <= want * (1.0 + 1e-9) + 1e-15)
+
+
+def one_defect_workspace(floor_epoch=None):
+    """The small noisy series of ``epoch_solve_cases`` for a one-defect
+    solve; ``floor_epoch`` gets the longest lifetimes in both channels, so a
+    floor at its upper bound equals that epoch's measured rates."""
+    ws = next(epoch_solve_cases(1))[0]
+    s = ws.series
+    if floor_epoch is None:
+        return ws
+    t1e, t1f = s.t1e_us.copy(), s.t1f_us.copy()
+    t1e[floor_epoch], t1f[floor_epoch] = 1.2 * t1e.max(), 1.2 * t1f.max()
+    series = LifetimeSeries(s.epochs_hr, t1e, t1f, 0.02 * t1e, 0.02 * t1f)
+    return tracker._Workspace(series, ws.device, 1, ws.config)
+
+
+class TestExactOneDefectSolve:
+    def test_noiseless_recovery_at_true_globals(self):
+        b, g, bg = np.array([9.9]), np.array([14.0]), np.array([0.0, 0.0])
+        truth = np.array([[4642.0, 4600.0, 4700.0, 4560.0, 4850.0]])
+        g10, g21 = lorentzian_rates(DEVICE_A, b, g, truth, bg)
+        series = LifetimeSeries(np.arange(5.0), 1.0 / g10, 1.0 / g21)
+        ws = tracker._Workspace(series, DEVICE_A, 1, DEFAULT_TRACKER_CONFIG)
+        epochs, x, f = tracker._candidates_1d(ws, b, g, bg)
+        # candidates come in increasing cost, so an epoch's first is its best
+        first = np.unique(epochs, return_index=True)[1]
+        assert np.max(np.abs(x[0, first] - truth[0])) <= 1e-6
+
+    def test_initial_states_not_above_bounded_scalar(self):
+        for ws, coupling, linewidth, bg, _ in epoch_solve_cases(1):
+            assert_not_above_bounded_scalar(ws, coupling, linewidth, bg)
+
+    def test_floor_at_upper_bound(self):
+        # epoch 3 has the smallest rate in both channels, so a floor at its
+        # upper bound zeroes that epoch's leading coefficient
+        ws = one_defect_workspace(floor_epoch=3)
+        _, hi = ws.global_bounds()
+        assert hi[2] == ws.g10_meas[3] and hi[3] == ws.g21_meas[3]
+        for glob, _ in tracker._initial_states(ws):
+            coupling, linewidth, _ = ws.unpack_globals(glob)
+            assert_not_above_bounded_scalar(ws, coupling, linewidth, hi[2:])
+
+    @pytest.mark.parametrize("linewidth", [0.05, 500.0])
+    def test_linewidth_at_bound(self, linewidth):
+        ws = one_defect_workspace()
+        assert linewidth in ws.config.linewidth_bounds_mhz
+        for coupling in (1e-3, 0.3, 30.0):
+            assert_not_above_bounded_scalar(ws, np.array([coupling * linewidth]),
+                                            np.array([linewidth]), np.array([1e-3, 2e-3]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(coupling=st.one_of(st.sampled_from(TrackerConfig().coupling_bounds),
+                              st.floats(-10.0, 8.0).map(lambda v: 10.0**v)),
+           linewidth=st.one_of(st.sampled_from(TrackerConfig().linewidth_bounds_mhz),
+                               st.floats(np.log10(0.05), np.log10(500.0)).map(lambda v: 10.0**v)),
+           floor=st.tuples(*[st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))] * 2))
+    def test_property_not_above_bounded_scalar(self, coupling, linewidth, floor):
+        # floor (1, 1) puts the floor at its upper bound: epoch 5's rates
+        ws = one_defect_workspace(floor_epoch=5)
+        lo, hi = ws.global_bounds()
+        assert_not_above_bounded_scalar(ws, np.clip([coupling], lo[0], hi[0]),
+                                        np.clip([linewidth], lo[1], hi[1]),
+                                        np.array(floor) * hi[2:])
 
 
 class TestFrequencyPairSolve:
@@ -431,9 +553,6 @@ class TestWarningsAndErrors:
 
     def test_empty_search_rejected(self):
         series = LifetimeSeries(np.arange(30.0), np.full(30, 100.0), np.full(30, 60.0))
-        # one coarse point leaves each refine interval a single point
-        with pytest.raises(InvalidParameterError, match="hi > lo"):
-            track_tls(series, DEVICE_A, 1, TrackerConfig(coarse_points=1))
         for margin in (-200.0, -(DEVICE_A.omega_01 - DEVICE_A.omega_12) / 2):
             with pytest.raises(InvalidParameterError, match="empty search band"):
                 track_tls(series, DEVICE_A, 2, TrackerConfig(band_margin_mhz=margin))
@@ -461,15 +580,29 @@ class TestModelSelection:
         return LifetimeSeries(series.epochs_hr, t1e, t1f,
                               rel * t1e, rel * t1f)
 
-    def test_single_tls_selects_order_1(self):
+    @pytest.fixture(scope="class")
+    def weighted_single_tls(self):
         truths = [
             TlsTruth(DriftProcess("ornstein_uhlenbeck", 4642.0, 9.6, 0.32, seed=11), 9.9, 14.0)
         ]
         clean, _ = synthetic_series(DEVICE_A, truths, DecayRates(2.2e-3, 2.11e-3), 60)
         noisy = self.make_noisy(clean, 0.01, 1)
-        fit = select_model(noisy, DEVICE_A)
+        return noisy, select_model(noisy, DEVICE_A)
+
+    def test_single_tls_selects_order_1(self, weighted_single_tls):
+        _, fit = weighted_single_tls
         assert fit.model_order == 1
         assert fit.model_scores[1] < fit.model_scores[2]
+
+    def test_saturated_order_2_threshold(self, weighted_single_tls):
+        noisy, fit = weighted_single_tls
+        n, log_n = noisy.n_epochs, np.log(2 * noisy.n_epochs)
+        chi1_sq = fit.misfit**2
+        # order 2's score is its parameter penalty alone: chi_2^2 ~ 0
+        assert fit.model_scores[2] == pytest.approx((2 * n + 6) * log_n, abs=1e-6)
+        assert fit.model_scores[2] - fit.model_scores[1] == pytest.approx(
+            (n + 2) * log_n - chi1_sq, abs=1e-6)
+        assert (fit.model_order == 1) == (chi1_sq < (n + 2) * log_n)
 
     def test_two_tls_selects_order_2(self):
         truths = [
