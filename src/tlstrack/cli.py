@@ -28,7 +28,7 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .readout import ConfusionMatrix, mitigate_trace
-from .synth import bundled_scenario_path, load_scenario, write_run_directory
+from .synth import bundled_scenario_path, scenario_from_json_dict, write_run_directory
 from .tls import DeviceFrequencies
 from .trace_fit import fit_trace
 from .tracker import (
@@ -58,16 +58,15 @@ def _resolve_out(raw: str | None, default: Path) -> Path:
     return out
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _read_json(path) -> dict:
+    """The JSON object in ``path``; anything else is an input error naming the file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise InvalidParameterError(f"config file {path}: not valid JSON: {err}") from None
+        raise InvalidParameterError(f"{path}: not valid JSON: {err}") from None
     if not isinstance(doc, dict):
-        raise InvalidParameterError(f"config file {path}: expected a JSON object")
+        raise InvalidParameterError(f"{path}: expected a JSON object")
     return doc
 
 
@@ -110,14 +109,11 @@ def _valid_tracker_value(value, default) -> bool:
         return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
     if isinstance(default, float):
         return _is_number(value)
-    return type(value) is type(default)  # int or bool
+    return type(value) is bool
 
 
 _EXPECTED = {DecayRates: "an object of finite gamma10, gamma21 >= 0", tuple: "two finite numbers",
-             float: "a finite number", int: "an integer", bool: "true or false"}
-# the two-defect grid needs both band edges, and no candidate leaves an
-# epoch without a frequency
-_TRACKER_MINIMUM = {"coarse_points_2d": 2, "max_candidates": 1}
+             float: "a finite number", bool: "true or false"}
 
 
 def _jobs(args, config: dict) -> int:
@@ -141,10 +137,6 @@ def _tracker_config(config: dict) -> TrackerConfig:
             raise InvalidParameterError(
                 f"tracker.{key}: expected {_EXPECTED[type(default)]}, got {value!r}"
             )
-        if key in _TRACKER_MINIMUM and value < _TRACKER_MINIMUM[key]:
-            raise InvalidParameterError(
-                f"tracker.{key}: expected an integer >= {_TRACKER_MINIMUM[key]}, got {value!r}"
-            )
         if isinstance(default, DecayRates):
             value = DecayRates(value.get("gamma10", 0.0), value.get("gamma21", 0.0))
         setattr(cfg, key, tuple(value) if isinstance(default, tuple) else value)
@@ -165,7 +157,7 @@ def cmd_simulate(args, config: dict) -> int:
                 f"scenario {args.scenario!r} is neither a file nor a bundled name"
             ) from None
     # validate fully before creating any output
-    scenario = load_scenario(scenario_path)
+    scenario = scenario_from_json_dict(_read_json(scenario_path))
     if args.seed is not None:
         scenario.master_seed = args.seed
     jobs = _jobs(args, config)
@@ -205,16 +197,21 @@ def cmd_fit_series(args, config: dict) -> int:
             raise InvalidParameterError(
                 f"{run_dir}: confusion.json missing (pass --no-mitigation to skip)"
             )
-        confusion_doc = ConfusionMatrix.from_json(confusion_path).to_json_dict()
+        confusion_doc = _read_json(confusion_path)
+        try:
+            confusion_doc = ConfusionMatrix.from_json_dict(confusion_doc).to_json_dict()
+        except InvalidParameterError as err:
+            raise InvalidParameterError(f"{confusion_path}: {err}") from None
 
     weighting = _resolve(args.weighting, config, "weighting", "uniform")
     jobs = _jobs(args, config)
-    scenario_doc = {}
     scenario_path = run_dir / "scenario.json"
-    if scenario_path.exists():
-        with open(scenario_path) as fh:
-            scenario_doc = json.load(fh)
+    scenario_doc = _read_json(scenario_path) if scenario_path.exists() else {}
     spacing = scenario_doc.get("epoch_spacing_hr", 1.0)
+    if not (_is_number(spacing) and spacing > 0):
+        raise InvalidParameterError(
+            f"{scenario_path}: epoch_spacing_hr: expected a finite number > 0, got {spacing!r}"
+        )
 
     work = [(str(p), confusion_doc, weighting) for p in trace_files]
     if jobs > 1 and len(work) > 1:
@@ -246,8 +243,7 @@ def cmd_fit_series(args, config: dict) -> int:
 
 
 def _load_device(path: str) -> DeviceFrequencies:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = _read_json(path)
     dev = doc.get("device", doc)
     try:
         return DeviceFrequencies(dev["omega01_mhz"], dev["anharmonicity_mhz"])
@@ -351,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _load_config_file(getattr(args, "config", None))
+        config = {} if args.config is None else _read_json(args.config)
         return args.func(args, config)
     except (ScenarioSchemaError, InvalidParameterError, UndefinedCorrelationError) as err:
         print(f"error: {err}", file=sys.stderr)

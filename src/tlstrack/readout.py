@@ -194,7 +194,7 @@ class ConfusionMatrix:
         m = np.asarray(self.m, dtype=float)
         if m.shape != (3, 3):
             raise InvalidParameterError(f"confusion matrix must be 3x3, got {m.shape}")
-        if np.any(m < 0.0) or np.any(m > 1.0):
+        if not np.all((m >= 0.0) & (m <= 1.0)):  # NaN fails both tests
             raise InvalidParameterError("confusion matrix entries must lie in [0, 1]")
         if np.max(np.abs(m.sum(axis=0) - 1.0)) > 1e-12:
             raise InvalidParameterError("confusion matrix columns must sum to 1")
@@ -226,7 +226,13 @@ class ConfusionMatrix:
             raise InvalidParameterError(
                 f"unsupported confusion schema_version {doc.get('schema_version')!r}"
             )
-        return cls(np.array(doc["matrix_row_major"], dtype=float).reshape(3, 3))
+        if "matrix_row_major" not in doc:
+            raise InvalidParameterError("confusion document has no matrix_row_major")
+        try:
+            m = np.array(doc["matrix_row_major"], dtype=float).reshape(3, 3)
+        except (TypeError, ValueError):
+            raise InvalidParameterError("matrix_row_major: expected 9 numbers") from None
+        return cls(m)
 
     @classmethod
     def from_json(cls, path) -> "ConfusionMatrix":

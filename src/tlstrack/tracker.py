@@ -147,27 +147,34 @@ class LifetimeSeries:
         )
 
 
+# Solver settings: they steer the search, not the model, so they are constants.
+COARSE_POINTS_2D = 60       # per-axis grid size for the two-defect solve
+MAX_CANDIDATES = 4          # lowest local minima kept per epoch
+OUTER_ITERATIONS = 50
+PROBE_ITERATIONS = 2        # outer cycles spent on each start before selection
+JOINT_LM_ITERATIONS = 150   # LM budget for each globals+trajectory update
+MISFIT_RTOL = 1e-8
+MISFIT_FLOOR = 1e-7         # unweighted runs converge once the per-residual RMS drops below this
+NOISE_FLOOR_FACTOR = 1.15   # weighted runs stop once chi reaches this multiple of sqrt(N)
+TIE_REL = 0.05              # candidates within this relative misfit tie-break
+TIE_ABS = 1e-12
+PROBE_TIE_ABS = 1e-5        # start probes below this misfit gap count as tied
+LINEWIDTH_INIT_MHZ = 10.0
+
+
 @dataclass
 class TrackerConfig:
-    """Knobs for the alternating-minimization tracker."""
+    """The rate model the tracker fits, beyond the device and the series.
+
+    Residuals are weighted by the series' standard errors exactly when it
+    has them (the ``err_e``/``err_f`` columns); the solver's settings are
+    the module constants above.
+    """
 
     band_margin_mhz: float = 200.0   # search band extends this far past both transitions
-    coarse_points_2d: int = 60       # per-axis grid size for the two-defect solve
-    max_candidates: int = 4          # lowest local minima kept per epoch
-    outer_iterations: int = 50
-    probe_iterations: int = 2        # outer cycles spent on each start before selection
-    joint_lm_iterations: int = 150   # LM budget for each globals+trajectory update
-    misfit_rtol: float = 1e-8
-    misfit_floor: float = 1e-7       # converged once the per-residual RMS drops below this
-    use_reported_errors: bool = True # weight residuals by the series' standard errors
-    noise_floor_factor: float = 1.15 # stop once chi reaches this multiple of sqrt(N)
-    tie_rel: float = 0.05            # candidates within this relative misfit tie-break
-    tie_abs: float = 1e-12
-    probe_tie_abs: float = 1e-5      # start probes below this misfit gap count as tied
     fit_background: bool = True
     fixed_background: DecayRates = field(default_factory=lambda: ZERO_RATES)
     f_multiplier: float = 1.0        # extra weight on the |2>->|1> channel per defect
-    linewidth_init_mhz: float = 10.0
     linewidth_bounds_mhz: tuple[float, float] = (0.05, 500.0)
     coupling_bounds: tuple[float, float] = (1e-10, 1e8)
 
@@ -241,16 +248,6 @@ def _frequency_derivatives(device: DeviceFrequencies, b, g, w, scale_e, scale_f)
             scale_f * b * 2.0 * g * df / (df**2 + g**2) ** 2)
 
 
-def _stacked_residuals(g10_model, g21_model, g10_meas, g21_meas,
-                       w_e=1.0, w_f=1.0) -> np.ndarray:
-    # epoch-major (e, f) interleaving; fixed order keeps the misfit
-    # accumulation independent of any inner parallelism
-    r = np.empty(2 * g10_meas.size)
-    r[0::2] = w_e * (1.0 - g10_model / g10_meas)
-    r[1::2] = w_f * (1.0 - g21_model / g21_meas)
-    return r
-
-
 class _Workspace:
     """Shared arrays and closures for one tracker run."""
 
@@ -265,7 +262,7 @@ class _Workspace:
         self.band = config.band(device)
         self.n_globals = config.n_globals(order)
         # residual weights: inverse relative lifetime errors when reported
-        if config.use_reported_errors and series.has_errors:
+        if series.has_errors:
             self.w_e = 1.0 / np.maximum(series.err_e_us / series.t1e_us, 1e-12)
             self.w_f = 1.0 / np.maximum(series.err_f_us / series.t1f_us, 1e-12)
             self.weighted = True
@@ -284,15 +281,18 @@ class _Workspace:
         """
         n_res = math.sqrt(2.0 * self.n)
         if self.weighted:
-            return self.config.noise_floor_factor * n_res
-        return self.config.misfit_floor * n_res
+            return NOISE_FLOOR_FACTOR * n_res
+        return MISFIT_FLOOR * n_res
 
     def residuals(self, coupling, linewidth, bg, traj) -> np.ndarray:
         g10, g21 = lorentzian_rates(
             self.device, coupling, linewidth, traj, bg, self.config.f_multiplier
         )
-        return _stacked_residuals(g10, g21, self.g10_meas, self.g21_meas,
-                                  self.w_e, self.w_f)
+        # epoch-major (e, f) interleaving; fixed order keeps the misfit
+        # accumulation independent of any inner parallelism
+        r = np.empty(2 * self.n)
+        r[0::2], r[1::2] = self.epoch_residuals(g10, g21, slice(None))
+        return r
 
     def misfit(self, coupling, linewidth, bg, traj) -> float:
         return float(np.linalg.norm(self.residuals(coupling, linewidth, bg, traj)))
@@ -393,7 +393,7 @@ def _joint_update(ws: _Workspace, glob: np.ndarray, traj: np.ndarray):
     x0 = np.clip(ws.pack_joint(glob, traj), lo, hi)
     result = levenberg_marquardt(
         LeastSquaresProblem(ws.joint_residual, x0, lo, hi, jacobian=ws.joint_jacobian),
-        FitOptions(max_iterations=ws.config.joint_lm_iterations),
+        FitOptions(max_iterations=JOINT_LM_ITERATIONS),
     )
     return ws.unpack_joint(result.parameters)
 
@@ -407,7 +407,7 @@ def _initial_states(ws: _Workspace) -> list[tuple[np.ndarray, np.ndarray]]:
     dev, cfg = ws.device, ws.config
     w01, w12 = dev.omega_01, dev.omega_12
     span = w01 - w12
-    g0 = cfg.linewidth_init_mhz
+    g0 = LINEWIDTH_INIT_MHZ
     med_e = float(np.median(ws.g10_meas))
     med_f = float(np.median(ws.g21_meas))
     blo, bhi = cfg.coupling_bounds
@@ -445,15 +445,6 @@ def _initial_states(ws: _Workspace) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 # -- stage B: per-epoch frequency solves ------------------------------------
-
-
-def _select_candidate(cands: list[tuple[np.ndarray, float]], ref: Optional[np.ndarray],
-                      cfg: TrackerConfig) -> np.ndarray:
-    fbest = min(f for _, f in cands)
-    near = [(x, f) for x, f in cands if f <= fbest * (1.0 + cfg.tie_rel) + cfg.tie_abs]
-    if ref is None or len(near) == 1:
-        return min(near, key=lambda c: c[1])[0]
-    return min(near, key=lambda c: float(np.sum(np.abs(c[0] - ref))))[0]
 
 
 def _candidates_1d(ws: _Workspace, coupling, linewidth,
@@ -510,7 +501,7 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
     padded = np.pad(fs, ((0, 0), (1, 1)), constant_values=np.inf)
     is_min = (fs <= padded[:, :-2]) & (fs <= padded[:, 2:]) & (fs < np.inf)
     # local minima first, then by cost; the sort is stable, so ties keep band order
-    idx = np.lexsort((fs, ~is_min), axis=-1)[:, : cfg.max_candidates]
+    idx = np.lexsort((fs, ~is_min), axis=-1)[:, :MAX_CANDIDATES]
     epochs, slot = np.nonzero(np.take_along_axis(is_min, idx, axis=-1))
     i = idx[epochs, slot]
     return epochs, xs[epochs, i][None], fs[epochs, i]
@@ -521,7 +512,7 @@ def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[
     """Damped Newton solves of every epoch from its best separated grid points
     (plus the previous frequency pair), all epochs in one batch."""
     cfg = ws.config
-    m = cfg.coarse_points_2d
+    m = COARSE_POINTS_2D
     axis = np.linspace(ws.band[0], ws.band[1], m)
     w1, w2 = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([w1.ravel(), w2.ravel()])
@@ -535,7 +526,7 @@ def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[
             pt = grid[:, i]
             if all(np.max(np.abs(pt - s)) > 1.5 * cell for s in seeds):
                 seeds.append(pt)
-            if len(seeds) >= cfg.max_candidates:
+            if len(seeds) >= MAX_CANDIDATES:
                 break
         if prev_traj is not None:
             seeds.append(prev_traj[:, epoch].copy())
@@ -623,22 +614,25 @@ def _solve_epochs(ws: _Workspace, coupling, linewidth, bg,
     """Per-epoch frequency solves followed by a sequential continuity pass.
 
     The candidates of all epochs are found at once; the final selection runs
-    in epoch order so near-equal minima tie-break toward the previous
-    epoch's chosen frequency.
+    in epoch order.  Of an epoch's candidates, those within the tie band of
+    its best cost are near-equal; among them the one nearest (L1) the
+    previous epoch's pick wins -- for the first epoch, ``prev_traj``'s first
+    column -- and without ``prev_traj`` the first epoch takes the lowest
+    cost.  On equal keys the first candidate wins.
     """
     if ws.order == 1:
         epochs, x, f = _candidates_1d(ws, coupling, linewidth, bg)
     else:
         epochs, x, f = _candidates_2d(ws, coupling, linewidth, bg, prev_traj)
-    all_cands: list[list[tuple[np.ndarray, float]]] = [[] for _ in range(ws.n)]
-    for j, epoch in enumerate(epochs):
-        all_cands[epoch].append((x[:, j], float(f[j])))
+    # candidates come epoch by epoch, and every epoch has at least one
+    start = np.searchsorted(epochs, np.arange(ws.n + 1))
+    near = f <= np.minimum.reduceat(f, start[:-1])[epochs] * (1.0 + TIE_REL) + TIE_ABS
     traj = np.empty((ws.order, ws.n))
-    ref = None if prev_traj is None else prev_traj[:, 0].copy()
+    ref = None if prev_traj is None else prev_traj[:, 0]
     for e in range(ws.n):
-        pick = _select_candidate(all_cands[e], ref, ws.config)
-        traj[:, e] = pick
-        ref = pick
+        c = start[e] + np.flatnonzero(near[start[e] : start[e + 1]])
+        key = f[c] if ref is None else np.sum(np.abs(x[:, c] - ref[:, None]), axis=0)
+        ref = traj[:, e] = x[:, c[np.argmin(key)]]
     return traj
 
 
@@ -661,10 +655,6 @@ def track_tls(
         raise InvalidParameterError(
             f"band_margin_mhz {config.band_margin_mhz} leaves an empty search band {band!r}"
         )
-    if config.max_candidates < 1:
-        raise InvalidParameterError(
-            f"max_candidates must be >= 1, got {config.max_candidates!r}"
-        )
 
     warnings = []
     if series.n_epochs < 10:
@@ -686,23 +676,22 @@ def track_tls(
     # tie-break toward the earliest, physically-preferred start
     probes = []
     for glob, traj in _initial_states(ws):
-        misfit = math.inf
-        for _ in range(max(config.probe_iterations, 1)):
+        for _ in range(PROBE_ITERATIONS):
             glob, traj, misfit = outer_cycle(glob, traj)
         probes.append((misfit, glob, traj))
     m_best = min(p[0] for p in probes)
-    floor = m_best + max(config.tie_rel * m_best, config.probe_tie_abs)
+    floor = m_best + max(TIE_REL * m_best, PROBE_TIE_ABS)
     best = next(i for i, p in enumerate(probes) if p[0] <= floor)
     misfit, glob, traj = probes[best]
 
     floor_abs = ws.misfit_floor()
     converged = misfit <= floor_abs
     misfit_prev = misfit
-    iteration = max(config.probe_iterations, 1)
-    while not converged and iteration < config.outer_iterations:
+    iteration = PROBE_ITERATIONS
+    while not converged and iteration < OUTER_ITERATIONS:
         iteration += 1
         glob, traj, misfit = outer_cycle(glob, traj)
-        if misfit <= floor_abs or abs(misfit_prev - misfit) <= config.misfit_rtol * max(
+        if misfit <= floor_abs or abs(misfit_prev - misfit) <= MISFIT_RTOL * max(
             misfit_prev, _TINY
         ):
             converged = True
@@ -740,24 +729,25 @@ def information_score(
 ) -> float:
     """Bayesian information criterion for one tracker fit.
 
-    With per-epoch standard errors available the Gaussian log-likelihood
+    The series' error columns (``err_e``/``err_f``) choose the form, as they
+    choose the tracker's residual weighting.  With them the Gaussian log-likelihood
     with *known* variances is used: score = chi^2 + k ln(n), for k
     parameters and n = 2N residuals of N epochs.  The two-defect model then
     saturates -- its 2N + 4 parameters (plus the floor) can interpolate the
     2N residuals -- so it lands at chi^2 ~ 0; its k exceeds the one-defect
     k by N + 2, so BIC picks order 1 exactly when chi_1^2 < (N + 2) ln(2N).
-    Without errors the common-variance form n ln(misfit^2/n) + k ln(n)
-    applies, with the squared misfit floored to keep a saturated model
-    comparable.
+    Without them the common-variance form n ln(misfit^2/n) + k ln(n)
+    applies, with the squared misfit floored at the tracker's unweighted
+    convergence floor (``MISFIT_FLOOR``) to keep a saturated model comparable.
     """
     n_res = 2 * series.n_epochs
     k = config.n_globals(fit.model_order) + series.n_epochs * fit.model_order
-    if config.use_reported_errors and series.has_errors:
+    if series.has_errors:
         # the tracker's misfit is already weighted by the reported errors
         return fit.misfit**2 + k * math.log(n_res)
     # misfits below the tracker's own convergence floor are numerically
     # equal; without the clamp a saturated model's ln(misfit^2) diverges
-    floor_sq = config.misfit_floor**2 * n_res
+    floor_sq = MISFIT_FLOOR**2 * n_res
     misfit_sq = max(fit.misfit**2, floor_sq)
     return n_res * math.log(misfit_sq / n_res) + k * math.log(n_res)
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import shutil
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -147,6 +148,18 @@ class TestFitSeries:
     def test_empty_run_dir(self, tmp_path):
         assert main(["fit-series", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("spacing", ["x", -1, 0, -0.25, None, True, [1.0], float("inf")])
+    def test_bad_epoch_spacing_exit_2(self, run_dir, capsys, spacing):
+        scenario = run_dir / "scenario.json"
+        doc = json.loads(scenario.read_text())
+        doc["epoch_spacing_hr"] = spacing
+        scenario.write_text(json.dumps(doc))
+        assert main(["fit-series", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {scenario}: epoch_spacing_hr: expected a finite number > 0, "
+                       f"got {spacing!r}\n")
+        assert not (run_dir / "fits.json").exists() and not (run_dir / "series.csv").exists()
+
     def test_idempotent(self, run_dir):
         assert main(["fit-series", str(run_dir)]) == 0
         first_series = (run_dir / "series.csv").read_bytes()
@@ -276,9 +289,9 @@ class TestTrack:
         ({"outer_iterations": 2.5}, "tracker.outer_iterations"),
         ({"drift_penalty": 0.1}, "tracker.drift_penalty: unknown"),
         ({"refine_tol_mhz": 1e-4}, "tracker.refine_tol_mhz: unknown"),
-        ({"coarse_points_2d": 1}, "tracker.coarse_points_2d: expected an integer >= 2"),
+        ({"coarse_points_2d": 1}, "tracker.coarse_points_2d: unknown"),
         ({"band_margin_mhz": -1000.0}, "empty search band"),
-        ({"max_candidates": 0}, "tracker.max_candidates: expected an integer >= 1"),
+        ({"max_candidates": 0}, "tracker.max_candidates: unknown"),
     ])
     def test_bad_tracker_config_exit_2(self, tmp_path, capsys, tracker, path):
         spath, dev, _ = self.make_series_csv(tmp_path, epochs=12)
@@ -286,7 +299,11 @@ class TestTrack:
         cfg.write_text(json.dumps({"tracker": tracker}))
         assert main(["track", str(spath), "--device", str(dev), "--order", "1",
                      "--config", str(cfg), "--out", str(tmp_path / "fit")]) == 2
-        assert path in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert path in err
+        (key,) = tracker
+        if key not in {f.name for f in fields(TrackerConfig)}:
+            assert f"tracker.{key}: unknown tracker config key" in err
 
     def test_order_auto_selects_two_tls(self, tmp_path):
         device_b = DeviceFrequencies(5810.32, -201.32)
@@ -440,7 +457,13 @@ def _not_an_object(text: str) -> bool:
 # values of a type no tracker field accepts
 _WRONG_TYPE = st.one_of(st.none(), st.text(max_size=4), st.lists(st.text(max_size=2), max_size=1))
 _FIELDS = [f.name for f in fields(TrackerConfig)]
-_UNKNOWN_KEY = st.one_of(st.sampled_from(["coarse_points", "refine_tol_mhz", "drift_penalty"]),
+# names of removed fields among them
+_UNKNOWN_KEY = st.one_of(st.sampled_from(["coarse_points", "refine_tol_mhz", "drift_penalty",
+                                          "coarse_points_2d", "max_candidates", "outer_iterations",
+                                          "probe_iterations", "joint_lm_iterations", "misfit_rtol",
+                                          "misfit_floor", "use_reported_errors",
+                                          "noise_floor_factor", "tie_rel", "tie_abs",
+                                          "probe_tie_abs", "linewidth_init_mhz"]),
                          st.text(max_size=6).filter(lambda k: k not in _FIELDS))
 
 # (commands it applies to, config document text)
@@ -460,8 +483,6 @@ _BAD_CONFIGS = st.one_of(
         _WRONG_TYPE.map(lambda v: {"tracker": v}),
         st.builds(lambda k, v: {"tracker": {k: v}}, _UNKNOWN_KEY, st.integers()),
         st.builds(lambda k, v: {"tracker": {k: v}}, st.sampled_from(_FIELDS), _WRONG_TYPE),
-        st.integers(max_value=0).map(lambda v: {"tracker": {"max_candidates": v}}),
-        st.integers(max_value=1).map(lambda v: {"tracker": {"coarse_points_2d": v}}),
     ).map(json.dumps)),
 )
 
@@ -474,6 +495,25 @@ _BAD_CELLS = st.one_of(
     st.tuples(st.just("timestamp_hr"), st.sampled_from(["", "abc", "nan", "inf", "-inf", "1e400"])),
     st.tuples(st.sampled_from(["err_e", "err_f"]), st.sampled_from(["", "abc", "nan", "-1"])),
 )
+
+
+# (file, bad bytes): the device file of ``track`` or a run directory file of
+# ``fit-series``; truncated or non-UTF-8 text, or JSON that is not an object
+_BAD_JSON_FILES = st.tuples(
+    st.sampled_from(["device.json", "scenario.json", "confusion.json"]),
+    st.one_of(
+        st.text(max_size=8).map(lambda t: "{" + t).filter(_not_an_object),
+        st.one_of(st.none(), st.integers(), st.text(max_size=4),
+                  st.lists(st.integers(), max_size=2)).map(json.dumps),
+        st.sampled_from(['{"omega01_mhz": 4822.08,', "\udcff{}", '{"a": "\udcc3("}']),
+    ).map(lambda t: t.encode("utf-8", "surrogateescape")),
+) | st.tuples(st.just("confusion.json"), st.sampled_from([
+    # valid JSON objects that are not a confusion document
+    {"schema_version": 1}, {"schema_version": 1, "matrix_row_major": "abc"},
+    {"schema_version": 1, "matrix_row_major": [0.5] * 8},
+    {"schema_version": 1, "matrix_row_major": [[1, 0, 0], [0, 1]]},
+    {"schema_version": 1, "matrix_row_major": [float("nan")] * 9},
+]).map(lambda d: json.dumps(d).encode()))
 
 
 class TestMalformedInputProperty:
@@ -494,6 +534,28 @@ class TestMalformedInputProperty:
         assert err.startswith("error: ") and "Traceback" not in err
         if '"tracker": {' in text:
             assert "tracker." in err
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_BAD_JSON_FILES)
+    @example(case=("device.json", b'{"omega01_mhz": 4822.08,'))
+    @example(case=("scenario.json", b"\xff{}"))
+    @example(case=("confusion.json", b"[]"))
+    @example(case=("confusion.json", b'{"schema_version": 1}'))
+    def test_bad_json_file_exit_2(self, cli_inputs, case):
+        name, content = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            run = tmp / "run"
+            shutil.copytree(cli_inputs["run"], run)
+            bad = tmp / name if name == "device.json" else run / name
+            bad.write_bytes(content)
+            command = "track" if name == "device.json" else "fit-series"
+            code, err = run_cli({**cli_inputs, "device": bad, "run": run}, command, tmp)
+            assert not (tmp / "out").exists()
+        assert code == 2, err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1, err
+        if content == b'{"schema_version": 1}':
+            assert "matrix_row_major" in err
 
     @settings(max_examples=40, deadline=None)
     @given(command=st.sampled_from(["track", "correlate"]), row=st.integers(1, 12),

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -259,6 +261,17 @@ def epoch_cost_function(ws, coupling, linewidth, bg):
     return cost
 
 
+def select_candidate(cands, ref):
+    """The continuity rule on one epoch's (x, cost) list: of the candidates
+    within the tie band of the best cost, the lowest cost without a
+    reference, else the nearest (L1) the reference; first wins on ties."""
+    fbest = min(f for _, f in cands)
+    near = [(x, f) for x, f in cands if f <= fbest * (1.0 + tracker.TIE_REL) + tracker.TIE_ABS]
+    if ref is None or len(near) == 1:
+        return min(near, key=lambda c: c[1])[0]
+    return min(near, key=lambda c: float(np.sum(np.abs(c[0] - ref))))[0]
+
+
 def reference_solve_epochs(ws, coupling, linewidth, bg, prev_traj, solve):
     """Stage (i) one epoch at a time, then the continuity selection.
 
@@ -266,7 +279,6 @@ def reference_solve_epochs(ws, coupling, linewidth, bg, prev_traj, solve):
     ``solve(e, start)`` gives one candidate per start, from the best
     separated coarse-grid points plus the previous pair.  Returns the
     trajectory and each epoch's best candidate cost."""
-    cfg = ws.config
     cost = epoch_cost_function(ws, coupling, linewidth, bg)
     traj, best = np.empty((ws.order, ws.n)), np.empty(ws.n)
     ref = None if prev_traj is None else prev_traj[:, 0].copy()
@@ -274,7 +286,7 @@ def reference_solve_epochs(ws, coupling, linewidth, bg, prev_traj, solve):
         if ws.order == 1:
             cands = solve(e)
         else:
-            m = cfg.coarse_points_2d
+            m = tracker.COARSE_POINTS_2D
             axis = np.linspace(ws.band[0], ws.band[1], m)
             w1, w2 = np.meshgrid(axis, axis, indexing="ij")
             grid = np.stack([w1.ravel(), w2.ravel()])
@@ -283,18 +295,18 @@ def reference_solve_epochs(ws, coupling, linewidth, bg, prev_traj, solve):
             for i in np.argsort(cost(grid, e)):
                 if all(np.max(np.abs(grid[:, i] - s)) > 1.5 * cell for s in seeds):
                     seeds.append(grid[:, i])
-                if len(seeds) >= cfg.max_candidates:
+                if len(seeds) >= tracker.MAX_CANDIDATES:
                     break
             if prev_traj is not None:
                 seeds.append(prev_traj[:, e])
             cands = [solve(e, seed) for seed in seeds]
-        ref = traj[:, e] = tracker._select_candidate(cands, ref, cfg)
+        ref = traj[:, e] = select_candidate(cands, ref)
         best[e] = min(f for _, f in cands)
     return traj, best
 
 
 def bounded_scalar_minima(ws, coupling, linewidth, bg, points=257):
-    """An independent one-defect solve: the lowest ``max_candidates`` local
+    """An independent one-defect solve: the lowest ``MAX_CANDIDATES`` local
     minima of a uniform grid, each refined by scipy's bounded scalar search
     between its grid neighbours (the better of the two points is kept)."""
     cost = epoch_cost_function(ws, coupling, linewidth, bg)
@@ -306,7 +318,7 @@ def bounded_scalar_minima(ws, coupling, linewidth, bg, points=257):
         minima = [i for i in range(points) if fs[i] <= min(padded[i], padded[i + 2])]
         minima.sort(key=lambda i: fs[i])
         cands = []
-        for i in minima[: ws.config.max_candidates]:
+        for i in minima[: tracker.MAX_CANDIDATES]:
             result = minimize_scalar(lambda w: float(cost(np.array([[w]]), e)[0]),
                                      bounds=(xs[max(i - 1, 0)], xs[min(i + 1, points - 1)]),
                                      method="bounded", options={"xatol": 1e-7})
@@ -409,6 +421,50 @@ class TestBatchedEpochSolves:
             _, want = reference_solve_epochs(ws, coupling, linewidth, bg, prev,
                                              scalar_lm_pair(ws, coupling, linewidth, bg))
             assert np.all(got <= want * (1.0 + 1e-12) + 1e-15)
+
+
+def select_from(monkeypatch, epochs, x, f, prev_traj=None):
+    """``_solve_epochs``'s pick from hand-made candidates: ``x`` has one row
+    per defect and one column per candidate of ``epochs``."""
+    x = np.array(x, dtype=float)
+    ws = SimpleNamespace(order=x.shape[0], n=max(epochs) + 1)
+    made = (np.array(epochs), x, np.array(f, dtype=float))
+    monkeypatch.setattr(tracker, "_candidates_1d" if ws.order == 1 else "_candidates_2d",
+                        lambda *args: made)
+    prev = None if prev_traj is None else np.array(prev_traj, dtype=float)
+    return tracker._solve_epochs(ws, None, None, None, prev)
+
+
+class TestCandidateSelection:
+    def test_single_candidate_in_tie_band_ignores_previous(self, monkeypatch):
+        # the candidate at 0.0 sits on the previous pick but costs 10% more
+        got = select_from(monkeypatch, [0, 0], [[10.0, 0.0]], [1.0, 1.1], [[0.0]])
+        assert got.tolist() == [[10.0]]
+
+    def test_tie_goes_to_nearest_previous_pick(self, monkeypatch):
+        got = select_from(monkeypatch, [0, 0], [[10.0, 0.0]], [1.0, 1.04], [[1.0]])
+        assert got.tolist() == [[0.0]]
+
+    def test_equal_cost_and_distance_first_wins(self, monkeypatch):
+        got = select_from(monkeypatch, [0, 0], [[-1.0, 1.0]], [1.0, 1.0], [[0.0]])
+        assert got.tolist() == [[-1.0]]
+        got = select_from(monkeypatch, [0, 0], [[1.0, -1.0]], [1.0, 1.0], [[0.0]])
+        assert got.tolist() == [[1.0]]
+
+    def test_order_2_distance_sums_both_frequencies(self, monkeypatch):
+        # epoch 0 from (0, 0): (0, 3) is nearer in L1 though (2, 2) is nearer
+        # in the max or Euclidean norm; epoch 1 from (0, 3): (0.5, 3) is
+        # nearer in L1 though (0, 4) matches the first frequency
+        got = select_from(monkeypatch, [0, 0, 1, 1],
+                          [[2.0, 0.0, 0.0, 0.5], [2.0, 3.0, 4.0, 3.0]],
+                          [1.0, 1.0, 1.0, 1.0], [[0.0, 0.0], [0.0, 0.0]])
+        assert got.tolist() == [[0.0, 0.5], [3.0, 3.0]]
+
+    def test_without_previous_first_epoch_takes_lowest_cost(self, monkeypatch):
+        # epoch 1 then follows epoch 0's pick rather than its own lowest cost
+        got = select_from(monkeypatch, [0, 0, 1, 1], [[0.0, 10.0, 0.0, 9.0]],
+                          [1.02, 1.0, 1.0, 1.01])
+        assert got.tolist() == [[10.0, 9.0]]
 
 
 def best_costs(n, epochs, costs):
@@ -556,12 +612,6 @@ class TestWarningsAndErrors:
         for margin in (-200.0, -(DEVICE_A.omega_01 - DEVICE_A.omega_12) / 2):
             with pytest.raises(InvalidParameterError, match="empty search band"):
                 track_tls(series, DEVICE_A, 2, TrackerConfig(band_margin_mhz=margin))
-
-    def test_no_candidates_rejected(self):
-        series = LifetimeSeries(np.arange(30.0), np.full(30, 100.0), np.full(30, 60.0))
-        for order in (1, 2):
-            with pytest.raises(InvalidParameterError, match="max_candidates"):
-                track_tls(series, DEVICE_A, order, TrackerConfig(max_candidates=0))
 
     def test_few_epoch_warnings(self):
         truths = [TlsTruth(DriftProcess("static", 4650.0), 9.9, 14.0)]
