@@ -245,12 +245,19 @@ def cmd_fit_series(args, config: dict) -> int:
 def _load_device(path: str) -> DeviceFrequencies:
     doc = _read_json(path)
     dev = doc.get("device", doc)
+    prefix = "device." if dev is not doc else ""
+    keys = [prefix + k for k in ("omega01_mhz", "anharmonicity_mhz")]
     try:
         return DeviceFrequencies(dev["omega01_mhz"], dev["anharmonicity_mhz"])
     except (KeyError, TypeError):
         raise InvalidParameterError(
             f"{path}: expected omega01_mhz and anharmonicity_mhz (or a scenario file)"
         ) from None
+    except InvalidParameterError as err:
+        # DeviceFrequencies names omega_01 or the anharmonicity, or else their sum
+        word = str(err).split()[0]
+        key = {"omega_01": keys[0], "anharmonicity": keys[1]}.get(word, " + ".join(keys))
+        raise InvalidParameterError(f"{path}: {key}: {err}") from None
 
 
 def cmd_track(args, config: dict) -> int:

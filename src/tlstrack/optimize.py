@@ -1,9 +1,13 @@
 """Levenberg-Marquardt least squares with box bounds.
 
-Small and self-contained on purpose: the fitting problems in this package
-have at most a handful of parameters, and keeping the solver local makes the
-bound handling, finite-difference stepping, and convergence reporting exact
-to this package's contracts.
+Small and self-contained on purpose: the problems it solves have a handful
+of parameters, and keeping the solver local makes the bound handling,
+finite-difference stepping, and convergence reporting exact to this
+package's contracts.  Only the trace fits (:mod:`tlstrack.trace_fit`) call
+it.  The tracker's solves have their own structure and their own solvers in
+:mod:`tlstrack.tracker`, which keep :class:`FitOptions`' tolerances and
+damping schedule: closed-form 2x2 steps per epoch, and a Schur-complement
+step for the joint update, whose Jacobian grows with the number of epochs.
 """
 
 from __future__ import annotations

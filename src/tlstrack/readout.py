@@ -149,15 +149,16 @@ def calibrate_equilateral_radius(
     )
 
 
-def _log_likelihoods(blobs: IqBlobModel, points: np.ndarray) -> np.ndarray:
-    out = np.empty((points.shape[0], 3))
+def _log_likelihoods(blobs: IqBlobModel, points: np.ndarray) -> list[np.ndarray]:
+    """Each blob's log-likelihood of every point, one array per blob."""
+    out = []
     x, y = points[:, 0], points[:, 1]
     for k in range(3):
         (pxx, pxy), (pyx, pyy) = blobs._precisions[k]
         dx = x - blobs.means[k, 0]
         dy = y - blobs.means[k, 1]
         quad = pxx * dx * dx + (pxy + pyx) * dx * dy + pyy * dy * dy
-        out[:, k] = -0.5 * quad - blobs._half_log_dets[k]
+        out.append(-0.5 * quad - blobs._half_log_dets[k])
     return out
 
 
@@ -166,14 +167,18 @@ def classify(blobs: IqBlobModel, point: Sequence[float]) -> int:
 
     Ties break toward the lower state index.
     """
-    p = np.asarray(point, dtype=float).reshape(1, 2)
-    return int(np.argmax(_log_likelihoods(blobs, p), axis=1)[0])
+    return int(classify_points(blobs, np.asarray(point, dtype=float).reshape(1, 2))[0])
 
 
 def classify_points(blobs: IqBlobModel, points: np.ndarray) -> np.ndarray:
     """Vectorized :func:`classify` over an (n, 2) array of points."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    return np.argmax(_log_likelihoods(blobs, points), axis=1)
+    l0, l1, l2 = _log_likelihoods(blobs, points)
+    # strict comparisons: a tie goes to the lower state, as with argmax
+    one = l1 > l0
+    labels = one.astype(np.intp)
+    labels[l2 > np.where(one, l1, l0)] = 2
+    return labels
 
 
 def sample_blob(

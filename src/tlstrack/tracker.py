@@ -18,7 +18,13 @@ The solve alternates two moves until the misfit settles:
      model's derivatives are supplied analytically).  Updating the globals
      with trajectories frozen is not convergent here: the linewidth and
      the trajectory amplitude feed back on each other and the pure
-     two-block scheme collapses the linewidth toward zero.
+     two-block scheme collapses the linewidth toward zero.  A frequency
+     moves only its own epoch's residuals, so the normal matrix is
+     arrow-shaped: one order x order block per epoch plus at most six
+     global rows and columns.  Each damped step eliminates the frequency
+     blocks in closed form and solves the small Schur complement in the
+     globals (the bundle-adjustment reduction), so an update costs time and
+     memory linear in the number of epochs; no dense Jacobian is formed.
 
 Because the rate levels alone cannot localize a defect (any (B, gamma,
 omega) triple matching the two median rates is statically equivalent), the
@@ -39,8 +45,8 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import DecayRates, ZERO_RATES
-from .errors import InvalidParameterError, UndefinedCorrelationError
-from .optimize import FitOptions, LeastSquaresProblem, levenberg_marquardt
+from .errors import FitDivergedError, InvalidParameterError, UndefinedCorrelationError
+from .optimize import FitOptions
 from .tls import (DeviceFrequencies, TlsDefect, TlsParameterSet, lorentzian_density,
                   lorentzian_rates)
 
@@ -308,7 +314,7 @@ class _Workspace:
         r_e, r_f = self.epoch_residuals(g10, g21, epochs)
         return r_e**2 + r_f**2
 
-    # -- packing: [B_k, gamma_k]*order, [bg_e, bg_f]?, omega[k, :] flattened
+    # -- globals vector: [B_k, gamma_k]*order, then [bg_e, bg_f] when fitted
 
     def unpack_globals(self, params: np.ndarray):
         order = self.order
@@ -334,68 +340,143 @@ class _Workspace:
             hi += [float(np.min(self.g10_meas)), float(np.min(self.g21_meas))]
         return np.array(lo), np.array(hi)
 
-    def joint_bounds(self):
-        glo, ghi = self.global_bounds()
-        wlo = np.full(self.order * self.n, self.band[0])
-        whi = np.full(self.order * self.n, self.band[1])
-        return np.concatenate([glo, wlo]), np.concatenate([ghi, whi])
 
-    def pack_joint(self, glob: np.ndarray, traj: np.ndarray) -> np.ndarray:
-        return np.concatenate([glob, traj.reshape(-1)])
+# -- stage (ii): joint update of the globals and the trajectory ---------------
 
-    def unpack_joint(self, x: np.ndarray):
-        glob = x[: self.n_globals]
-        traj = x[self.n_globals :].reshape(self.order, self.n)
-        return glob, traj
 
-    def joint_residual(self, x: np.ndarray) -> np.ndarray:
-        glob, traj = self.unpack_joint(x)
-        coupling, linewidth, bg = self.unpack_globals(glob)
-        return self.residuals(coupling, linewidth, bg, traj)
+def _normal_equations(ws: _Workspace, glob: np.ndarray, traj: np.ndarray, r: np.ndarray):
+    """JᵀJ and Jᵀr of the joint residual ``r`` at (glob, traj), in arrow shape.
 
-    def joint_jacobian(self, x: np.ndarray) -> np.ndarray:
-        """Analytic derivatives of the joint residual.
+    A frequency moves only its own epoch's two residuals, so JᵀJ is
+    [[U, W], [Wᵀ, blockdiag(V_e)]].  Returns U (G, G) over the G globals,
+    the order-k frequency blocks V (N, k, k), their couplings to the globals
+    W (N, G, k), and the gradient split alike into (G,) and (N, k).  The
+    derivatives are analytic: near the optimum the (B, gamma) directions
+    form a shallow valley whose gradient is below the forward-difference
+    truncation error, which stalls the solver.
+    """
+    coupling, linewidth, _ = ws.unpack_globals(glob)
+    dev, n, order = ws.device, ws.n, ws.order
+    scale_e = -ws.w_e / ws.g10_meas
+    scale_f = -ws.config.f_multiplier * ws.w_f / ws.g21_meas
+    # per epoch, the rows of its (e, f) residuals
+    jac_g = np.zeros((n, 2, ws.n_globals))
+    jac_w = np.empty((n, 2, order))
+    for k in range(order):
+        b, g, w = coupling[k], linewidth[k], traj[k]
+        de, df = dev.omega_01 - w, dev.omega_12 - w
+        den_e, den_f = de**2 + g**2, df**2 + g**2
+        jac_g[:, 0, 2 * k] = scale_e * (g / den_e)
+        jac_g[:, 1, 2 * k] = scale_f * (g / den_f)
+        jac_g[:, 0, 2 * k + 1] = scale_e * b * (de**2 - g**2) / den_e**2
+        jac_g[:, 1, 2 * k + 1] = scale_f * b * (df**2 - g**2) / den_f**2
+        jac_w[:, 0, k], jac_w[:, 1, k] = _frequency_derivatives(dev, b, g, w, scale_e, scale_f)
+    if ws.config.fit_background:
+        jac_g[:, 0, 2 * order] = -ws.w_e / ws.g10_meas
+        jac_g[:, 1, 2 * order + 1] = -ws.w_f / ws.g21_meas
+    dense_g = jac_g.reshape(2 * n, ws.n_globals)    # rows in residual order
+    jac_wt = jac_w.transpose(0, 2, 1)
+    return (dense_g.T @ dense_g, jac_wt @ jac_w, jac_g.transpose(0, 2, 1) @ jac_w,
+            dense_g.T @ r, (jac_wt @ r.reshape(n, 2, 1))[..., 0])
 
-        Finite differences are too noisy here: near the optimum the
-        (B, gamma) directions form a shallow valley whose gradient is below
-        the forward-difference truncation error, which stalls the solver.
-        """
-        glob, traj = self.unpack_joint(x)
-        coupling, linewidth, bg = self.unpack_globals(glob)
-        n, order = self.n, self.order
-        jac = np.zeros((2 * n, x.size))
-        scale_e = -self.w_e / self.g10_meas
-        scale_f = -self.config.f_multiplier * self.w_f / self.g21_meas
-        for k in range(order):
-            b, g, w = coupling[k], linewidth[k], traj[k]
-            de = self.device.omega_01 - w
-            df = self.device.omega_12 - w
-            den_e = de**2 + g**2
-            den_f = df**2 + g**2
-            # couplings and linewidths
-            jac[0::2, 2 * k] = scale_e * (g / den_e)
-            jac[1::2, 2 * k] = scale_f * (g / den_f)
-            jac[0::2, 2 * k + 1] = scale_e * b * (de**2 - g**2) / den_e**2
-            jac[1::2, 2 * k + 1] = scale_f * b * (df**2 - g**2) / den_f**2
-            # per-epoch frequencies
-            cols = self.n_globals + k * n + np.arange(n)
-            jac[2 * np.arange(n), cols], jac[2 * np.arange(n) + 1, cols] = (
-                _frequency_derivatives(self.device, b, g, w, scale_e, scale_f))
-        if self.config.fit_background:
-            jac[0::2, 2 * order] = -self.w_e / self.g10_meas
-            jac[1::2, 2 * order + 1] = -self.w_f / self.g21_meas
-        return jac
+
+def _schur_step(normal, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The global and frequency steps solving (JᵀJ + lam*D) delta = -Jᵀr.
+
+    ``normal`` is :func:`_normal_equations`' output and D the diagonal of
+    JᵀJ, with entries <= 0 replaced by 1, as in :func:`levenberg_marquardt`.
+    The damped frequency blocks V_e* are eliminated in closed form: the
+    globals solve the (G, G) Schur complement S = U* - sum_e W_e V_e*⁻¹ W_eᵀ,
+    and each epoch's frequencies follow from
+    V_e* delta_w_e = -g_e - W_eᵀ delta_g.  Raises LinAlgError when a damped
+    matrix is singular to working precision.
+    """
+    u, v, w, grad_g, grad_w = normal
+    d_g, d_w = np.diagonal(u), np.diagonal(v, axis1=1, axis2=2)
+    u = u + np.diag(lam * np.where(d_g > 0.0, d_g, 1.0))
+    v = v + lam * np.where(d_w > 0.0, d_w, 1.0)[..., None] * np.eye(v.shape[-1])
+    # V_e*⁻¹ [W_eᵀ | g_e] for every epoch
+    rhs = np.concatenate([w.transpose(0, 2, 1), grad_w[..., None]], axis=2)
+    if v.shape[-1] == 1:
+        y = rhs / v
+    else:
+        a, b, c, d = v[:, 0, 0, None], v[:, 0, 1, None], v[:, 1, 0, None], v[:, 1, 1, None]
+        y = np.stack([d * rhs[:, 0] - b * rhs[:, 1], a * rhs[:, 1] - c * rhs[:, 0]],
+                     axis=1) / (a * d - b * c)[:, None]
+    y_w, y_g = y[..., :-1], y[..., -1]
+    step_g = np.linalg.solve(u - np.einsum("nij,njk->ik", w, y_w),
+                             np.einsum("nij,nj->i", w, y_g) - grad_g)
+    step_w = -y_g - y_w @ step_g
+    if not (np.all(np.isfinite(step_g)) and np.all(np.isfinite(step_w))):
+        raise np.linalg.LinAlgError("singular damped block")
+    return step_g, step_w
+
+
+def _outward(x, grad, lo, hi):
+    """Where the gradient pushes a coordinate on a bound outside it."""
+    return ((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0))
 
 
 def _joint_update(ws: _Workspace, glob: np.ndarray, traj: np.ndarray):
-    """Levenberg-Marquardt update of the globals, jointly with the trajectory."""
-    lo, hi = ws.joint_bounds()
-    x0 = np.clip(ws.pack_joint(glob, traj), lo, hi)
-    result = levenberg_marquardt(
-        LeastSquaresProblem(ws.joint_residual, x0, lo, hi, jacobian=ws.joint_jacobian),
-        FitOptions(max_iterations=JOINT_LM_ITERATIONS),
-    )
-    return ws.unpack_joint(result.parameters)
+    """Bounded Levenberg-Marquardt update of the globals jointly with the trajectory.
+
+    The stopping tests, damping schedule and box projection are those of
+    :func:`levenberg_marquardt` with ``JOINT_LM_ITERATIONS`` iterations; the
+    damped normal equations are solved by :func:`_schur_step`, in time and
+    memory linear in the number of epochs.  Returns (glob, traj).
+    """
+    opt = FitOptions(max_iterations=JOINT_LM_ITERATIONS)
+    (glo, ghi), (wlo, whi) = ws.global_bounds(), ws.band
+    glob, traj = np.clip(glob, glo, ghi), np.clip(traj, wlo, whi)
+
+    def residuals(glob, traj):
+        return ws.residuals(*ws.unpack_globals(glob), traj)
+
+    def norm(a, b):
+        return math.hypot(np.linalg.norm(a), np.linalg.norm(b))
+
+    r = residuals(glob, traj)
+    if not np.all(np.isfinite(r)):
+        raise InvalidParameterError("residual is not finite at the initial guess")
+    cost = float(r @ r)
+    if cost == 0.0:
+        return glob, traj
+    lam = opt.lambda_init
+    for _ in range(opt.max_iterations):
+        normal = _normal_equations(ws, glob, traj, r)
+        grad_g, grad_w = normal[3], normal[4].T
+        # projected gradient: directions pushing outside the box do not count
+        if max(np.max(np.abs(np.where(_outward(glob, grad_g, glo, ghi), 0.0, grad_g))),
+               np.max(np.abs(np.where(_outward(traj, grad_w, wlo, whi), 0.0, grad_w)))
+               ) <= opt.gtol:
+            break
+        while lam <= opt.lambda_max:
+            try:
+                step_g, step_w = _schur_step(normal, lam)
+            except np.linalg.LinAlgError:
+                lam *= opt.lambda_increase
+                continue
+            glob_new = np.clip(glob + step_g, glo, ghi)
+            traj_new = np.clip(traj + step_w.T, wlo, whi)
+            r_new = residuals(glob_new, traj_new)
+            if not np.all(np.isfinite(r_new)):
+                raise FitDivergedError(f"non-finite residual at trial globals {glob_new!r}",
+                                       np.concatenate([glob, traj.ravel()]))
+            cost_new = float(r_new @ r_new)
+            if cost_new < cost:
+                step_norm = norm(glob_new - glob, traj_new - traj)
+                rel_decrease = (cost - cost_new) / cost
+                glob, traj, r, cost = glob_new, traj_new, r_new, cost_new
+                lam = max(lam / opt.lambda_decrease, 1e-14)
+                break
+            lam *= opt.lambda_increase
+        else:
+            # no descent direction within the damping budget: a local
+            # minimum to working precision
+            break
+        if rel_decrease <= opt.ftol or step_norm <= opt.xtol * (norm(glob, traj) + opt.xtol):
+            break
+    return glob, traj
 
 
 # -- deterministic level-matched starts --------------------------------------
@@ -573,8 +654,7 @@ def _solve_frequency_pairs(ws: _Workspace, coupling, linewidth, bg, epochs: np.n
                                    scale_e[cols], scale_f[cols]) for k in (0, 1))
         grad = np.stack([e0 * r_e[cols] + f0 * r_f[cols], e1 * r_e[cols] + f1 * r_f[cols]])
         # projected gradient: directions pushing outside the band do not count
-        outward = ((xa <= lo) & (grad > 0.0)) | ((xa >= hi) & (grad < 0.0))
-        stop = np.max(np.abs(np.where(outward, 0.0, grad)), axis=0) <= opt.gtol
+        stop = np.max(np.abs(np.where(_outward(xa, grad, lo, hi), 0.0, grad)), axis=0) <= opt.gtol
         active[cols[stop]] = False
         h00, h01, h11 = e0**2 + f0**2, e0 * e1 + f0 * f1, e1**2 + f1**2
         d0, d1 = np.where(h00 > 0.0, h00, 1.0), np.where(h11 > 0.0, h11, 1.0)

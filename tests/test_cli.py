@@ -256,6 +256,21 @@ class TestTrack:
         dev.write_text(json.dumps({"frequency": 1.0}))
         assert main(["track", str(spath), "--device", str(dev), "--order", "1"]) == 2
 
+    @pytest.mark.parametrize("doc, where", [
+        ({"omega01_mhz": -5, "anharmonicity_mhz": -280},
+         "omega01_mhz: omega_01 must be positive, got -5"),
+        ({"device": {"omega01_mhz": 4822.08, "anharmonicity_mhz": 3}},
+         "device.anharmonicity_mhz: anharmonicity must be negative"),
+        ({"omega01_mhz": 200, "anharmonicity_mhz": -280},
+         "omega01_mhz + anharmonicity_mhz: omega_12"),
+    ])
+    def test_bad_device_value_names_file_and_key(self, tmp_path, capsys, doc, where):
+        spath, _, _ = self.make_series_csv(tmp_path, epochs=12)
+        dev = tmp_path / "dev.json"
+        dev.write_text(json.dumps(doc))
+        assert main(["track", str(spath), "--device", str(dev), "--order", "1"]) == 2
+        assert f"error: {dev}: {where}" in capsys.readouterr().err
+
     def test_non_finite_series_exit_2(self, tmp_path, capsys):
         spath, dev, _ = self.make_series_csv(tmp_path, epochs=12)
         lines = spath.read_text().splitlines()

@@ -22,6 +22,7 @@ from tlstrack.readout import (
     shot_records_from_csv,
     shot_records_to_csv,
     simulate_confusion_matrix,
+    _log_likelihoods,
 )
 
 ISO = np.repeat(np.eye(2)[None, :, :], 3, axis=0)
@@ -113,6 +114,26 @@ class TestClassify:
         expected = np.argmax(einsum_log_likelihoods(CORRELATED, points), axis=1)
         assert np.array_equal(classify_points(CORRELATED, points), expected)
         assert set(np.unique(expected)) == {0, 1, 2}
+
+    @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+    def test_identical_blobs_take_lower_label(self, pair):
+        means = np.array([[0.0, 1.6], [-1.4, -0.8], [1.4, -0.8]])
+        covs = CORRELATED.covariances.copy()
+        means[pair[1]], covs[pair[1]] = means[pair[0]], covs[pair[0]]
+        blobs = IqBlobModel(means, covs)
+        labels = classify_points(blobs, np.random.default_rng(5).normal(scale=2.0, size=(5000, 2)))
+        assert pair[1] not in labels and pair[0] in labels
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_argmax_of_log_likelihoods(self, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(3, 2, 2))
+        blobs = IqBlobModel(rng.normal(scale=2.0, size=(3, 2)), a @ a.transpose(0, 2, 1) + 0.1 * ISO)
+        points = rng.normal(scale=3.0, size=(20_000, 2))
+        expected = np.argmax(np.stack(_log_likelihoods(blobs, points), axis=1), axis=1)
+        got = classify_points(blobs, points)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert [classify(blobs, p) for p in points[:50]] == expected[:50].tolist()
 
     def test_model_arrays_read_only(self):
         means = np.array(CORRELATED.means)

@@ -1,3 +1,5 @@
+import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,8 +10,8 @@ from scipy.optimize import minimize_scalar
 
 from tlstrack.dynamics import DecayRates
 from tlstrack.errors import InvalidParameterError, UndefinedCorrelationError
-from tlstrack.synth import DriftProcess, Scenario, TlsTruth, generate_trajectories, \
-    true_lifetime_series
+from tlstrack.synth import DriftProcess, Scenario, TlsTruth, bundled_scenario, \
+    generate_trajectories, true_lifetime_series
 from tlstrack import tracker
 from tlstrack.optimize import FitOptions, LeastSquaresProblem, levenberg_marquardt
 from tlstrack.tls import DeviceFrequencies, lorentzian_rates, rate_series
@@ -594,6 +596,148 @@ class TestFrequencyPairSolve:
         x, cost = self.solve(ws, epochs, x0)
         assert np.all(cost <= self.start_cost(ws, epochs, x0))
         assert np.all((x >= ws.band[0]) & (x <= ws.band[1]))
+
+
+def seven_epoch_series():
+    """A small noisy two-defect series with reported errors."""
+    truths = [
+        TlsTruth(DriftProcess("ornstein_uhlenbeck", 5770.32, 6.235, 0.24, seed=21), 1.0, 12.0),
+        TlsTruth(DriftProcess("ornstein_uhlenbeck", 5639.0, 3.0, 0.3, seed=22), 0.8, 10.0),
+    ]
+    clean, _ = synthetic_series(DEVICE_B, truths, DecayRates(1e-3, 2e-3), 7, seed=4)
+    rng = np.random.default_rng(3)
+    t1e = clean.t1e_us * (1.0 + 0.02 * rng.standard_normal(7))
+    t1f = clean.t1f_us * (1.0 + 0.02 * rng.standard_normal(7))
+    return LifetimeSeries(clean.epochs_hr, t1e, t1f, 0.02 * t1e, 0.02 * t1f)
+
+
+def joint_cases():
+    """(workspace, globals, trajectory) for both orders, with and without a
+    fitted floor, each also with the linewidth at its lower bound and one
+    frequency on the band's lower edge."""
+    series = seven_epoch_series()
+    for order in (1, 2):
+        for fit_background in (True, False):
+            ws = tracker._Workspace(series, DEVICE_B, order,
+                                    TrackerConfig(fit_background=fit_background))
+            lo, hi = ws.global_bounds()
+            glob, traj = tracker._initial_states(ws)[0]
+            traj = tracker._solve_epochs(ws, *ws.unpack_globals(glob), traj)
+            glob = np.clip(1.3 * glob, lo, hi)
+            if fit_background:
+                glob[-2:] = 0.3 * hi[-2:]
+            yield ws, glob, traj
+            glob, traj = glob.copy(), traj.copy()
+            glob[1], traj[0, 3] = lo[1], ws.band[0]
+            yield ws, glob, traj
+
+
+def dense_normal_equations(ws, normal):
+    """JᵀJ and Jᵀr assembled densely from the arrow pieces, parameters in
+    the order globals, then the trajectory defect by defect."""
+    u, v, w, grad_g, grad_w = normal
+    g, n, k = ws.n_globals, ws.n, ws.order
+    m = np.zeros((g + k * n, g + k * n))
+    m[:g, :g] = u
+    for e in range(n):
+        idx = g + np.arange(k) * n + e
+        m[np.ix_(idx, idx)] = v[e]
+        m[:g, idx] = w[e]
+        m[idx, :g] = w[e].T
+    return m, np.concatenate([grad_g, grad_w.T.ravel()])
+
+
+def finite_difference_jacobian(ws, glob, traj):
+    """The dense joint Jacobian by central differences of ``_Workspace.residuals``."""
+    def residuals(g, w):
+        return ws.residuals(*ws.unpack_globals(g), w)
+
+    g, n, k = ws.n_globals, ws.n, ws.order
+    jac = np.zeros((2 * n, g + k * n))
+    for i in range(g):
+        step = np.zeros(g)
+        step[i] = 1e-6 * max(abs(glob[i]), 1e-6)
+        jac[:, i] = (residuals(glob + step, traj) - residuals(glob - step, traj)) / (2 * step[i])
+    for j in range(k):
+        step = np.zeros_like(traj)
+        step[j] = 1e-4
+        # a frequency moves only its own epoch's two residuals
+        col = (residuals(glob, traj + step) - residuals(glob, traj - step)) / 2e-4
+        for e in range(n):
+            jac[2 * e : 2 * e + 2, g + j * n + e] = col[2 * e : 2 * e + 2]
+    return jac
+
+
+class TestJointUpdate:
+    def test_pieces_match_finite_differences(self):
+        for ws, glob, traj in joint_cases():
+            r = ws.residuals(*ws.unpack_globals(glob), traj)
+            m, grad = dense_normal_equations(ws, tracker._normal_equations(ws, glob, traj, r))
+            jac = finite_difference_jacobian(ws, glob, traj)
+            # entries of a Gram matrix are bounded by sqrt(m_ii m_jj), of Jᵀr
+            # by sqrt(m_ii)|r|
+            scale = np.sqrt(np.diag(m))
+            assert np.all(np.abs(m - jac.T @ jac) <= 1e-6 * np.outer(scale, scale))
+            assert np.all(np.abs(grad - jac.T @ r) <= 1e-6 * scale * np.linalg.norm(r))
+
+    @pytest.mark.parametrize("lam", [1e-3, 1.0, 1e3])
+    def test_schur_step_solves_dense_damped_system(self, lam):
+        for ws, glob, traj in joint_cases():
+            r = ws.residuals(*ws.unpack_globals(glob), traj)
+            normal = tracker._normal_equations(ws, glob, traj, r)
+            m, grad = dense_normal_equations(ws, normal)
+            d = np.diag(m).copy()
+            d[d <= 0.0] = 1.0
+            want = np.linalg.solve(m + lam * np.diag(d), -grad)
+            g = ws.n_globals
+            step_g, step_w = tracker._schur_step(normal, lam)
+            assert np.linalg.norm(step_g - want[:g]) <= 1e-10 * np.linalg.norm(want[:g])
+            assert (np.linalg.norm(step_w.T.ravel() - want[g:])
+                    <= 1e-10 * np.linalg.norm(want[g:]))
+
+    def test_update_from_cases_lowers_cost_within_bounds(self):
+        for ws, glob, traj in joint_cases():
+            assert_update_not_above_start(ws, glob, traj)
+
+    @settings(max_examples=25, deadline=None)
+    @given(order=st.sampled_from([1, 2]), fit_background=st.booleans(),
+           u=st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6),
+           v=st.lists(st.floats(0.0, 1.0), min_size=14, max_size=14))
+    def test_property_update_never_raises_cost_and_stays_in_bounds(self, order,
+                                                                   fit_background, u, v):
+        ws = tracker._Workspace(seven_epoch_series(), DEVICE_B, order,
+                                TrackerConfig(fit_background=fit_background))
+        lo, hi = ws.global_bounds()
+        u = np.array(u[: ws.n_globals])
+        # couplings and linewidths log-uniform within their bounds, floors uniform
+        glob = np.where(lo > 0.0, lo * (hi / np.where(lo > 0.0, lo, 1.0)) ** u, u * hi)
+        traj = ws.band[0] + np.array(v).reshape(2, 7)[:order] * (ws.band[1] - ws.band[0])
+        assert_update_not_above_start(ws, np.clip(glob, lo, hi), traj)
+
+    def test_peak_memory_linear_in_epochs(self):
+        # noiseless device_A at N = 2000: the dense joint LM peaked at 161 MB,
+        # and any single (N, N) float array alone takes 32 MB
+        scenario = dataclasses.replace(bundled_scenario("device_A"), epochs=2000)
+        series = true_lifetime_series(scenario)
+        ws = tracker._Workspace(series, scenario.device, 1, DEFAULT_TRACKER_CONFIG)
+        glob, traj = tracker._initial_states(ws)[0]
+        traj = tracker._solve_epochs(ws, *ws.unpack_globals(glob), traj)
+        tracemalloc.start()
+        try:
+            tracker._joint_update(ws, glob, traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+
+def assert_update_not_above_start(ws, glob, traj):
+    lo, hi = ws.global_bounds()
+    glob_new, traj_new = tracker._joint_update(ws, glob, traj)
+    assert np.all((glob_new >= lo) & (glob_new <= hi))
+    assert np.all((traj_new >= ws.band[0]) & (traj_new <= ws.band[1]))
+    assert (ws.misfit(*ws.unpack_globals(glob_new), traj_new)
+            <= ws.misfit(*ws.unpack_globals(glob), traj))
 
 
 class TestWarningsAndErrors:
