@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import dblquad
-from scipy.optimize import brentq
 
 from .dynamics import PopulationState, PopulationTrace
 from .errors import InvalidParameterError, MitigationUnstableError
@@ -112,6 +110,8 @@ def equilateral_assignment_probability(radius: float, sigma: float = 1.0) -> flo
     polar coordinates; by symmetry this equals the three-state assignment
     fidelity of the geometry.
     """
+    # imported here so that importing the CLI does not load scipy
+    from scipy.integrate import dblquad
 
     def integrand(rho, theta):
         return (
@@ -139,6 +139,8 @@ def calibrate_equilateral_radius(
     """Blob-triangle radius whose exact assignment fidelity hits the target."""
     if not 1.0 / 3.0 < target_fidelity < 1.0:
         raise InvalidParameterError("target fidelity must lie in (1/3, 1)")
+    from scipy.optimize import brentq
+
     return float(
         brentq(
             lambda r: equilateral_assignment_probability(r, sigma) - target_fidelity,
@@ -279,15 +281,23 @@ def _require_stable(m: ConfusionMatrix) -> None:
         raise MitigationUnstableError(cond)
 
 
-def _solve_and_clip(m: ConfusionMatrix, observed: PopulationState, clip: bool) -> PopulationState:
-    p = np.linalg.solve(m.m, observed.vector())
+def _solve_and_clip(m: ConfusionMatrix, observed: np.ndarray, clip: bool) -> np.ndarray:
+    p = np.linalg.solve(m.m, observed)
     if clip and np.any(p < 0.0):
         p = np.clip(p, 0.0, None)
         s = p.sum()
         if s == 0.0:
             raise InvalidParameterError("mitigated vector clipped to zero; input invalid")
         p = p / s
-    return PopulationState.from_vector(p)
+    return p
+
+
+def _require_finite(populations: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(populations).all(axis=1))
+    if bad.size:
+        raise InvalidParameterError(
+            f"{what} populations must be finite, got {populations[bad[0]]} at delay point {bad[0]}"
+        )
 
 
 def mitigate(
@@ -300,16 +310,18 @@ def mitigate(
     raw inverse is returned even if slightly unphysical.
     """
     _require_stable(m)
-    return _solve_and_clip(m, observed, clip)
+    return PopulationState.from_vector(_solve_and_clip(m, observed.vector(), clip))
 
 
 def mitigate_trace(m: ConfusionMatrix, trace: PopulationTrace, clip: bool = True) -> PopulationTrace:
     """Apply :func:`mitigate` to every delay point of a trace, checking the
     matrix's condition number once."""
     _require_stable(m)
+    _require_finite(trace.populations, "observed")
     corrected = np.empty_like(trace.populations)
-    for i in range(len(trace)):
-        corrected[i] = _solve_and_clip(m, trace.state(i), clip).vector()
+    for i, row in enumerate(trace.populations):
+        corrected[i] = _solve_and_clip(m, row, clip)
+    _require_finite(corrected, "mitigated")
     return PopulationTrace(trace.delays.copy(), corrected, None if trace.shots is None else trace.shots.copy())
 
 

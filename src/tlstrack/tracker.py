@@ -210,6 +210,7 @@ class TrackerFit:
     warnings: list[str] = field(default_factory=list)
     information_score: Optional[float] = None
     model_scores: Optional[dict[int, float]] = None
+    skipped_orders: list[int] = field(default_factory=list)
 
     def fitted_rate_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         g10 = np.array([r.gamma_10 for r in self.fitted_rates])
@@ -229,6 +230,7 @@ class TrackerFit:
                 if self.model_scores is None
                 else {str(k): float(v) for k, v in self.model_scores.items()}
             ),
+            "skipped_orders": list(self.skipped_orders),
             "tls": [
                 {"B": d.coupling_weight, "gamma_mhz": d.linewidth_mhz}
                 for d in self.parameters.defects
@@ -804,6 +806,19 @@ def track_tls(
     )
 
 
+def _score(order: int, misfit: float, series: LifetimeSeries, config: TrackerConfig) -> float:
+    n_res = 2 * series.n_epochs
+    k = config.n_globals(order) + series.n_epochs * order
+    if series.has_errors:
+        # the tracker's misfit is already weighted by the reported errors
+        return misfit**2 + k * math.log(n_res)
+    # misfits below the tracker's own convergence floor are numerically
+    # equal; without the clamp a saturated model's ln(misfit^2) diverges
+    floor_sq = MISFIT_FLOOR**2 * n_res
+    misfit_sq = max(misfit**2, floor_sq)
+    return n_res * math.log(misfit_sq / n_res) + k * math.log(n_res)
+
+
 def information_score(
     fit: TrackerFit, series: LifetimeSeries, config: TrackerConfig = DEFAULT_TRACKER_CONFIG
 ) -> float:
@@ -819,17 +834,13 @@ def information_score(
     Without them the common-variance form n ln(misfit^2/n) + k ln(n)
     applies, with the squared misfit floored at the tracker's unweighted
     convergence floor (``MISFIT_FLOOR``) to keep a saturated model comparable.
+
+    Either form is nondecreasing in the misfit, so the score at misfit 0
+    (k ln(n) weighted, n ln(floor^2/n) + k ln(n) unweighted) is a floor
+    that no fit of that order can score below; :func:`select_model` skips
+    an order whose floor already loses.
     """
-    n_res = 2 * series.n_epochs
-    k = config.n_globals(fit.model_order) + series.n_epochs * fit.model_order
-    if series.has_errors:
-        # the tracker's misfit is already weighted by the reported errors
-        return fit.misfit**2 + k * math.log(n_res)
-    # misfits below the tracker's own convergence floor are numerically
-    # equal; without the clamp a saturated model's ln(misfit^2) diverges
-    floor_sq = MISFIT_FLOOR**2 * n_res
-    misfit_sq = max(fit.misfit**2, floor_sq)
-    return n_res * math.log(misfit_sq / n_res) + k * math.log(n_res)
+    return _score(fit.model_order, fit.misfit, series, config)
 
 
 def select_model(
@@ -837,14 +848,32 @@ def select_model(
     device: DeviceFrequencies,
     config: TrackerConfig = DEFAULT_TRACKER_CONFIG,
 ) -> TrackerFit:
-    """Fit both model orders and keep the one with the lower information score."""
-    fits = {order: track_tls(series, device, order, config) for order in (1, 2)}
-    scores = {order: information_score(fit, series, config) for order, fit in fits.items()}
-    chosen = min(sorted(scores), key=lambda order: scores[order])
-    fit = fits[chosen]
-    fit.information_score = scores[chosen]
-    fit.model_scores = scores
-    return fit
+    """Fit the model orders in ascending order and keep the one with the
+    lowest information score; ties go to the lower order.
+
+    Before fitting an order, its score floor -- :func:`information_score`
+    at misfit 0, below which no fit of that order can score -- is compared
+    with the best score so far.  If the best is already <= the floor, the
+    order cannot win and is not fitted: it is listed in the result's
+    ``skipped_orders`` and its ``model_scores`` entry is the floor.  The
+    chosen order and fit are the same as fitting every order.
+    """
+    scores: dict[int, float] = {}
+    skipped = []
+    best = None
+    for order in (1, 2):
+        floor = _score(order, 0.0, series, config)
+        if best is not None and best.information_score <= floor:
+            scores[order] = floor
+            skipped.append(order)
+            continue
+        fit = track_tls(series, device, order, config)
+        fit.information_score = scores[order] = information_score(fit, series, config)
+        if best is None or fit.information_score < best.information_score:
+            best = fit
+    best.model_scores = scores
+    best.skipped_orders = skipped
+    return best
 
 
 def lifetime_correlation(series: LifetimeSeries) -> float:

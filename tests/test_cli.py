@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -353,6 +357,35 @@ class TestTrack:
         doc = json.loads((out / "fit.json").read_text())
         assert doc["model_order"] == 2
         assert doc["model_scores"]["2"] < doc["model_scores"]["1"]
+
+    def test_order_auto_skips_order_2(self, tmp_path):
+        # a single defect with 1% errors: order 1's score is already below
+        # order 2's floor k ln(2N), so order 2 is not fitted
+        spath, dev, _ = self.make_series_csv(tmp_path)
+        clean = LifetimeSeries.from_csv(spath)
+        rng = np.random.default_rng(4)
+        t1e = clean.t1e_us * (1.0 + 0.01 * rng.standard_normal(clean.n_epochs))
+        t1f = clean.t1f_us * (1.0 + 0.01 * rng.standard_normal(clean.n_epochs))
+        LifetimeSeries(clean.epochs_hr, t1e, t1f, 0.01 * t1e, 0.01 * t1f).to_csv(spath)
+        out = tmp_path / "fit"
+        assert main(["track", str(spath), "--device", str(dev),
+                     "--order", "auto", "--out", str(out)]) == 0
+        doc = json.loads((out / "fit.json").read_text())
+        n = clean.n_epochs
+        floor = (TrackerConfig().n_globals(2) + 2 * n) * math.log(2 * n)
+        assert doc["model_order"] == 1
+        assert doc["skipped_orders"] == [2]
+        assert doc["model_scores"]["2"] == floor
+        assert doc["information_score"] == doc["model_scores"]["1"] <= floor
+
+
+def test_cli_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, tlstrack.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestCorrelate:

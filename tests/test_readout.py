@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from tlstrack.dynamics import DecayRates, PopulationState, closed_form_trace
+from tlstrack.dynamics import DecayRates, PopulationState, PopulationTrace, closed_form_trace
 from tlstrack.errors import InvalidParameterError, MitigationUnstableError
 from tlstrack.readout import (
     ConfusionMatrix,
@@ -285,6 +285,25 @@ class TestMitigation:
         clipped = mitigate_trace(m, noisy)
         for i in range(len(noisy)):
             assert np.array_equal(clipped.populations[i], mitigate(m, noisy.state(i)).vector())
+
+    def test_mitigate_trace_rejects_invalid_points(self):
+        delays = np.array([1.0, 2.0, 3.0])
+        good = np.array([[0.9, 0.1, 0.0], [0.8, 0.15, 0.05], [0.7, 0.2, 0.1]])
+        identity = ConfusionMatrix(np.eye(3))
+        for bad_row in ([np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0]):
+            populations = good.copy()
+            populations[1] = bad_row
+            with pytest.raises(InvalidParameterError, match="finite"):
+                mitigate_trace(identity, PopulationTrace(delays, populations))
+        populations = good.copy()
+        populations[2] = [-0.5, 0.0, 0.0]
+        with pytest.raises(InvalidParameterError, match="clipped to zero"):
+            mitigate_trace(identity, PopulationTrace(delays, populations))
+        m = ConfusionMatrix(_random_stochastic(np.random.default_rng(3)))
+        populations = good.copy()
+        populations[0] = [1.7e308, -1.7e308, 1.7e308]
+        with pytest.raises(InvalidParameterError, match="finite"):
+            mitigate_trace(m, PopulationTrace(delays, populations), clip=False)
 
 
 def _random_stochastic(rng):

@@ -817,6 +817,75 @@ class TestModelSelection:
         assert fit.information_score == fit.model_scores[1]
 
 
+class TestSelectionShortcut:
+    """``select_model`` skips order 2 when its score floor already loses; the
+    decision must be that of fitting both orders."""
+
+    @staticmethod
+    def single_tls_series(seed, weighted):
+        truths = [TlsTruth(
+            DriftProcess("ornstein_uhlenbeck", 4642.0, 9.6, 0.32, seed=10 + seed), 9.9, 14.0)]
+        clean, _ = synthetic_series(DEVICE_A, truths, DecayRates(2.2e-3, 2.11e-3), 30, seed=seed)
+        if not weighted:
+            return clean  # noiseless, no error columns: the common-variance branch
+        rng = np.random.default_rng(seed)
+        t1e = clean.t1e_us * (1.0 + 0.01 * rng.standard_normal(clean.n_epochs))
+        t1f = clean.t1f_us * (1.0 + 0.01 * rng.standard_normal(clean.n_epochs))
+        return LifetimeSeries(clean.epochs_hr, t1e, t1f, 0.01 * t1e, 0.01 * t1f)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_same_decision_as_full_comparison(self, seed, weighted, monkeypatch):
+        series = self.single_tls_series(seed, weighted)
+        assert series.has_errors == weighted
+        full = {order: track_tls(series, DEVICE_A, order) for order in (1, 2)}
+        scores = {order: information_score(f, series) for order, f in full.items()}
+        expected = min(sorted(scores), key=lambda order: scores[order])
+        floor = tracker._score(2, 0.0, series, DEFAULT_TRACKER_CONFIG)
+        # an actual order-2 fit never scores below the floor, exactly
+        assert scores[2] >= floor
+
+        fitted = []
+
+        def counting_track_tls(series, device, order, config):
+            fitted.append(order)
+            return track_tls(series, device, order, config)
+
+        monkeypatch.setattr(tracker, "track_tls", counting_track_tls)
+        fit = select_model(series, DEVICE_A)
+        assert fit.model_order == expected
+        assert fit.misfit == full[expected].misfit
+        for got, want in zip(fit.parameters.defects, full[expected].parameters.defects):
+            assert np.array_equal(got.trajectory_mhz, want.trajectory_mhz)
+        assert fit.information_score == scores[expected]
+        assert fitted == [order for order in (1, 2) if order not in fit.skipped_orders]
+        assert fit.skipped_orders == ([2] if scores[1] <= floor else [])
+        if fit.skipped_orders:
+            assert fit.model_scores == {1: scores[1], 2: floor}
+        else:
+            assert fit.model_scores == scores
+        if weighted:
+            k2 = DEFAULT_TRACKER_CONFIG.n_globals(2) + 2 * series.n_epochs
+            assert floor == k2 * np.log(2 * series.n_epochs)
+            assert fit.skipped_orders == [2]
+
+    def test_two_tls_fits_both_orders(self):
+        truths = [
+            TlsTruth(DriftProcess("ornstein_uhlenbeck", 5800.32, 6.235, 0.24, seed=21), 0.15, 12.0),
+            TlsTruth(DriftProcess("ornstein_uhlenbeck", 5639.0, 0.98, 0.12, seed=22), 1.042, 9.0),
+        ]
+        clean, _ = synthetic_series(DEVICE_B, truths, DecayRates(2e-3, 1.5e-3), 40, seed=9)
+        rng = np.random.default_rng(3)
+        t1e = clean.t1e_us * (1.0 + 0.01 * rng.standard_normal(clean.n_epochs))
+        t1f = clean.t1f_us * (1.0 + 0.01 * rng.standard_normal(clean.n_epochs))
+        series = LifetimeSeries(clean.epochs_hr, t1e, t1f, 0.01 * t1e, 0.01 * t1f)
+        fit = select_model(series, DEVICE_B)
+        assert fit.model_order == 2
+        assert fit.skipped_orders == []
+        assert fit.information_score == fit.model_scores[2] < fit.model_scores[1]
+        assert fit.to_json_dict()["skipped_orders"] == []
+
+
 class TestTrajectoryOutputs:
     def test_reconstruct(self, single_tls_case):
         _, _, fit = single_tls_case
