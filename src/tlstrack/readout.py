@@ -25,6 +25,10 @@ CONFUSION_SCHEMA_VERSION = 1
 #: Condition-number ceiling above which mitigation refuses to invert.
 MITIGATION_CONDITION_LIMIT = 1e6
 
+#: Points per :func:`classify_points` block: the block's buffers (under
+#: 1 MB) stay in a core's L2 cache.
+_CLASSIFY_BLOCK = 16384
+
 
 @dataclass(frozen=True)
 class IqBlobModel:
@@ -151,17 +155,36 @@ def calibrate_equilateral_radius(
     )
 
 
-def _log_likelihoods(blobs: IqBlobModel, points: np.ndarray) -> list[np.ndarray]:
-    """Each blob's log-likelihood of every point, one array per blob."""
-    out = []
+def _log_likelihoods(blobs: IqBlobModel, points: np.ndarray, work=None) -> list[np.ndarray]:
+    """Each blob's log-likelihood of every point, one array per blob.
+
+    ``work``, if given, is a (6, m) buffer with m >= len(points): the
+    results go into its first three rows and the other three are scratch.
+    Every step writes into the buffer, so nothing is allocated.
+    """
+    n = points.shape[0]
+    if work is None:
+        work = np.empty((6, n))
+    out, (dx, dy, term) = work[:3, :n], work[3:, :n]
     x, y = points[:, 0], points[:, 1]
     for k in range(3):
         (pxx, pxy), (pyx, pyy) = blobs._precisions[k]
-        dx = x - blobs.means[k, 0]
-        dy = y - blobs.means[k, 1]
-        quad = pxx * dx * dx + (pxy + pyx) * dx * dy + pyy * dy * dy
-        out.append(-0.5 * quad - blobs._half_log_dets[k])
-    return out
+        np.subtract(x, blobs.means[k, 0], out=dx)
+        np.subtract(y, blobs.means[k, 1], out=dy)
+        # quad = pxx*dx*dx + (pxy+pyx)*dx*dy + pyy*dy*dy, evaluated left to right
+        quad = out[k]
+        np.multiply(dx, pxx, out=quad)
+        quad *= dx
+        np.multiply(dx, pxy + pyx, out=term)
+        term *= dy
+        quad += term
+        np.multiply(dy, pyy, out=term)
+        term *= dy
+        quad += term
+        # log-likelihood = -0.5 * quad - half log-determinant
+        quad *= -0.5
+        quad -= blobs._half_log_dets[k]
+    return list(out)
 
 
 def classify(blobs: IqBlobModel, point: Sequence[float]) -> int:
@@ -173,22 +196,66 @@ def classify(blobs: IqBlobModel, point: Sequence[float]) -> int:
 
 
 def classify_points(blobs: IqBlobModel, points: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`classify` over an (n, 2) array of points."""
+    """Vectorized :func:`classify` over an (n, 2) array of points.
+
+    Works through the points in blocks of ``_CLASSIFY_BLOCK`` with one set
+    of reused buffers, so the temporaries stay in cache.  The points are
+    read in place, fastest from planar storage (``points[:, 0]``
+    contiguous), which is how :func:`sample_blob` returns them.
+    """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    l0, l1, l2 = _log_likelihoods(blobs, points)
-    # strict comparisons: a tie goes to the lower state, as with argmax
-    one = l1 > l0
-    labels = one.astype(np.intp)
-    labels[l2 > np.where(one, l1, l0)] = 2
+    n = points.shape[0]
+    labels = np.empty(n, dtype=np.intp)
+    size = min(n, _CLASSIFY_BLOCK)
+    work = np.empty((6, size))
+    # byte views of the two comparisons, so the labels come from integer maxima
+    flags = np.empty((2, size), dtype=np.uint8)
+    for start in range(0, n, _CLASSIFY_BLOCK):
+        block = points[start:start + _CLASSIFY_BLOCK]
+        m = block.shape[0]
+        l0, l1, l2 = _log_likelihoods(blobs, block, work)
+        # the log-likelihoods are in work[:3], so work[3] is free scratch
+        one, two, top = flags[0, :m], flags[1, :m], work[3, :m]
+        # label 2 if l2 beats max(l0, l1), else 1 if l1 beats l0, else 0: the
+        # comparisons are strict, so a tie goes to the lower state, as with argmax
+        np.greater(l1, l0, out=one.view(bool))
+        np.maximum(l0, l1, out=top)
+        np.greater(l2, top, out=two.view(bool))
+        two <<= 1
+        np.maximum(one, two, out=labels[start:start + m])
     return labels
+
+
+def _blob_points(blobs: IqBlobModel, state: int, z: np.ndarray, out: np.ndarray) -> None:
+    """Blob ``state``'s IQ points for the standard normals ``z`` (m, 2),
+    written into the planar ``out`` (2, m): point = mean + L·z, with L the
+    blob's lower Cholesky factor.
+
+    The arithmetic is elementwise, so a point's bits do not depend on how
+    many rows are transformed together (a BLAS ``z @ L.T`` gives different
+    last bits for different m).  ``z`` is used as scratch.
+    """
+    (l00, _), (l10, l11) = blobs._cholesky[state]
+    x, y = out
+    z0, z1 = z[:, 0], z[:, 1]
+    np.multiply(z0, l00, out=x)
+    x += blobs.means[state, 0]
+    np.multiply(z0, l10, out=y)
+    z1 *= l11
+    y += z1
+    y += blobs.means[state, 1]
 
 
 def sample_blob(
     blobs: IqBlobModel, state: int, n: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw ``n`` IQ points from blob ``state`` using the supplied stream."""
-    z = rng.standard_normal((n, 2))
-    return blobs.means[state] + z @ blobs._cholesky[state].T
+    """Draw ``n`` IQ points from blob ``state`` using the supplied stream.
+
+    The (n, 2) result is a view of planar (2, n) storage.
+    """
+    out = np.empty((2, n))
+    _blob_points(blobs, state, rng.standard_normal((n, 2)), out)
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -282,13 +349,21 @@ def _require_stable(m: ConfusionMatrix) -> None:
 
 
 def _solve_and_clip(m: ConfusionMatrix, observed: np.ndarray, clip: bool) -> np.ndarray:
-    p = np.linalg.solve(m.m, observed)
-    if clip and np.any(p < 0.0):
-        p = np.clip(p, 0.0, None)
-        s = p.sum()
-        if s == 0.0:
-            raise InvalidParameterError("mitigated vector clipped to zero; input invalid")
-        p = p / s
+    """Mitigate every row of ``observed`` (n, 3) with one stacked solve.
+
+    Each row gets its own 3x3 LAPACK solve, so its bits do not depend on
+    n; one solve with all rows as right-hand sides would change them.
+    """
+    n = observed.shape[0]
+    p = np.linalg.solve(np.broadcast_to(m.m, (n, 3, 3)), observed[..., None])[..., 0]
+    if clip:
+        negative = np.flatnonzero((p < 0.0).any(axis=1))
+        if negative.size:
+            rows = np.clip(p[negative], 0.0, None)
+            sums = rows.sum(axis=1, keepdims=True)
+            if np.any(sums == 0.0):
+                raise InvalidParameterError("mitigated vector clipped to zero; input invalid")
+            p[negative] = rows / sums
     return p
 
 
@@ -310,7 +385,7 @@ def mitigate(
     raw inverse is returned even if slightly unphysical.
     """
     _require_stable(m)
-    return PopulationState.from_vector(_solve_and_clip(m, observed.vector(), clip))
+    return PopulationState.from_vector(_solve_and_clip(m, observed.vector()[None], clip)[0])
 
 
 def mitigate_trace(m: ConfusionMatrix, trace: PopulationTrace, clip: bool = True) -> PopulationTrace:
@@ -318,9 +393,7 @@ def mitigate_trace(m: ConfusionMatrix, trace: PopulationTrace, clip: bool = True
     matrix's condition number once."""
     _require_stable(m)
     _require_finite(trace.populations, "observed")
-    corrected = np.empty_like(trace.populations)
-    for i, row in enumerate(trace.populations):
-        corrected[i] = _solve_and_clip(m, row, clip)
+    corrected = _solve_and_clip(m, trace.populations, clip)
     _require_finite(corrected, "mitigated")
     return PopulationTrace(trace.delays.copy(), corrected, None if trace.shots is None else trace.shots.copy())
 

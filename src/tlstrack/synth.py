@@ -21,8 +21,8 @@ import numpy as np
 
 from .dynamics import DecayRates, PopulationTrace, closed_form_populations
 from .errors import InvalidParameterError, ScenarioSchemaError
-from .readout import ConfusionMatrix, IDENTITY_CONFUSION, IqBlobModel, classify_points, \
-    equilateral_blobs, sample_blob, simulate_confusion_matrix
+from .readout import ConfusionMatrix, IDENTITY_CONFUSION, IqBlobModel, _blob_points, \
+    classify_points, equilateral_blobs, simulate_confusion_matrix
 from .tls import DeviceFrequencies, TlsDefect, TlsParameterSet, rate_series
 from .tracker import LifetimeSeries
 
@@ -159,22 +159,30 @@ class Scenario:
 # -- scenario JSON ----------------------------------------------------------
 
 
-def _need(doc: dict, key: str, path: str):
+_REQUIRED = object()
+
+
+def _need(doc: dict, key: str, path: str, default=_REQUIRED):
+    """``doc[key]``; ``default`` if the key is absent and one is given."""
+    if not isinstance(doc, dict):
+        raise ScenarioSchemaError(path, f"expected an object, got {doc!r}")
     if key not in doc:
+        if default is not _REQUIRED:
+            return default
         raise ScenarioSchemaError(f"{path}.{key}" if path else key, "missing required field")
     return doc[key]
 
 
-def _number(doc: dict, key: str, path: str) -> float:
-    v = _need(doc, key, path)
+def _number(doc: dict, key: str, path: str, default=_REQUIRED) -> float:
+    v = _need(doc, key, path, default)
     if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(float(v)):
         raise ScenarioSchemaError(f"{path}.{key}" if path else key,
                                   f"expected a finite number, got {v!r}")
     return float(v)
 
 
-def _integer(doc: dict, key: str, path: str) -> int:
-    v = _need(doc, key, path)
+def _integer(doc: dict, key: str, path: str, default=_REQUIRED) -> int:
+    v = _need(doc, key, path, default)
     if not isinstance(v, int) or isinstance(v, bool):
         raise ScenarioSchemaError(f"{path}.{key}" if path else key,
                                   f"expected an integer, got {v!r}")
@@ -201,7 +209,7 @@ def _delays_from_doc(doc: dict, path: str) -> np.ndarray:
 def _blobs_from_doc(doc, path: str) -> Optional[IqBlobModel]:
     if doc is None:
         return None
-    kind = doc.get("kind", "explicit")
+    kind = _need(doc, "kind", path, "explicit")
     try:
         if kind == "equilateral":
             return equilateral_blobs(_number(doc, "radius", path), _number(doc, "sigma", path))
@@ -228,9 +236,10 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
     except InvalidParameterError as err:
         raise ScenarioSchemaError("device", str(err)) from None
 
-    bg_doc = doc.get("background", {})
+    bg_doc = _need(doc, "background", "", {})
     try:
-        background = DecayRates(bg_doc.get("gamma10", 0.0), bg_doc.get("gamma21", 0.0))
+        background = DecayRates(_number(bg_doc, "gamma10", "background", 0.0),
+                                _number(bg_doc, "gamma21", "background", 0.0))
     except InvalidParameterError as err:
         raise ScenarioSchemaError("background", str(err)) from None
 
@@ -241,13 +250,14 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
     for i, entry in enumerate(tls_doc):
         path = f"tls[{i}]"
         drift_doc = _need(entry, "drift", path)
+        drift_path = f"{path}.drift"
         try:
             drift = DriftProcess(
-                kind=_need(drift_doc, "kind", f"{path}.drift"),
-                start_mhz=_number(drift_doc, "start_mhz", f"{path}.drift"),
-                sigma_mhz=drift_doc.get("sigma_mhz", 0.0),
-                theta_per_hr=drift_doc.get("theta_per_hr", 0.0),
-                seed=drift_doc.get("seed", i),
+                kind=_need(drift_doc, "kind", drift_path),
+                start_mhz=_number(drift_doc, "start_mhz", drift_path),
+                sigma_mhz=_number(drift_doc, "sigma_mhz", drift_path, 0.0),
+                theta_per_hr=_number(drift_doc, "theta_per_hr", drift_path, 0.0),
+                seed=_integer(drift_doc, "seed", drift_path, i),
             )
             truths.append(
                 TlsTruth(drift, _number(entry, "coupling_weight", path),
@@ -256,6 +266,9 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
         except InvalidParameterError as err:
             raise ScenarioSchemaError(path, str(err)) from None
 
+    exact = _need(doc, "exact_populations", "", False)
+    if not isinstance(exact, bool):
+        raise ScenarioSchemaError("exact_populations", f"expected true or false, got {exact!r}")
     try:
         return Scenario(
             name=str(doc.get("name", "scenario")),
@@ -266,9 +279,9 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
             epoch_spacing_hr=_number(doc, "epoch_spacing_hr", ""),
             delays_us=_delays_from_doc(_need(doc, "delays", ""), "delays"),
             shots_per_delay=_integer(doc, "shots_per_delay", ""),
-            calibration_shots=doc.get("calibration_shots", 100_000),
+            calibration_shots=_integer(doc, "calibration_shots", "", 100_000),
             blobs=_blobs_from_doc(doc.get("blobs"), "blobs"),
-            exact_populations=bool(doc.get("exact_populations", False)),
+            exact_populations=exact,
             master_seed=_integer(doc, "master_seed", ""),
         )
     except InvalidParameterError as err:
@@ -364,26 +377,50 @@ def _sample_epoch_trace(
     ideal = closed_form_populations(rates, delays).T
     if exact:
         return PopulationTrace(delays.copy(), ideal)
-    counts = np.empty((delays.size, 3), dtype=np.int64)
-    points = None if blobs is None else np.empty((delays.size * shots, 2))
-    for i in range(delays.size):
-        p = np.clip(ideal[i], 0.0, None)
-        p = p / p.sum()
-        counts[i] = rng.multinomial(shots, p)
-        if blobs is not None:
-            row = i * shots
-            for k in range(3):
-                n = int(counts[i, k])
-                if n == 0:
-                    continue
-                points[row:row + n] = sample_blob(blobs, k, n, rng)
-                row += n
-    if blobs is not None:
-        # one classification per epoch; each delay owns `shots` consecutive rows
-        states = classify_points(blobs, points)
-        delay_index = np.repeat(np.arange(delays.size), shots)
-        counts = np.bincount(3 * delay_index + states, minlength=counts.size).reshape(counts.shape)
+    p = np.clip(ideal, 0.0, None)
+    p /= p.sum(axis=1, keepdims=True)
+    if blobs is None:
+        counts = np.array([rng.multinomial(shots, row) for row in p])
+    else:
+        counts = _classified_counts(p, shots, blobs, rng)
     return PopulationTrace(delays.copy(), counts / float(shots), np.full(delays.size, shots))
+
+
+def _classified_counts(
+    p: np.ndarray, shots: int, blobs: IqBlobModel, rng: np.random.Generator
+) -> np.ndarray:
+    """Per-delay assignment counts (delays, 3) of ``shots`` prepared shots
+    per delay, each drawn from its state's blob and classified.
+
+    The stream is the per-delay one: a multinomial draw of the prepared
+    states, then each state's normals in state order.  Each state's normals
+    go into their own region of one buffer, so each blob is transformed and
+    all shots are classified in single calls.
+    """
+    n_delays = p.shape[0]
+    n = n_delays * shots
+    # state 0 fills z[:n] upwards and state 2 fills it downwards from n, so
+    # both end where their points go (they never meet, as n0 + n2 <= n);
+    # state 1 fills z[n:] upwards and its points go between the two
+    z = np.empty((2 * n, 2))
+    prepared = np.empty((n_delays, 3), dtype=np.int64)
+    top0, top1, bottom2 = 0, n, n
+    for i in range(n_delays):
+        n0, n1, n2 = prepared[i] = rng.multinomial(shots, p[i])
+        rng.standard_normal(out=z[top0:top0 + n0])
+        rng.standard_normal(out=z[top1:top1 + n1])
+        rng.standard_normal(out=z[bottom2 - n2:bottom2])
+        top0, top1, bottom2 = top0 + n0, top1 + n1, bottom2 - n2
+    points = np.empty((2, n))
+    _blob_points(blobs, 0, z[:top0], points[:, :top0])
+    _blob_points(blobs, 1, z[n:top1], points[:, top0:bottom2])
+    _blob_points(blobs, 2, z[bottom2:n], points[:, bottom2:])
+    # key = 3 * delay + label; the state-2 rows run from the last delay to the first
+    delay3 = 3 * np.arange(n_delays)
+    key = np.repeat(np.concatenate([delay3, delay3, delay3[::-1]]),
+                    np.concatenate([prepared[:, 0], prepared[:, 1], prepared[::-1, 2]]))
+    key += classify_points(blobs, points.T)
+    return np.bincount(key, minlength=3 * n_delays).reshape(n_delays, 3)
 
 
 def synthesize_epoch(scenario: Scenario, epoch: int, rates: DecayRates) -> PopulationTrace:

@@ -89,6 +89,32 @@ class TestSimulate:
         assert main(["simulate", str(bad), "--out", str(tmp_path / 'run')]) == 2
         assert "device.omega01_mhz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "mutate,path",
+        [
+            (lambda d: d.update(calibration_shots="abc"), "calibration_shots"),
+            (lambda d: d.update(calibration_shots=2.5), "calibration_shots"),
+            (lambda d: d.update(background=[0.1]), "background"),
+            (lambda d: d["background"].update(gamma10="x"), "background.gamma10"),
+            (lambda d: d["background"].update(gamma21=None), "background.gamma21"),
+            (lambda d: d["tls"][0]["drift"].update(sigma_mhz="abc"), "tls[0].drift.sigma_mhz"),
+            (lambda d: d["tls"][0]["drift"].update(theta_per_hr=[0.3]),
+             "tls[0].drift.theta_per_hr"),
+            (lambda d: d["tls"][0]["drift"].update(seed=1.5), "tls[0].drift.seed"),
+            (lambda d: d.update(exact_populations="false"), "exact_populations"),
+            (lambda d: d.update(blobs=5), "blobs"),
+        ],
+    )
+    def test_bad_optional_field_exit_2(self, tmp_path, capsys, mutate, path):
+        doc = scenario_to_json_dict(tiny_scenario())
+        mutate(doc)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["simulate", str(bad), "--out", str(out)]) == 2
+        assert f"error: {path}: expected" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_scenario_name(self, tmp_path):
         assert main(["simulate", "device_Z", "--out", str(tmp_path / "run")]) == 2
 

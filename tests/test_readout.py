@@ -165,6 +165,18 @@ class TestClassify:
             IqBlobModel(np.zeros((3, 2)), bad)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 300])
+def test_sample_blob_is_elementwise(n):
+    # point = mean + L·z one scalar at a time, so no row's bits depend on n
+    z = np.random.default_rng(n).standard_normal((n, 2))
+    points = sample_blob(CORRELATED, 2, n, np.random.default_rng(n))
+    (l00, _), (l10, l11) = np.linalg.cholesky(CORRELATED.covariances[2]).tolist()
+    mx, my = CORRELATED.means[2].tolist()
+    expected = [[mx + l00 * a, my + (l10 * a + l11 * b)] for a, b in z.tolist()]
+    assert points.shape == (n, 2) and np.array_equal(points, expected)
+    assert np.array_equal(points[0], sample_blob(CORRELATED, 2, 1, np.random.default_rng(n))[0])
+
+
 class TestConfusionSimulation:
     def test_far_separated_blobs_identity(self):
         blobs = iso_blobs([[0, 0], [1000, 0], [0, 1000]])
@@ -304,6 +316,55 @@ class TestMitigation:
         populations[0] = [1.7e308, -1.7e308, 1.7e308]
         with pytest.raises(InvalidParameterError, match="finite"):
             mitigate_trace(m, PopulationTrace(delays, populations), clip=False)
+
+
+def per_row_mitigation(m, populations, clip):
+    """Independent reference: one 3x3 solve per row, clipped one at a time."""
+    out = np.empty_like(populations)
+    for i, row in enumerate(populations):
+        p = np.linalg.solve(m.m, row)
+        if clip and np.any(p < 0.0):
+            p = np.clip(p, 0.0, None)
+            p = p / p.sum()
+        out[i] = p
+    return out
+
+
+class TestStackedMitigation:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("clip", [True, False])
+    def test_bit_identical_to_per_row(self, seed, clip):
+        rng = np.random.default_rng(seed)
+        m = ConfusionMatrix(_random_stochastic(rng))
+        # noisy simplex points: many rows leave the simplex and clip
+        populations = rng.dirichlet(np.ones(3), size=30) + rng.normal(scale=0.03, size=(30, 3))
+        trace = PopulationTrace(np.arange(1.0, 31.0), populations)
+        got = mitigate_trace(m, trace, clip=clip).populations
+        assert np.array_equal(got, per_row_mitigation(m, populations, clip))
+        raw = per_row_mitigation(m, populations, False)
+        assert np.any(raw < 0.0) and np.any(np.all(raw >= 0.0, axis=1))
+        for i in range(len(trace)):
+            assert np.array_equal(got[i], mitigate(m, trace.state(i), clip=clip).vector())
+
+    def test_single_point_trace(self):
+        m = ConfusionMatrix(_random_stochastic(np.random.default_rng(4)))
+        populations = np.array([[1.0, 0.0, 0.0]])
+        got = mitigate_trace(m, PopulationTrace(np.array([5.0]), populations)).populations
+        assert np.array_equal(got, per_row_mitigation(m, populations, True))
+
+    def test_zero_sum_row_among_clipped_rows(self):
+        delays = np.array([1.0, 2.0, 3.0, 4.0])
+        populations = np.array([
+            [1.2, -0.1, -0.1],   # clips to a valid vector
+            [0.5, 0.3, 0.2],
+            [-0.4, -0.3, -0.3],  # clips to zero
+            [0.9, 0.2, -0.1],
+        ])
+        identity = ConfusionMatrix(np.eye(3))
+        with pytest.raises(InvalidParameterError, match="clipped to zero"):
+            mitigate_trace(identity, PopulationTrace(delays, populations))
+        out = mitigate_trace(identity, PopulationTrace(delays, populations), clip=False)
+        assert np.array_equal(out.populations, populations)
 
 
 def _random_stochastic(rng):

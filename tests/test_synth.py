@@ -1,12 +1,15 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlstrack.dynamics import DecayRates, closed_form_populations
 from tlstrack.errors import InvalidParameterError, ScenarioSchemaError
-from tlstrack.readout import IqBlobModel, equilateral_blobs
+from tlstrack.readout import IqBlobModel, equilateral_blobs, simulate_confusion_matrix
 from tlstrack.synth import (
     DriftProcess,
     Scenario,
@@ -207,6 +210,88 @@ class TestEpochStreams:
         assert np.array_equal(got.populations, expected)
         assert np.array_equal(got.shots, np.full(delays.size, 300))
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def random_spd_blobs(seed):
+    """Blob means and symmetric positive definite covariances, correlated
+    and anisotropic, from one seed."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(3, 2, 2))
+    covs = a @ a.transpose(0, 2, 1) + 0.05 * np.eye(2)
+    return IqBlobModel(rng.normal(scale=2.0, size=(3, 2)), covs)
+
+
+def reference_assignments(blobs, points):
+    """Argmax of einsum log-likelihoods with a fresh inverse and determinant."""
+    ll = np.empty((points.shape[0], 3))
+    for j in range(3):
+        d = points - blobs.means[j]
+        cov = blobs.covariances[j]
+        ll[:, j] = (-0.5 * np.einsum("ni,ij,nj->n", d, np.linalg.inv(cov), d)
+                    - 0.5 * math.log(float(np.linalg.det(cov))))
+    return np.argmax(ll, axis=1)
+
+
+class TestEpochSamplerProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        blob_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        shots=st.sampled_from([1, 2, 3, 7, 300]),
+        n_delays=st.integers(1, 12),
+        t1e=st.floats(5.0, 500.0),
+        t1f=st.floats(5.0, 500.0),
+    )
+    def test_matches_per_state_reference(self, blob_seed, seed, shots, n_delays, t1e, t1f):
+        # delay 0 prepares |2> only, so states 0 and 1 draw no shots there
+        delays = np.concatenate([[0.0], np.geomspace(0.5, 900.0, n_delays)])
+        rates = DecayRates(1.0 / t1e, 1.0 / t1f)
+        blobs = random_spd_blobs(blob_seed)
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _sample_epoch_trace(delays, rates, shots, blobs, False, got_rng)
+        expected = reference_epoch_trace(delays, rates, shots, blobs, ref_rng)
+        assert np.array_equal(got.populations, expected)
+        assert np.array_equal(got.shots, np.full(delays.size, shots))
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("shots", [1, 2, 3, 7, 300])
+    @pytest.mark.parametrize("blob_seed", [0, 1, 2])
+    def test_confusion_matches_per_state_reference(self, blob_seed, shots):
+        blobs = random_spd_blobs(blob_seed)
+        rng = np.random.default_rng(blob_seed + 10)
+        expected = np.zeros((3, 3))
+        for k in range(3):
+            z = rng.standard_normal((shots, 2))
+            points = blobs.means[k] + z @ np.linalg.cholesky(blobs.covariances[k]).T
+            expected[:, k] = np.bincount(reference_assignments(blobs, points), minlength=3) / shots
+        got = simulate_confusion_matrix(blobs, shots, blob_seed + 10)
+        assert np.array_equal(got.m, expected)
+
+
+def run_digest(name, out_dir, epochs=6):
+    """SHA-256 over the trace CSVs and confusion.json of a short synthesis
+    of a bundled scenario at its bundled seed."""
+    sc = bundled_scenario(name)
+    sc.epochs = epochs
+    out = write_run_directory(sc, out_dir)
+    h = hashlib.sha256()
+    for path in [out / "confusion.json", *sorted((out / "traces").glob("epoch_*.csv"))]:
+        h.update(path.relative_to(out).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+# recorded before the blocked sampler and classifier replaced the
+# per-(delay, state) ones; any change to a synthesized stream shows here
+GOLDEN_DIGESTS = {
+    "device_A": "6321e1ab01c5004f80f7311661fea53c516a33b3e5abb1b9e61fa7b8165ef8c5",
+    "device_B": "7f24498cfb04fd493c27da7e4bab2a4cdb7f7ccb833ff26ddbf12fcee175758a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
+def test_bundled_streams_match_golden_digest(name, tmp_path):
+    assert run_digest(name, tmp_path / "run") == GOLDEN_DIGESTS[name]
 
 
 class TestScenarioJson:
