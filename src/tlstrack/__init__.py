@@ -55,7 +55,7 @@ from .tls import (
     rates_with_background,
     transition_rates,
 )
-from .trace_fit import TraceFit, default_delay_grid, fit_trace, initial_guess
+from .trace_fit import TraceFit, default_delay_grid, fit_trace, fit_traces, initial_guess
 from .tracker import (
     LifetimeSeries,
     TrackerConfig,

@@ -30,7 +30,7 @@ from .errors import (
 from .readout import ConfusionMatrix, mitigate_trace
 from .synth import bundled_scenario_path, scenario_from_json_dict, write_run_directory
 from .tls import DeviceFrequencies
-from .trace_fit import fit_trace
+from .trace_fit import fit_traces
 from .tracker import (
     LifetimeSeries,
     TrackerConfig,
@@ -172,14 +172,13 @@ def cmd_simulate(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _fit_one_epoch(args) -> dict:
-    path, confusion_doc, weighting = args
+def _read_epoch(args) -> PopulationTrace:
+    """One epoch's trace, mitigated when a confusion matrix is given."""
+    path, confusion_doc = args
     trace = PopulationTrace.from_csv(path)
     if confusion_doc is not None:
-        confusion = ConfusionMatrix.from_json_dict(confusion_doc)
-        trace = mitigate_trace(confusion, trace)
-    fit = fit_trace(trace, weighting=weighting)
-    return fit.to_json_dict()
+        trace = mitigate_trace(ConfusionMatrix.from_json_dict(confusion_doc), trace)
+    return trace
 
 
 def cmd_fit_series(args, config: dict) -> int:
@@ -213,17 +212,21 @@ def cmd_fit_series(args, config: dict) -> int:
             f"{scenario_path}: epoch_spacing_hr: expected a finite number > 0, got {spacing!r}"
         )
 
-    work = [(str(p), confusion_doc, weighting) for p in trace_files]
+    # workers only read and mitigate; every trace is fitted in one batched solve
+    work = [(str(p), confusion_doc) for p in trace_files]
     if jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            fits = list(pool.map(_fit_one_epoch, work, chunksize=8))
+            traces = list(pool.map(_read_epoch, work, chunksize=8))
     else:
-        fits = [_fit_one_epoch(w) for w in work]
+        traces = [_read_epoch(w) for w in work]
+    fits = [fit.to_json_dict() for fit in fit_traces(traces, weighting)]
+    unconverged = [i for i, fit in enumerate(fits) if not fit["converged"]]
 
     out = _resolve_out(args.out, run_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "fits.json", "w") as fh:
-        json.dump({"epoch_spacing_hr": spacing, "fits": fits}, fh, indent=1)
+        json.dump({"epoch_spacing_hr": spacing, "unconverged_epochs": unconverged, "fits": fits},
+                  fh, indent=1)
     series_path = out / "series.csv"
     with open(series_path, "w", newline="") as fh:
         fh.write("timestamp_hr,t1e_us,t1f_us,err_e,err_f,converged\n")
@@ -232,13 +235,13 @@ def cmd_fit_series(args, config: dict) -> int:
                 f"{i * spacing!r},{fit['t1e_us']!r},{fit['t1f_us']!r},"
                 f"{fit['stderr_t1e']!r},{fit['stderr_t1f']!r},{int(fit['converged'])}\n"
             )
-    n_bad = sum(1 for f in fits if not f["converged"])
     _write_manifest(out, "fit-series",
                     {"weighting": weighting, "jobs": jobs,
                      "mitigation": confusion_doc is not None},
                     [str(run_dir)], ["fits.json", "series.csv"], None, started)
     print(f"fit-series: {len(fits)} epochs -> {series_path}"
-          + (f" ({n_bad} unconverged, flagged)" if n_bad else ""))
+          + (f" ({len(unconverged)} unconverged, flagged: epochs "
+             f"{', '.join(map(str, unconverged))})" if unconverged else ""))
     return EXIT_OK
 
 

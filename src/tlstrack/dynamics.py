@@ -21,6 +21,7 @@ from .errors import InvalidParameterError
 DEGENERATE_RATE_RTOL = 1e-9
 
 TRACE_SCHEMA_VERSION = 1
+_TRACE_COLUMNS = ("delay_us", "p0", "p1", "p2")
 
 
 @dataclass(frozen=True)
@@ -180,15 +181,40 @@ class PopulationTrace:
 
     @classmethod
     def from_csv(cls, path) -> "PopulationTrace":
-        delays, pops, shots = [], [], []
+        """Read a trace written by :meth:`to_csv`; the ``shots`` column is optional.
+
+        A missing column, a cell that is not a finite number, or a shot count
+        that is not an integer raises ``InvalidParameterError`` naming the
+        file, line and column.
+        """
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                delays.append(float(row["delay_us"]))
-                pops.append([float(row["p0"]), float(row["p1"]), float(row["p2"])])
-                s = row.get("shots", "")
-                shots.append(int(s) if s not in ("", None) else None)
+            rows = csv.reader(fh)
+            header = next(rows, [])
+            for column in _TRACE_COLUMNS:
+                if column not in header:
+                    raise InvalidParameterError(f"{path}: line 1: missing column {column!r}")
+            index = [header.index(c) for c in _TRACE_COLUMNS]
+            if "shots" in header:
+                index.append(header.index("shots"))
+            values, shots = [], []
+            for row in rows:
+                if not row:
+                    continue
+                try:
+                    v = [float(row[i]) for i in index[:4]]
+                    s = row[index[4]] if len(index) > 4 and index[4] < len(row) else ""
+                    shots.append(int(s) if s != "" else None)
+                except (ValueError, IndexError):
+                    v = [math.nan]
+                if not all(map(math.isfinite, v)):
+                    raise _bad_cell(path, rows.line_num, row, header, index)
+                values.append(v)
+        values = np.array(values).reshape(-1, 4)
         shot_arr = None if any(s is None for s in shots) else np.array(shots)
-        return cls(np.array(delays), np.array(pops), shot_arr)
+        try:
+            return cls(values[:, 0], values[:, 1:], shot_arr)
+        except InvalidParameterError as err:
+            raise InvalidParameterError(f"{path}: {err}") from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -216,7 +242,79 @@ class PopulationTrace:
                    None if shots is None else np.array(shots))
 
 
+def _parses(parse, text: str) -> bool:
+    try:
+        return math.isfinite(parse(text))
+    except ValueError:
+        return False
+
+
+def _bad_cell(path, line: int, row: list, header: list, index: list) -> InvalidParameterError:
+    """The error naming the first cell of a trace CSV row that does not parse:
+    an absent or non-finite number, or a shot count that is not an integer."""
+    for i in index:
+        text, column = (row[i] if i < len(row) else ""), header[i]
+        if column == "shots":
+            if text == "" or _parses(int, text):
+                continue
+            expected = "an integer"
+        elif _parses(float, text):
+            continue
+        else:
+            expected = "a finite number"
+        return InvalidParameterError(
+            f"{path}: line {line}: column {column!r}: expected {expected}, got {text!r}")
+    raise AssertionError("every cell parses")
+
+
 # -- forward models -------------------------------------------------------
+
+
+#: |x| = |gamma_21 - gamma_10|*t below which the derivatives of p1 come from
+#: Taylor series in x.  Above it the difference quotients lose about
+#: 2e-16/x^2 relative to cancellation; below it the series' truncation
+#: error is under 1e-17 relative.
+_SERIES_X = 0.1
+_SERIES_TERMS = range(10)
+#: Coefficients, highest power first, of phi(x) = (1 - e^-x)/x and of phi'(x).
+_PHI = [(-1.0) ** k / math.factorial(k + 1) for k in reversed(_SERIES_TERMS)]
+_DPHI = [(-1.0) ** (k + 1) * (k + 1) / math.factorial(k + 2) for k in reversed(_SERIES_TERMS)]
+
+
+def _cascade(g10, g21, t, jacobian: bool = False):
+    """Closed-form cascade populations (p0, p1, p2) from |2>, elementwise.
+
+    ``g10``, ``g21`` and ``t`` broadcast against each other and are not
+    validated.  p1 switches to the limit form g*t*exp(-g*t), g the mean
+    rate, where the two rates agree to within ``DEGENERATE_RATE_RTOL``
+    (relative), which avoids catastrophic cancellation in the difference of
+    exponentials.  With ``jacobian`` the result is ``(p, dp/dg10, dp/dg21)``,
+    each a 3-tuple.  Writing p1 = g21*q with q = (e1 - e2)/d, e1 =
+    exp(-g10*t), e2 = exp(-g21*t), d = g21 - g10 and x = d*t, the
+    derivatives of q are (q - t*e1)/d and (t*e2 - q)/d; for |x| below
+    ``_SERIES_X``, a band that contains the degenerate limit, they are
+    -t^2*e1*(phi + phi') and t^2*e1*phi' with phi(x) = (1 - e^-x)/x from
+    its Taylor series, so they stay exact as d -> 0.
+    """
+    d = g21 - g10
+    degenerate = np.abs(d) / np.maximum(g21, g10) < DEGENERATE_RATE_RTOL
+    e1, p2 = np.exp(-g10 * t), np.exp(-g21 * t)
+    g = 0.5 * (g10 + g21)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p1 = np.where(degenerate, g * t * np.exp(-g * t), g21 * (e1 - p2) / d)
+    p = (1.0 - p1 - p2, p1, p2)
+    if not jacobian:
+        return p
+    x = d * t
+    phi, dphi = np.polyval(_PHI, x), np.polyval(_DPHI, x)
+    series = np.abs(x) < _SERIES_X
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(series, t * e1 * phi, (e1 - p2) / d)
+        dq10 = np.where(series, -t * t * e1 * (phi + dphi), (q - t * e1) / d)
+        dq21 = np.where(series, t * t * e1 * dphi, (t * p2 - q) / d)
+    d10 = (-g21 * dq10, g21 * dq10, np.zeros_like(p2))
+    d21 = (t * p2 - q - g21 * dq21, q + g21 * dq21, -t * p2)
+    return p, d10, d21
 
 
 def closed_form_populations(rates: DecayRates, t) -> np.ndarray:
@@ -233,15 +331,7 @@ def closed_form_populations(rates: DecayRates, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or not np.all(np.isfinite(t)):
         raise InvalidParameterError("delay times must be finite and >= 0")
-    g10, g21 = rates.gamma_10, rates.gamma_21
-    p2 = np.exp(-g21 * t)
-    if abs(g21 - g10) / max(g21, g10) < DEGENERATE_RATE_RTOL:
-        g = 0.5 * (g10 + g21)
-        p1 = g * t * np.exp(-g * t)
-    else:
-        p1 = g21 * (np.exp(-g10 * t) - p2) / (g21 - g10)
-    p0 = 1.0 - p1 - p2
-    return np.stack([p0, p1, p2])
+    return np.stack(_cascade(rates.gamma_10, rates.gamma_21, t))
 
 
 def populations_closed_form(rates: DecayRates, t: float) -> PopulationState:

@@ -1,13 +1,19 @@
 """Levenberg-Marquardt least squares with box bounds.
 
-Small and self-contained on purpose: the problems it solves have a handful
-of parameters, and keeping the solver local makes the bound handling,
-finite-difference stepping, and convergence reporting exact to this
-package's contracts.  Only the trace fits (:mod:`tlstrack.trace_fit`) call
-it.  The tracker's solves have their own structure and their own solvers in
-:mod:`tlstrack.tracker`, which keep :class:`FitOptions`' tolerances and
-damping schedule: closed-form 2x2 steps per epoch, and a Schur-complement
-step for the joint update, whose Jacobian grows with the number of epochs.
+Small and self-contained on purpose: the problems have a handful of
+parameters, and keeping the solvers local makes the bound handling,
+stopping tests and convergence reporting exact to this package's contracts.
+
+:func:`_damped_newton_2x2` is the solver of every pipeline stage with two
+unknowns per problem: the trace fits (:func:`tlstrack.trace_fit.fit_traces`)
+and the tracker's per-epoch two-defect frequency solves.  It runs a whole
+stack of independent problems at once with closed-form 2x2 damped normal
+equations, and each caller supplies its own residuals and analytic
+derivatives.  The tracker's joint update has its own Schur-complement step
+in :mod:`tlstrack.tracker`.  All of them keep :class:`FitOptions`'
+tolerances and damping schedule.  The generic :func:`levenberg_marquardt`,
+:func:`solve` and :func:`finite_difference_jacobian` remain as the reference
+solver; no pipeline stage calls them.
 """
 
 from __future__ import annotations
@@ -239,3 +245,79 @@ def solve(
 ) -> FitResult:
     """Convenience wrapper around :func:`levenberg_marquardt`."""
     return levenberg_marquardt(LeastSquaresProblem(residual, initial, lower, upper), options)
+
+
+def _outward(x, grad, lo, hi):
+    """Where the gradient pushes a coordinate on a bound outside it."""
+    return ((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0))
+
+
+def _damped_newton_2x2(x, lo, hi, residuals, linearise, options: FitOptions):
+    """Bounded Levenberg-Marquardt on a stack of independent 2-parameter problems.
+
+    ``x`` has shape (2, n), one column per problem; it is clipped into
+    [``lo``, ``hi``].  ``residuals(x, idx)`` returns ``(r, cost)`` for the
+    problems ``idx`` at the columns of ``x``: a tuple ``r`` of arrays whose
+    first axes run over those problems, and their costs (squared residual
+    norms).  ``linearise(x, idx, r)`` returns ``(grad, h00, h01, h11)``:
+    the gradient Jᵀr, shape (2, len(idx)), and the three distinct entries
+    of JᵀJ.
+
+    The damped normal equations (JᵀJ + λ·diag) step = -Jᵀr are solved in
+    closed form.  The stopping tests and damping schedule are those of
+    :func:`levenberg_marquardt`: a problem stops when its projected gradient
+    is within ``gtol``, when an accepted step lowers its cost by at most
+    ``ftol`` relative or moves it by at most ``xtol`` relative, or when λ
+    exceeds ``lambda_max`` without a lower cost (a local minimum to working
+    precision).  Each pass works on the problems still active, and every
+    problem's arithmetic is elementwise, so its result does not depend on
+    the other problems in the stack.  Returns (x, r, cost, iterations,
+    converged); ``iterations`` counts each problem's linearisations, and a
+    problem still active after ``max_iterations`` is not converged.
+    """
+    opt = options
+    x = np.clip(x, lo, hi)
+    r, cost = residuals(x, np.arange(x.shape[1]))
+    lam = np.full(cost.size, opt.lambda_init)
+    iterations = np.zeros(cost.size, dtype=int)
+    active = cost > 0.0
+    for _ in range(opt.max_iterations):
+        cols = np.flatnonzero(active)
+        if cols.size == 0:
+            break
+        iterations += active
+        xa = x[:, cols]
+        grad, h00, h01, h11 = linearise(xa, cols, tuple(ri.take(cols, axis=0) for ri in r))
+        # projected gradient: directions pushing outside the box do not count
+        stop = np.max(np.abs(np.where(_outward(xa, grad, lo, hi), 0.0, grad)), axis=0) <= opt.gtol
+        active[cols[stop]] = False
+        d0, d1 = np.where(h00 > 0.0, h00, 1.0), np.where(h11 > 0.0, h11, 1.0)
+        pending = np.flatnonzero(~stop)      # positions in cols
+        while pending.size:
+            p = cols[pending]
+            # no descent direction within the damping budget: a local minimum
+            # to working precision
+            exhausted = lam[p] > opt.lambda_max
+            active[p[exhausted]] = False
+            pending, p = pending[~exhausted], p[~exhausted]
+            a = h00[pending] + lam[p] * d0[pending]
+            c = h11[pending] + lam[p] * d1[pending]
+            b = h01[pending]
+            det = a * c - b * b
+            g0, g1 = grad[:, pending]
+            x_new = np.clip(x[:, p] + np.stack([b * g1 - c * g0, b * g0 - a * g1]) / det, lo, hi)
+            r_new, cost_new = residuals(x_new, p)
+            better = cost_new < cost[p]
+            lam[p[~better]] *= opt.lambda_increase
+            acc, dx = p[better], x_new[:, better] - x[:, p[better]]
+            rel_decrease = (cost[acc] - cost_new[better]) / cost[acc]
+            x[:, acc], cost[acc] = x_new[:, better], cost_new[better]
+            for ri, ri_new in zip(r, r_new):
+                ri[acc] = ri_new[better]
+            lam[acc] = np.maximum(lam[acc] / opt.lambda_decrease, 1e-14)
+            x_norm = np.sqrt(x[0, acc] ** 2 + x[1, acc] ** 2)
+            done = (rel_decrease <= opt.ftol) | (
+                np.sqrt(dx[0] ** 2 + dx[1] ** 2) <= opt.xtol * (x_norm + opt.xtol))
+            active[acc[done]] = False
+            pending = pending[~better]
+    return x, r, cost, iterations, ~active

@@ -173,12 +173,31 @@ def _need(doc: dict, key: str, path: str, default=_REQUIRED):
     return doc[key]
 
 
-def _number(doc: dict, key: str, path: str, default=_REQUIRED) -> float:
-    v = _need(doc, key, path, default)
+def _check_number(v, path: str) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(float(v)):
-        raise ScenarioSchemaError(f"{path}.{key}" if path else key,
-                                  f"expected a finite number, got {v!r}")
+        raise ScenarioSchemaError(path, f"expected a finite number, got {v!r}")
     return float(v)
+
+
+def _number(doc: dict, key: str, path: str, default=_REQUIRED) -> float:
+    return _check_number(_need(doc, key, path, default), f"{path}.{key}" if path else key)
+
+
+def _number_array(value, path: str) -> np.ndarray:
+    """Nested JSON lists of finite numbers as a float array; a bad entry is
+    named by its index path, e.g. ``blobs.means[1][0]``."""
+    def check(v, p):
+        if isinstance(v, list):
+            for i, item in enumerate(v):
+                check(item, f"{p}[{i}]")
+        else:
+            _check_number(v, p)
+
+    check(value, path)
+    try:
+        return np.array(value, dtype=float)
+    except ValueError:
+        raise ScenarioSchemaError(path, "expected a rectangular array") from None
 
 
 def _integer(doc: dict, key: str, path: str, default=_REQUIRED) -> int:
@@ -195,7 +214,7 @@ def _delays_from_doc(doc: dict, path: str) -> np.ndarray:
         values = _need(doc, "values_us", path)
         if not isinstance(values, list) or not values:
             raise ScenarioSchemaError(f"{path}.values_us", "expected a non-empty list")
-        return np.asarray(values, dtype=float)
+        return _number_array(values, f"{path}.values_us")
     if kind in ("log", "linear"):
         n = _integer(doc, "n", path)
         lo = _number(doc, "min_us", path)
@@ -214,8 +233,9 @@ def _blobs_from_doc(doc, path: str) -> Optional[IqBlobModel]:
         if kind == "equilateral":
             return equilateral_blobs(_number(doc, "radius", path), _number(doc, "sigma", path))
         if kind == "explicit":
-            return IqBlobModel(np.array(_need(doc, "means", path)),
-                               np.array(_need(doc, "covariances", path)))
+            return IqBlobModel(_number_array(_need(doc, "means", path), f"{path}.means"),
+                               _number_array(_need(doc, "covariances", path),
+                                             f"{path}.covariances"))
     except InvalidParameterError as err:
         raise ScenarioSchemaError(path, str(err)) from None
     raise ScenarioSchemaError(f"{path}.kind", f"unknown blob kind {kind!r}")

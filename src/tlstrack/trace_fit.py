@@ -1,26 +1,24 @@
-"""Extraction of (gamma_10, gamma_21) from one population trace.
+"""Extraction of (gamma_10, gamma_21) from population traces.
 
 All three level populations are fitted simultaneously against the
 closed-form cascade solution.  P2 decays as a pure exponential in gamma_21,
 which pins the parameter labeling; the sequential log-linear regressions are
-used only to seed the simultaneous fit.
+used only to seed the simultaneous fit.  All traces of one call are solved
+together: one batched, bounded damped-Newton solve in the two rates with the
+analytic Jacobian of the cascade, whose per-trace arithmetic does not depend
+on the other traces in the batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import DecayRates, PopulationTrace, closed_form_populations
-from .errors import InvalidParameterError
-from .optimize import (
-    FitOptions,
-    LeastSquaresProblem,
-    finite_difference_jacobian,
-    levenberg_marquardt,
-)
+from .dynamics import DecayRates, PopulationTrace, _cascade
+from .errors import FitDivergedError, InvalidParameterError
+from .optimize import FitOptions, _damped_newton_2x2
 
 RATE_LOWER = 1e-6
 RATE_UPPER = 10.0
@@ -128,70 +126,130 @@ def fit_trace(
     weighting: str = "uniform",
     options: FitOptions = FitOptions(),
 ) -> TraceFit:
-    """Simultaneous fit of p0, p1, p2 to the closed-form cascade model.
+    """The fit of one trace: ``fit_traces([trace], weighting, options)[0]``."""
+    return fit_traces([trace], weighting, options)[0]
+
+
+def fit_traces(
+    traces: Sequence[PopulationTrace],
+    weighting: str = "uniform",
+    options: FitOptions = FitOptions(),
+) -> list[TraceFit]:
+    """Simultaneous fit of p0, p1, p2 to the closed-form cascade model, for
+    every trace at once.
 
     ``weighting`` is "uniform" or "binomial"; the latter weights each point
-    by 1/max(sigma, 1e-3) with sigma^2 = p(1-p)/shots and requires the trace
-    to carry shot counts.  An unconverged fit is returned flagged rather
-    than raised.
+    by 1/max(sigma, 1e-3) with sigma^2 = p(1-p)/shots and requires every
+    trace to carry shot counts.  Traces of equal length share one batched
+    solve; each trace's result is the same whatever else is in the batch.
+    An unconverged fit is returned flagged rather than raised.  A non-finite
+    trial residual raises ``FitDivergedError`` naming the lowest-index trace
+    that met one.
     """
-    if len(trace) < 5:
-        raise InvalidParameterError(f"need at least 5 delay points, got {len(trace)}")
+    traces = list(traces)
     if weighting not in ("uniform", "binomial"):
         raise InvalidParameterError(f"unknown weighting mode {weighting!r}")
+    for i, trace in enumerate(traces):
+        if len(trace) < 5:
+            raise InvalidParameterError(
+                f"trace {i}: need at least 5 delay points, got {len(trace)}")
+        if weighting == "binomial" and trace.shots is None:
+            raise InvalidParameterError(
+                f"trace {i}: binomial weighting requires per-point shot counts")
+        if not np.all(np.isfinite(trace.populations)):
+            raise InvalidParameterError(f"trace {i}: populations must be finite")
 
-    data = trace.populations
-    if weighting == "binomial":
-        if trace.shots is None:
-            raise InvalidParameterError("binomial weighting requires per-point shot counts")
-        p = np.clip(data, 0.0, 1.0)
-        sigma = np.sqrt(p * (1.0 - p) / trace.shots[:, None])
-        weights = 1.0 / np.maximum(sigma, SIGMA_FLOOR)
-    else:
-        weights = np.ones_like(data)
-
-    delays = trace.delays
-
-    def residual(params: np.ndarray) -> np.ndarray:
-        model = closed_form_populations(DecayRates(params[0], params[1]), delays).T
-        return ((model - data) * weights).ravel()
-
-    guess = initial_guess(trace)
-    problem = LeastSquaresProblem(
-        residual,
-        np.array([guess.gamma_10, guess.gamma_21]),
-        lower=np.array([RATE_LOWER, RATE_LOWER]),
-        upper=np.array([RATE_UPPER, RATE_UPPER]),
-    )
-    result = levenberg_marquardt(problem, options)
-    err = _cluster_robust_errors(residual, result.parameters, len(trace))
-    return TraceFit(
-        rates=DecayRates(float(result.parameters[0]), float(result.parameters[1])),
-        stderr_gamma10=float(err[0]),
-        stderr_gamma21=float(err[1]),
-        residual_norm=result.residual_norm,
-        converged=result.converged,
-        iterations=result.iterations,
-    )
+    fits: list = [None] * len(traces)
+    diverged = []
+    lengths = [len(trace) for trace in traces]
+    for n in sorted(set(lengths)):
+        group = [i for i, length in enumerate(lengths) if length == n]
+        group_fits, failed = _fit_equal_length([traces[i] for i in group], weighting, options)
+        for i, fit in zip(group, group_fits):
+            fits[i] = fit
+        diverged += [(group[j], rates) for j, rates in failed]
+    if diverged:
+        i, rates = min(diverged, key=lambda item: item[0])
+        raise FitDivergedError(f"trace {i}: non-finite residual at trial rates {rates!r}",
+                               np.array([fits[i].rates.gamma_10, fits[i].rates.gamma_21]))
+    return fits
 
 
-def _cluster_robust_errors(residual, params: np.ndarray, n_points: int) -> np.ndarray:
-    """Sandwich standard errors with delay points as clusters.
+def _weights(trace: PopulationTrace, weighting: str) -> np.ndarray:
+    if weighting == "uniform":
+        return np.ones_like(trace.populations)
+    p = np.clip(trace.populations, 0.0, 1.0)
+    sigma = np.sqrt(p * (1.0 - p) / trace.shots[:, None])
+    return 1.0 / np.maximum(sigma, SIGMA_FLOOR)
 
+
+def _fit_equal_length(traces: list[PopulationTrace], weighting: str, options: FitOptions):
+    """Batched fit of traces with equal point counts.
+
+    Residual rows are laid out (trace, delay, level) and every sum runs
+    along a contiguous row, so a trace's reductions are the same for any
+    batch.  Returns the fits and, for each trace whose trial residual turned
+    non-finite, its position and the first such trial rates.
+    """
+    t = np.stack([trace.delays for trace in traces])
+    data = np.stack([trace.populations for trace in traces])
+    weights = np.stack([_weights(trace, weighting) for trace in traces])
+    guesses = [initial_guess(trace) for trace in traces]
+    x0 = np.array([[g.gamma_10 for g in guesses], [g.gamma_21 for g in guesses]])
+    rows = 3 * t.shape[1]
+    failed: dict[int, np.ndarray] = {}
+
+    def residuals(x, idx):
+        p = _cascade(x[0][:, None], x[1][:, None], t[idx])
+        r = ((np.stack(p, axis=-1) - data[idx]) * weights[idx]).reshape(idx.size, rows)
+        for j in np.flatnonzero(~np.all(np.isfinite(r), axis=1)):
+            failed.setdefault(int(idx[j]), x[:, j].copy())
+        return (r,), np.sum(r * r, axis=1)
+
+    def jacobian(x, idx):
+        _, d10, d21 = _cascade(x[0][:, None], x[1][:, None], t[idx], jacobian=True)
+        return [(np.stack(d, axis=-1) * weights[idx]).reshape(idx.size, rows) for d in (d10, d21)]
+
+    def linearise(x, idx, rs):
+        (r,), (j0, j1) = rs, jacobian(x, idx)
+        grad = np.stack([np.sum(j0 * r, axis=1), np.sum(j1 * r, axis=1)])
+        return grad, np.sum(j0 * j0, axis=1), np.sum(j0 * j1, axis=1), np.sum(j1 * j1, axis=1)
+
+    x, (r,), cost, iterations, converged = _damped_newton_2x2(
+        x0, RATE_LOWER, RATE_UPPER, residuals, linearise, options)
+    err = _cluster_robust_errors(*jacobian(x, np.arange(len(traces))), r)
+    fits = [
+        TraceFit(
+            rates=DecayRates(float(x[0, i]), float(x[1, i])),
+            stderr_gamma10=float(err[i, 0]),
+            stderr_gamma21=float(err[i, 1]),
+            residual_norm=float(np.sqrt(cost[i])),
+            converged=bool(converged[i]),
+            iterations=int(iterations[i]),
+        )
+        for i in range(len(traces))
+    ]
+    return fits, sorted(failed.items())
+
+
+def _cluster_robust_errors(j0: np.ndarray, j1: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Sandwich standard errors with delay points as clusters, for a batch.
+
+    ``j0``, ``j1`` and ``r`` hold one trace per row, laid out (delay, level).
     The three population components at one delay share a multinomial draw,
     so their residuals are correlated; the plain (J^T J)^-1 covariance
     underestimates the parameter scatter.  Grouping rows by delay point
     keeps the estimate calibrated without modeling the correlation.
+    Returns the (trace, parameter) standard errors.
     """
-    r = residual(params)
-    jac = finite_difference_jacobian(residual, params, r)
-    a_inv = np.linalg.pinv(jac.T @ jac)
-    scores = np.zeros((n_points, params.size))
-    for p in range(n_points):
-        rows = slice(3 * p, 3 * p + 3)
-        scores[p] = jac[rows].T @ r[rows]
-    b = scores.T @ scores
-    dof_scale = n_points / max(n_points - params.size, 1)
-    cov = dof_scale * a_inv @ b @ a_inv
-    d = np.clip(np.diag(cov), 0.0, None)
-    return np.sqrt(d)
+    k, n_points = r.shape[0], r.shape[1] // 3
+    h00, h01, h11 = (np.sum(a * b, axis=1) for a, b in ((j0, j0), (j0, j1), (j1, j1)))
+    a_inv = np.linalg.pinv(np.stack([h00, h01, h01, h11], axis=1).reshape(k, 2, 2))
+    s0 = np.sum((j0 * r).reshape(k, n_points, 3), axis=2)
+    s1 = np.sum((j1 * r).reshape(k, n_points, 3), axis=2)
+    b00, b01, b11 = (np.sum(a * b, axis=1)[:, None] for a, b in ((s0, s0), (s0, s1), (s1, s1)))
+    dof_scale = n_points / max(n_points - 2, 1)
+    # diagonal of a_inv @ b @ a_inv, with u, v the columns of the symmetric a_inv
+    u, v = a_inv[:, :, 0], a_inv[:, :, 1]
+    cov = dof_scale * (u * (b00 * u + b01 * v) + v * (b01 * u + b11 * v))
+    return np.sqrt(np.clip(cov, 0.0, None))

@@ -46,7 +46,7 @@ import numpy as np
 
 from .dynamics import DecayRates, ZERO_RATES
 from .errors import FitDivergedError, InvalidParameterError, UndefinedCorrelationError
-from .optimize import FitOptions
+from .optimize import FitOptions, _damped_newton_2x2, _outward
 from .tls import (DeviceFrequencies, TlsDefect, TlsParameterSet, lorentzian_density,
                   lorentzian_rates)
 
@@ -414,11 +414,6 @@ def _schur_step(normal, lam: float) -> tuple[np.ndarray, np.ndarray]:
     return step_g, step_w
 
 
-def _outward(x, grad, lo, hi):
-    """Where the gradient pushes a coordinate on a bound outside it."""
-    return ((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0))
-
-
 def _joint_update(ws: _Workspace, glob: np.ndarray, traj: np.ndarray):
     """Bounded Levenberg-Marquardt update of the globals jointly with the trajectory.
 
@@ -625,69 +620,30 @@ def _solve_frequency_pairs(ws: _Workspace, coupling, linewidth, bg, epochs: np.n
     """Bounded Levenberg-Marquardt on the two-defect problem of every column
     of ``x`` (the two frequencies) against the two rates of ``epochs``.
 
-    Each problem is square, 2 residuals in 2 frequencies, so the damped
-    normal equations are 2x2 and solved in closed form from the analytic
-    Jacobian; with lambda > 0 they are positive definite.  Steps are clipped
-    to the band, and the stopping tests and damping schedule are those of
-    :func:`levenberg_marquardt` with 100 iterations.  Each pass works on the
-    problems still active.  Returns the final frequencies and costs.
+    Each problem is square, 2 residuals in 2 frequencies; the analytic
+    Jacobian feeds :func:`_damped_newton_2x2`, which clips steps to the band
+    and runs 100 iterations at most.  Returns the final frequencies and costs.
     """
-    opt, cfg, (lo, hi) = FitOptions(max_iterations=100), ws.config, ws.band
+    cfg = ws.config
     scale_e = -ws.w_e[epochs] / ws.g10_meas[epochs]
     scale_f = -cfg.f_multiplier * ws.w_f[epochs] / ws.g21_meas[epochs]
 
     def residuals(x, cols):
         g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, x, bg, cfg.f_multiplier)
-        return ws.epoch_residuals(g10, g21, epochs[cols])
+        r_e, r_f = ws.epoch_residuals(g10, g21, epochs[cols])
+        return (r_e, r_f), r_e**2 + r_f**2
 
-    x = np.clip(x, lo, hi)
-    r_e, r_f = residuals(x, slice(None))
-    cost = r_e**2 + r_f**2
-    lam = np.full(cost.size, opt.lambda_init)
-    active = cost > 0.0
-    for _ in range(opt.max_iterations):
-        cols = np.flatnonzero(active)
-        if cols.size == 0:
-            break
-        xa = x[:, cols]
+    def linearise(xa, cols, r):
         # J = [[e0, e1], [f0, f1]]: d(r_e, r_f)/d(omega_0, omega_1)
         (e0, f0), (e1, f1) = (
             _frequency_derivatives(ws.device, coupling[k], linewidth[k], xa[k],
                                    scale_e[cols], scale_f[cols]) for k in (0, 1))
-        grad = np.stack([e0 * r_e[cols] + f0 * r_f[cols], e1 * r_e[cols] + f1 * r_f[cols]])
-        # projected gradient: directions pushing outside the band do not count
-        stop = np.max(np.abs(np.where(_outward(xa, grad, lo, hi), 0.0, grad)), axis=0) <= opt.gtol
-        active[cols[stop]] = False
-        h00, h01, h11 = e0**2 + f0**2, e0 * e1 + f0 * f1, e1**2 + f1**2
-        d0, d1 = np.where(h00 > 0.0, h00, 1.0), np.where(h11 > 0.0, h11, 1.0)
-        pending = np.flatnonzero(~stop)      # positions in cols
-        while pending.size:
-            p = cols[pending]
-            # no descent direction within the damping budget: a local minimum
-            # to working precision
-            exhausted = lam[p] > opt.lambda_max
-            active[p[exhausted]] = False
-            pending, p = pending[~exhausted], p[~exhausted]
-            a = h00[pending] + lam[p] * d0[pending]
-            c = h11[pending] + lam[p] * d1[pending]
-            b = h01[pending]
-            det = a * c - b * b
-            g0, g1 = grad[:, pending]
-            x_new = np.clip(x[:, p] + np.stack([b * g1 - c * g0, b * g0 - a * g1]) / det, lo, hi)
-            re_new, rf_new = residuals(x_new, p)
-            cost_new = re_new**2 + rf_new**2
-            better = cost_new < cost[p]
-            lam[p[~better]] *= opt.lambda_increase
-            acc, dx = p[better], x_new[:, better] - x[:, p[better]]
-            rel_decrease = (cost[acc] - cost_new[better]) / cost[acc]
-            x[:, acc], r_e[acc], r_f[acc] = x_new[:, better], re_new[better], rf_new[better]
-            cost[acc] = cost_new[better]
-            lam[acc] = np.maximum(lam[acc] / opt.lambda_decrease, 1e-14)
-            x_norm = np.sqrt(x[0, acc] ** 2 + x[1, acc] ** 2)
-            done = (rel_decrease <= opt.ftol) | (
-                np.sqrt(dx[0] ** 2 + dx[1] ** 2) <= opt.xtol * (x_norm + opt.xtol))
-            active[acc[done]] = False
-            pending = pending[~better]
+        r_e, r_f = r
+        grad = np.stack([e0 * r_e + f0 * r_f, e1 * r_e + f1 * r_f])
+        return grad, e0**2 + f0**2, e0 * e1 + f0 * f1, e1**2 + f1**2
+
+    x, _, cost, _, _ = _damped_newton_2x2(x, *ws.band, residuals, linearise,
+                                          FitOptions(max_iterations=100))
     return x, cost
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -15,8 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tlstrack import cli
 from tlstrack.cli import main
 from tlstrack.dynamics import DecayRates
+from tlstrack.optimize import FitOptions
 from tlstrack.synth import (
     DriftProcess,
     Scenario,
@@ -103,6 +106,10 @@ class TestSimulate:
             (lambda d: d["tls"][0]["drift"].update(seed=1.5), "tls[0].drift.seed"),
             (lambda d: d.update(exact_populations="false"), "exact_populations"),
             (lambda d: d.update(blobs=5), "blobs"),
+            (lambda d: d["delays"].update(values_us=["a", 2]), "delays.values_us[0]"),
+            (lambda d: d.update(blobs={"means": [[0.0, 1.0], [1.0, "x"], [-1.0, 0.0]],
+                                       "covariances": [[[1.0, 0.0], [0.0, 1.0]]] * 3}),
+             "blobs.means[1][1]"),
         ],
     )
     def test_bad_optional_field_exit_2(self, tmp_path, capsys, mutate, path):
@@ -211,7 +218,45 @@ class TestFitSeries:
             assert main(["simulate", str(spath), "--out", str(out)]) == 0
         assert main(["fit-series", str(a)]) == 0
         assert main(["fit-series", str(b), "--jobs", "2"]) == 0
-        assert (a / "series.csv").read_text() == (b / "series.csv").read_text()
+        # the pool only reads and mitigates; the one batched fit runs in the parent
+        for name in ("fits.json", "series.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_unconverged_epochs_listed(self, run_dir, monkeypatch, capsys):
+        doc_of = lambda: json.loads((run_dir / "fits.json").read_text())
+        assert main(["fit-series", str(run_dir)]) == 0
+        assert doc_of()["unconverged_epochs"] == []
+        assert "flagged" not in capsys.readouterr().out
+        # one iteration leaves every trace unconverged
+        capped = cli.fit_traces
+        monkeypatch.setattr(cli, "fit_traces",
+                            lambda traces, weighting: capped(traces, weighting,
+                                                             FitOptions(max_iterations=1)))
+        assert main(["fit-series", str(run_dir)]) == 0
+        doc = doc_of()
+        assert doc["unconverged_epochs"] == [0, 1, 2, 3]
+        assert [f["converged"] for f in doc["fits"]] == [False] * 4
+        assert "(4 unconverged, flagged: epochs 0, 1, 2, 3)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit,where", [
+        (lambda rows: rows[3].__setitem__(1, "abc"), "line 4: column 'p0': expected a finite "
+                                                     "number, got 'abc'"),
+        (lambda rows: [row.pop(2) for row in rows], "line 1: missing column 'p1'"),
+        (lambda rows: rows[2].__setitem__(3, "nan"), "line 3: column 'p2': expected a finite "
+                                                     "number, got 'nan'"),
+        (lambda rows: rows[5].__setitem__(4, "2.5"), "line 6: column 'shots': expected an "
+                                                     "integer, got '2.5'"),
+    ])
+    def test_bad_trace_cell_exit_2(self, run_dir, capsys, edit, where):
+        path = run_dir / "traces" / "epoch_0002.csv"
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        edit(rows)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["fit-series", str(run_dir)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {where}\n"
+        assert not (run_dir / "fits.json").exists()
 
     def test_mitigation_reduces_error(self, tmp_path):
         # paired comparison on the same seeded run with readout corruption

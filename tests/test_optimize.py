@@ -5,6 +5,7 @@ from tlstrack.errors import FitDivergedError, InvalidParameterError
 from tlstrack.optimize import (
     FitOptions,
     LeastSquaresProblem,
+    _damped_newton_2x2,
     finite_difference_jacobian,
     levenberg_marquardt,
     solve,
@@ -127,3 +128,71 @@ class TestRobustness:
         expected = np.linalg.inv(a.T @ a) * result.residual_norm**2 / (m - n)
         # the solver's Jacobian is a forward difference of the linear residual
         assert np.allclose(cov, expected, rtol=1e-6, atol=0.0)
+
+
+class TestDampedNewton2x2:
+    """The batched 2-parameter kernel shared by the trace fits and the tracker."""
+
+    t = np.linspace(0.0, 4.0, 15)
+
+    def decay_problems(self, data):
+        # r = a*exp(-b*t) - data, one row of data per problem
+        def model(x, idx):
+            return x[0][:, None] * np.exp(-x[1][:, None] * self.t), data[idx]
+
+        def residuals(x, idx):
+            m, d = model(x, idx)
+            r = m - d
+            return (r,), np.sum(r * r, axis=1)
+
+        def linearise(x, idx, rs):
+            (r,) = rs
+            e = np.exp(-x[1][:, None] * self.t)
+            j0, j1 = e, -x[0][:, None] * self.t * e
+            grad = np.stack([np.sum(j0 * r, axis=1), np.sum(j1 * r, axis=1)])
+            return grad, np.sum(j0 * j0, axis=1), np.sum(j0 * j1, axis=1), np.sum(j1 * j1, axis=1)
+
+        return residuals, linearise
+
+    def test_matches_generic_lm_with_analytic_jacobian(self):
+        rng = np.random.default_rng(8)
+        truth = np.array([[1.0, 2.5, 0.7], [0.8, 0.3, 1.9]])
+        data = (truth[0][:, None] * np.exp(-truth[1][:, None] * self.t)
+                + 0.01 * rng.normal(size=(3, self.t.size)))
+        x0 = np.array([[0.5, 1.0, 1.0], [0.5, 1.0, 0.5]])
+        lo, hi = 0.01, 10.0
+        x, _, cost, iterations, converged = _damped_newton_2x2(
+            x0, lo, hi, *self.decay_problems(data), FitOptions())
+        assert np.all(converged)
+        for i in range(3):
+            def residual(p):
+                return p[0] * np.exp(-p[1] * self.t) - data[i]
+
+            def jacobian(p):
+                e = np.exp(-p[1] * self.t)
+                return np.stack([e, -p[0] * self.t * e], axis=1)
+
+            bounds = np.full(2, lo), np.full(2, hi)
+            want = levenberg_marquardt(
+                LeastSquaresProblem(residual, x0[:, i], *bounds, jacobian=jacobian))
+            assert np.allclose(x[:, i], want.parameters, rtol=1e-9, atol=0.0)
+            assert cost[i] <= want.cost * (1.0 + 1e-12) + 1e-15
+            assert iterations[i] == want.iterations
+
+    def test_outward_gradient_on_bound_stops_without_trials(self):
+        # the minimum lies beyond the upper bound of the first parameter, and
+        # the second already sits at its optimum: the projected gradient is 0
+        calls = []
+
+        def residuals(x, idx):
+            calls.append(idx.size)
+            r = (x - np.array([[2.0], [0.5]])).T
+            return (r,), np.sum(r * r, axis=1)
+
+        def linearise(x, idx, rs):
+            return rs[0].T, np.ones(idx.size), np.zeros(idx.size), np.ones(idx.size)
+
+        x, _, _, iterations, converged = _damped_newton_2x2(
+            np.array([[1.0], [0.5]]), 0.0, 1.0, residuals, linearise, FitOptions())
+        assert x.tolist() == [[1.0], [0.5]]
+        assert calls == [1] and iterations.tolist() == [1] and converged.tolist() == [True]

@@ -1,15 +1,31 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tlstrack import trace_fit
 from tlstrack.dynamics import (
+    DEGENERATE_RATE_RTOL,
     DecayRates,
     PopulationTrace,
+    _cascade,
     bosonic_ratio,
     closed_form_populations,
     closed_form_trace,
 )
-from tlstrack.errors import InvalidParameterError
-from tlstrack.trace_fit import default_delay_grid, fit_trace, initial_guess
+from tlstrack.errors import FitDivergedError, InvalidParameterError
+from tlstrack.optimize import LeastSquaresProblem, levenberg_marquardt
+from tlstrack.readout import mitigate_trace
+from tlstrack.synth import bundled_scenario, synthesize_experiment
+from tlstrack.trace_fit import (
+    TraceFit,
+    default_delay_grid,
+    fit_trace,
+    fit_traces,
+    initial_guess,
+)
 
 DEVICE_A = DecayRates(1.0 / 155.0, 1.0 / 64.0)
 DELAYS = np.geomspace(1.0, 600.0, 30)
@@ -143,3 +159,121 @@ def test_fit_json_schema():
         "t1e_us", "t1f_us", "gamma10", "gamma21",
         "stderr_t1e", "stderr_t1f", "residual_norm", "converged", "iterations",
     }
+
+
+# -- batched analytic-Jacobian fit ----------------------------------------------
+
+RTOL = DEGENERATE_RATE_RTOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=st.floats(-3.0, 0.5).map(lambda v: 10.0**v),
+       rel=st.one_of(st.sampled_from([0.0, 0.5 * RTOL, -0.5 * RTOL, RTOL, -RTOL, 1.5 * RTOL,
+                                      -1.5 * RTOL, 3.0 * RTOL, 1e-7, 1e-4, 0.05]),
+                     st.floats(-0.9, 9.0)),
+       gt=st.lists(st.floats(-3.0, np.log10(30.0)).map(lambda v: 10.0**v), min_size=1,
+                   max_size=6))
+def test_property_jacobian_matches_central_differences(g, rel, gt):
+    # rates inside, at and just outside the degenerate band, and far apart
+    g10, g21 = g, g * (1.0 + rel)
+    t = np.array(gt) / g
+    _, d10, d21 = _cascade(g10, g21, t, jacobian=True)
+    for analytic, axis in ((d10, 0), (d21, 1)):
+        h = 1e-3 * (g10, g21)[axis]
+        step = np.array([h, 0.0]) if axis == 0 else np.array([0.0, h])
+        up = closed_form_populations(DecayRates(*np.array([g10, g21]) + step), t)
+        down = closed_form_populations(DecayRates(*np.array([g10, g21]) - step), t)
+        # central-difference truncation and rounding both stay far below 1e-6 * t
+        assert np.all(np.abs(np.stack(analytic) - (up - down) / (2.0 * h)) <= 1e-6 * t)
+
+
+def bundled_traces(name: str, epochs: int):
+    scenario = dataclasses.replace(bundled_scenario(name), epochs=epochs)
+    traces, confusion, _ = synthesize_experiment(scenario)
+    return [mitigate_trace(confusion, trace) for trace in traces]
+
+
+@pytest.fixture(scope="module")
+def short_runs():
+    return {name: bundled_traces(name, 12) for name in ("device_A", "device_B")}
+
+
+def fit_key(fit: TraceFit) -> str:
+    # repr keeps every bit of each float, and the sign of zero
+    return repr(fit.to_json_dict())
+
+
+def generic_cost_and_fit(trace: PopulationTrace, weighting: str):
+    """Final cost of the generic LM with forward-difference Jacobians from
+    the same start, and the cost of ``fit_trace`` -- both by one formula."""
+    weights = trace_fit._weights(trace, weighting)
+
+    def residual(params):
+        model = closed_form_populations(DecayRates(params[0], params[1]), trace.delays).T
+        return ((model - trace.populations) * weights).ravel()
+
+    guess = initial_guess(trace)
+    bounds = np.array([trace_fit.RATE_LOWER] * 2), np.array([trace_fit.RATE_UPPER] * 2)
+    generic = levenberg_marquardt(
+        LeastSquaresProblem(residual, [guess.gamma_10, guess.gamma_21], *bounds))
+    fit = fit_trace(trace, weighting)
+    r = residual([fit.rates.gamma_10, fit.rates.gamma_21])
+    return float(r @ r), generic
+
+
+class TestBatchedFit:
+    @pytest.mark.parametrize("name", ["device_A", "device_B"])
+    @pytest.mark.parametrize("weighting", ["uniform", "binomial"])
+    def test_cost_not_above_generic_lm(self, short_runs, name, weighting):
+        for trace in short_runs[name]:
+            cost, generic = generic_cost_and_fit(trace, weighting)
+            assert generic.converged
+            assert cost <= generic.cost * (1.0 + 1e-12) + 1e-15
+
+    def test_batch_independent(self, short_runs):
+        traces = short_runs["device_A"][:6] + short_runs["device_B"][:6]
+        # a shorter trace makes a second group of equal lengths
+        cut = traces[3]
+        traces.append(PopulationTrace(cut.delays[:20], cut.populations[:20], cut.shots[:20]))
+        for weighting in ("uniform", "binomial"):
+            alone = [fit_key(fit_traces([t], weighting)[0]) for t in traces]
+            assert [fit_key(f) for f in fit_traces(traces, weighting)] == alone
+            order = np.random.default_rng(3).permutation(len(traces))
+            shuffled = fit_traces([traces[i] for i in order], weighting)
+            assert [fit_key(f) for f in shuffled] == [alone[i] for i in order]
+            pair = fit_traces([traces[5], traces[0]], weighting)
+            assert [fit_key(f) for f in pair] == [alone[5], alone[0]]
+
+    def test_fit_trace_is_batch_of_one(self, short_runs):
+        trace = short_runs["device_B"][0]
+        assert fit_key(fit_trace(trace, "binomial")) == fit_key(fit_traces([trace], "binomial")[0])
+
+    def test_errors_name_the_trace(self):
+        good = closed_form_trace(DEVICE_A, DELAYS)
+        short = closed_form_trace(DEVICE_A, DELAYS[:4])
+        with pytest.raises(InvalidParameterError, match="trace 1: need at least 5"):
+            fit_traces([good, short])
+        with pytest.raises(InvalidParameterError, match="trace 0: binomial"):
+            fit_traces([good], "binomial")
+        assert fit_traces([]) == []
+
+    def test_non_finite_trial_residual_raises(self, monkeypatch):
+        # every trial after the first evaluation turns non-finite from the
+        # second problem of the call on, so trace 0 never fails
+        calls = []
+
+        def cascade(g10, g21, t, jacobian=False):
+            out = _cascade(g10, g21, t, jacobian)
+            if jacobian:
+                return out
+            calls.append(None)
+            if len(calls) > 1:
+                out = tuple(np.where(np.arange(len(p))[:, None] >= 1, np.nan, p) for p in out)
+            return out
+
+        monkeypatch.setattr(trace_fit, "_cascade", cascade)
+        rng = np.random.default_rng(4)
+        traces = [sampled_trace(DEVICE_A, DELAYS, 2000, rng) for _ in range(3)]
+        with pytest.raises(FitDivergedError, match="trace 1: non-finite") as err:
+            fit_traces(traces)
+        assert np.all(np.isfinite(err.value.last_parameters))
