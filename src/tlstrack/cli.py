@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -172,15 +171,6 @@ def cmd_simulate(args, config: dict) -> int:
     return EXIT_OK
 
 
-def _read_epoch(args) -> PopulationTrace:
-    """One epoch's trace, mitigated when a confusion matrix is given."""
-    path, confusion_doc = args
-    trace = PopulationTrace.from_csv(path)
-    if confusion_doc is not None:
-        trace = mitigate_trace(ConfusionMatrix.from_json_dict(confusion_doc), trace)
-    return trace
-
-
 def cmd_fit_series(args, config: dict) -> int:
     started = time.time()
     run_dir = Path(args.run_dir)
@@ -189,7 +179,7 @@ def cmd_fit_series(args, config: dict) -> int:
     if not trace_files:
         raise InvalidParameterError(f"{run_dir}: no traces/epoch_*.csv files found")
 
-    confusion_doc = None
+    confusion = None
     if not args.no_mitigation:
         confusion_path = run_dir / "confusion.json"
         if not confusion_path.exists():
@@ -198,11 +188,12 @@ def cmd_fit_series(args, config: dict) -> int:
             )
         confusion_doc = _read_json(confusion_path)
         try:
-            confusion_doc = ConfusionMatrix.from_json_dict(confusion_doc).to_json_dict()
+            confusion = ConfusionMatrix.from_json_dict(confusion_doc)
         except InvalidParameterError as err:
             raise InvalidParameterError(f"{confusion_path}: {err}") from None
 
     weighting = _resolve(args.weighting, config, "weighting", "uniform")
+    # accepted and recorded, but reading and mitigating need no worker processes
     jobs = _jobs(args, config)
     scenario_path = run_dir / "scenario.json"
     scenario_doc = _read_json(scenario_path) if scenario_path.exists() else {}
@@ -212,13 +203,11 @@ def cmd_fit_series(args, config: dict) -> int:
             f"{scenario_path}: epoch_spacing_hr: expected a finite number > 0, got {spacing!r}"
         )
 
-    # workers only read and mitigate; every trace is fitted in one batched solve
-    work = [(str(p), confusion_doc) for p in trace_files]
-    if jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            traces = list(pool.map(_read_epoch, work, chunksize=8))
-    else:
-        traces = [_read_epoch(w) for w in work]
+    traces = []
+    for path in trace_files:
+        trace = PopulationTrace.from_csv(path)
+        traces.append(trace if confusion is None else mitigate_trace(confusion, trace))
+    # every trace is fitted in one batched solve
     fits = [fit.to_json_dict() for fit in fit_traces(traces, weighting)]
     unconverged = [i for i, fit in enumerate(fits) if not fit["converged"]]
 
@@ -237,7 +226,7 @@ def cmd_fit_series(args, config: dict) -> int:
             )
     _write_manifest(out, "fit-series",
                     {"weighting": weighting, "jobs": jobs,
-                     "mitigation": confusion_doc is not None},
+                     "mitigation": confusion is not None},
                     [str(run_dir)], ["fits.json", "series.csv"], None, started)
     print(f"fit-series: {len(fits)} epochs -> {series_path}"
           + (f" ({len(unconverged)} unconverged, flagged: epochs "
@@ -332,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighting", choices=["uniform", "binomial"])
     p.add_argument("--no-mitigation", action="store_true",
                    help="skip readout mitigation even if confusion.json exists")
-    p.add_argument("--jobs", type=int, help="parallel workers for trace fitting")
+    p.add_argument("--jobs", type=int,
+                   help="accepted and recorded in the manifest; no longer changes anything")
     p.add_argument("--config", help="JSON config file")
     p.set_defaults(func=cmd_fit_series)
 

@@ -260,19 +260,30 @@ def sample_blob(
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
-    """Column-stochastic assignment matrix m[j, k] = P(assign j | prepared k)."""
+    """Column-stochastic assignment matrix m[j, k] = P(assign j | prepared k).
+
+    ``m`` is stored as a read-only copy, so the condition number computed
+    here stays valid.
+    """
 
     m: np.ndarray
+    _condition_number: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
+        m = np.array(self.m, dtype=float)
         if m.shape != (3, 3):
             raise InvalidParameterError(f"confusion matrix must be 3x3, got {m.shape}")
         if not np.all((m >= 0.0) & (m <= 1.0)):  # NaN fails both tests
             raise InvalidParameterError("confusion matrix entries must lie in [0, 1]")
         if np.max(np.abs(m.sum(axis=0) - 1.0)) > 1e-12:
             raise InvalidParameterError("confusion matrix columns must sum to 1")
+        m.setflags(write=False)
         object.__setattr__(self, "m", m)
+        object.__setattr__(self, "_condition_number", float(np.linalg.cond(m)))
+
+    def __reduce__(self):
+        # rebuild through the constructor, so an unpickled copy is read-only too
+        return type(self), (self.m,)
 
     @property
     def fidelity(self) -> float:
@@ -280,7 +291,7 @@ class ConfusionMatrix:
 
     @property
     def condition_number(self) -> float:
-        return float(np.linalg.cond(self.m))
+        return self._condition_number
 
     def to_json_dict(self) -> dict:
         return {

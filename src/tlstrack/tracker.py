@@ -10,9 +10,11 @@ The solve alternates two moves until the misfit settles:
 (i)  per-epoch frequency solves at fixed globals, run for all epochs at
      once as array operations -- for one defect the exact local minima over
      the search band, from the roots of the cost's stationarity polynomial;
-     for two, damped Newton solves from the best points of a coarse grid --
-     then near-equal minima tie-broken toward the previous epoch's
-     frequency (continuity) in epoch order;
+     for two, damped Newton solves from the best separated points of a
+     coarse grid, picked a block of epochs at a time by a partial sort of
+     each epoch's grid costs -- then near-equal minima tie-broken toward the
+     previous epoch's frequency (continuity) in epoch order, by a table of
+     each epoch's nearest pick given the previous one;
 (ii) a bounded Levenberg-Marquardt update of the globals on the stacked
      two-channel residuals, performed jointly with the trajectory (the
      model's derivatives are supplied analytically).  Updating the globals
@@ -156,6 +158,8 @@ class LifetimeSeries:
 # Solver settings: they steer the search, not the model, so they are constants.
 COARSE_POINTS_2D = 60       # per-axis grid size for the two-defect solve
 MAX_CANDIDATES = 4          # lowest local minima kept per epoch
+SEED_PREFIX = 12            # lowest grid points sorted per epoch for the 2-D seeds
+SEED_BLOCK = 16             # epochs whose 2-D grid costs are held at once
 OUTER_ITERATIONS = 50
 PROBE_ITERATIONS = 2        # outer cycles spent on each start before selection
 JOINT_LM_ITERATIONS = 150   # LM budget for each globals+trajectory update
@@ -585,33 +589,89 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
     return epochs, xs[epochs, i][None], fs[epochs, i]
 
 
+def _grid_seeds(cost: np.ndarray, m: int) -> np.ndarray:
+    """The ``MAX_CANDIDATES`` seeds of each row of ``cost``, the costs of an
+    m x m grid with flat index i at cell (i // m, i % m).
+
+    The points are taken in order of (cost, flat index), and a point is kept
+    when it lies at least 2 cells (Chebyshev) from every kept one; the grid
+    is big enough (m * m > 9 * (MAX_CANDIDATES - 1)) that every row fills up.
+    Only each row's ``SEED_PREFIX`` lowest points are sorted, found by a
+    partial sort.  A row whose prefix cannot be told apart from the next
+    point (a tie at its edge), or yields too few seeds, is sorted in full.
+    Returns the seeds' flat indices, (rows, MAX_CANDIDATES), in pick order.
+    """
+    rows = np.arange(cost.shape[0])
+    part = np.argpartition(cost, SEED_PREFIX, axis=1)
+    prefix = part[:, :SEED_PREFIX]
+    values = cost[rows[:, None], prefix]
+    prefix = np.take_along_axis(prefix, np.lexsort((prefix, values), axis=1), axis=1)
+    seeds, filled = _separated_seeds(prefix, m)
+    # part[:, SEED_PREFIX] is the next-lowest point; if it ties the prefix's
+    # highest, the costs alone do not say which of the two the prefix holds
+    redo = np.flatnonzero(~filled | ~(values.max(axis=1) < cost[rows, part[:, SEED_PREFIX]]))
+    if redo.size:
+        seeds[redo] = _separated_seeds(np.argsort(cost[redo], axis=1, kind="stable"), m)[0]
+    return seeds
+
+
+def _separated_seeds(order: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy pick along each row of ``order`` (flat grid indices): the first
+    point, then each next point at least 2 cells (Chebyshev) from every pick,
+    until ``MAX_CANDIDATES``.  Two grid points are more than 1.5 cells apart
+    exactly when their indices differ by 2 or more on some axis.  Returns the
+    picks and whether each row filled up."""
+    r, c = np.divmod(order, m)
+    rows = np.arange(order.shape[0])
+    free = np.ones(order.shape, dtype=bool)
+    filled = np.ones(order.shape[0], dtype=bool)
+    seeds = np.empty((order.shape[0], MAX_CANDIDATES), dtype=order.dtype)
+    for k in range(MAX_CANDIDATES):
+        # every point before the first free one is a pick or next to one
+        j = np.argmax(free, axis=1)
+        filled &= free[rows, j]
+        seeds[:, k] = order[rows, j]
+        free &= np.maximum(np.abs(r - r[rows, j, None]), np.abs(c - c[rows, j, None])) >= 2
+    return seeds, filled
+
+
 def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[np.ndarray]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Newton solves of every epoch from its best separated grid points
-    (plus the previous frequency pair), all epochs in one batch."""
+    """Damped Newton solves of every epoch from its ``MAX_CANDIDATES`` best
+    separated points of a ``COARSE_POINTS_2D`` x ``COARSE_POINTS_2D`` grid
+    (plus the previous frequency pair), all epochs in one batch.
+
+    The grid costs are computed ``SEED_BLOCK`` epochs at a time in two
+    reused buffers, so the seed pick's memory does not grow with the number
+    of epochs; :func:`_grid_seeds` picks each block's seeds.
+    """
     cfg = ws.config
     m = COARSE_POINTS_2D
     axis = np.linspace(ws.band[0], ws.band[1], m)
     w1, w2 = np.meshgrid(axis, axis, indexing="ij")
     grid = np.stack([w1.ravel(), w2.ravel()])
     g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, grid, bg, cfg.f_multiplier)
-    cell = (ws.band[1] - ws.band[0]) / (m - 1)
 
-    epochs, starts = [], []
-    for epoch in range(ws.n):
-        seeds: list[np.ndarray] = []
-        for i in np.argsort(ws.epoch_cost(g10, g21, epoch)):
-            pt = grid[:, i]
-            if all(np.max(np.abs(pt - s)) > 1.5 * cell for s in seeds):
-                seeds.append(pt)
-            if len(seeds) >= MAX_CANDIDATES:
-                break
-        if prev_traj is not None:
-            seeds.append(prev_traj[:, epoch].copy())
-        epochs += [epoch] * len(seeds)
-        starts += seeds
-    epochs = np.array(epochs)
-    x, cost = _solve_frequency_pairs(ws, coupling, linewidth, bg, epochs, np.array(starts).T)
+    seeds = np.empty((ws.n, MAX_CANDIDATES), dtype=np.intp)
+    buf_e, buf_f = np.empty((2, min(SEED_BLOCK, ws.n), m * m))
+    for lo in range(0, ws.n, SEED_BLOCK):
+        e = np.arange(lo, min(lo + SEED_BLOCK, ws.n))[:, None]
+        r_e, r_f = buf_e[: e.size], buf_f[: e.size]
+        # ws.epoch_cost's operations, in place
+        for r, rates, meas, w in ((r_e, g10, ws.g10_meas, ws.w_e), (r_f, g21, ws.g21_meas, ws.w_f)):
+            np.divide(rates, meas[e], out=r)
+            np.subtract(1.0, r, out=r)
+            np.multiply(w[e], r, out=r)
+            np.square(r, out=r)
+        seeds[lo : lo + e.size] = _grid_seeds(np.add(r_e, r_f, out=r_e), m)
+
+    per_epoch = MAX_CANDIDATES + (prev_traj is not None)
+    starts = np.empty((ws.n, per_epoch, 2))
+    starts[:, :MAX_CANDIDATES, 0], starts[:, :MAX_CANDIDATES, 1] = axis[seeds // m], axis[seeds % m]
+    if prev_traj is not None:
+        starts[:, -1] = prev_traj.T
+    epochs = np.repeat(np.arange(ws.n), per_epoch)
+    x, cost = _solve_frequency_pairs(ws, coupling, linewidth, bg, epochs, starts.reshape(-1, 2).T)
     return epochs, x, cost
 
 
@@ -656,22 +716,37 @@ def _solve_epochs(ws: _Workspace, coupling, linewidth, bg,
     its best cost are near-equal; among them the one nearest (L1) the
     previous epoch's pick wins -- for the first epoch, ``prev_traj``'s first
     column -- and without ``prev_traj`` the first epoch takes the lowest
-    cost.  On equal keys the first candidate wins.
+    cost.  On equal keys the first candidate wins.  Every epoch's pick for
+    each possible previous pick is computed at once, so only a walk through
+    that table runs epoch by epoch.
     """
     if ws.order == 1:
         epochs, x, f = _candidates_1d(ws, coupling, linewidth, bg)
     else:
         epochs, x, f = _candidates_2d(ws, coupling, linewidth, bg, prev_traj)
     # candidates come epoch by epoch, and every epoch has at least one
-    start = np.searchsorted(epochs, np.arange(ws.n + 1))
-    near = f <= np.minimum.reduceat(f, start[:-1])[epochs] * (1.0 + TIE_REL) + TIE_ABS
-    traj = np.empty((ws.order, ws.n))
-    ref = None if prev_traj is None else prev_traj[:, 0]
-    for e in range(ws.n):
-        c = start[e] + np.flatnonzero(near[start[e] : start[e + 1]])
-        key = f[c] if ref is None else np.sum(np.abs(x[:, c] - ref[:, None]), axis=0)
-        ref = traj[:, e] = x[:, c[np.argmin(key)]]
-    return traj
+    start = np.searchsorted(epochs, np.arange(ws.n))
+    near = f <= np.minimum.reduceat(f, start)[epochs] * (1.0 + TIE_REL) + TIE_ABS
+    # row e of ``group``: epoch e's near candidates in candidate order, -1 after them
+    idx = np.flatnonzero(near)
+    ep = epochs[idx]
+    slot = np.arange(idx.size) - np.searchsorted(ep, ep)
+    group = np.full((ws.n, slot.max() + 1), -1)
+    group[ep, slot] = idx
+    pad = group < 0
+    xg = x[:, group]    # a pad reads the last candidate; its key is masked to inf
+    # step[e][i]: the slot epoch e + 1 picks after epoch e picked slot i (the
+    # nearest in L1; argmin takes the first of equal keys)
+    dist = np.abs(xg[:, 1:, None, :] - xg[:, :-1, :, None]).sum(axis=0)
+    step = np.argmin(np.where(pad[1:, None, :], np.inf, dist), axis=2)
+    if prev_traj is None:
+        key = f[group[0]]
+    else:
+        key = np.abs(xg[:, 0] - prev_traj[:, :1]).sum(axis=0)
+    picks = [int(np.argmin(np.where(pad[0], np.inf, key)))]
+    for row in step.tolist():
+        picks.append(row[picks[-1]])
+    return x[:, group[np.arange(ws.n), picks]]
 
 
 # -- public API -------------------------------------------------------------

@@ -218,9 +218,18 @@ class TestFitSeries:
             assert main(["simulate", str(spath), "--out", str(out)]) == 0
         assert main(["fit-series", str(a)]) == 0
         assert main(["fit-series", str(b), "--jobs", "2"]) == 0
-        # the pool only reads and mitigates; the one batched fit runs in the parent
+        # --jobs is still accepted and recorded, and changes nothing
         for name in ("fits.json", "series.csv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+        assert json.loads((b / "manifest.json").read_text())["resolved_config"]["jobs"] == 2
+
+    def test_confusion_matrix_read_once(self, run_dir, monkeypatch):
+        made = []
+        from_json_dict = cli.ConfusionMatrix.from_json_dict
+        monkeypatch.setattr(cli.ConfusionMatrix, "from_json_dict",
+                            lambda doc: made.append(doc) or from_json_dict(doc))
+        assert main(["fit-series", str(run_dir)]) == 0
+        assert len(made) == 1
 
     def test_unconverged_epochs_listed(self, run_dir, monkeypatch, capsys):
         doc_of = lambda: json.loads((run_dir / "fits.json").read_text())
@@ -505,7 +514,7 @@ class TestConfigPrecedence:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr("tlstrack.cli.ProcessPoolExecutor", no_pool)
+        # simulate is the one command that starts worker processes
         monkeypatch.setattr("tlstrack.synth.ProcessPoolExecutor", no_pool)
         spath = write_scenario(tmp_path / "s.json", tiny_scenario())
         cfg = tmp_path / "cfg.json"

@@ -390,6 +390,20 @@ class TestConfusionSerialization:
         with pytest.raises(InvalidParameterError):
             ConfusionMatrix(np.array([[0.9, 0, 0], [0.2, 1, 0], [0, 0, 1]]))
 
+    def test_condition_number_cached_on_a_read_only_copy(self, monkeypatch):
+        source = _random_stochastic(np.random.default_rng(9))
+        cm = ConfusionMatrix(source)
+        assert cm.condition_number == float(np.linalg.cond(source))
+        source[0, 0] = 0.0    # the caller's array is not the stored one
+        with pytest.raises(ValueError):
+            cm.m[0, 0] = 0.0
+        copy = pickle.loads(pickle.dumps(cm))
+        assert np.array_equal(copy.m, cm.m) and not copy.m.flags.writeable
+        calls = []
+        monkeypatch.setattr(np.linalg, "cond", lambda *a: calls.append(a))
+        mitigate_trace(cm, closed_form_trace(DecayRates(0.05, 0.1), [0.0, 1.0, 2.0]))
+        assert calls == []
+
 
 class TestShotRecords:
     def test_csv_round_trip(self, tmp_path):

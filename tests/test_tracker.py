@@ -425,6 +425,114 @@ class TestBatchedEpochSolves:
             assert np.all(got <= want * (1.0 + 1e-12) + 1e-15)
 
 
+def reference_grid_seeds(row, m):
+    """The seed pick one point at a time: every point of the m x m grid over
+    device_B's band in stable cost order (ties to the lower flat index),
+    kept when more than 1.5 cells (max norm) from every kept point."""
+    lo, hi = DEFAULT_TRACKER_CONFIG.band(DEVICE_B)
+    axis = np.linspace(lo, hi, m)
+    w1, w2 = np.meshgrid(axis, axis, indexing="ij")
+    grid = np.stack([w1.ravel(), w2.ravel()])
+    cell = (hi - lo) / (m - 1)
+    seeds = []
+    for i in np.argsort(row, kind="stable"):
+        if all(np.max(np.abs(grid[:, i] - grid[:, s])) > 1.5 * cell for s in seeds):
+            seeds.append(i)
+        if len(seeds) >= tracker.MAX_CANDIDATES:
+            break
+    return seeds
+
+
+def grid_row(rng, m, low):
+    """A row of m x m grid costs, all above 1, with ``low`` {(i, j): cost} set."""
+    row = 1.0 + rng.random(m * m)
+    for (i, j), cost in low.items():
+        row[i * m + j] = cost
+    return row
+
+
+class TestGridSeeds:
+    M = tracker.COARSE_POINTS_2D
+
+    def seeds(self, monkeypatch, rows):
+        """``_grid_seeds`` on ``rows``, and the width of every order it separated."""
+        widths = []
+        separate = tracker._separated_seeds
+
+        def spy(order, m):
+            widths.append(order.shape[1])
+            return separate(order, m)
+
+        monkeypatch.setattr(tracker, "_separated_seeds", spy)
+        got = tracker._grid_seeds(np.array(rows), self.M)
+        for row, seeds in zip(rows, got):
+            assert seeds.tolist() == reference_grid_seeds(row, self.M)
+        return widths
+
+    def test_random_rows_use_the_prefix(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        assert self.seeds(monkeypatch, rng.random((20, self.M * self.M))) == [tracker.SEED_PREFIX]
+
+    def test_equal_costs_inside_the_prefix_go_to_the_lower_index(self, monkeypatch):
+        # (20, 20) and (5, 40) tie for lowest, their neighbours (20, 21) and
+        # (5, 41) tie next, and (40, 5) and (40, 50) tie after them
+        low = {(20, 20): 0.0, (5, 40): 0.0, (20, 21): 0.1, (5, 41): 0.1,
+               (40, 50): 0.2, (40, 5): 0.2}
+        rng = np.random.default_rng(4)
+        row = grid_row(rng, self.M, low)
+        assert self.seeds(monkeypatch, [row]) == [tracker.SEED_PREFIX]
+        assert tracker._grid_seeds(row[None], self.M)[0].tolist() == [
+            5 * self.M + 40, 20 * self.M + 20, 40 * self.M + 5, 40 * self.M + 50]
+        # ten lowest points at random cells, in two cost levels
+        rows = rng.random((40, self.M * self.M)) + 1.0
+        for row in rows:
+            row[rng.choice(row.size, 10, replace=False)] = np.repeat([0.0, 0.5], 5)
+        assert self.seeds(monkeypatch, rows) == [tracker.SEED_PREFIX]
+
+    def test_tie_at_the_prefix_edge_sorts_the_row_in_full(self, monkeypatch):
+        # (10, 10) and its 8 neighbours, (30, 30) and (40, 40) make the 11
+        # lowest; the 12th and 13th tie at (50, 51) and its neighbour
+        # (50, 50), so the partition alone may keep either as the 4th seed
+        low = {(10 + di, 10 + dj): 0.01 * (3 * di + dj + 4) + 0.05 * (di != 0 or dj != 0)
+               for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+        low.update({(30, 30): 0.5, (40, 40): 0.6, (50, 51): 0.7, (50, 50): 0.7})
+        rng = np.random.default_rng(5)
+        rows = [grid_row(rng, self.M, low), rng.random(self.M * self.M)]
+        assert self.seeds(monkeypatch, rows) == [tracker.SEED_PREFIX, self.M * self.M]
+        assert tracker._grid_seeds(rows[0][None], self.M)[0].tolist() == [
+            10 * self.M + 10, 30 * self.M + 30, 40 * self.M + 40, 50 * self.M + 50]
+
+    def test_prefix_with_too_few_seeds_sorts_the_row_in_full(self, monkeypatch):
+        # the twelve lowest points fill a 6 x 2 block, which holds three seeds
+        low = {(10 + di, 10 + dj): 0.01 * (2 * di + dj) for di in range(6) for dj in range(2)}
+        row = grid_row(np.random.default_rng(6), self.M, low)
+        prefix = np.argsort(row, kind="stable")[None, : tracker.SEED_PREFIX]
+        assert not tracker._separated_seeds(prefix, self.M)[1][0]
+        assert self.seeds(monkeypatch, [row]) == [tracker.SEED_PREFIX, self.M * self.M]
+
+    def test_many_ties_everywhere(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        rows = rng.integers(0, 4, (6, self.M * self.M)).astype(float)
+        assert self.seeds(monkeypatch, rows) == [tracker.SEED_PREFIX, self.M * self.M]
+
+    def test_seed_pick_memory_does_not_grow_with_epochs(self):
+        def peak(epochs):
+            scenario = dataclasses.replace(bundled_scenario("device_B"), epochs=epochs)
+            ws = tracker._Workspace(true_lifetime_series(scenario), scenario.device, 2,
+                                    DEFAULT_TRACKER_CONFIG)
+            glob, _ = tracker._initial_states(ws)[0]
+            tracemalloc.start()
+            try:
+                tracker._candidates_2d(ws, *ws.unpack_globals(glob), None)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a (400, 3600) cost matrix alone would take 11.5 MB; the candidates'
+        # own arrays grow by well under 2 kB an epoch
+        assert peak(400) - peak(100) < 1e6
+
+
 def select_from(monkeypatch, epochs, x, f, prev_traj=None):
     """``_solve_epochs``'s pick from hand-made candidates: ``x`` has one row
     per defect and one column per candidate of ``epochs``."""
@@ -467,6 +575,23 @@ class TestCandidateSelection:
         got = select_from(monkeypatch, [0, 0, 1, 1], [[0.0, 10.0, 0.0, 9.0]],
                           [1.02, 1.0, 1.0, 1.01])
         assert got.tolist() == [[10.0, 9.0]]
+
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_matches_the_rule_epoch_by_epoch(self, monkeypatch, order):
+        # one to five candidates an epoch on a small integer grid, so ties
+        # in cost and in distance are common
+        rng = np.random.default_rng(order)
+        for prev in (None, rng.integers(0, 4, (order, 1))):
+            epochs = np.repeat(np.arange(40), rng.integers(1, 6, 40))
+            x = rng.integers(0, 4, (order, epochs.size)).astype(float)
+            f = rng.choice([1.0, 1.02, 1.2], epochs.size)
+            got = select_from(monkeypatch, epochs.tolist(), x, f, prev)
+            ref, want = None if prev is None else prev[:, 0], []
+            for e in range(40):
+                ref = select_candidate([(x[:, i], f[i]) for i in np.flatnonzero(epochs == e)], ref)
+                want.append(ref)
+            assert got.tobytes() == np.array(want).T.tobytes()
 
 
 def best_costs(n, epochs, costs):
