@@ -8,7 +8,6 @@ The model is the rate-equation cascade |2> -> |1> -> |0> with decay rates
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -16,9 +15,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-
-#: Relative rate difference below which the degenerate-rate limit is used.
-DEGENERATE_RATE_RTOL = 1e-9
 
 TRACE_SCHEMA_VERSION = 1
 _TRACE_COLUMNS = ("delay_us", "p0", "p1", "p2")
@@ -79,10 +75,6 @@ class HeatingRates:
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0.0:
                 raise InvalidParameterError(f"{name} must be finite and >= 0, got {v!r}")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.gamma_01 == 0.0 and self.gamma_12 == 0.0
 
 
 NO_HEATING = HeatingRates()
@@ -226,10 +218,6 @@ class PopulationTrace:
             "shots": None if self.shots is None else [int(s) for s in self.shots],
         }
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "PopulationTrace":
         if doc.get("schema_version") != TRACE_SCHEMA_VERSION:
@@ -270,7 +258,7 @@ def _bad_cell(path, line: int, row: list, header: list, index: list) -> InvalidP
 # -- forward models -------------------------------------------------------
 
 
-#: |x| = |gamma_21 - gamma_10|*t below which the derivatives of p1 come from
+#: |x| = |gamma_21 - gamma_10|*t below which p1 and its derivatives come from
 #: Taylor series in x.  Above it the difference quotients lose about
 #: 2e-16/x^2 relative to cancellation; below it the series' truncation
 #: error is under 1e-17 relative.
@@ -285,31 +273,29 @@ def _cascade(g10, g21, t, jacobian: bool = False):
     """Closed-form cascade populations (p0, p1, p2) from |2>, elementwise.
 
     ``g10``, ``g21`` and ``t`` broadcast against each other and are not
-    validated.  p1 switches to the limit form g*t*exp(-g*t), g the mean
-    rate, where the two rates agree to within ``DEGENERATE_RATE_RTOL``
-    (relative), which avoids catastrophic cancellation in the difference of
-    exponentials.  With ``jacobian`` the result is ``(p, dp/dg10, dp/dg21)``,
-    each a 3-tuple.  Writing p1 = g21*q with q = (e1 - e2)/d, e1 =
-    exp(-g10*t), e2 = exp(-g21*t), d = g21 - g10 and x = d*t, the
-    derivatives of q are (q - t*e1)/d and (t*e2 - q)/d; for |x| below
-    ``_SERIES_X``, a band that contains the degenerate limit, they are
-    -t^2*e1*(phi + phi') and t^2*e1*phi' with phi(x) = (1 - e^-x)/x from
-    its Taylor series, so they stay exact as d -> 0.
+    validated.  Writing p1 = g21*q with q = (e1 - e2)/d, e1 = exp(-g10*t),
+    e2 = exp(-g21*t), d = g21 - g10 and x = d*t, the difference quotient
+    loses about 2e-16/|x| relative to cancellation as the rates approach
+    each other.  For |x| below ``_SERIES_X``, a band that contains the
+    degenerate limit d = 0, q is t*e1*phi with phi(x) = (1 - e^-x)/x from
+    its Taylor series instead, which stays exact as d -> 0.  With
+    ``jacobian`` the result is ``(p, dp/dg10, dp/dg21)``, each a 3-tuple;
+    the derivatives of q are (q - t*e1)/d and (t*e2 - q)/d, and in the
+    series band -t^2*e1*(phi + phi') and t^2*e1*phi'.
     """
     d = g21 - g10
-    degenerate = np.abs(d) / np.maximum(g21, g10) < DEGENERATE_RATE_RTOL
+    x = d * t
     e1, p2 = np.exp(-g10 * t), np.exp(-g21 * t)
-    g = 0.5 * (g10 + g21)
+    series = np.abs(x) < _SERIES_X
+    phi = np.polyval(_PHI, x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        p1 = np.where(degenerate, g * t * np.exp(-g * t), g21 * (e1 - p2) / d)
+        q = np.where(series, t * e1 * phi, (e1 - p2) / d)
+    p1 = g21 * q
     p = (1.0 - p1 - p2, p1, p2)
     if not jacobian:
         return p
-    x = d * t
-    phi, dphi = np.polyval(_PHI, x), np.polyval(_DPHI, x)
-    series = np.abs(x) < _SERIES_X
+    dphi = np.polyval(_DPHI, x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(series, t * e1 * phi, (e1 - p2) / d)
         dq10 = np.where(series, -t * t * e1 * (phi + dphi), (q - t * e1) / d)
         dq21 = np.where(series, t * t * e1 * dphi, (t * p2 - q) / d)
     d10 = (-g21 * dq10, g21 * dq10, np.zeros_like(p2))
@@ -322,10 +308,10 @@ def closed_form_populations(rates: DecayRates, t) -> np.ndarray:
 
     Returns an array of shape (3,) + shape(t) with rows (p0, p1, p2).  The
     P1 solution carries the gamma_21 prefactor required for the three
-    components to stay normalized, and switches to the limit form
-    gamma*t*exp(-gamma*t) when the two rates agree to within
-    ``DEGENERATE_RATE_RTOL`` (relative), which avoids catastrophic
-    cancellation in the difference of exponentials.
+    components to stay normalized; where the two rates are close it comes
+    from a Taylor series rather than the difference of exponentials, so it
+    stays accurate to rounding through the degenerate limit (see
+    :func:`_cascade`).
     """
     rates.require_positive()
     t = np.asarray(t, dtype=float)

@@ -9,11 +9,14 @@ unknowns per problem: the trace fits (:func:`tlstrack.trace_fit.fit_traces`)
 and the tracker's per-epoch two-defect frequency solves.  It runs a whole
 stack of independent problems at once with closed-form 2x2 damped normal
 equations, and each caller supplies its own residuals and analytic
-derivatives.  The tracker's joint update has its own Schur-complement step
-in :mod:`tlstrack.tracker`.  All of them keep :class:`FitOptions`'
-tolerances and damping schedule.  The generic :func:`levenberg_marquardt`,
-:func:`solve` and :func:`finite_difference_jacobian` remain as the reference
-solver; no pipeline stage calls them.
+derivatives.  :func:`_lm_loop` is the loop of every single-problem solve:
+it owns the damping schedule, the stopping tests, the box clip and the
+acceptance rule, and its caller supplies the linearisation and the damped
+linear solve.  The generic :func:`levenberg_marquardt` (with
+:func:`solve` and :func:`finite_difference_jacobian`) runs it with a dense
+Jacobian and a direct solve, and the tracker's joint update with its
+Schur-complement step in :mod:`tlstrack.tracker`.  All of them keep
+:class:`FitOptions`' tolerances and damping schedule.
 """
 
 from __future__ import annotations
@@ -160,52 +163,75 @@ def levenberg_marquardt(
     unconverged result instead of raising.
     """
     fn = problem.residual
-    x = problem.initial.copy()
-    lo, hi = problem.lower, problem.upper
 
     def jacobian_at(xp, rp):
         if problem.jacobian is not None:
             return np.asarray(problem.jacobian(xp), dtype=float)
-        return finite_difference_jacobian(fn, xp, rp, hi, options.fd_step)
+        return finite_difference_jacobian(fn, xp, rp, problem.upper, options.fd_step)
 
-    r = np.atleast_1d(np.asarray(fn(x), dtype=float))
+    def linearise(xp, rp):
+        try:
+            jac = jacobian_at(xp, rp)
+        except FitDivergedError as err:
+            raise FitDivergedError(str(err), xp) from None
+        grad = jac.T @ rp
+        jtj = jac.T @ jac
+        diag = np.diag(jtj).copy()
+        diag[diag <= 0.0] = 1.0
+        return grad, (jac, jtj, np.diag(diag), -grad)
+
+    def damped_step(lin, lam):
+        _, jtj, d, neg_grad = lin
+        return np.linalg.solve(jtj + lam * d, neg_grad)
+
+    x, r, cost, iterations, converged, lin = _lm_loop(
+        problem.initial.copy(), problem.lower, problem.upper,
+        lambda xp: np.atleast_1d(np.asarray(fn(xp), dtype=float)),
+        linearise, damped_step, options)
+    jac = jacobian_at(x, r) if lin is None else lin[0]
+    return FitResult(x, math.sqrt(cost), converged, iterations, jac, cost)
+
+
+def _lm_loop(x, lo, hi, residual, linearise, damped_step, options: FitOptions):
+    """The bounded Levenberg-Marquardt loop of every single-problem solve.
+
+    ``x`` starts inside [``lo``, ``hi``].  ``linearise(x, r)`` returns the
+    gradient Jᵀr and ``lin``, from which ``damped_step(lin, lam)`` solves
+    (JᵀJ + lam*D) step = -Jᵀr, D the diagonal of JᵀJ with entries <= 0 set
+    to 1, or raises LinAlgError, which raises the damping.  The clipped
+    trial ``x + step`` is accepted when it lowers the cost.  The loop stops
+    at a projected gradient within ``gtol``, at an accepted step below
+    ``ftol`` or ``xtol`` (relative), or at damping above ``lambda_max``.  A
+    non-finite residual raises ``InvalidParameterError`` at the start and
+    ``FitDivergedError``, with the last accepted ``x``, at a trial.  Returns
+    (x, r, cost, iterations, converged, lin), ``lin`` from the last
+    linearisation or None.
+    """
+    r = residual(x)
     if not np.all(np.isfinite(r)):
         raise InvalidParameterError("residual is not finite at the initial guess")
     cost = float(r @ r)
     if cost == 0.0:
-        jac = jacobian_at(x, r)
-        return FitResult(x, 0.0, True, 0, jac, 0.0)
+        return x, r, 0.0, 0, True, None
 
     lam = options.lambda_init
     converged = False
     iteration = 0
-    jac = None
+    lin = None
     for iteration in range(1, options.max_iterations + 1):
-        try:
-            jac = jacobian_at(x, r)
-        except FitDivergedError as err:
-            raise FitDivergedError(str(err), x) from None
-        grad = jac.T @ r
+        grad, lin = linearise(x, r)
         # projected gradient: directions pushing outside the box do not count
-        pg = grad.copy()
-        pg[(x <= lo) & (grad > 0.0)] = 0.0
-        pg[(x >= hi) & (grad < 0.0)] = 0.0
-        if np.max(np.abs(pg)) <= options.gtol:
+        if np.max(np.abs(np.where(_outward(x, grad, lo, hi), 0.0, grad))) <= options.gtol:
             converged = True
             break
-
-        jtj = jac.T @ jac
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0.0] = 1.0
-        accepted = False
         while lam <= options.lambda_max:
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+                step = damped_step(lin, lam)
             except np.linalg.LinAlgError:
                 lam *= options.lambda_increase
                 continue
             x_new = np.clip(x + step, lo, hi)
-            r_new = np.atleast_1d(np.asarray(fn(x_new), dtype=float))
+            r_new = residual(x_new)
             if not np.all(np.isfinite(r_new)):
                 raise FitDivergedError(
                     f"non-finite residual at trial parameters {x_new!r}", x
@@ -216,24 +242,18 @@ def levenberg_marquardt(
                 rel_decrease = (cost - cost_new) / cost
                 x, r, cost = x_new, r_new, cost_new
                 lam = max(lam / options.lambda_decrease, 1e-14)
-                accepted = True
-                if rel_decrease <= options.ftol or step_norm <= options.xtol * (
+                converged = rel_decrease <= options.ftol or step_norm <= options.xtol * (
                     float(np.linalg.norm(x)) + options.xtol
-                ):
-                    converged = True
+                )
                 break
             lam *= options.lambda_increase
-        if not accepted:
+        else:
             # no descent direction within the damping budget: local minimum
             # to working precision
             converged = True
-            break
         if converged:
             break
-
-    if jac is None:
-        jac = jacobian_at(x, r)
-    return FitResult(x, math.sqrt(cost), converged, iteration, jac, cost)
+    return x, r, cost, iteration, converged, lin
 
 
 def solve(
@@ -265,11 +285,11 @@ def _damped_newton_2x2(x, lo, hi, residuals, linearise, options: FitOptions):
 
     The damped normal equations (JᵀJ + λ·diag) step = -Jᵀr are solved in
     closed form.  The stopping tests and damping schedule are those of
-    :func:`levenberg_marquardt`: a problem stops when its projected gradient
-    is within ``gtol``, when an accepted step lowers its cost by at most
-    ``ftol`` relative or moves it by at most ``xtol`` relative, or when λ
-    exceeds ``lambda_max`` without a lower cost (a local minimum to working
-    precision).  Each pass works on the problems still active, and every
+    :func:`_lm_loop`, applied elementwise: a problem stops when its
+    projected gradient is within ``gtol``, when an accepted step lowers its
+    cost by at most ``ftol`` relative or moves it by at most ``xtol``
+    relative, or when λ exceeds ``lambda_max`` without a lower cost (a
+    local minimum to working precision).  Each pass works on the problems still active, and every
     problem's arithmetic is elementwise, so its result does not depend on
     the other problems in the stack.  Returns (x, r, cost, iterations,
     converged); ``iterations`` counts each problem's linearisations, and a

@@ -88,10 +88,6 @@ class IqBlobModel:
             "covariances": self.covariances.tolist(),
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "IqBlobModel":
-        return cls(np.array(doc["means"]), np.array(doc["covariances"]))
-
 
 def equilateral_blobs(radius: float, sigma: float = 1.0) -> IqBlobModel:
     """Three isotropic blobs at the vertices of an equilateral triangle.

@@ -16,17 +16,18 @@ The solve alternates two moves until the misfit settles:
      previous epoch's frequency (continuity) in epoch order, by a table of
      each epoch's nearest pick given the previous one;
 (ii) a bounded Levenberg-Marquardt update of the globals on the stacked
-     two-channel residuals, performed jointly with the trajectory (the
-     model's derivatives are supplied analytically).  Updating the globals
-     with trajectories frozen is not convergent here: the linewidth and
-     the trajectory amplitude feed back on each other and the pure
-     two-block scheme collapses the linewidth toward zero.  A frequency
-     moves only its own epoch's residuals, so the normal matrix is
-     arrow-shaped: one order x order block per epoch plus at most six
-     global rows and columns.  Each damped step eliminates the frequency
-     blocks in closed form and solves the small Schur complement in the
-     globals (the bundle-adjustment reduction), so an update costs time and
-     memory linear in the number of epochs; no dense Jacobian is formed.
+     two-channel residuals, performed jointly with the trajectory on
+     :mod:`tlstrack.optimize`'s loop (the model's derivatives are supplied
+     analytically).  Updating the globals with trajectories frozen is not
+     convergent here: the linewidth and the trajectory amplitude feed back
+     on each other and the pure two-block scheme collapses the linewidth
+     toward zero.  A frequency moves only its own epoch's residuals, so
+     the normal matrix is arrow-shaped: one order x order block per epoch
+     plus at most six global rows and columns.  Each damped step
+     eliminates the frequency blocks in closed form and solves the small
+     Schur complement in the globals (the bundle-adjustment reduction), so
+     an update costs time and memory linear in the number of epochs; no
+     dense Jacobian is formed.
 
 Because the rate levels alone cannot localize a defect (any (B, gamma,
 omega) triple matching the two median rates is statically equivalent), the
@@ -47,8 +48,8 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import DecayRates, ZERO_RATES
-from .errors import FitDivergedError, InvalidParameterError, UndefinedCorrelationError
-from .optimize import FitOptions, _damped_newton_2x2, _outward
+from .errors import InvalidParameterError, UndefinedCorrelationError
+from .optimize import FitOptions, _damped_newton_2x2, _lm_loop
 from .tls import (DeviceFrequencies, TlsDefect, TlsParameterSet, lorentzian_density,
                   lorentzian_rates)
 
@@ -421,63 +422,36 @@ def _schur_step(normal, lam: float) -> tuple[np.ndarray, np.ndarray]:
 def _joint_update(ws: _Workspace, glob: np.ndarray, traj: np.ndarray):
     """Bounded Levenberg-Marquardt update of the globals jointly with the trajectory.
 
-    The stopping tests, damping schedule and box projection are those of
-    :func:`levenberg_marquardt` with ``JOINT_LM_ITERATIONS`` iterations; the
-    damped normal equations are solved by :func:`_schur_step`, in time and
-    memory linear in the number of epochs.  Returns (glob, traj).
+    The parameters are one vector, the globals and then the trajectory
+    defect by defect, run through :func:`tlstrack.optimize._lm_loop` with
+    ``JOINT_LM_ITERATIONS`` iterations.  Each damped system is solved by
+    :func:`_schur_step`, in time and memory linear in the number of epochs.
+    Returns (glob, traj).
     """
-    opt = FitOptions(max_iterations=JOINT_LM_ITERATIONS)
+    g = ws.n_globals
     (glo, ghi), (wlo, whi) = ws.global_bounds(), ws.band
-    glob, traj = np.clip(glob, glo, ghi), np.clip(traj, wlo, whi)
+    lo = np.concatenate([glo, np.full(traj.size, wlo)])
+    hi = np.concatenate([ghi, np.full(traj.size, whi)])
 
-    def residuals(glob, traj):
+    def split(x):
+        return x[:g], x[g:].reshape(traj.shape)
+
+    def residual(x):
+        glob, traj = split(x)
         return ws.residuals(*ws.unpack_globals(glob), traj)
 
-    def norm(a, b):
-        return math.hypot(np.linalg.norm(a), np.linalg.norm(b))
+    def linearise(x, r):
+        normal = _normal_equations(ws, *split(x), r)
+        return np.concatenate([normal[3], normal[4].T.ravel()]), normal
 
-    r = residuals(glob, traj)
-    if not np.all(np.isfinite(r)):
-        raise InvalidParameterError("residual is not finite at the initial guess")
-    cost = float(r @ r)
-    if cost == 0.0:
-        return glob, traj
-    lam = opt.lambda_init
-    for _ in range(opt.max_iterations):
-        normal = _normal_equations(ws, glob, traj, r)
-        grad_g, grad_w = normal[3], normal[4].T
-        # projected gradient: directions pushing outside the box do not count
-        if max(np.max(np.abs(np.where(_outward(glob, grad_g, glo, ghi), 0.0, grad_g))),
-               np.max(np.abs(np.where(_outward(traj, grad_w, wlo, whi), 0.0, grad_w)))
-               ) <= opt.gtol:
-            break
-        while lam <= opt.lambda_max:
-            try:
-                step_g, step_w = _schur_step(normal, lam)
-            except np.linalg.LinAlgError:
-                lam *= opt.lambda_increase
-                continue
-            glob_new = np.clip(glob + step_g, glo, ghi)
-            traj_new = np.clip(traj + step_w.T, wlo, whi)
-            r_new = residuals(glob_new, traj_new)
-            if not np.all(np.isfinite(r_new)):
-                raise FitDivergedError(f"non-finite residual at trial globals {glob_new!r}",
-                                       np.concatenate([glob, traj.ravel()]))
-            cost_new = float(r_new @ r_new)
-            if cost_new < cost:
-                step_norm = norm(glob_new - glob, traj_new - traj)
-                rel_decrease = (cost - cost_new) / cost
-                glob, traj, r, cost = glob_new, traj_new, r_new, cost_new
-                lam = max(lam / opt.lambda_decrease, 1e-14)
-                break
-            lam *= opt.lambda_increase
-        else:
-            # no descent direction within the damping budget: a local
-            # minimum to working precision
-            break
-        if rel_decrease <= opt.ftol or step_norm <= opt.xtol * (norm(glob, traj) + opt.xtol):
-            break
-    return glob, traj
+    def damped_step(normal, lam):
+        step_g, step_w = _schur_step(normal, lam)
+        return np.concatenate([step_g, step_w.T.ravel()])
+
+    x = np.clip(np.concatenate([glob, traj.ravel()]), lo, hi)
+    x = _lm_loop(x, lo, hi, residual, linearise, damped_step,
+                 FitOptions(max_iterations=JOINT_LM_ITERATIONS))[0]
+    return split(x)
 
 
 # -- deterministic level-matched starts --------------------------------------
@@ -768,6 +742,12 @@ def track_tls(
         raise InvalidParameterError(
             f"band_margin_mhz {config.band_margin_mhz} leaves an empty search band {band!r}"
         )
+    for name in ("linewidth_bounds_mhz", "coupling_bounds"):
+        lo, hi = getattr(config, name)
+        if not 0.0 < lo < hi:
+            raise InvalidParameterError(f"{name}: expected 0 < lo < hi, got {[lo, hi]!r}")
+    if not config.f_multiplier > 0.0:
+        raise InvalidParameterError(f"f_multiplier: expected > 0, got {config.f_multiplier!r}")
 
     warnings = []
     if series.n_epochs < 10:

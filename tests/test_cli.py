@@ -391,6 +391,11 @@ class TestTrack:
         ({"coarse_points_2d": 1}, "tracker.coarse_points_2d: unknown"),
         ({"band_margin_mhz": -1000.0}, "empty search band"),
         ({"max_candidates": 0}, "tracker.max_candidates: unknown"),
+        ({"linewidth_bounds_mhz": [500, 0.05]}, "linewidth_bounds_mhz: expected 0 < lo < hi"),
+        ({"linewidth_bounds_mhz": [0, 10]}, "linewidth_bounds_mhz: expected 0 < lo < hi"),
+        ({"coupling_bounds": [-1, 5]}, "coupling_bounds: expected 0 < lo < hi"),
+        ({"f_multiplier": 0}, "f_multiplier: expected > 0"),
+        ({"f_multiplier": -1}, "f_multiplier: expected > 0"),
     ])
     def test_bad_tracker_config_exit_2(self, tmp_path, capsys, tracker, path):
         spath, dev, _ = self.make_series_csv(tmp_path, epochs=12)

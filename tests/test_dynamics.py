@@ -56,12 +56,25 @@ class TestClosedForm:
         assert s.p1 == pytest.approx(ref[1], abs=1e-9)
 
     def test_branch_continuity(self):
-        # populations must agree across the degenerate-branch switch
+        # populations must agree on both sides of a 1e-9 relative rate gap
         g = 0.01
         for t in (1.0, 50.0, 150.0, 400.0):
             below = closed_form_populations(DecayRates(g, g * (1 + 0.999e-9)), t)
             above = closed_form_populations(DecayRates(g, g * (1 + 1.001e-9)), t)
             assert np.max(np.abs(below - above)) < 1e-7
+
+    @pytest.mark.parametrize("rel", [s * r for r in np.geomspace(1e-9, 1e-3, 7).tolist()
+                                     for s in (1.0, -1.0)])
+    @pytest.mark.parametrize("g10", [1e-3, 1.0])
+    def test_near_degenerate_p1_matches_expm1_form(self, g10, rel):
+        # p1 = g21*e1*(1 - e^-x)/d with d = g21 - g10 and x = d*t: expm1
+        # keeps the difference of the two exponentials exact as d -> 0
+        g21 = g10 * (1.0 + rel)
+        t = np.geomspace(1e-3, 30.0, 60) / g10
+        d = g21 - g10
+        want = g21 * np.exp(-g10 * t) * -np.expm1(-d * t) / d
+        got = closed_form_populations(DecayRates(g10, g21), t)[1]
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-14
 
     @pytest.mark.parametrize("ratio", np.geomspace(0.2, 20, 10).tolist())
     def test_normalization_sweep(self, ratio):

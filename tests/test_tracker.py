@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import tracemalloc
 from types import SimpleNamespace
 
@@ -13,6 +15,7 @@ from tlstrack.errors import InvalidParameterError, UndefinedCorrelationError
 from tlstrack.synth import DriftProcess, Scenario, TlsTruth, bundled_scenario, \
     generate_trajectories, true_lifetime_series
 from tlstrack import tracker
+from tlstrack.cli import main
 from tlstrack.optimize import FitOptions, LeastSquaresProblem, levenberg_marquardt
 from tlstrack.tls import DeviceFrequencies, lorentzian_rates, rate_series
 from tlstrack.tracker import (
@@ -1052,3 +1055,43 @@ def test_information_score_penalizes_order(single_tls_case):
     series, _, fit = single_tls_case
     s1 = information_score(fit, series)
     assert np.isfinite(s1)
+
+
+def track_digest(order, tmp_path):
+    """SHA-256 over trajectory.csv, correlation.csv and fit.json of
+    ``track --order order`` on a 40-epoch weighted device_A series: the true
+    lifetimes with 1% seeded noise and error columns.  The series is built
+    from the rate model, not from synthesized traces, so only the tracker
+    moves the digest."""
+    scenario = dataclasses.replace(bundled_scenario("device_A"), epochs=40)
+    clean = true_lifetime_series(scenario)
+    rng = np.random.default_rng(14)
+    t1e = clean.t1e_us * (1.0 + 0.01 * rng.standard_normal(40))
+    t1f = clean.t1f_us * (1.0 + 0.01 * rng.standard_normal(40))
+    series_path, device_path = tmp_path / "series.csv", tmp_path / "device.json"
+    LifetimeSeries(clean.epochs_hr, t1e, t1f, 0.01 * t1e, 0.01 * t1f).to_csv(series_path)
+    device_path.write_text(json.dumps({"omega01_mhz": scenario.device.omega_01,
+                                       "anharmonicity_mhz": scenario.device.anharmonicity}))
+    out = tmp_path / "fit"
+    assert main(["track", str(series_path), "--device", str(device_path),
+                 "--order", order, "--out", str(out)]) == 0
+    h = hashlib.sha256()
+    for name in ("trajectory.csv", "correlation.csv", "fit.json"):
+        h.update(name.encode() + b"\0")
+        h.update((out / name).read_bytes())
+    return h.hexdigest()
+
+
+# recorded before the joint update moved onto optimize's Levenberg-Marquardt
+# loop; like the synthesis digests they assume the same numpy and BLAS build,
+# and any change to a tracker output shows here
+TRACK_DIGESTS = {
+    "1": "45147c48fa993f396aa0217cb20a236c520b36a4ffae8f925c43fd4fe7bf2257",
+    "2": "19f22f35d0ae61e4e8fc5664116e28b28bf340643949244e82465203e08c8c7d",
+    "auto": "4b1dcbe604ef6e6b50de7ceb7e4abc7c60b75b75729256835718637f31b9b745",
+}
+
+
+@pytest.mark.parametrize("order", sorted(TRACK_DIGESTS))
+def test_track_outputs_match_golden_digest(order, tmp_path):
+    assert track_digest(order, tmp_path) == TRACK_DIGESTS[order]
