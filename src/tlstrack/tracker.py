@@ -516,6 +516,9 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
     is monotone between consecutive stationary points, so among the sorted
     real parts of all roots, clipped to the band, and the two band edges,
     the distinct points no higher than both neighbours are its local minima.
+    The eigenvalues lose digits where roots cluster (a linewidth far below
+    the band's width), so each local minimum then takes one Newton step on
+    its cost, kept where it lowers the cost by more than the solvers' ftol.
 
     Returns each candidate's epoch, its (1, k) frequencies and its cost,
     epoch by epoch and, within an epoch, in increasing cost.
@@ -552,10 +555,24 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
     # neighbour test, so copies become NaN, which sorts last and costs inf
     u[:, 1:][u[:, 1:] == u[:, :-1]] = np.nan
     xs = mid + h * np.sort(u)
+    rows = np.arange(ws.n)[:, None]
     g10, g21 = lorentzian_rates(dev, coupling, linewidth, xs[None], bg, cfg.f_multiplier)
-    fs = np.where(np.isnan(xs), np.inf, ws.epoch_cost(g10, g21, np.arange(ws.n)[:, None]))
+    fs = np.where(np.isnan(xs), np.inf, ws.epoch_cost(g10, g21, rows))
     padded = np.pad(fs, ((0, 0), (1, 1)), constant_values=np.inf)
     is_min = (fs <= padded[:, :-2]) & (fs <= padded[:, 2:]) & (fs < np.inf)
+    g, grad, curv = linewidth[0], 0.0, 0.0
+    for r, w0, s in zip(ws.epoch_residuals(g10, g21, rows), (dev.omega_01, dev.omega_12),
+                        (ws.w_e / ws.g10_meas, cfg.f_multiplier * ws.w_f / ws.g21_meas)):
+        d, den = w0 - xs, (w0 - xs) ** 2 + g**2
+        lor = -2.0 * s[:, None] * coupling[0] * g / den**2   # d r / d omega = lor * d
+        grad = grad + r * lor * d
+        curv = curv + (lor * d) ** 2 + r * lor * (3.0 * d**2 - g**2) / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_nt = np.clip(xs - grad / curv, *ws.band)
+    f_nt = ws.epoch_cost(*lorentzian_rates(dev, coupling, linewidth, x_nt[None], bg,
+                                           cfg.f_multiplier), rows)
+    better = is_min & (curv > 0.0) & (f_nt < fs * (1.0 - FitOptions().ftol))
+    xs, fs = np.where(better, x_nt, xs), np.where(better, f_nt, fs)
     # local minima first, then by cost; the sort is stable, so ties keep band order
     idx = np.lexsort((fs, ~is_min), axis=-1)[:, :MAX_CANDIDATES]
     epochs, slot = np.nonzero(np.take_along_axis(is_min, idx, axis=-1))

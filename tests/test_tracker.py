@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -666,6 +666,7 @@ class TestExactOneDefectSolve:
                                             np.array([linewidth]), np.array([1e-3, 2e-3]))
 
     @settings(max_examples=30, deadline=None)
+    @example(coupling=10.0 ** (-3.5), linewidth=0.05, floor=(0.0, 1.0))
     @given(coupling=st.one_of(st.sampled_from(TrackerConfig().coupling_bounds),
                               st.floats(-10.0, 8.0).map(lambda v: 10.0**v)),
            linewidth=st.one_of(st.sampled_from(TrackerConfig().linewidth_bounds_mhz),
