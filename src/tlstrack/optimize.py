@@ -289,9 +289,9 @@ def _damped_newton_2x2(x, lo, hi, residuals, linearise, options: FitOptions):
     projected gradient is within ``gtol``, when an accepted step lowers its
     cost by at most ``ftol`` relative or moves it by at most ``xtol``
     relative, or when λ exceeds ``lambda_max`` without a lower cost (a
-    local minimum to working precision).  Each pass works on the problems still active, and every
-    problem's arithmetic is elementwise, so its result does not depend on
-    the other problems in the stack.  Returns (x, r, cost, iterations,
+    local minimum to working precision).  Each pass works on the problems
+    still active, and every problem's arithmetic is elementwise, so its
+    result does not depend on the other problems in the stack.  Returns (x, r, cost, iterations,
     converged); ``iterations`` counts each problem's linearisations, and a
     problem still active after ``max_iterations`` is not converged.
     """

@@ -571,7 +571,7 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
         x_nt = np.clip(xs - grad / curv, *ws.band)
     f_nt = ws.epoch_cost(*lorentzian_rates(dev, coupling, linewidth, x_nt[None], bg,
                                            cfg.f_multiplier), rows)
-    better = is_min & (curv > 0.0) & (f_nt < fs * (1.0 - FitOptions().ftol))
+    better = is_min & (curv > 0.0) & (f_nt < fs * (1.0 - FitOptions.ftol))
     xs, fs = np.where(better, x_nt, xs), np.where(better, f_nt, fs)
     # local minima first, then by cost; the sort is stable, so ties keep band order
     idx = np.lexsort((fs, ~is_min), axis=-1)[:, :MAX_CANDIDATES]
