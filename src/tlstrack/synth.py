@@ -337,10 +337,10 @@ def scenario_to_json_dict(s: Scenario) -> dict:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
             raise ScenarioSchemaError("", f"not valid JSON: {err}") from None
     return scenario_from_json_dict(doc)
 

@@ -11,10 +11,11 @@ The solve alternates two moves until the misfit settles:
      once as array operations -- for one defect the exact local minima over
      the search band, from the roots of the cost's stationarity polynomial;
      for two, damped Newton solves from the best separated points of a
-     coarse grid, picked a block of epochs at a time by a partial sort of
-     each epoch's grid costs -- then near-equal minima tie-broken toward the
-     previous epoch's frequency (continuity) in epoch order, by a table of
-     each epoch's nearest pick given the previous one;
+     coarse grid, picked a block of epochs at a time by repeated argmins
+     over each epoch's grid costs, masking the cells next to every pick --
+     then near-equal minima tie-broken toward the previous epoch's
+     frequency (continuity) in epoch order, by a table of each epoch's
+     nearest pick given the previous one;
 (ii) a bounded Levenberg-Marquardt update of the globals on the stacked
      two-channel residuals, performed jointly with the trajectory on
      :mod:`tlstrack.optimize`'s loop (the model's derivatives are supplied
@@ -115,6 +116,13 @@ class LifetimeSeries:
 
     @classmethod
     def from_csv(cls, path) -> "LifetimeSeries":
+        """Read a series written by :meth:`to_csv`; the error columns are optional.
+
+        A missing column, a cell that is not a finite number, a lifetime that
+        is not positive, a negative error or a timestamp not after the
+        previous row's raises ``InvalidParameterError`` naming the file, line
+        and column.
+        """
         cols = {k: [] for k in ("timestamp_hr", "t1e_us", "t1f_us", "err_e", "err_f")}
         first_blank = {}
         # bytes that are not UTF-8 read as U+FFFD, so such a cell is not a number
@@ -122,23 +130,32 @@ class LifetimeSeries:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 raise InvalidParameterError(f"{path}: empty series file")
+            for k in ("timestamp_hr", "t1e_us", "t1f_us"):
+                if k not in reader.fieldnames:
+                    raise InvalidParameterError(f"{path}: line 1: missing column {k!r}")
 
-            def number(row, k) -> float:
+            def number(row, k, expected, ok) -> float:
                 try:
-                    return float(row[k])
-                except ValueError:
-                    raise InvalidParameterError(
-                        f"{path}: line {reader.line_num}: {k} is not a number: {row[k]!r}"
-                    ) from None
+                    v = float(row[k])
+                except (TypeError, ValueError):
+                    v = math.nan
+                if not ok(v):
+                    raise InvalidParameterError(f"{path}: line {reader.line_num}: column {k!r}: "
+                                                f"expected {expected}, got {row[k]!r}")
+                return v
 
+            times = cols["timestamp_hr"]
             for row in reader:
-                for k in ("timestamp_hr", "t1e_us", "t1f_us"):
-                    if row.get(k) in (None, ""):
-                        raise InvalidParameterError(f"{path}: missing column {k}")
-                    cols[k].append(number(row, k))
+                after = times[-1] if times else -math.inf
+                times.append(number(row, "timestamp_hr", f"a finite time after {after!r}",
+                                    lambda v: after < v < math.inf))
+                for k in ("t1e_us", "t1f_us"):
+                    cols[k].append(number(row, k, "a positive finite number",
+                                          lambda v: 0.0 < v < math.inf))
                 for k in ("err_e", "err_f"):
                     if row.get(k) not in (None, ""):
-                        cols[k].append(number(row, k))
+                        cols[k].append(number(row, k, "a finite number >= 0",
+                                              lambda v: 0.0 <= v < math.inf))
                     else:
                         first_blank.setdefault(k, reader.line_num)
         for k in ("err_e", "err_f"):
@@ -159,7 +176,6 @@ class LifetimeSeries:
 # Solver settings: they steer the search, not the model, so they are constants.
 COARSE_POINTS_2D = 60       # per-axis grid size for the two-defect solve
 MAX_CANDIDATES = 4          # lowest local minima kept per epoch
-SEED_PREFIX = 12            # lowest grid points sorted per epoch for the 2-D seeds
 SEED_BLOCK = 16             # epochs whose 2-D grid costs are held at once
 OUTER_ITERATIONS = 50
 PROBE_ITERATIONS = 2        # outer cycles spent on each start before selection
@@ -574,7 +590,7 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
     better = is_min & (curv > 0.0) & (f_nt < fs * (1.0 - FitOptions.ftol))
     xs, fs = np.where(better, x_nt, xs), np.where(better, f_nt, fs)
     # local minima first, then by cost; the sort is stable, so ties keep band order
-    idx = np.lexsort((fs, ~is_min), axis=-1)[:, :MAX_CANDIDATES]
+    idx = np.argsort(np.where(is_min, fs, np.inf), axis=-1, kind="stable")[:, :MAX_CANDIDATES]
     epochs, slot = np.nonzero(np.take_along_axis(is_min, idx, axis=-1))
     i = idx[epochs, slot]
     return epochs, xs[epochs, i][None], fs[epochs, i]
@@ -582,48 +598,29 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
 
 def _grid_seeds(cost: np.ndarray, m: int) -> np.ndarray:
     """The ``MAX_CANDIDATES`` seeds of each row of ``cost``, the costs of an
-    m x m grid with flat index i at cell (i // m, i % m).
+    m x m grid with flat index i at cell (i // m, i % m); ``cost`` is overwritten.
 
-    The points are taken in order of (cost, flat index), and a point is kept
-    when it lies at least 2 cells (Chebyshev) from every kept one; the grid
-    is big enough (m * m > 9 * (MAX_CANDIDATES - 1)) that every row fills up.
-    Only each row's ``SEED_PREFIX`` lowest points are sorted, found by a
-    partial sort.  A row whose prefix cannot be told apart from the next
-    point (a tie at its edge), or yields too few seeds, is sorted in full.
+    The seeds are the points taken in order of (cost, flat index) and kept
+    when at least 2 cells (Chebyshev) from every kept one.  Each pass takes
+    every row's argmin, which on equal costs is the lowest flat index, and
+    sets the 3 x 3 block around it, clipped to the grid, to +inf, so the
+    next argmin is the lowest point not next to a seed.  At most
+    9 * (MAX_CANDIDATES - 1) cells are masked, fewer than m * m, so every
+    row fills up; the costs are finite (bounded globals, positive measured
+    rates, bounded weights), so argmin never meets a NaN.
     Returns the seeds' flat indices, (rows, MAX_CANDIDATES), in pick order.
     """
-    rows = np.arange(cost.shape[0])
-    part = np.argpartition(cost, SEED_PREFIX, axis=1)
-    prefix = part[:, :SEED_PREFIX]
-    values = cost[rows[:, None], prefix]
-    prefix = np.take_along_axis(prefix, np.lexsort((prefix, values), axis=1), axis=1)
-    seeds, filled = _separated_seeds(prefix, m)
-    # part[:, SEED_PREFIX] is the next-lowest point; if it ties the prefix's
-    # highest, the costs alone do not say which of the two the prefix holds
-    redo = np.flatnonzero(~filled | ~(values.max(axis=1) < cost[rows, part[:, SEED_PREFIX]]))
-    if redo.size:
-        seeds[redo] = _separated_seeds(np.argsort(cost[redo], axis=1, kind="stable"), m)[0]
-    return seeds
-
-
-def _separated_seeds(order: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy pick along each row of ``order`` (flat grid indices): the first
-    point, then each next point at least 2 cells (Chebyshev) from every pick,
-    until ``MAX_CANDIDATES``.  Two grid points are more than 1.5 cells apart
-    exactly when their indices differ by 2 or more on some axis.  Returns the
-    picks and whether each row filled up."""
-    r, c = np.divmod(order, m)
-    rows = np.arange(order.shape[0])
-    free = np.ones(order.shape, dtype=bool)
-    filled = np.ones(order.shape[0], dtype=bool)
-    seeds = np.empty((order.shape[0], MAX_CANDIDATES), dtype=order.dtype)
+    n = cost.shape[0]
+    cells = cost.reshape(n, m, m)
+    rows = np.arange(n)[:, None, None]
+    near = np.arange(-1, 2)
+    seeds = np.empty((n, MAX_CANDIDATES), dtype=np.intp)
     for k in range(MAX_CANDIDATES):
-        # every point before the first free one is a pick or next to one
-        j = np.argmax(free, axis=1)
-        filled &= free[rows, j]
-        seeds[:, k] = order[rows, j]
-        free &= np.maximum(np.abs(r - r[rows, j, None]), np.abs(c - c[rows, j, None])) >= 2
-    return seeds, filled
+        seeds[:, k] = j = np.argmin(cells.reshape(n, m * m), axis=1)
+        r, c = np.divmod(j, m)
+        cells[rows, np.clip(r[:, None, None] + near[:, None], 0, m - 1),
+              np.clip(c[:, None, None] + near, 0, m - 1)] = np.inf
+    return seeds
 
 
 def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[np.ndarray]
@@ -634,7 +631,8 @@ def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[
 
     The grid costs are computed ``SEED_BLOCK`` epochs at a time in two
     reused buffers, so the seed pick's memory does not grow with the number
-    of epochs; :func:`_grid_seeds` picks each block's seeds.
+    of epochs; :func:`_grid_seeds` picks each block's seeds, masking the
+    block's costs in place before the next block refills the buffers.
     """
     cfg = ws.config
     m = COARSE_POINTS_2D

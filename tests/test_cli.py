@@ -366,7 +366,8 @@ class TestTrack:
         assert main(["track", str(spath), "--device", str(dev),
                      "--order", "1", "--out", str(out)]) == 2
         assert main(["correlate", str(spath), "--out", str(out)]) == 2
-        assert "t1e_us must be finite" in capsys.readouterr().err
+        assert capsys.readouterr().err.count(
+            f"{spath}: line 4: column 't1e_us': expected a positive finite number, got 'nan'") == 2
 
     def test_non_numeric_series_exit_2(self, tmp_path, capsys):
         spath, dev, _ = self.make_series_csv(tmp_path, epochs=12)
@@ -380,8 +381,36 @@ class TestTrack:
                      "--order", "1", "--out", str(out)]) == 2
         assert main(["correlate", str(spath), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.count("line 4: t1e_us is not a number: 'abc'") == 2
+        assert err.count("line 4: column 't1e_us': expected a positive finite number, got 'abc'") == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["track", "correlate"])
+    @pytest.mark.parametrize("column, text, expected", [
+        ("t1e_us", "inf", "a positive finite number"),
+        ("t1f_us", "-3", "a positive finite number"),
+        ("err_e", "nan", "a finite number >= 0"),
+        ("timestamp_hr", None, "a finite time after "),
+    ], ids=["inf-lifetime", "negative-lifetime", "nan-error", "repeated-timestamp"])
+    def test_bad_series_value_names_line_and_column(self, tmp_path, capsys, command, column,
+                                                    text, expected):
+        spath, dev, _ = self.make_series_csv(tmp_path, epochs=12)
+        series = LifetimeSeries.from_csv(spath)
+        LifetimeSeries(series.epochs_hr, series.t1e_us, series.t1f_us,
+                       0.01 * series.t1e_us, 0.01 * series.t1f_us).to_csv(spath)
+        lines = spath.read_text().splitlines()
+        cells = lines[3].split(",")
+        # None repeats the previous row's timestamp
+        text = lines[2].split(",")[0] if text is None else text
+        cells[lines[0].split(",").index(column)] = text
+        lines[3] = ",".join(cells)
+        spath.write_text("\n".join(lines) + "\n")
+        argv = [command, str(spath), "--out", str(tmp_path / "out")]
+        if command == "track":
+            argv += ["--device", str(dev), "--order", "1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spath}: line 4: column {column!r}: expected {expected}")
+        assert err.endswith(f", got {text!r}\n") and err.count("\n") == 1
 
     @pytest.mark.parametrize("tracker, path", [
         ({"coarse_points": 257}, "tracker.coarse_points"),

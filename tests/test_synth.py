@@ -328,6 +328,14 @@ class TestScenarioJson:
             scenario_from_json_dict(doc)
         assert exc.value.field_path == path
 
+    @pytest.mark.parametrize("content", [b'{"epochs": 3,', b'\xff\xfe{'])
+    def test_unreadable_json_is_a_schema_error(self, tmp_path, content):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        with pytest.raises(ScenarioSchemaError, match="not valid JSON") as exc:
+            load_scenario(path)
+        assert exc.value.field_path == ""
+
     def test_log_delay_grid_expansion(self):
         doc = scenario_to_json_dict(small_scenario())
         doc["delays"] = {"kind": "log", "n": 10, "min_us": 1.0, "max_us": 100.0}

@@ -457,66 +457,59 @@ def grid_row(rng, m, low):
 class TestGridSeeds:
     M = tracker.COARSE_POINTS_2D
 
-    def seeds(self, monkeypatch, rows):
-        """``_grid_seeds`` on ``rows``, and the width of every order it separated."""
-        widths = []
-        separate = tracker._separated_seeds
-
-        def spy(order, m):
-            widths.append(order.shape[1])
-            return separate(order, m)
-
-        monkeypatch.setattr(tracker, "_separated_seeds", spy)
-        got = tracker._grid_seeds(np.array(rows), self.M)
+    def seeds(self, rows):
+        """``_grid_seeds`` on a copy of ``rows`` (it overwrites its input),
+        each row's seeds checked against the reference and returned."""
+        got = tracker._grid_seeds(np.array(rows, dtype=float), self.M).tolist()
         for row, seeds in zip(rows, got):
-            assert seeds.tolist() == reference_grid_seeds(row, self.M)
-        return widths
+            assert seeds == reference_grid_seeds(row, self.M)
+        return got
 
-    def test_random_rows_use_the_prefix(self, monkeypatch):
+    def test_random_rows(self):
         rng = np.random.default_rng(3)
-        assert self.seeds(monkeypatch, rng.random((20, self.M * self.M))) == [tracker.SEED_PREFIX]
+        self.seeds(rng.random((20, self.M * self.M)))
 
-    def test_equal_costs_inside_the_prefix_go_to_the_lower_index(self, monkeypatch):
+    def test_equal_costs_go_to_the_lower_index(self):
         # (20, 20) and (5, 40) tie for lowest, their neighbours (20, 21) and
         # (5, 41) tie next, and (40, 5) and (40, 50) tie after them
         low = {(20, 20): 0.0, (5, 40): 0.0, (20, 21): 0.1, (5, 41): 0.1,
                (40, 50): 0.2, (40, 5): 0.2}
         rng = np.random.default_rng(4)
-        row = grid_row(rng, self.M, low)
-        assert self.seeds(monkeypatch, [row]) == [tracker.SEED_PREFIX]
-        assert tracker._grid_seeds(row[None], self.M)[0].tolist() == [
-            5 * self.M + 40, 20 * self.M + 20, 40 * self.M + 5, 40 * self.M + 50]
+        assert self.seeds([grid_row(rng, self.M, low)]) == [[
+            5 * self.M + 40, 20 * self.M + 20, 40 * self.M + 5, 40 * self.M + 50]]
         # ten lowest points at random cells, in two cost levels
         rows = rng.random((40, self.M * self.M)) + 1.0
         for row in rows:
             row[rng.choice(row.size, 10, replace=False)] = np.repeat([0.0, 0.5], 5)
-        assert self.seeds(monkeypatch, rows) == [tracker.SEED_PREFIX]
+        self.seeds(rows)
 
-    def test_tie_at_the_prefix_edge_sorts_the_row_in_full(self, monkeypatch):
+    def test_tie_for_the_last_seed_goes_to_the_lower_index(self):
         # (10, 10) and its 8 neighbours, (30, 30) and (40, 40) make the 11
-        # lowest; the 12th and 13th tie at (50, 51) and its neighbour
-        # (50, 50), so the partition alone may keep either as the 4th seed
+        # lowest; the 12th and 13th tie at (50, 51) and its neighbour (50, 50)
         low = {(10 + di, 10 + dj): 0.01 * (3 * di + dj + 4) + 0.05 * (di != 0 or dj != 0)
                for di in (-1, 0, 1) for dj in (-1, 0, 1)}
         low.update({(30, 30): 0.5, (40, 40): 0.6, (50, 51): 0.7, (50, 50): 0.7})
         rng = np.random.default_rng(5)
-        rows = [grid_row(rng, self.M, low), rng.random(self.M * self.M)]
-        assert self.seeds(monkeypatch, rows) == [tracker.SEED_PREFIX, self.M * self.M]
-        assert tracker._grid_seeds(rows[0][None], self.M)[0].tolist() == [
-            10 * self.M + 10, 30 * self.M + 30, 40 * self.M + 40, 50 * self.M + 50]
+        got = self.seeds([grid_row(rng, self.M, low), rng.random(self.M * self.M)])
+        assert got[0] == [10 * self.M + 10, 30 * self.M + 30, 40 * self.M + 40, 50 * self.M + 50]
 
-    def test_prefix_with_too_few_seeds_sorts_the_row_in_full(self, monkeypatch):
-        # the twelve lowest points fill a 6 x 2 block, which holds three seeds
+    def test_dense_low_block_holds_three_seeds(self):
+        # the twelve lowest points fill a 6 x 2 block, so the fourth seed lies outside it
         low = {(10 + di, 10 + dj): 0.01 * (2 * di + dj) for di in range(6) for dj in range(2)}
-        row = grid_row(np.random.default_rng(6), self.M, low)
-        prefix = np.argsort(row, kind="stable")[None, : tracker.SEED_PREFIX]
-        assert not tracker._separated_seeds(prefix, self.M)[1][0]
-        assert self.seeds(monkeypatch, [row]) == [tracker.SEED_PREFIX, self.M * self.M]
+        self.seeds([grid_row(np.random.default_rng(6), self.M, low)])
 
-    def test_many_ties_everywhere(self, monkeypatch):
+    def test_many_ties_everywhere(self):
         rng = np.random.default_rng(7)
-        rows = rng.integers(0, 4, (6, self.M * self.M)).astype(float)
-        assert self.seeds(monkeypatch, rows) == [tracker.SEED_PREFIX, self.M * self.M]
+        self.seeds(rng.integers(0, 4, (6, self.M * self.M)).astype(float))
+
+    def test_masks_do_not_wrap_across_grid_edges(self):
+        # (11, 0) is the flat index after (10, 59), but 59 columns away; the
+        # corners (0, 0) and (59, 59) sit next to lower points (0, 1) and (59, 58)
+        last = self.M - 1
+        low = {(10, last): 0.0, (11, 0): 0.1, (0, 1): 0.2, (0, 0): 0.25,
+               (last, last - 1): 0.3, (last, last): 0.35}
+        assert self.seeds([grid_row(np.random.default_rng(8), self.M, low)]) == [[
+            10 * self.M + last, 11 * self.M, 1, last * self.M + last - 1]]
 
     def test_seed_pick_memory_does_not_grow_with_epochs(self):
         def peak(epochs):
