@@ -341,7 +341,7 @@ def load_scenario(path) -> Scenario:
         try:
             doc = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as err:
-            raise ScenarioSchemaError("", f"not valid JSON: {err}") from None
+            raise ScenarioSchemaError(str(path), f"not valid JSON: {err}") from None
     return scenario_from_json_dict(doc)
 
 

@@ -10,12 +10,12 @@ The solve alternates two moves until the misfit settles:
 (i)  per-epoch frequency solves at fixed globals, run for all epochs at
      once as array operations -- for one defect the exact local minima over
      the search band, from the roots of the cost's stationarity polynomial;
-     for two, damped Newton solves from the best separated points of a
-     coarse grid, picked a block of epochs at a time by repeated argmins
-     over each epoch's grid costs, masking the cells next to every pick --
-     then near-equal minima tie-broken toward the previous epoch's
-     frequency (continuity) in epoch order, by a table of each epoch's
-     nearest pick given the previous one;
+     for two, the exact solutions of the two rate equations, from the roots
+     of one eliminant polynomial of degree 8, each polished by damped
+     Newton, with a damped Newton fallback from fixed starts for an epoch
+     that has none -- then near-equal minima tie-broken toward the previous
+     epoch's frequency (continuity) in epoch order, by a table of each
+     epoch's nearest pick given the previous one;
 (ii) a bounded Levenberg-Marquardt update of the globals on the stacked
      two-channel residuals, performed jointly with the trajectory on
      :mod:`tlstrack.optimize`'s loop (the model's derivatives are supplied
@@ -44,6 +44,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -174,9 +175,7 @@ class LifetimeSeries:
 
 
 # Solver settings: they steer the search, not the model, so they are constants.
-COARSE_POINTS_2D = 60       # per-axis grid size for the two-defect solve
-MAX_CANDIDATES = 4          # lowest local minima kept per epoch
-SEED_BLOCK = 16             # epochs whose 2-D grid costs are held at once
+MAX_CANDIDATES = 4          # lowest local minima kept per epoch by the one-defect solve
 OUTER_ITERATIONS = 50
 PROBE_ITERATIONS = 2        # outer cycles spent on each start before selection
 JOINT_LM_ITERATIONS = 150   # LM budget for each globals+trajectory update
@@ -519,6 +518,25 @@ def _initial_states(ws: _Workspace) -> list[tuple[np.ndarray, np.ndarray]]:
 # -- stage B: per-epoch frequency solves ------------------------------------
 
 
+def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise products of the polynomials in the rows of ``p`` and ``q``."""
+    k = p.shape[1]
+    return sum(np.pad(p[:, i, None] * q, ((0, 0), (i, k - 1 - i))) for i in range(k))
+
+
+def _polynomial_roots(coef: np.ndarray) -> np.ndarray:
+    """The complex roots of each row of ``coef``, as companion-matrix eigenvalues.
+    Leading zeros are dropped, which only adds roots at u = 0."""
+    n, k = coef.shape
+    lead = np.argmax(coef != 0.0, axis=1)
+    coef = np.take_along_axis(np.pad(coef, ((0, 0), (0, k - 1))), lead[:, None] + np.arange(k),
+                              axis=1)
+    companion = np.zeros((n, k - 1, k - 1))
+    companion[:, 0] = -coef[:, 1:] / coef[:, :1]
+    companion[:, np.arange(1, k - 1), np.arange(k - 2)] = 1.0
+    return np.linalg.eigvals(companion)
+
+
 def _candidates_1d(ws: _Workspace, coupling, linewidth,
                    bg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Local minima of every epoch's cost over the band, from its stationary points.
@@ -557,15 +575,8 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
     coef = np.einsum("nk,kj->nj", np.stack([c_e * a_e, -c_e**2, c_f * a_f, -c_f**2], axis=1),
                      basis)
     # the leading coefficient -(C_e a_e + C_f a_f) is 0 where the floor equals
-    # both measured rates; dropping leading zeros multiplies by a power of u,
-    # which only adds roots at u = 0
-    lead = np.argmax(coef != 0.0, axis=1)
-    coef = np.take_along_axis(np.pad(coef, ((0, 0), (0, 9))), lead[:, None] + np.arange(10),
-                              axis=1)
-    companion = np.zeros((ws.n, 9, 9))
-    companion[:, 0] = -coef[:, 1:] / coef[:, :1]
-    companion[:, np.arange(1, 9), np.arange(8)] = 1.0
-    u = np.clip(np.linalg.eigvals(companion).real, -1.0, 1.0)
+    # both measured rates
+    u = np.clip(_polynomial_roots(coef).real, -1.0, 1.0)
     u = np.sort(np.concatenate([u, np.broadcast_to([-1.0, 1.0], (ws.n, 2))], axis=1))
     # a point ties with its own copy (a conjugate pair, a clipped root) in the
     # neighbour test, so copies become NaN, which sorts last and costs inf
@@ -596,72 +607,64 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
     return epochs, xs[epochs, i][None], fs[epochs, i]
 
 
-def _grid_seeds(cost: np.ndarray, m: int) -> np.ndarray:
-    """The ``MAX_CANDIDATES`` seeds of each row of ``cost``, the costs of an
-    m x m grid with flat index i at cell (i // m, i % m); ``cost`` is overwritten.
-
-    The seeds are the points taken in order of (cost, flat index) and kept
-    when at least 2 cells (Chebyshev) from every kept one.  Each pass takes
-    every row's argmin, which on equal costs is the lowest flat index, and
-    sets the 3 x 3 block around it, clipped to the grid, to +inf, so the
-    next argmin is the lowest point not next to a seed.  At most
-    9 * (MAX_CANDIDATES - 1) cells are masked, fewer than m * m, so every
-    row fills up; the costs are finite (bounded globals, positive measured
-    rates, bounded weights), so argmin never meets a NaN.
-    Returns the seeds' flat indices, (rows, MAX_CANDIDATES), in pick order.
-    """
-    n = cost.shape[0]
-    cells = cost.reshape(n, m, m)
-    rows = np.arange(n)[:, None, None]
-    near = np.arange(-1, 2)
-    seeds = np.empty((n, MAX_CANDIDATES), dtype=np.intp)
-    for k in range(MAX_CANDIDATES):
-        seeds[:, k] = j = np.argmin(cells.reshape(n, m * m), axis=1)
-        r, c = np.divmod(j, m)
-        cells[rows, np.clip(r[:, None, None] + near[:, None], 0, m - 1),
-              np.clip(c[:, None, None] + near, 0, m - 1)] = np.inf
-    return seeds
-
-
 def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[np.ndarray]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Damped Newton solves of every epoch from its ``MAX_CANDIDATES`` best
-    separated points of a ``COARSE_POINTS_2D`` x ``COARSE_POINTS_2D`` grid
-    (plus the previous frequency pair), all epochs in one batch.
+    """Every epoch's exact solutions of its two rate equations, from one
+    polynomial of degree 8, or else its least-squares minima.
 
-    The grid costs are computed ``SEED_BLOCK`` epochs at a time in two
-    reused buffers, so the seed pick's memory does not grow with the number
-    of epochs; :func:`_grid_seeds` picks each block's seeds, masking the
-    block's costs in place before the next block refills the buffers.
+    In u = (omega - mid)/h write x and y for the frequencies, a = u_01,
+    b = u_12 and d = b - a.  Solved for y, the Gamma10 equation reads
+    (a - y)^2 = N_a(x)/P_a(x), with E_a = (a - x)^2 + (gamma_1/h)^2,
+    P_a = (Gamma10 - floor) E_a - C_1, N_a = C_2 E_a - (gamma_2/h)^2 P_a and
+    C_k = B_k gamma_k/h^2; Gamma21 gives (b - y)^2 = N_b/P_b alike, with C_k
+    times f_multiplier.  Their difference gives a - y = Q/(2d P_a P_b), with
+    Q = N_b P_a - N_a P_b - d^2 P_a P_b, and squaring eliminates y:
+    Q^2 = 4d^2 N_a P_a P_b^2.  Each real root with x and y in the band starts
+    :func:`_solve_frequency_pairs`, which recovers the digits the companion
+    eigenvalues lose.  An epoch whose best result costs more than ``TIE_ABS``
+    has no exact solution and is solved instead from its roots' clipped real
+    parts, the 16 pairs of {band low, omega_12, omega_01, band high} and the
+    previous pair.  Returns each candidate's epoch, its (2, k) frequencies
+    and its cost, epoch by epoch.
     """
-    cfg = ws.config
-    m = COARSE_POINTS_2D
-    axis = np.linspace(ws.band[0], ws.band[1], m)
-    w1, w2 = np.meshgrid(axis, axis, indexing="ij")
-    grid = np.stack([w1.ravel(), w2.ravel()])
-    g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, grid, bg, cfg.f_multiplier)
+    (lo, hi), dev, f = ws.band, ws.device, ws.config.f_multiplier
+    mid, h = (lo + hi) / 2.0, (hi - lo) / 2.0
+    a, b = (dev.omega_01 - mid) / h, (dev.omega_12 - mid) / h
+    d = b - a
+    (c1, c2), (g1, g2) = coupling * linewidth / h**2, (linewidth / h) ** 2
+    # polynomials in x as coefficient arrays, highest power first
+    e_a, e_b = (np.array([1.0, -2.0 * u, u**2 + g1]) for u in (a, b))
+    p_a = (ws.g10_meas - bg[0])[:, None] * e_a - [0.0, 0.0, c1]
+    p_b = (ws.g21_meas - bg[1])[:, None] * e_b - [0.0, 0.0, f * c1]
+    n_a, n_b = c2 * e_a - g2 * p_a, f * c2 * e_b - g2 * p_b
+    p_ab = _polymul(p_a, p_b)
+    q = _polymul(n_b, p_a) - _polymul(n_a, p_b) - d**2 * p_ab
+    x = _polynomial_roots(_polymul(q, q) - 4.0 * d**2 * _polymul(_polymul(n_a, p_b), p_ab))
 
-    seeds = np.empty((ws.n, MAX_CANDIDATES), dtype=np.intp)
-    buf_e, buf_f = np.empty((2, min(SEED_BLOCK, ws.n), m * m))
-    for lo in range(0, ws.n, SEED_BLOCK):
-        e = np.arange(lo, min(lo + SEED_BLOCK, ws.n))[:, None]
-        r_e, r_f = buf_e[: e.size], buf_f[: e.size]
-        # ws.epoch_cost's operations, in place
-        for r, rates, meas, w in ((r_e, g10, ws.g10_meas, ws.w_e), (r_f, g21, ws.g21_meas, ws.w_f)):
-            np.divide(rates, meas[e], out=r)
-            np.subtract(1.0, r, out=r)
-            np.multiply(w[e], r, out=r)
-            np.square(r, out=r)
-        seeds[lo : lo + e.size] = _grid_seeds(np.add(r_e, r_f, out=r_e), m)
+    def at_roots(p):
+        return reduce(lambda v, c: v * x + c[:, None], p.T, 0.0)    # Horner, row by row
 
-    per_epoch = MAX_CANDIDATES + (prev_traj is not None)
-    starts = np.empty((ws.n, per_epoch, 2))
-    starts[:, :MAX_CANDIDATES, 0], starts[:, :MAX_CANDIDATES, 1] = axis[seeds // m], axis[seeds % m]
-    if prev_traj is not None:
-        starts[:, -1] = prev_traj.T
-    epochs = np.repeat(np.arange(ws.n), per_epoch)
-    x, cost = _solve_frequency_pairs(ws, coupling, linewidth, bg, epochs, starts.reshape(-1, 2).T)
-    return epochs, x, cost
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = a - at_roots(q) / (2.0 * d * at_roots(p_ab))
+    roots = mid + h * np.stack([x.real, y.real])
+    epochs, k = np.nonzero((x.imag == 0.0) & (np.abs(x.real) <= 1.0) & (np.abs(y.real) <= 1.0))
+    xs, cost = _solve_frequency_pairs(ws, coupling, linewidth, bg, epochs, roots[:, epochs, k])
+    redo = np.setdiff1d(np.arange(ws.n), epochs[cost <= TIE_ABS])
+    if redo.size:
+        marks = np.meshgrid(*[[lo, dev.omega_12, dev.omega_01, hi]] * 2, indexing="ij")
+        prev = [] if prev_traj is None else [prev_traj[:, redo, None]]
+        starts = np.concatenate([np.clip(np.nan_to_num(roots[:, redo]), lo, hi),
+                                 np.repeat(np.reshape(marks, (2, 1, 16)), redo.size, axis=1)]
+                                + prev, axis=2)
+        again = np.repeat(redo, starts.shape[2])
+        x_again, cost_again = _solve_frequency_pairs(ws, coupling, linewidth, bg, again,
+                                                     starts.reshape(2, -1))
+        keep = ~np.isin(epochs, redo)
+        order = np.argsort(np.concatenate([epochs[keep], again]), kind="stable")
+        epochs = np.concatenate([epochs[keep], again])[order]
+        xs = np.concatenate([xs[:, keep], x_again], axis=1)[:, order]
+        cost = np.concatenate([cost[keep], cost_again])[order]
+    return epochs, xs, cost
 
 
 def _solve_frequency_pairs(ws: _Workspace, coupling, linewidth, bg, epochs: np.ndarray,

@@ -334,7 +334,8 @@ class TestScenarioJson:
         path.write_bytes(content)
         with pytest.raises(ScenarioSchemaError, match="not valid JSON") as exc:
             load_scenario(path)
-        assert exc.value.field_path == ""
+        assert exc.value.field_path == str(path)
+        assert str(exc.value).startswith(f"{path}: not valid JSON")
 
     def test_log_delay_grid_expansion(self):
         doc = scenario_to_json_dict(small_scenario())
