@@ -21,7 +21,6 @@ from .errors import (
     UndefinedCorrelationError,
 )
 from .optimize import (
-    FitOptions,
     FitResult,
     LeastSquaresProblem,
     levenberg_marquardt,

@@ -15,8 +15,9 @@ acceptance rule, and its caller supplies the linearisation and the damped
 linear solve.  The generic :func:`levenberg_marquardt` (with
 :func:`solve` and :func:`finite_difference_jacobian`) runs it with a dense
 Jacobian and a direct solve, and the tracker's joint update with its
-Schur-complement step in :mod:`tlstrack.tracker`.  All of them keep
-:class:`FitOptions`' tolerances and damping schedule.
+Schur-complement step in :mod:`tlstrack.tracker`.  All of them share the
+tolerances, the finite-difference step and the damping schedule below;
+only the iteration budget is an argument.
 """
 
 from __future__ import annotations
@@ -30,23 +31,13 @@ import numpy as np
 
 from .errors import FitDivergedError, InvalidParameterError
 
-
-@dataclass
-class FitOptions:
-    """Tolerances and limits shared by every solver call."""
-
-    gtol: float = 1e-10        # infinity norm of the (projected) gradient
-    ftol: float = 1e-12        # relative decrease of the cost between accepted steps
-    xtol: float = 1e-12        # step norm relative to parameter norm
-    max_iterations: int = 500
-    fd_step: float = 1e-8      # forward-difference step: max(fd_step, fd_step*|x|)
-    lambda_init: float = 1e-3
-    lambda_decrease: float = 10.0
-    lambda_increase: float = 10.0
-    lambda_max: float = 1e12
-
-
-DEFAULT_OPTIONS = FitOptions()
+GTOL = 1e-10         # infinity norm of the (projected) gradient
+FTOL = 1e-12         # relative decrease of the cost between accepted steps
+XTOL = 1e-12         # step norm relative to parameter norm
+FD_STEP = 1e-8       # forward-difference step: max(FD_STEP, FD_STEP*|x|)
+LAMBDA_INIT = 1e-3
+LAMBDA_FACTOR = 10.0  # the damping falls by this on an accepted step, rises by it on a rejected one
+LAMBDA_MAX = 1e12
 
 
 @dataclass
@@ -121,9 +112,8 @@ def finite_difference_jacobian(
     x: np.ndarray,
     r0: Optional[np.ndarray] = None,
     upper: Optional[np.ndarray] = None,
-    step: float = DEFAULT_OPTIONS.fd_step,
 ) -> np.ndarray:
-    """Forward-difference Jacobian with step max(step, step*|x_i|).
+    """Forward-difference Jacobian with step max(FD_STEP, FD_STEP*|x_i|).
 
     When a forward step would cross ``upper`` the difference is taken
     backward instead, so bounded problems never evaluate out of the box.
@@ -133,7 +123,7 @@ def finite_difference_jacobian(
         r0 = _eval_residual(fn, x)
     jac = np.empty((r0.size, x.size))
     for i in range(x.size):
-        h = max(step, step * abs(x[i]))
+        h = max(FD_STEP, FD_STEP * abs(x[i]))
         if upper is not None and x[i] + h > upper[i]:
             h = -h
         xp = x.copy()
@@ -152,7 +142,7 @@ def _covariance(jac: np.ndarray, rnorm_sq: float) -> np.ndarray:
 
 def levenberg_marquardt(
     problem: LeastSquaresProblem,
-    options: FitOptions = DEFAULT_OPTIONS,
+    max_iterations: int = 500,
 ) -> FitResult:
     """Minimize half the squared residual norm with damped Gauss-Newton steps.
 
@@ -167,7 +157,7 @@ def levenberg_marquardt(
     def jacobian_at(xp, rp):
         if problem.jacobian is not None:
             return np.asarray(problem.jacobian(xp), dtype=float)
-        return finite_difference_jacobian(fn, xp, rp, problem.upper, options.fd_step)
+        return finite_difference_jacobian(fn, xp, rp, problem.upper)
 
     def linearise(xp, rp):
         try:
@@ -187,12 +177,12 @@ def levenberg_marquardt(
     x, r, cost, iterations, converged, lin = _lm_loop(
         problem.initial.copy(), problem.lower, problem.upper,
         lambda xp: np.atleast_1d(np.asarray(fn(xp), dtype=float)),
-        linearise, damped_step, options)
+        linearise, damped_step, max_iterations)
     jac = jacobian_at(x, r) if lin is None else lin[0]
     return FitResult(x, math.sqrt(cost), converged, iterations, jac, cost)
 
 
-def _lm_loop(x, lo, hi, residual, linearise, damped_step, options: FitOptions):
+def _lm_loop(x, lo, hi, residual, linearise, damped_step, max_iterations: int = 500):
     """The bounded Levenberg-Marquardt loop of every single-problem solve.
 
     ``x`` starts inside [``lo``, ``hi``].  ``linearise(x, r)`` returns the
@@ -200,8 +190,9 @@ def _lm_loop(x, lo, hi, residual, linearise, damped_step, options: FitOptions):
     (JᵀJ + lam*D) step = -Jᵀr, D the diagonal of JᵀJ with entries <= 0 set
     to 1, or raises LinAlgError, which raises the damping.  The clipped
     trial ``x + step`` is accepted when it lowers the cost.  The loop stops
-    at a projected gradient within ``gtol``, at an accepted step below
-    ``ftol`` or ``xtol`` (relative), or at damping above ``lambda_max``.  A
+    at a projected gradient within ``GTOL``, at an accepted step below
+    ``FTOL`` or ``XTOL`` (relative), at damping above ``LAMBDA_MAX``, or
+    after ``max_iterations`` linearisations, unconverged.  A
     non-finite residual raises ``InvalidParameterError`` at the start and
     ``FitDivergedError``, with the last accepted ``x``, at a trial.  Returns
     (x, r, cost, iterations, converged, lin), ``lin`` from the last
@@ -214,21 +205,21 @@ def _lm_loop(x, lo, hi, residual, linearise, damped_step, options: FitOptions):
     if cost == 0.0:
         return x, r, 0.0, 0, True, None
 
-    lam = options.lambda_init
+    lam = LAMBDA_INIT
     converged = False
     iteration = 0
     lin = None
-    for iteration in range(1, options.max_iterations + 1):
+    for iteration in range(1, max_iterations + 1):
         grad, lin = linearise(x, r)
         # projected gradient: directions pushing outside the box do not count
-        if np.max(np.abs(np.where(_outward(x, grad, lo, hi), 0.0, grad))) <= options.gtol:
+        if np.max(np.abs(np.where(_outward(x, grad, lo, hi), 0.0, grad))) <= GTOL:
             converged = True
             break
-        while lam <= options.lambda_max:
+        while lam <= LAMBDA_MAX:
             try:
                 step = damped_step(lin, lam)
             except np.linalg.LinAlgError:
-                lam *= options.lambda_increase
+                lam *= LAMBDA_FACTOR
                 continue
             x_new = np.clip(x + step, lo, hi)
             r_new = residual(x_new)
@@ -241,12 +232,12 @@ def _lm_loop(x, lo, hi, residual, linearise, damped_step, options: FitOptions):
                 step_norm = float(np.linalg.norm(x_new - x))
                 rel_decrease = (cost - cost_new) / cost
                 x, r, cost = x_new, r_new, cost_new
-                lam = max(lam / options.lambda_decrease, 1e-14)
-                converged = rel_decrease <= options.ftol or step_norm <= options.xtol * (
-                    float(np.linalg.norm(x)) + options.xtol
+                lam = max(lam / LAMBDA_FACTOR, 1e-14)
+                converged = rel_decrease <= FTOL or step_norm <= XTOL * (
+                    float(np.linalg.norm(x)) + XTOL
                 )
                 break
-            lam *= options.lambda_increase
+            lam *= LAMBDA_FACTOR
         else:
             # no descent direction within the damping budget: local minimum
             # to working precision
@@ -261,10 +252,11 @@ def solve(
     initial: Sequence[float],
     lower=None,
     upper=None,
-    options: FitOptions = DEFAULT_OPTIONS,
+    max_iterations: int = 500,
 ) -> FitResult:
     """Convenience wrapper around :func:`levenberg_marquardt`."""
-    return levenberg_marquardt(LeastSquaresProblem(residual, initial, lower, upper), options)
+    return levenberg_marquardt(LeastSquaresProblem(residual, initial, lower, upper),
+                               max_iterations)
 
 
 def _outward(x, grad, lo, hi):
@@ -272,7 +264,7 @@ def _outward(x, grad, lo, hi):
     return ((x <= lo) & (grad > 0.0)) | ((x >= hi) & (grad < 0.0))
 
 
-def _damped_newton_2x2(x, lo, hi, residuals, linearise, options: FitOptions):
+def _damped_newton_2x2(x, lo, hi, residuals, linearise, max_iterations: int = 500):
     """Bounded Levenberg-Marquardt on a stack of independent 2-parameter problems.
 
     ``x`` has shape (2, n), one column per problem; it is clipped into
@@ -286,22 +278,21 @@ def _damped_newton_2x2(x, lo, hi, residuals, linearise, options: FitOptions):
     The damped normal equations (JᵀJ + λ·diag) step = -Jᵀr are solved in
     closed form.  The stopping tests and damping schedule are those of
     :func:`_lm_loop`, applied elementwise: a problem stops when its
-    projected gradient is within ``gtol``, when an accepted step lowers its
-    cost by at most ``ftol`` relative or moves it by at most ``xtol``
-    relative, or when λ exceeds ``lambda_max`` without a lower cost (a
+    projected gradient is within ``GTOL``, when an accepted step lowers its
+    cost by at most ``FTOL`` relative or moves it by at most ``XTOL``
+    relative, or when λ exceeds ``LAMBDA_MAX`` without a lower cost (a
     local minimum to working precision).  Each pass works on the problems
     still active, and every problem's arithmetic is elementwise, so its
     result does not depend on the other problems in the stack.  Returns (x, r, cost, iterations,
     converged); ``iterations`` counts each problem's linearisations, and a
     problem still active after ``max_iterations`` is not converged.
     """
-    opt = options
     x = np.clip(x, lo, hi)
     r, cost = residuals(x, np.arange(x.shape[1]))
-    lam = np.full(cost.size, opt.lambda_init)
+    lam = np.full(cost.size, LAMBDA_INIT)
     iterations = np.zeros(cost.size, dtype=int)
     active = cost > 0.0
-    for _ in range(opt.max_iterations):
+    for _ in range(max_iterations):
         cols = np.flatnonzero(active)
         if cols.size == 0:
             break
@@ -309,7 +300,7 @@ def _damped_newton_2x2(x, lo, hi, residuals, linearise, options: FitOptions):
         xa = x[:, cols]
         grad, h00, h01, h11 = linearise(xa, cols, tuple(ri.take(cols, axis=0) for ri in r))
         # projected gradient: directions pushing outside the box do not count
-        stop = np.max(np.abs(np.where(_outward(xa, grad, lo, hi), 0.0, grad)), axis=0) <= opt.gtol
+        stop = np.max(np.abs(np.where(_outward(xa, grad, lo, hi), 0.0, grad)), axis=0) <= GTOL
         active[cols[stop]] = False
         d0, d1 = np.where(h00 > 0.0, h00, 1.0), np.where(h11 > 0.0, h11, 1.0)
         pending = np.flatnonzero(~stop)      # positions in cols
@@ -317,7 +308,7 @@ def _damped_newton_2x2(x, lo, hi, residuals, linearise, options: FitOptions):
             p = cols[pending]
             # no descent direction within the damping budget: a local minimum
             # to working precision
-            exhausted = lam[p] > opt.lambda_max
+            exhausted = lam[p] > LAMBDA_MAX
             active[p[exhausted]] = False
             pending, p = pending[~exhausted], p[~exhausted]
             a = h00[pending] + lam[p] * d0[pending]
@@ -328,16 +319,16 @@ def _damped_newton_2x2(x, lo, hi, residuals, linearise, options: FitOptions):
             x_new = np.clip(x[:, p] + np.stack([b * g1 - c * g0, b * g0 - a * g1]) / det, lo, hi)
             r_new, cost_new = residuals(x_new, p)
             better = cost_new < cost[p]
-            lam[p[~better]] *= opt.lambda_increase
+            lam[p[~better]] *= LAMBDA_FACTOR
             acc, dx = p[better], x_new[:, better] - x[:, p[better]]
             rel_decrease = (cost[acc] - cost_new[better]) / cost[acc]
             x[:, acc], cost[acc] = x_new[:, better], cost_new[better]
             for ri, ri_new in zip(r, r_new):
                 ri[acc] = ri_new[better]
-            lam[acc] = np.maximum(lam[acc] / opt.lambda_decrease, 1e-14)
+            lam[acc] = np.maximum(lam[acc] / LAMBDA_FACTOR, 1e-14)
             x_norm = np.sqrt(x[0, acc] ** 2 + x[1, acc] ** 2)
-            done = (rel_decrease <= opt.ftol) | (
-                np.sqrt(dx[0] ** 2 + dx[1] ** 2) <= opt.xtol * (x_norm + opt.xtol))
+            done = (rel_decrease <= FTOL) | (
+                np.sqrt(dx[0] ** 2 + dx[1] ** 2) <= XTOL * (x_norm + XTOL))
             active[acc[done]] = False
             pending = pending[~better]
     return x, r, cost, iterations, ~active

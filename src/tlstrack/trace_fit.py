@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import DecayRates, PopulationTrace, _cascade
 from .errors import FitDivergedError, InvalidParameterError
-from .optimize import FitOptions, _damped_newton_2x2
+from .optimize import _damped_newton_2x2
 
 RATE_LOWER = 1e-6
 RATE_UPPER = 10.0
@@ -124,16 +124,16 @@ class TraceFit:
 def fit_trace(
     trace: PopulationTrace,
     weighting: str = "uniform",
-    options: FitOptions = FitOptions(),
+    max_iterations: int = 500,
 ) -> TraceFit:
-    """The fit of one trace: ``fit_traces([trace], weighting, options)[0]``."""
-    return fit_traces([trace], weighting, options)[0]
+    """The fit of one trace: ``fit_traces([trace], weighting, max_iterations)[0]``."""
+    return fit_traces([trace], weighting, max_iterations)[0]
 
 
 def fit_traces(
     traces: Sequence[PopulationTrace],
     weighting: str = "uniform",
-    options: FitOptions = FitOptions(),
+    max_iterations: int = 500,
 ) -> list[TraceFit]:
     """Simultaneous fit of p0, p1, p2 to the closed-form cascade model, for
     every trace at once.
@@ -142,7 +142,8 @@ def fit_traces(
     by 1/max(sigma, 1e-3) with sigma^2 = p(1-p)/shots and requires every
     trace to carry shot counts.  Traces of equal length share one batched
     solve; each trace's result is the same whatever else is in the batch.
-    An unconverged fit is returned flagged rather than raised.  A non-finite
+    A fit still unconverged after ``max_iterations`` is returned flagged
+    rather than raised.  A non-finite
     trial residual raises ``FitDivergedError`` naming the lowest-index trace
     that met one.
     """
@@ -164,7 +165,8 @@ def fit_traces(
     lengths = [len(trace) for trace in traces]
     for n in sorted(set(lengths)):
         group = [i for i, length in enumerate(lengths) if length == n]
-        group_fits, failed = _fit_equal_length([traces[i] for i in group], weighting, options)
+        group_fits, failed = _fit_equal_length([traces[i] for i in group], weighting,
+                                              max_iterations)
         for i, fit in zip(group, group_fits):
             fits[i] = fit
         diverged += [(group[j], rates) for j, rates in failed]
@@ -183,7 +185,7 @@ def _weights(trace: PopulationTrace, weighting: str) -> np.ndarray:
     return 1.0 / np.maximum(sigma, SIGMA_FLOOR)
 
 
-def _fit_equal_length(traces: list[PopulationTrace], weighting: str, options: FitOptions):
+def _fit_equal_length(traces: list[PopulationTrace], weighting: str, max_iterations: int):
     """Batched fit of traces with equal point counts.
 
     Residual rows are laid out (trace, delay, level) and every sum runs
@@ -216,7 +218,7 @@ def _fit_equal_length(traces: list[PopulationTrace], weighting: str, options: Fi
         return grad, np.sum(j0 * j0, axis=1), np.sum(j0 * j1, axis=1), np.sum(j1 * j1, axis=1)
 
     x, (r,), cost, iterations, converged = _damped_newton_2x2(
-        x0, RATE_LOWER, RATE_UPPER, residuals, linearise, options)
+        x0, RATE_LOWER, RATE_UPPER, residuals, linearise, max_iterations)
     err = _cluster_robust_errors(*jacobian(x, np.arange(len(traces))), r)
     fits = [
         TraceFit(

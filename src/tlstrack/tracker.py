@@ -51,7 +51,7 @@ import numpy as np
 
 from .dynamics import DecayRates, ZERO_RATES
 from .errors import InvalidParameterError, UndefinedCorrelationError
-from .optimize import FitOptions, _damped_newton_2x2, _lm_loop
+from .optimize import FTOL, _damped_newton_2x2, _lm_loop
 from .tls import (DeviceFrequencies, TlsDefect, TlsParameterSet, lorentzian_density,
                   lorentzian_rates)
 
@@ -175,7 +175,6 @@ class LifetimeSeries:
 
 
 # Solver settings: they steer the search, not the model, so they are constants.
-MAX_CANDIDATES = 4          # lowest local minima kept per epoch by the one-defect solve
 OUTER_ITERATIONS = 50
 PROBE_ITERATIONS = 2        # outer cycles spent on each start before selection
 JOINT_LM_ITERATIONS = 150   # LM budget for each globals+trajectory update
@@ -464,8 +463,7 @@ def _joint_update(ws: _Workspace, glob: np.ndarray, traj: np.ndarray):
         return np.concatenate([step_g, step_w.T.ravel()])
 
     x = np.clip(np.concatenate([glob, traj.ravel()]), lo, hi)
-    x = _lm_loop(x, lo, hi, residual, linearise, damped_step,
-                 FitOptions(max_iterations=JOINT_LM_ITERATIONS))[0]
+    x = _lm_loop(x, lo, hi, residual, linearise, damped_step, JOINT_LM_ITERATIONS)[0]
     return split(x)
 
 
@@ -552,10 +550,10 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
     the distinct points no higher than both neighbours are its local minima.
     The eigenvalues lose digits where roots cluster (a linewidth far below
     the band's width), so each local minimum then takes one Newton step on
-    its cost, kept where it lowers the cost by more than the solvers' ftol.
+    its cost, kept where it lowers the cost by more than the solvers' ``FTOL``.
 
-    Returns each candidate's epoch, its (1, k) frequencies and its cost,
-    epoch by epoch and, within an epoch, in increasing cost.
+    Returns every local minimum's epoch, its (1, k) frequencies and its
+    cost, epoch by epoch and, within an epoch, in increasing cost.
     """
     cfg, dev = ws.config, ws.device
     mid, h = (ws.band[0] + ws.band[1]) / 2.0, (ws.band[1] - ws.band[0]) / 2.0
@@ -598,10 +596,10 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
         x_nt = np.clip(xs - grad / curv, *ws.band)
     f_nt = ws.epoch_cost(*lorentzian_rates(dev, coupling, linewidth, x_nt[None], bg,
                                            cfg.f_multiplier), rows)
-    better = is_min & (curv > 0.0) & (f_nt < fs * (1.0 - FitOptions.ftol))
+    better = is_min & (curv > 0.0) & (f_nt < fs * (1.0 - FTOL))
     xs, fs = np.where(better, x_nt, xs), np.where(better, f_nt, fs)
     # local minima first, then by cost; the sort is stable, so ties keep band order
-    idx = np.argsort(np.where(is_min, fs, np.inf), axis=-1, kind="stable")[:, :MAX_CANDIDATES]
+    idx = np.argsort(np.where(is_min, fs, np.inf), axis=-1, kind="stable")
     epochs, slot = np.nonzero(np.take_along_axis(is_min, idx, axis=-1))
     i = idx[epochs, slot]
     return epochs, xs[epochs, i][None], fs[epochs, i]
@@ -694,8 +692,7 @@ def _solve_frequency_pairs(ws: _Workspace, coupling, linewidth, bg, epochs: np.n
         grad = np.stack([e0 * r_e + f0 * r_f, e1 * r_e + f1 * r_f])
         return grad, e0**2 + f0**2, e0 * e1 + f0 * f1, e1**2 + f1**2
 
-    x, _, cost, _, _ = _damped_newton_2x2(x, *ws.band, residuals, linearise,
-                                          FitOptions(max_iterations=100))
+    x, _, cost, _, _ = _damped_newton_2x2(x, *ws.band, residuals, linearise, 100)
     return x, cost
 
 

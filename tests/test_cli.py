@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from tlstrack import cli
 from tlstrack.cli import main
 from tlstrack.dynamics import DecayRates
-from tlstrack.optimize import FitOptions
 from tlstrack.synth import (
     DriftProcess,
     Scenario,
@@ -239,8 +238,7 @@ class TestFitSeries:
         # one iteration leaves every trace unconverged
         capped = cli.fit_traces
         monkeypatch.setattr(cli, "fit_traces",
-                            lambda traces, weighting: capped(traces, weighting,
-                                                             FitOptions(max_iterations=1)))
+                            lambda traces, weighting: capped(traces, weighting, 1))
         assert main(["fit-series", str(run_dir)]) == 0
         doc = doc_of()
         assert doc["unconverged_epochs"] == [0, 1, 2, 3]

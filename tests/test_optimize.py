@@ -3,7 +3,6 @@ import pytest
 
 from tlstrack.errors import FitDivergedError, InvalidParameterError
 from tlstrack.optimize import (
-    FitOptions,
     LeastSquaresProblem,
     _damped_newton_2x2,
     finite_difference_jacobian,
@@ -31,8 +30,7 @@ class TestLinearProblems:
         rng = np.random.default_rng(7)
         a = rng.normal(size=(6, 3)) + np.eye(6, 3)
         b = a @ rng.normal(size=3) + 0.05 * rng.normal(size=6)
-        result = solve(lambda x: a @ x - b, np.zeros(3),
-                       options=FitOptions(max_iterations=3))
+        result = solve(lambda x: a @ x - b, np.zeros(3), max_iterations=3)
         expected = np.linalg.lstsq(a, b, rcond=None)[0]
         assert result.iterations <= 3
         assert np.max(np.abs(result.parameters - expected)) < 1e-8
@@ -109,8 +107,7 @@ class TestRobustness:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(8, 5))
         b = rng.normal(size=8)
-        result = solve(lambda x: a @ x - b, np.zeros(5),
-                       options=FitOptions(max_iterations=1, gtol=0.0, ftol=0.0, xtol=0.0))
+        result = solve(lambda x: a @ x - b, np.zeros(5), max_iterations=1)
         assert not result.converged
         assert result.iterations == 1
 
@@ -162,7 +159,7 @@ class TestDampedNewton2x2:
         x0 = np.array([[0.5, 1.0, 1.0], [0.5, 1.0, 0.5]])
         lo, hi = 0.01, 10.0
         x, _, cost, iterations, converged = _damped_newton_2x2(
-            x0, lo, hi, *self.decay_problems(data), FitOptions())
+            x0, lo, hi, *self.decay_problems(data))
         assert np.all(converged)
         for i in range(3):
             def residual(p):
@@ -193,6 +190,6 @@ class TestDampedNewton2x2:
             return rs[0].T, np.ones(idx.size), np.zeros(idx.size), np.ones(idx.size)
 
         x, _, _, iterations, converged = _damped_newton_2x2(
-            np.array([[1.0], [0.5]]), 0.0, 1.0, residuals, linearise, FitOptions())
+            np.array([[1.0], [0.5]]), 0.0, 1.0, residuals, linearise)
         assert x.tolist() == [[1.0], [0.5]]
         assert calls == [1] and iterations.tolist() == [1] and converged.tolist() == [True]

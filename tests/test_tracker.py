@@ -16,7 +16,7 @@ from tlstrack.synth import DriftProcess, Scenario, TlsTruth, bundled_scenario, \
     generate_trajectories, true_lifetime_series
 from tlstrack import tracker
 from tlstrack.cli import main
-from tlstrack.optimize import FitOptions, LeastSquaresProblem, levenberg_marquardt
+from tlstrack.optimize import LeastSquaresProblem, levenberg_marquardt
 from tlstrack.tls import DeviceFrequencies, lorentzian_rates, rate_series
 from tlstrack.tracker import (
     DEFAULT_TRACKER_CONFIG,
@@ -291,11 +291,12 @@ def reference_solve_epochs(ws, coupling, linewidth, bg, prev_traj, solve):
 
 
 GRID_POINTS_2D = 60     # per-axis size of the reference two-defect seed grid
+GRID_SEEDS_2D = 4       # best separated grid points that seed the reference solve
 
 
 def grid_seeded(ws, coupling, linewidth, bg, prev_traj, solve_pair):
     """An independent two-defect epoch solve: one ``solve_pair(e, start)``
-    candidate per start, the starts being the ``MAX_CANDIDATES`` best points
+    candidate per start, the starts being the ``GRID_SEEDS_2D`` best points
     of a ``GRID_POINTS_2D`` x ``GRID_POINTS_2D`` grid over the band that lie
     more than 1.5 cells (max norm) apart, plus the previous pair."""
     cost = epoch_cost_function(ws, coupling, linewidth, bg)
@@ -310,7 +311,7 @@ def grid_seeded(ws, coupling, linewidth, bg, prev_traj, solve_pair):
         for i in np.argsort(cost(grid, e)):
             if all(np.max(np.abs(grid[:, i] - s)) > 1.5 * cell for s in seeds):
                 seeds.append(grid[:, i])
-            if len(seeds) >= tracker.MAX_CANDIDATES:
+            if len(seeds) >= GRID_SEEDS_2D:
                 break
         if prev_traj is not None:
             seeds.append(prev_traj[:, e])
@@ -320,9 +321,9 @@ def grid_seeded(ws, coupling, linewidth, bg, prev_traj, solve_pair):
 
 
 def bounded_scalar_minima(ws, coupling, linewidth, bg, points=257):
-    """An independent one-defect solve: the lowest ``MAX_CANDIDATES`` local
-    minima of a uniform grid, each refined by scipy's bounded scalar search
-    between its grid neighbours (the better of the two points is kept)."""
+    """An independent one-defect solve: every local minimum of a uniform
+    grid, each refined by scipy's bounded scalar search between its grid
+    neighbours (the better of the two points is kept)."""
     cost = epoch_cost_function(ws, coupling, linewidth, bg)
     xs = np.linspace(ws.band[0], ws.band[1], points)
 
@@ -330,9 +331,8 @@ def bounded_scalar_minima(ws, coupling, linewidth, bg, points=257):
         fs = cost(xs[None, :], e)
         padded = np.concatenate([[np.inf], fs, [np.inf]])
         minima = [i for i in range(points) if fs[i] <= min(padded[i], padded[i + 2])]
-        minima.sort(key=lambda i: fs[i])
         cands = []
-        for i in minima[: tracker.MAX_CANDIDATES]:
+        for i in minima:
             result = minimize_scalar(lambda w: float(cost(np.array([[w]]), e)[0]),
                                      bounds=(xs[max(i - 1, 0)], xs[min(i + 1, points - 1)]),
                                      method="bounded", options={"xatol": 1e-7})
@@ -385,7 +385,7 @@ def scalar_lm_pair(ws, coupling, linewidth, bg):
 
         result = levenberg_marquardt(
             LeastSquaresProblem(residual, np.clip(seed, lo, hi), lo, hi, jacobian=jacobian),
-            FitOptions(max_iterations=100),
+            100,
         )
         return result.parameters.copy(), result.cost
 
