@@ -116,7 +116,6 @@ class PopulationState:
         return cls(float(v[0]), float(v[1]), float(v[2]))
 
 
-GROUND = PopulationState(1.0, 0.0, 0.0)
 SECOND_EXCITED = PopulationState(0.0, 0.0, 1.0)
 
 
@@ -179,7 +178,8 @@ class PopulationTrace:
         that is not an integer raises ``InvalidParameterError`` naming the
         file, line and column.
         """
-        with open(path, newline="") as fh:
+        # bytes that are not UTF-8 read as U+FFFD, so such a cell is not a number
+        with open(path, newline="", errors="replace") as fh:
             rows = csv.reader(fh)
             header = next(rows, [])
             for column in _TRACE_COLUMNS:

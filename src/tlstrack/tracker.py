@@ -524,7 +524,13 @@ def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _polynomial_roots(coef: np.ndarray) -> np.ndarray:
     """The complex roots of each row of ``coef``, as companion-matrix eigenvalues.
-    Leading zeros are dropped, which only adds roots at u = 0."""
+    Leading zeros are dropped, which only adds roots at u = 0.  A row with a
+    non-finite coefficient or none but zeros raises ``InvalidParameterError``:
+    the coefficients are in band units, and a band far wider than the
+    transmon's scales under- or overflows them."""
+    if not (np.all(np.isfinite(coef)) and np.all(np.any(coef != 0.0, axis=1))):
+        raise InvalidParameterError("band_margin_mhz: the frequency polynomials in band units "
+                                    "under- or overflow; narrow the search band")
     n, k = coef.shape
     lead = np.argmax(coef != 0.0, axis=1)
     coef = np.take_along_axis(np.pad(coef, ((0, 0), (0, k - 1))), lead[:, None] + np.arange(k),
@@ -629,7 +635,7 @@ def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[
     mid, h = (lo + hi) / 2.0, (hi - lo) / 2.0
     a, b = (dev.omega_01 - mid) / h, (dev.omega_12 - mid) / h
     d = b - a
-    (c1, c2), (g1, g2) = coupling * linewidth / h**2, (linewidth / h) ** 2
+    (c1, c2), (g1, g2) = coupling * linewidth / (h * h), (linewidth / h) ** 2
     # polynomials in x as coefficient arrays, highest power first
     e_a, e_b = (np.array([1.0, -2.0 * u, u**2 + g1]) for u in (a, b))
     p_a = (ws.g10_meas - bg[0])[:, None] * e_a - [0.0, 0.0, c1]
@@ -888,8 +894,9 @@ def select_model(
     skipped = []
     best = None
     for order in (1, 2):
-        floor = _score(order, 0.0, series, config)
-        if best is not None and best.information_score <= floor:
+        # order 1 is always fitted, and its fit rejects a series too short to score
+        floor = None if best is None else _score(order, 0.0, series, config)
+        if floor is not None and best.information_score <= floor:
             scores[order] = floor
             skipped.append(order)
             continue

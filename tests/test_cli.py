@@ -253,13 +253,16 @@ class TestFitSeries:
                                                      "number, got 'nan'"),
         (lambda rows: rows[5].__setitem__(4, "2.5"), "line 6: column 'shots': expected an "
                                                      "integer, got '2.5'"),
+        # the lone surrogate is written as the byte 0xff, which is not UTF-8
+        (lambda rows: rows[3].__setitem__(1, "1\udcff"), "line 4: column 'p0': expected a "
+                                                         "finite number, got '1\ufffd'"),
     ])
     def test_bad_trace_cell_exit_2(self, run_dir, capsys, edit, where):
         path = run_dir / "traces" / "epoch_0002.csv"
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         edit(rows)
-        with open(path, "w", newline="") as fh:
+        with open(path, "w", newline="", errors="surrogateescape") as fh:
             csv.writer(fh).writerows(rows)
         assert main(["fit-series", str(run_dir)]) == 2
         assert capsys.readouterr().err == f"error: {path}: {where}\n"
@@ -331,6 +334,16 @@ class TestTrack:
                      "--order", "2", "--out", str(out)]) == 0
         doc = json.loads((out / "fit.json").read_text())
         assert any("fewer than 25" in w for w in doc["warnings"])
+
+    @pytest.mark.parametrize("order", [[], ["--order", "1"], ["--order", "2"]],
+                             ids=["default-auto", "order-1", "order-2"])
+    def test_series_without_rows_exit_2(self, tmp_path, capsys, order):
+        spath, dev, _ = self.make_series_csv(tmp_path, epochs=12)
+        spath.write_text(spath.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "fit"
+        assert main(["track", str(spath), "--device", str(dev), "--out", str(out), *order]) == 2
+        assert capsys.readouterr().err == "error: need at least 3 epochs to track\n"
+        assert not out.exists()
 
     def test_bad_device_file(self, tmp_path):
         spath, _, _ = self.make_series_csv(tmp_path, epochs=12)
@@ -423,6 +436,8 @@ class TestTrack:
         ({"coupling_bounds": [-1, 5]}, "coupling_bounds: expected 0 < lo < hi"),
         ({"f_multiplier": 0}, "f_multiplier: expected > 0"),
         ({"f_multiplier": -1}, "f_multiplier: expected > 0"),
+        ({"band_margin_mhz": 1e160}, "band_margin_mhz: the frequency polynomials"),
+        ({"band_margin_mhz": 1e308}, "band_margin_mhz: the frequency polynomials"),
     ])
     def test_bad_tracker_config_exit_2(self, tmp_path, capsys, tracker, path):
         spath, dev, _ = self.make_series_csv(tmp_path, epochs=12)
