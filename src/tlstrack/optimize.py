@@ -36,7 +36,7 @@ FTOL = 1e-12         # relative decrease of the cost between accepted steps
 XTOL = 1e-12         # step norm relative to parameter norm
 FD_STEP = 1e-8       # forward-difference step: max(FD_STEP, FD_STEP*|x|)
 LAMBDA_INIT = 1e-3
-LAMBDA_FACTOR = 10.0  # the damping falls by this on an accepted step, rises by it on a rejected one
+LAMBDA_FACTOR = 10.0  # damping falls by this on an accepted step, rises by it on a rejected one
 LAMBDA_MAX = 1e12
 
 

@@ -12,7 +12,7 @@ on the other traces in the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,14 +34,35 @@ def default_delay_grid(t1e: float, t1f: float, n: int = 30) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def _log_linear_rate(t: np.ndarray, p: np.ndarray) -> Optional[float]:
-    # unweighted regression of ln(p) on t; the decay rate is -slope
-    if t.size < 3:
-        return None
-    slope = np.polyfit(t, np.log(p), 1)[0]
-    if not np.isfinite(slope) or slope >= 0.0:
-        return None
-    return -float(slope)
+def _decay_rates(t: np.ndarray, y: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Row-wise unweighted regressions of ``y`` on ``t`` over the points in
+    ``mask``: minus each slope, or NaN where fewer than 3 points remain or
+    the slope is not negative and finite.  ``y`` must be finite outside ``mask``."""
+    n = np.sum(mask, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_mean = np.sum(np.where(mask, t, 0.0), axis=1) / n
+        dt = np.where(mask, t - t_mean[:, None], 0.0)
+        y_mean = np.sum(np.where(mask, y, 0.0), axis=1) / n
+        slope = np.sum(dt * (y - y_mean[:, None]), axis=1) / np.sum(dt * dt, axis=1)
+    return np.where((n >= 3) & np.isfinite(slope) & (slope < 0.0), -slope, np.nan)
+
+
+def _initial_rates(t: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """:func:`initial_guess` for every row of delays ``t`` (k, n) and
+    populations ``p`` (k, n, 3) at once, as masked closed-form least
+    squares.  Returns the (gamma_10, gamma_21) seeds, shape (2, k)."""
+    p1, p2 = p[..., 1], p[..., 2]
+    mask2 = p2 > 0.05
+    g21 = _decay_rates(t, np.log(np.where(mask2, p2, 1.0)), mask2)
+    tail = (np.arange(t.shape[1]) >= np.argmax(p1, axis=1)[:, None]) & (p1 > 0.02)
+    log_p1 = np.log(np.where(tail, p1, 1.0))
+    g10 = _decay_rates(t, log_p1, tail)
+    # nearly degenerate rates: p1 ~ t*exp(-gamma*t), so regress ln(p1) - ln(t)
+    near = (0.5 <= g10 / g21) & (g10 / g21 <= 2.0) & np.all((t > 0.0) | ~tail, axis=1)
+    g10_near = _decay_rates(t, log_p1 - np.log(np.where(tail & (t > 0.0), t, 1.0)), tail)
+    g10 = np.where(near & ~np.isnan(g10_near), g10_near, g10)
+    g, fallback = np.array([g10, g21]), 1.0 / np.where(t[:, -1] > 0.0, t[:, -1], 1.0)
+    return np.clip(np.where(np.isnan(g), fallback, g), RATE_LOWER, RATE_UPPER)
 
 
 def initial_guess(trace: PopulationTrace) -> DecayRates:
@@ -53,30 +74,10 @@ def initial_guess(trace: PopulationTrace) -> DecayRates:
     p1 ~ t*exp(-gamma*t); the regression is then redone on ln(p1) - ln(t)
     to remove the prefactor bias.  Either regression falls back to
     1/(last delay) when fewer than 3 usable points remain, so the guess is
-    always finite.
+    always finite.  This is the batch of one of :func:`_initial_rates`.
     """
-    t = trace.delays
-    fallback = 1.0 / t[-1] if t[-1] > 0.0 else 1.0
-
-    p2 = trace.populations[:, 2]
-    mask2 = p2 > 0.05
-    g21 = _log_linear_rate(t[mask2], p2[mask2])
-
-    p1 = trace.populations[:, 1]
-    imax = int(np.argmax(p1))
-    tail = np.zeros_like(mask2)
-    tail[imax:] = p1[imax:] > 0.02
-    g10 = _log_linear_rate(t[tail], p1[tail])
-    if g10 is not None and g21 is not None and 0.5 <= g10 / g21 <= 2.0:
-        if np.all(t[tail] > 0.0):
-            slope = np.polyfit(t[tail], np.log(p1[tail]) - np.log(t[tail]), 1)[0]
-            if np.isfinite(slope) and slope < 0.0:
-                g10 = -float(slope)
-
-    g21 = fallback if g21 is None else g21
-    g10 = fallback if g10 is None else g10
-    clip = lambda g: float(min(max(g, RATE_LOWER), RATE_UPPER))
-    return DecayRates(clip(g10), clip(g21))
+    g10, g21 = _initial_rates(trace.delays[None], trace.populations[None])[:, 0]
+    return DecayRates(float(g10), float(g21))
 
 
 @dataclass
@@ -143,9 +144,8 @@ def fit_traces(
     trace to carry shot counts.  Traces of equal length share one batched
     solve; each trace's result is the same whatever else is in the batch.
     A fit still unconverged after ``max_iterations`` is returned flagged
-    rather than raised.  A non-finite
-    trial residual raises ``FitDivergedError`` naming the lowest-index trace
-    that met one.
+    rather than raised.  A non-finite trial residual raises
+    ``FitDivergedError`` naming the lowest-index trace that met one.
     """
     traces = list(traces)
     if weighting not in ("uniform", "binomial"):
@@ -196,8 +196,7 @@ def _fit_equal_length(traces: list[PopulationTrace], weighting: str, max_iterati
     t = np.stack([trace.delays for trace in traces])
     data = np.stack([trace.populations for trace in traces])
     weights = np.stack([_weights(trace, weighting) for trace in traces])
-    guesses = [initial_guess(trace) for trace in traces]
-    x0 = np.array([[g.gamma_10 for g in guesses], [g.gamma_21 for g in guesses]])
+    x0 = _initial_rates(t, data)
     rows = 3 * t.shape[1]
     failed: dict[int, np.ndarray] = {}
 

@@ -524,10 +524,9 @@ def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def _polynomial_roots(coef: np.ndarray) -> np.ndarray:
     """The complex roots of each row of ``coef``, as companion-matrix eigenvalues.
-    Leading zeros are dropped, which only adds roots at u = 0.  A row with a
-    non-finite coefficient or none but zeros raises ``InvalidParameterError``:
-    the coefficients are in band units, and a band far wider than the
-    transmon's scales under- or overflows them."""
+    Leading zeros are dropped, which only adds roots at u = 0.  A row of zeros
+    or with a non-finite coefficient, which a band far too wide for band units
+    gives, raises ``InvalidParameterError``."""
     if not (np.all(np.isfinite(coef)) and np.all(np.any(coef != 0.0, axis=1))):
         raise InvalidParameterError("band_margin_mhz: the frequency polynomials in band units "
                                     "under- or overflow; narrow the search band")

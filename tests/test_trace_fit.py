@@ -221,7 +221,44 @@ def generic_cost_and_fit(trace: PopulationTrace, weighting: str):
     return float(r @ r), generic
 
 
+def polyfit_guess(trace: PopulationTrace) -> list[float]:
+    """The (gamma_10, gamma_21) seeds by per-trace ``np.polyfit`` regressions,
+    the rule of ``initial_guess`` written out one trace at a time."""
+    t, p1, p2 = trace.delays, trace.populations[:, 1], trace.populations[:, 2]
+
+    def rate(x, y):
+        slope = np.polyfit(x, y, 1)[0] if x.size >= 3 else np.nan
+        return -slope if np.isfinite(slope) and slope < 0.0 else None
+
+    g21 = rate(t[p2 > 0.05], np.log(p2[p2 > 0.05]))
+    tail = (np.arange(t.size) >= np.argmax(p1)) & (p1 > 0.02)
+    g10 = rate(t[tail], np.log(p1[tail]))
+    if g10 is not None and g21 is not None and 0.5 <= g10 / g21 <= 2.0 and np.all(t[tail] > 0):
+        g10 = rate(t[tail], np.log(p1[tail]) - np.log(t[tail])) or g10
+    fallback = 1.0 / t[-1] if t[-1] > 0.0 else 1.0
+    return [min(max(fallback if g is None else g, trace_fit.RATE_LOWER), trace_fit.RATE_UPPER)
+            for g in (g10, g21)]
+
+
 class TestBatchedFit:
+    def test_seeds_match_per_trace_polyfit(self, short_runs):
+        # near-degenerate, p2-free and short traces beside the bundled ones;
+        # the batch sums in another order than polyfit, so they agree to rounding
+        flat = np.zeros((30, 3))
+        flat[:, 0] = 1.0
+        # p1 peaks at delay 0, so the near-degenerate ln(p1) - ln(t) regression is skipped
+        t0 = np.linspace(0.0, 400.0, 30)
+        p12 = np.stack([0.5 * np.exp(-0.01 * t0), 0.5 * np.exp(-0.0105 * t0)], axis=1)
+        extra = [closed_form_trace(DecayRates(0.01, 0.011), DELAYS),
+                 closed_form_trace(DecayRates(0.01, 0.01), t0),
+                 PopulationTrace(t0, np.column_stack([1.0 - p12.sum(axis=1), p12])),
+                 PopulationTrace(DELAYS, flat), closed_form_trace(DEVICE_A, DELAYS[::6])]
+        for traces in (short_runs["device_A"] + short_runs["device_B"], extra[:4], extra[4:]):
+            got = trace_fit._initial_rates(np.stack([tr.delays for tr in traces]),
+                                           np.stack([tr.populations for tr in traces]))
+            want = np.array([polyfit_guess(tr) for tr in traces]).T
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("name", ["device_A", "device_B"])
     @pytest.mark.parametrize("weighting", ["uniform", "binomial"])
     def test_cost_not_above_generic_lm(self, short_runs, name, weighting):
