@@ -270,9 +270,13 @@ class TestEpochSamplerProperty:
 
 def run_digest(name, out_dir, epochs=6):
     """SHA-256 over the trace CSVs and confusion.json of a short synthesis
-    of a bundled scenario at its bundled seed."""
-    sc = bundled_scenario(name)
+    of a bundled scenario at its bundled seed.  A name ending in
+    ``+correlated`` swaps the scenario's blobs for ``CORRELATED_BLOBS``."""
+    scenario_name, _, variant = name.partition("+")
+    sc = bundled_scenario(scenario_name)
     sc.epochs = epochs
+    if variant:
+        sc.blobs = CORRELATED_BLOBS
     out = write_run_directory(sc, out_dir)
     h = hashlib.sha256()
     for path in [out / "confusion.json", *sorted((out / "traces").glob("epoch_*.csv"))]:
@@ -287,6 +291,10 @@ GOLDEN_DIGESTS = {
     "device_A": "6321e1ab01c5004f80f7311661fea53c516a33b3e5abb1b9e61fa7b8165ef8c5",
     "device_B": "7f24498cfb04fd493c27da7e4bab2a4cdb7f7ccb833ff26ddbf12fcee175758a",
 }
+# recorded before shots were classified from their standard normals; the
+# bundled blobs share one isotropic covariance, so only this entry pins the
+# streams of unequal, anisotropic covariances
+GOLDEN_DIGESTS["device_A+correlated"] = "b383c4a129ea7055140c7b4cc0c78e632b30a5a643d154a81d7ec6d7b307f4bf"
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_DIGESTS))
