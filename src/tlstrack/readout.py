@@ -2,9 +2,14 @@
 and inversion-based error mitigation.
 
 Classification is equal-prior Gaussian maximum likelihood over the three
-blob models, with ties broken toward the lower state index.  Mitigation
-multiplies the inverse confusion matrix into observed population vectors,
-clipping small negative components by default.
+blob models, with ties broken toward the lower state index.  It compares
+the two log-likelihood differences l_1 - l_0 and l_2 - l_0, each a
+quadratic in the input with coefficients cached on the blob model.  The
+input is either an IQ point or, for a simulated shot of state k, the
+standard normals z that give its point mean_k + L_k·z, so simulated shots
+are classified without forming their points.  Mitigation multiplies the
+inverse confusion matrix into observed population vectors, clipping small
+negative components by default.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ CONFUSION_SCHEMA_VERSION = 1
 #: Condition-number ceiling above which mitigation refuses to invert.
 MITIGATION_CONDITION_LIMIT = 1e6
 
-#: Points per :func:`classify_points` block: the block's buffers (under
+#: Rows per :func:`_classify_frame` block: the block's buffers (under
 #: 1 MB) stay in a core's L2 cache.
 _CLASSIFY_BLOCK = 16384
 
@@ -36,15 +41,25 @@ class IqBlobModel:
 
     ``means`` has shape (3, 2); ``covariances`` has shape (3, 2, 2) and every
     covariance must be symmetric positive definite.  Both are stored as
-    read-only copies, so the per-blob precision matrices, half
-    log-determinants and Cholesky factors computed here stay valid.
+    read-only copies, so the Cholesky factors and discriminant coefficients
+    computed here stay valid.
+
+    ``_discriminants[f, j - 1]`` holds (a00, a01 + a10, a11, b0, b1, c) of
+    d_j = l_j - l_0 = z'Az + b'z + c, for j = 1, 2, in 4 frames.  Frame
+    k + 1 takes the normals z of a state-k shot, whose point is
+    mean_k + L_k z; frame 0 takes the point itself (mean 0, L = I).  With
+    P_i the precision, h_i the half log-determinant and
+    delta_i = mean_k - mean_i: A = -L'(P_j - P_0)L/2,
+    b = -L'(P_j delta_j - P_0 delta_0) and
+    c = -(delta_j'P_j delta_j - delta_0'P_0 delta_0)/2 - (h_j - h_0).
+    A blob identical to blob i < j gives the same d_j as d_i bit for bit
+    (d_0 = 0), so the higher label is never assigned.
     """
 
     means: np.ndarray
     covariances: np.ndarray
-    _precisions: np.ndarray = field(init=False, repr=False, compare=False)
-    _half_log_dets: np.ndarray = field(init=False, repr=False, compare=False)
     _cholesky: np.ndarray = field(init=False, repr=False, compare=False)
+    _discriminants: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         means = np.array(self.means, dtype=float)
@@ -67,12 +82,21 @@ class IqBlobModel:
                 raise InvalidParameterError(
                     f"covariance of blob {k} is numerically singular (determinant {det[k]:.3g})"
                 )
+        precisions, cholesky = np.linalg.inv(covs), np.linalg.cholesky(covs)
+        factor = np.concatenate([np.eye(2)[None], cholesky])
+        delta = np.concatenate([np.zeros((1, 2)), means])[:, None] - means     # (frame, i, 2)
+        p_delta = np.einsum("iab,fib->fia", precisions, delta)
+        quad = np.einsum("fia,fia->fi", delta, p_delta)
+        a = -0.5 * np.einsum("fai,jab,fbk->fjik", factor, precisions[1:] - precisions[0], factor)
+        b = -np.einsum("fai,fja->fji", factor, p_delta[:, 1:] - p_delta[:, :1])
+        half_log_det = 0.5 * np.log(det)
+        c = -0.5 * (quad[:, 1:] - quad[:, :1]) - (half_log_det[1:] - half_log_det[0])
         cached = {
             "means": means,
             "covariances": covs,
-            "_precisions": np.linalg.inv(covs),
-            "_half_log_dets": 0.5 * np.log(det),
-            "_cholesky": np.linalg.cholesky(covs),
+            "_cholesky": cholesky,
+            "_discriminants": np.stack([a[..., 0, 0], a[..., 0, 1] + a[..., 1, 0], a[..., 1, 1],
+                                        b[..., 0], b[..., 1], c], axis=-1),
         }
         for name, value in cached.items():
             value.setflags(write=False)
@@ -151,38 +175,6 @@ def calibrate_equilateral_radius(
     )
 
 
-def _log_likelihoods(blobs: IqBlobModel, points: np.ndarray, work=None) -> list[np.ndarray]:
-    """Each blob's log-likelihood of every point, one array per blob.
-
-    ``work``, if given, is a (6, m) buffer with m >= len(points): the
-    results go into its first three rows and the other three are scratch.
-    Every step writes into the buffer, so nothing is allocated.
-    """
-    n = points.shape[0]
-    if work is None:
-        work = np.empty((6, n))
-    out, (dx, dy, term) = work[:3, :n], work[3:, :n]
-    x, y = points[:, 0], points[:, 1]
-    for k in range(3):
-        (pxx, pxy), (pyx, pyy) = blobs._precisions[k]
-        np.subtract(x, blobs.means[k, 0], out=dx)
-        np.subtract(y, blobs.means[k, 1], out=dy)
-        # quad = pxx*dx*dx + (pxy+pyx)*dx*dy + pyy*dy*dy, evaluated left to right
-        quad = out[k]
-        np.multiply(dx, pxx, out=quad)
-        quad *= dx
-        np.multiply(dx, pxy + pyx, out=term)
-        term *= dy
-        quad += term
-        np.multiply(dy, pyy, out=term)
-        term *= dy
-        quad += term
-        # log-likelihood = -0.5 * quad - half log-determinant
-        quad *= -0.5
-        quad -= blobs._half_log_dets[k]
-    return list(out)
-
-
 def classify(blobs: IqBlobModel, point: Sequence[float]) -> int:
     """Maximum-likelihood state assignment for one IQ point (equal priors).
 
@@ -192,65 +184,75 @@ def classify(blobs: IqBlobModel, point: Sequence[float]) -> int:
 
 
 def classify_points(blobs: IqBlobModel, points: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`classify` over an (n, 2) array of points.
-
-    Works through the points in blocks of ``_CLASSIFY_BLOCK`` with one set
-    of reused buffers, so the temporaries stay in cache.  The points are
-    read in place, fastest from planar storage (``points[:, 0]``
-    contiguous), which is how :func:`sample_blob` returns them.
-    """
+    """Vectorized :func:`classify` over an (n, 2) array of points."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
-    n = points.shape[0]
-    labels = np.empty(n, dtype=np.intp)
+    return _classify_frame(blobs, 0, points, np.empty(points.shape[0], dtype=np.intp))
+
+
+def _classify_frame(blobs: IqBlobModel, frame: int, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Maximum-likelihood labels of the rows of ``z`` (m, 2), written into
+    ``out`` (m,) and returned: IQ points for ``frame`` 0, the standard
+    normals of state k's shots for ``frame`` k + 1.
+
+    Works through the rows in blocks of ``_CLASSIFY_BLOCK`` with one set of
+    reused buffers, so the temporaries stay in cache.  Each row's label
+    depends only on that row, never on the block it falls in.
+    """
+    n = z.shape[0]
     size = min(n, _CLASSIFY_BLOCK)
-    work = np.empty((6, size))
+    work = np.empty((3, size))
     # byte views of the two comparisons, so the labels come from integer maxima
     flags = np.empty((2, size), dtype=np.uint8)
+    coef = blobs._discriminants[frame].tolist()
     for start in range(0, n, _CLASSIFY_BLOCK):
-        block = points[start:start + _CLASSIFY_BLOCK]
+        block = z[start:start + _CLASSIFY_BLOCK]
+        z0, z1 = block[:, 0], block[:, 1]
         m = block.shape[0]
-        l0, l1, l2 = _log_likelihoods(blobs, block, work)
-        # the log-likelihoods are in work[:3], so work[3] is free scratch
-        one, two, top = flags[0, :m], flags[1, :m], work[3, :m]
-        # label 2 if l2 beats max(l0, l1), else 1 if l1 beats l0, else 0: the
+        d1, d2, t = work[:, :m]
+        for d, (a00, a01, a11, b0, b1, c) in zip((d1, d2), coef):
+            # d = ((a00 z0 + a01 z1 + b0) z0) + ((a11 z1 + b1) z1) + c
+            np.multiply(z0, a00, out=d)
+            np.multiply(z1, a01, out=t)
+            d += t
+            d += b0
+            d *= z0
+            np.multiply(z1, a11, out=t)
+            t += b1
+            t *= z1
+            d += t
+            d += c
+        one, two = flags[0, :m], flags[1, :m]
+        # label 2 if d2 beats max(0, d1), else 1 if d1 beats 0, else 0: the
         # comparisons are strict, so a tie goes to the lower state, as with argmax
-        np.greater(l1, l0, out=one.view(bool))
-        np.maximum(l0, l1, out=top)
-        np.greater(l2, top, out=two.view(bool))
+        np.greater(d1, 0.0, out=one.view(bool))
+        np.maximum(d1, 0.0, out=t)
+        np.greater(d2, t, out=two.view(bool))
         two <<= 1
-        np.maximum(one, two, out=labels[start:start + m])
-    return labels
+        np.maximum(one, two, out=out[start:start + m])
+    return out
 
 
-def _blob_points(blobs: IqBlobModel, state: int, z: np.ndarray, out: np.ndarray) -> None:
-    """Blob ``state``'s IQ points for the standard normals ``z`` (m, 2),
-    written into the planar ``out`` (2, m): point = mean + L·z, with L the
-    blob's lower Cholesky factor.
+def sample_blob(
+    blobs: IqBlobModel, state: int, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``n`` IQ points from blob ``state`` using the supplied stream:
+    point = mean + L·z, with L the blob's lower Cholesky factor.
 
-    The arithmetic is elementwise, so a point's bits do not depend on how
-    many rows are transformed together (a BLAS ``z @ L.T`` gives different
-    last bits for different m).  ``z`` is used as scratch.
+    The (n, 2) result is a view of planar (2, n) storage.  The arithmetic is
+    elementwise, so a point's bits do not depend on ``n`` (a BLAS
+    ``z @ L.T`` gives different last bits for different n).
     """
     (l00, _), (l10, l11) = blobs._cholesky[state]
-    x, y = out
+    z = rng.standard_normal((n, 2))
     z0, z1 = z[:, 0], z[:, 1]
+    out = np.empty((2, n))
+    x, y = out
     np.multiply(z0, l00, out=x)
     x += blobs.means[state, 0]
     np.multiply(z0, l10, out=y)
     z1 *= l11
     y += z1
     y += blobs.means[state, 1]
-
-
-def sample_blob(
-    blobs: IqBlobModel, state: int, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``n`` IQ points from blob ``state`` using the supplied stream.
-
-    The (n, 2) result is a view of planar (2, n) storage.
-    """
-    out = np.empty((2, n))
-    _blob_points(blobs, state, rng.standard_normal((n, 2)), out)
     return out.T
 
 
@@ -329,18 +331,19 @@ def simulate_confusion_matrix(
 ) -> ConfusionMatrix:
     """Empirical confusion matrix from seeded blob sampling.
 
-    Prepares each basis state ``shots_per_state`` times, pushes every shot
-    through the ML classifier, and column-normalizes the assignment counts.
-    Deterministic for a fixed seed.
+    Prepares each basis state ``shots_per_state`` times, classifies every
+    shot from its standard normals, and column-normalizes the assignment
+    counts.  Deterministic for a fixed seed.
     """
     if shots_per_state < 1:
         raise InvalidParameterError("shots_per_state must be >= 1")
     rng = np.random.default_rng(seed)
     m = np.zeros((3, 3))
+    labels = np.empty(shots_per_state, dtype=np.intp)
     for k in range(3):
-        assigned = classify_points(blobs, sample_blob(blobs, k, shots_per_state, rng))
-        counts = np.bincount(assigned, minlength=3)
-        m[:, k] = counts / float(shots_per_state)
+        # the normals of sample_blob's stream, classified without forming points
+        _classify_frame(blobs, k + 1, rng.standard_normal((shots_per_state, 2)), labels)
+        m[:, k] = np.bincount(labels, minlength=3) / float(shots_per_state)
     return ConfusionMatrix(m)
 
 

@@ -21,8 +21,8 @@ import numpy as np
 
 from .dynamics import DecayRates, PopulationTrace, closed_form_populations
 from .errors import InvalidParameterError, ScenarioSchemaError
-from .readout import ConfusionMatrix, IDENTITY_CONFUSION, IqBlobModel, _blob_points, \
-    classify_points, equilateral_blobs, simulate_confusion_matrix
+from .readout import ConfusionMatrix, IDENTITY_CONFUSION, IqBlobModel, _classify_frame, \
+    equilateral_blobs, simulate_confusion_matrix
 from .tls import DeviceFrequencies, TlsDefect, TlsParameterSet, rate_series
 from .tracker import LifetimeSeries
 
@@ -414,14 +414,14 @@ def _classified_counts(
 
     The stream is the per-delay one: a multinomial draw of the prepared
     states, then each state's normals in state order.  Each state's normals
-    go into their own region of one buffer, so each blob is transformed and
-    all shots are classified in single calls.
+    go into their own region of one buffer, and each region is classified
+    in one call, from the normals themselves.
     """
     n_delays = p.shape[0]
     n = n_delays * shots
     # state 0 fills z[:n] upwards and state 2 fills it downwards from n, so
-    # both end where their points go (they never meet, as n0 + n2 <= n);
-    # state 1 fills z[n:] upwards and its points go between the two
+    # both end where their labels go (they never meet, as n0 + n2 <= n);
+    # state 1 fills z[n:] upwards and its labels go between the two
     z = np.empty((2 * n, 2))
     prepared = np.empty((n_delays, 3), dtype=np.int64)
     top0, top1, bottom2 = 0, n, n
@@ -431,15 +431,15 @@ def _classified_counts(
         rng.standard_normal(out=z[top1:top1 + n1])
         rng.standard_normal(out=z[bottom2 - n2:bottom2])
         top0, top1, bottom2 = top0 + n0, top1 + n1, bottom2 - n2
-    points = np.empty((2, n))
-    _blob_points(blobs, 0, z[:top0], points[:, :top0])
-    _blob_points(blobs, 1, z[n:top1], points[:, top0:bottom2])
-    _blob_points(blobs, 2, z[bottom2:n], points[:, bottom2:])
+    labels = np.empty(n, dtype=np.intp)
+    _classify_frame(blobs, 1, z[:top0], labels[:top0])
+    _classify_frame(blobs, 2, z[n:top1], labels[top0:bottom2])
+    _classify_frame(blobs, 3, z[bottom2:n], labels[bottom2:])
     # key = 3 * delay + label; the state-2 rows run from the last delay to the first
     delay3 = 3 * np.arange(n_delays)
     key = np.repeat(np.concatenate([delay3, delay3, delay3[::-1]]),
                     np.concatenate([prepared[:, 0], prepared[:, 1], prepared[::-1, 2]]))
-    key += classify_points(blobs, points.T)
+    key += labels
     return np.bincount(key, minlength=3 * n_delays).reshape(n_delays, 3)
 
 

@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlstrack.dynamics import DecayRates, PopulationState, PopulationTrace, closed_form_trace
 from tlstrack.errors import InvalidParameterError, MitigationUnstableError
@@ -22,7 +24,7 @@ from tlstrack.readout import (
     shot_records_from_csv,
     shot_records_to_csv,
     simulate_confusion_matrix,
-    _log_likelihoods,
+    _classify_frame,
 )
 
 ISO = np.repeat(np.eye(2)[None, :, :], 3, axis=0)
@@ -130,7 +132,7 @@ class TestClassify:
         a = rng.normal(size=(3, 2, 2))
         blobs = IqBlobModel(rng.normal(scale=2.0, size=(3, 2)), a @ a.transpose(0, 2, 1) + 0.1 * ISO)
         points = rng.normal(scale=3.0, size=(20_000, 2))
-        expected = np.argmax(np.stack(_log_likelihoods(blobs, points), axis=1), axis=1)
+        expected = np.argmax(einsum_log_likelihoods(blobs, points), axis=1)
         got = classify_points(blobs, points)
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
         assert [classify(blobs, p) for p in points[:50]] == expected[:50].tolist()
@@ -163,6 +165,33 @@ class TestClassify:
         bad[1] = [[1.0, 2.0], [0.5, 1.0]]
         with pytest.raises(InvalidParameterError):
             IqBlobModel(np.zeros((3, 2)), bad)
+
+
+class TestNormalsFrameProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        blob_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        state=st.integers(0, 2),
+        duplicate=st.sampled_from([None, (0, 1), (0, 2), (1, 2)]),
+        n=st.sampled_from([1, 2, 7, 300, 20_000]),
+    )
+    def test_matches_classify_points_of_sampled_points(self, blob_seed, seed, state, duplicate, n):
+        # random SPD blobs, with blob j a copy of blob i < j for a duplicate (i, j);
+        # 20,000 rows cross a block boundary
+        rng = np.random.default_rng(blob_seed)
+        a = rng.normal(size=(3, 2, 2))
+        means, covs = rng.normal(scale=2.0, size=(3, 2)), a @ a.transpose(0, 2, 1) + 0.05 * ISO
+        if duplicate is not None:
+            low, high = duplicate
+            means[high], covs[high] = means[low], covs[low]
+        blobs = IqBlobModel(means, covs)
+        z = np.random.default_rng(seed).standard_normal((n, 2))
+        got = _classify_frame(blobs, state + 1, z, np.empty(n, dtype=np.intp))
+        points = sample_blob(blobs, state, n, np.random.default_rng(seed))
+        assert np.array_equal(got, classify_points(blobs, points))
+        if duplicate is not None:
+            assert duplicate[1] not in got
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 300])
