@@ -610,6 +610,14 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
     return epochs, xs[epochs, i][None], fs[epochs, i]
 
 
+def _first_copies(starts: np.ndarray) -> np.ndarray:
+    """Mask (n, k) of the first copy of each distinct start in every row of
+    ``starts`` (2, n, k).  The u = 0 roots of dropped leading coefficients,
+    the real parts of a conjugate pair and clipping all repeat starts."""
+    same = (starts[:, :, :, None] == starts[:, :, None, :]).all(axis=0)
+    return ~np.tril(same, -1).any(axis=2)
+
+
 def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[np.ndarray]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every epoch's exact solutions of its two rate equations, from one
@@ -622,13 +630,13 @@ def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[
     C_k = B_k gamma_k/h^2; Gamma21 gives (b - y)^2 = N_b/P_b alike, with C_k
     times f_multiplier.  Their difference gives a - y = Q/(2d P_a P_b), with
     Q = N_b P_a - N_a P_b - d^2 P_a P_b, and squaring eliminates y:
-    Q^2 = 4d^2 N_a P_a P_b^2.  Each real root with x and y in the band starts
-    :func:`_solve_frequency_pairs`, which recovers the digits the companion
-    eigenvalues lose.  An epoch whose best result costs more than ``TIE_ABS``
+    Q^2 = 4d^2 N_a P_a P_b^2.  Each distinct real root with x and y in the
+    band starts :func:`_solve_frequency_pairs`, which recovers the digits
+    the companion eigenvalues lose.  An epoch whose best result costs more than ``TIE_ABS``
     has no exact solution and is solved instead from its roots' clipped real
     parts, the 16 pairs of {band low, omega_12, omega_01, band high} and the
-    previous pair.  Returns each candidate's epoch, its (2, k) frequencies
-    and its cost, epoch by epoch.
+    previous pair, each distinct start once.  Returns each candidate's
+    epoch, its (2, k) frequencies and its cost, epoch by epoch.
     """
     (lo, hi), dev, f = ws.band, ws.device, ws.config.f_multiplier
     mid, h = (lo + hi) / 2.0, (hi - lo) / 2.0
@@ -650,7 +658,9 @@ def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[
     with np.errstate(divide="ignore", invalid="ignore"):
         y = a - at_roots(q) / (2.0 * d * at_roots(p_ab))
     roots = mid + h * np.stack([x.real, y.real])
-    epochs, k = np.nonzero((x.imag == 0.0) & (np.abs(x.real) <= 1.0) & (np.abs(y.real) <= 1.0))
+    exact = (x.imag == 0.0) & (np.abs(x.real) <= 1.0) & (np.abs(y.real) <= 1.0)
+    # NaN never equals, so only exact roots can be copies of each other
+    epochs, k = np.nonzero(exact & _first_copies(np.where(exact, roots, np.nan)))
     xs, cost = _solve_frequency_pairs(ws, coupling, linewidth, bg, epochs, roots[:, epochs, k])
     redo = np.setdiff1d(np.arange(ws.n), epochs[cost <= TIE_ABS])
     if redo.size:
@@ -659,9 +669,10 @@ def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[
         starts = np.concatenate([np.clip(np.nan_to_num(roots[:, redo]), lo, hi),
                                  np.repeat(np.reshape(marks, (2, 1, 16)), redo.size, axis=1)]
                                 + prev, axis=2)
-        again = np.repeat(redo, starts.shape[2])
+        first = _first_copies(starts)
+        again = np.repeat(redo, first.sum(axis=1))
         x_again, cost_again = _solve_frequency_pairs(ws, coupling, linewidth, bg, again,
-                                                     starts.reshape(2, -1))
+                                                     starts[:, first])
         keep = ~np.isin(epochs, redo)
         order = np.argsort(np.concatenate([epochs[keep], again]), kind="stable")
         epochs = np.concatenate([epochs[keep], again])[order]

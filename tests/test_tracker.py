@@ -474,6 +474,25 @@ class TestBatchedEpochSolves:
         assert np.all(got > tracker.TIE_ABS)
         assert np.all(got <= want * 1.002)
 
+    def test_each_start_solved_once(self, monkeypatch):
+        # at the floor's upper bound, epoch 3's leading coefficients vanish, so
+        # its dropped-coefficient roots repeat exact starts, and with conjugate
+        # pairs and clipped roots they repeat fallback starts
+        *_, (ws, coupling, linewidth, bg, prev) = epoch_solve_cases(2)
+        calls = []
+        solve = tracker._solve_frequency_pairs
+
+        def recording(ws, coupling, linewidth, bg, epochs, x):
+            calls.append((epochs.copy(), x.copy()))
+            return solve(ws, coupling, linewidth, bg, epochs, x)
+
+        monkeypatch.setattr(tracker, "_solve_frequency_pairs", recording)
+        tracker._candidates_2d(ws, coupling, linewidth, bg, prev)
+        assert len(calls) == 2 and 3 in calls[1][0]
+        for epochs, x in calls:
+            pairs = np.column_stack([epochs, x.T])
+            assert len(np.unique(pairs, axis=0)) == len(pairs)
+
     def test_candidate_memory_does_not_grow_with_epochs(self):
         def peak(epochs):
             scenario = dataclasses.replace(bundled_scenario("device_B"), epochs=epochs)
