@@ -28,7 +28,6 @@ from .optimize import (
 from .readout import (
     ConfusionMatrix,
     IqBlobModel,
-    ShotRecord,
     assignment_fidelity,
     classify,
     equilateral_blobs,

@@ -10,14 +10,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidParameterError
-
-TRACE_SCHEMA_VERSION = 1
-_TRACE_COLUMNS = ("delay_us", "p0", "p1", "p2")
 
 
 @dataclass(frozen=True)
@@ -172,87 +169,102 @@ class PopulationTrace:
 
     @classmethod
     def from_csv(cls, path) -> "PopulationTrace":
-        """Read a trace written by :meth:`to_csv`; the ``shots`` column is optional.
+        """Read a trace written by :meth:`to_csv` through :func:`_read_csv`.
 
-        A missing column, a cell that is not a finite number, or a shot count
-        that is not an integer raises ``InvalidParameterError`` naming the
-        file, line and column.
+        ``delay_us``, ``p0``, ``p1`` and ``p2`` must be finite numbers; the
+        ``shots`` column is optional, and where present every row gives an
+        integer or every row leaves it blank.
         """
-        # bytes that are not UTF-8 read as U+FFFD, so such a cell is not a number
-        with open(path, newline="", errors="replace") as fh:
-            rows = csv.reader(fh)
-            header = next(rows, [])
-            for column in _TRACE_COLUMNS:
-                if column not in header:
-                    raise InvalidParameterError(f"{path}: line 1: missing column {column!r}")
-            index = [header.index(c) for c in _TRACE_COLUMNS]
-            if "shots" in header:
-                index.append(header.index("shots"))
-            values, shots = [], []
-            for row in rows:
-                if not row:
-                    continue
-                try:
-                    v = [float(row[i]) for i in index[:4]]
-                    s = row[index[4]] if len(index) > 4 and index[4] < len(row) else ""
-                    shots.append(int(s) if s != "" else None)
-                except (ValueError, IndexError):
-                    v = [math.nan]
-                if not all(map(math.isfinite, v)):
-                    raise _bad_cell(path, rows.line_num, row, header, index)
-                values.append(v)
-        values = np.array(values).reshape(-1, 4)
-        shot_arr = None if any(s is None for s in shots) else np.array(shots)
+        columns = [_Column(name) for name in ("delay_us", "p0", "p1", "p2")]
+        columns.append(_Column("shots", int, expected="an integer", required=False))
+        return _read_csv(path, columns, lambda t, p0, p1, p2, shots: cls(
+            t, np.column_stack([p0, p1, p2]), shots))
+
+
+class _Column(NamedTuple):
+    """How :func:`_read_csv` reads one column.
+
+    ``parse`` turns a cell's text into a number and raises ``ValueError``
+    if it cannot; ``ok`` maps the parsed column to a mask of acceptable
+    values.  ``expected`` describes an acceptable cell; ``{prev!r}`` in it
+    stands for the previous row's value (``-inf`` on the first row).  An
+    optional column may be absent or blank on every row, and then reads as
+    ``None``.
+    """
+
+    name: str
+    parse: Callable[[str], float] = float
+    ok: Callable[[np.ndarray], np.ndarray] = np.isfinite
+    expected: str = "a finite number"
+    required: bool = True
+
+
+def _read_csv(path, columns: Sequence[_Column], build):
+    """``build`` called with one array (or ``None``) per column of a CSV file.
+
+    Blank lines are skipped and other columns ignored.  A line the csv
+    module cannot split, a required column that is missing, a column named
+    twice in the header, a cell that does not parse or is not ``ok`` (a
+    short row reads as blank cells), or a blank cell of an optional column
+    that other rows fill raises ``InvalidParameterError`` naming the file,
+    the line and the column: the first such fault in reading order, row by
+    row and in ``columns`` order within a row.  So does an
+    ``InvalidParameterError`` of ``build``, prefixed with the file.
+    """
+    # bytes that are not UTF-8 read as U+FFFD, so such a cell is not a number
+    with open(path, newline="", errors="replace") as fh:
+        reader = csv.reader(fh)
         try:
-            return cls(values[:, 0], values[:, 1:], shot_arr)
-        except InvalidParameterError as err:
-            raise InvalidParameterError(f"{path}: {err}") from None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": TRACE_SCHEMA_VERSION,
-            "delay_us": [float(t) for t in self.delays],
-            "p0": [float(v) for v in self.populations[:, 0]],
-            "p1": [float(v) for v in self.populations[:, 1]],
-            "p2": [float(v) for v in self.populations[:, 2]],
-            "shots": None if self.shots is None else [int(s) for s in self.shots],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "PopulationTrace":
-        if doc.get("schema_version") != TRACE_SCHEMA_VERSION:
-            raise InvalidParameterError(
-                f"unsupported trace schema_version {doc.get('schema_version')!r}"
-            )
-        pops = np.column_stack([doc["p0"], doc["p1"], doc["p2"]])
-        shots = doc.get("shots")
-        return cls(np.array(doc["delay_us"], dtype=float), pops,
-                   None if shots is None else np.array(shots))
-
-
-def _parses(parse, text: str) -> bool:
-    try:
-        return math.isfinite(parse(text))
-    except ValueError:
-        return False
-
-
-def _bad_cell(path, line: int, row: list, header: list, index: list) -> InvalidParameterError:
-    """The error naming the first cell of a trace CSV row that does not parse:
-    an absent or non-finite number, or a shot count that is not an integer."""
-    for i in index:
-        text, column = (row[i] if i < len(row) else ""), header[i]
-        if column == "shots":
-            if text == "" or _parses(int, text):
-                continue
-            expected = "an integer"
-        elif _parses(float, text):
+            header = next(reader, [])
+            rows = [(reader.line_num, *row) for row in reader if row]
+        except csv.Error as err:     # a cell over the csv module's field limit
+            raise InvalidParameterError(f"{path}: line {reader.line_num}: {err}") from None
+    # the line numbers, then the columns that every row reaches
+    table = list(zip(*rows))
+    values, bad = [], []
+    for j, col in enumerate(columns):
+        if header.count(col.name) > 1:
+            raise InvalidParameterError(f"{path}: line 1: repeated column {col.name!r}")
+        if col.name not in header:
+            if col.required:
+                raise InvalidParameterError(f"{path}: line 1: missing column {col.name!r}")
+            values.append(None)
             continue
-        else:
-            expected = "a finite number"
-        return InvalidParameterError(
-            f"{path}: line {line}: column {column!r}: expected {expected}, got {text!r}")
-    raise AssertionError("every cell parses")
+        i = header.index(col.name) + 1
+        texts = table[i] if i < len(table) else [row[i] if i < len(row) else "" for row in rows]
+        if not col.required and not any(texts):
+            values.append(None)
+            continue
+        try:
+            v = np.array(list(map(col.parse, texts)))
+        except ValueError:
+            v = np.array([_parsed(col.parse, text) for text in texts], dtype=float)
+        ok = col.ok(v)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            if col.required or texts[k]:
+                prev = float(v[k - 1]) if k else -math.inf
+                message = (f"column {col.name!r}: expected "
+                           f"{col.expected.format(prev=prev)}, got {texts[k]!r}")
+            else:
+                # a partly blank optional column would silently drop it
+                message = f"{col.name} is blank but other rows have it"
+            bad.append((k, j, message))
+        values.append(v)
+    if bad:
+        k, _, message = min(bad)
+        raise InvalidParameterError(f"{path}: line {table[0][k]}: {message}")
+    try:
+        return build(*values)
+    except InvalidParameterError as err:
+        raise InvalidParameterError(f"{path}: {err}") from None
+
+
+def _parsed(parse, text: str) -> float:
+    try:
+        return parse(text)
+    except ValueError:
+        return math.nan
 
 
 # -- forward models -------------------------------------------------------

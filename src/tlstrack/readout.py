@@ -14,7 +14,6 @@ negative components by default.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -406,32 +405,3 @@ def mitigate_trace(m: ConfusionMatrix, trace: PopulationTrace, clip: bool = True
     corrected = _solve_and_clip(m, trace.populations, clip)
     _require_finite(corrected, "mitigated")
     return PopulationTrace(trace.delays.copy(), corrected, None if trace.shots is None else trace.shots.copy())
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """One classified readout shot at a given delay."""
-
-    delay_us: float
-    assigned_state: int
-    repetition: int
-
-    def __post_init__(self):
-        if self.assigned_state not in (0, 1, 2):
-            raise InvalidParameterError(f"assigned_state must be 0, 1 or 2, got {self.assigned_state!r}")
-
-
-def shot_records_to_csv(records: Sequence[ShotRecord], path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["delay_us", "state", "rep"])
-        for r in records:
-            w.writerow([repr(float(r.delay_us)), r.assigned_state, r.repetition])
-
-
-def shot_records_from_csv(path) -> list[ShotRecord]:
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(ShotRecord(float(row["delay_us"]), int(row["state"]), int(row["rep"])))
-    return out

@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DecayRates, ZERO_RATES
+from .dynamics import DecayRates, ZERO_RATES, _Column, _read_csv
 from .errors import InvalidParameterError, UndefinedCorrelationError
 from .optimize import FTOL, _damped_newton_2x2, _lm_loop
 from .tls import (DeviceFrequencies, TlsDefect, TlsParameterSet, lorentzian_density,
@@ -82,6 +82,8 @@ class LifetimeSeries:
             raise InvalidParameterError("epoch timestamps must be strictly increasing")
         if np.any(self.t1e_us <= 0.0) or np.any(self.t1f_us <= 0.0):
             raise InvalidParameterError("lifetimes must be positive")
+        if (self.err_e_us is None) != (self.err_f_us is None):
+            raise InvalidParameterError("err_e_us and err_f_us must both be given or both omitted")
         for name in ("err_e_us", "err_f_us"):
             v = getattr(self, name)
             if v is not None:
@@ -117,61 +119,22 @@ class LifetimeSeries:
 
     @classmethod
     def from_csv(cls, path) -> "LifetimeSeries":
-        """Read a series written by :meth:`to_csv`; the error columns are optional.
+        """Read a series written by :meth:`to_csv` through
+        :func:`tlstrack.dynamics._read_csv`.
 
-        A missing column, a cell that is not a finite number, a lifetime that
-        is not positive, a negative error or a timestamp not after the
-        previous row's raises ``InvalidParameterError`` naming the file, line
-        and column.
+        Each timestamp must be finite and after the previous row's, and each
+        lifetime positive and finite.  The ``err_e`` and ``err_f`` columns
+        are optional; where present, every row gives a finite number >= 0 or
+        every row leaves it blank, and a series has both or neither.
         """
-        cols = {k: [] for k in ("timestamp_hr", "t1e_us", "t1f_us", "err_e", "err_f")}
-        first_blank = {}
-        # bytes that are not UTF-8 read as U+FFFD, so such a cell is not a number
-        with open(path, newline="", errors="replace") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise InvalidParameterError(f"{path}: empty series file")
-            for k in ("timestamp_hr", "t1e_us", "t1f_us"):
-                if k not in reader.fieldnames:
-                    raise InvalidParameterError(f"{path}: line 1: missing column {k!r}")
-
-            def number(row, k, expected, ok) -> float:
-                try:
-                    v = float(row[k])
-                except (TypeError, ValueError):
-                    v = math.nan
-                if not ok(v):
-                    raise InvalidParameterError(f"{path}: line {reader.line_num}: column {k!r}: "
-                                                f"expected {expected}, got {row[k]!r}")
-                return v
-
-            times = cols["timestamp_hr"]
-            for row in reader:
-                after = times[-1] if times else -math.inf
-                times.append(number(row, "timestamp_hr", f"a finite time after {after!r}",
-                                    lambda v: after < v < math.inf))
-                for k in ("t1e_us", "t1f_us"):
-                    cols[k].append(number(row, k, "a positive finite number",
-                                          lambda v: 0.0 < v < math.inf))
-                for k in ("err_e", "err_f"):
-                    if row.get(k) not in (None, ""):
-                        cols[k].append(number(row, k, "a finite number >= 0",
-                                              lambda v: 0.0 <= v < math.inf))
-                    else:
-                        first_blank.setdefault(k, reader.line_num)
-        for k in ("err_e", "err_f"):
-            if cols[k] and k in first_blank:
-                # a partly blank error column would silently drop the weighting
-                raise InvalidParameterError(
-                    f"{path}: line {first_blank[k]}: {k} is blank but other rows have it"
-                )
-        return cls(
-            np.array(cols["timestamp_hr"]),
-            np.array(cols["t1e_us"]),
-            np.array(cols["t1f_us"]),
-            np.array(cols["err_e"]) if cols["err_e"] else None,
-            np.array(cols["err_f"]) if cols["err_f"] else None,
-        )
+        columns = [_Column("timestamp_hr", expected="a finite time after {prev!r}",
+                           ok=lambda v: np.isfinite(v) & (v > np.append(-np.inf, v[:-1])))]
+        columns += [_Column(name, ok=lambda v: np.isfinite(v) & (v > 0.0),
+                            expected="a positive finite number") for name in ("t1e_us", "t1f_us")]
+        columns += [_Column(name, ok=lambda v: np.isfinite(v) & (v >= 0.0),
+                            expected="a finite number >= 0", required=False)
+                    for name in ("err_e", "err_f")]
+        return _read_csv(path, columns, cls)
 
 
 # Solver settings: they steer the search, not the model, so they are constants.

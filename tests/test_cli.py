@@ -394,6 +394,24 @@ class TestTrack:
         assert err.count("line 4: column 't1e_us': expected a positive finite number, got 'abc'") == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("header, blank", [
+        ("timestamp_hr,t1e_us,t1f_us,err_e", ""),
+        ("timestamp_hr,t1e_us,t1f_us,err_e,err_f", ","),
+    ], ids=["no-err_f-column", "blank-err_f-column"])
+    def test_one_sided_series_errors_exit_2(self, tmp_path, capsys, header, blank):
+        # errors on one channel only would leave the fit silently unweighted
+        spath, dev, _ = self.make_series_csv(tmp_path, epochs=12)
+        rows = spath.read_text().splitlines()[1:]
+        spath.write_text("".join(f"{line}\n" for line in
+                                 [header] + [f"{row},0.5{blank}" for row in rows]))
+        out = tmp_path / "fit"
+        assert main(["track", str(spath), "--device", str(dev),
+                     "--order", "1", "--out", str(out)]) == 2
+        assert main(["correlate", str(spath), "--out", str(out)]) == 2
+        message = f"error: {spath}: err_e_us and err_f_us must both be given or both omitted\n"
+        assert capsys.readouterr().err == message * 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["track", "correlate"])
     @pytest.mark.parametrize("column, text, expected", [
         ("t1e_us", "inf", "a positive finite number"),
@@ -767,3 +785,66 @@ class TestMalformedInputProperty:
             code, err = run_cli(cli_inputs, command, tmp, series=series)
         assert code == 2, err
         assert err.startswith("error: ") and "Traceback" not in err
+
+
+# -- one contract for the trace and series tables -----------------------------
+
+
+def _set_cell(line: str, column: int, text: str) -> str:
+    cells = line.split(",")
+    cells[column] = text
+    return ",".join(cells)
+
+
+# damage to a table's lines (header first), and for each table the error it
+# must raise after the file's name; the trace's optional last column is
+# ``shots``, the series' is ``err_f``; files are written as Latin-1, so
+# "\xff" is a byte that is not UTF-8
+_TABLE_DAMAGE = {
+    "short row": (
+        lambda lines: lines[:3] + [",".join(lines[3].split(",")[:2])] + lines[4:],
+        {"trace": "line 4: column 'p1': expected a finite number, got ''",
+         "series": "line 4: column 't1f_us': expected a positive finite number, got ''"}),
+    "repeated column": (
+        lambda lines: [line + "," + line.split(",")[1] for line in lines],
+        {"trace": "line 1: repeated column 'p0'",
+         "series": "line 1: repeated column 't1e_us'"}),
+    "empty file": (
+        lambda lines: [],
+        {"trace": "line 1: missing column 'delay_us'",
+         "series": "line 1: missing column 'timestamp_hr'"}),
+    "partly blank optional column": (
+        lambda lines: lines[:2] + [_set_cell(lines[2], -1, "")] + lines[3:],
+        {"trace": "line 3: shots is blank but other rows have it",
+         "series": "line 3: err_f is blank but other rows have it"}),
+    "non-UTF-8 byte": (
+        lambda lines: lines[:3] + [_set_cell(lines[3], 1, "1\xff")] + lines[4:],
+        {"trace": "line 4: column 'p0': expected a finite number, got '1\ufffd'",
+         "series": "line 4: column 't1e_us': expected a positive finite number, got '1\ufffd'"}),
+    "cell over the csv field limit": (
+        lambda lines: lines[:3] + [_set_cell(lines[3], 1, "1" * 200_000)] + lines[4:],
+        {"trace": "line 4: field larger than field limit (131072)",
+         "series": "line 4: field larger than field limit (131072)"}),
+}
+
+
+class TestMalformedTable:
+    @pytest.mark.parametrize("table", ["trace", "series"])
+    @pytest.mark.parametrize("damage", list(_TABLE_DAMAGE))
+    def test_malformed_table_exit_2(self, cli_inputs, tmp_path, table, damage):
+        edit, where = _TABLE_DAMAGE[damage]
+        if table == "trace":
+            run = tmp_path / "run"
+            shutil.copytree(cli_inputs["run"], run)
+            path = run / "traces" / "epoch_0002.csv"
+            inputs, commands = {**cli_inputs, "run": run}, ["fit-series"]
+        else:
+            path = tmp_path / "series.csv"
+            shutil.copy(cli_inputs["series"], path)
+            inputs, commands = {**cli_inputs, "series": path}, ["track", "correlate"]
+        lines = edit(path.read_text().splitlines())
+        path.write_bytes("".join(line + "\n" for line in lines).encode("latin-1"))
+        for command in commands:
+            code, err = run_cli(inputs, command, tmp_path)
+            assert (code, err) == (2, f"error: {path}: {where[table]}\n")
+            assert not (tmp_path / "out").exists()

@@ -186,15 +186,6 @@ class TestTraceSerialization:
         trace.to_csv(path)
         assert PopulationTrace.from_csv(path).shots is None
 
-    def test_json_round_trip(self, tmp_path):
-        trace = self.make_trace()
-        doc = trace.to_json_dict()
-        assert doc["schema_version"] == 1
-        back = PopulationTrace.from_json_dict(doc)
-        assert np.array_equal(back.populations, trace.populations)
-        with pytest.raises(InvalidParameterError):
-            PopulationTrace.from_json_dict({**doc, "schema_version": 99})
-
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             PopulationTrace(np.array([2.0, 1.0]), np.zeros((2, 3)))

@@ -11,7 +11,6 @@ from tlstrack.errors import InvalidParameterError, MitigationUnstableError
 from tlstrack.readout import (
     ConfusionMatrix,
     IqBlobModel,
-    ShotRecord,
     assignment_fidelity,
     calibrate_equilateral_radius,
     classify,
@@ -21,8 +20,6 @@ from tlstrack.readout import (
     mitigate,
     mitigate_trace,
     sample_blob,
-    shot_records_from_csv,
-    shot_records_to_csv,
     simulate_confusion_matrix,
     _classify_frame,
 )
@@ -432,20 +429,3 @@ class TestConfusionSerialization:
         monkeypatch.setattr(np.linalg, "cond", lambda *a: calls.append(a))
         mitigate_trace(cm, closed_form_trace(DecayRates(0.05, 0.1), [0.0, 1.0, 2.0]))
         assert calls == []
-
-
-class TestShotRecords:
-    def test_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        blobs = equilateral_blobs(2.0)
-        points = sample_blob(blobs, 1, 50, rng)
-        states = classify_points(blobs, points)
-        records = [ShotRecord(12.5, int(s), i) for i, s in enumerate(states)]
-        path = tmp_path / "shots.csv"
-        shot_records_to_csv(records, path)
-        back = shot_records_from_csv(path)
-        assert back == records
-
-    def test_state_validation(self):
-        with pytest.raises(InvalidParameterError):
-            ShotRecord(1.0, 3, 0)
