@@ -81,12 +81,10 @@ class TestLifetimeSeries:
             with pytest.raises(InvalidParameterError):
                 LifetimeSeries(np.array([0.0, 1.0]), np.ones(2), np.ones(2),
                                np.array([0.1, bad]), np.ones(2))
-
-    def test_one_sided_errors_rejected(self):
-        with pytest.raises(InvalidParameterError, match="both be given or both omitted"):
-            LifetimeSeries(np.arange(2.0), np.ones(2), np.ones(2), np.ones(2))
-        with pytest.raises(InvalidParameterError, match="both be given or both omitted"):
-            LifetimeSeries(np.arange(2.0), np.ones(2), np.ones(2), err_f_us=np.ones(2))
+        # errors on one channel only would leave the fit silently unweighted
+        for one_sided in ({"err_e_us": np.ones(2)}, {"err_f_us": np.ones(2)}):
+            with pytest.raises(InvalidParameterError, match="both be given or both omitted"):
+                LifetimeSeries(np.arange(2.0), np.ones(2), np.ones(2), **one_sided)
 
     def test_csv_round_trip(self, tmp_path):
         series = LifetimeSeries(
