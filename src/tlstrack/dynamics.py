@@ -176,9 +176,17 @@ class PopulationTrace:
         integer or every row leaves it blank.
         """
         columns = [_Column(name) for name in ("delay_us", "p0", "p1", "p2")]
-        columns.append(_Column("shots", int, expected="an integer", required=False))
+        columns.append(_Column("shots", _int64, expected="an integer", required=False))
         return _read_csv(path, columns, lambda t, p0, p1, p2, shots: cls(
             t, np.column_stack([p0, p1, p2]), shots))
+
+
+def _int64(text: str) -> int:
+    """``int(text)``, raising ``ValueError`` outside int64 too."""
+    n = int(text)
+    if not -2**63 <= n < 2**63:
+        raise ValueError(f"{text!r} is outside int64")
+    return n
 
 
 class _Column(NamedTuple):

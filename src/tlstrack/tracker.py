@@ -598,8 +598,7 @@ def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[
     the companion eigenvalues lose.  An epoch whose best result costs more than ``TIE_ABS``
     has no exact solution and is solved instead from its roots' clipped real
     parts, the 16 pairs of {band low, omega_12, omega_01, band high} and the
-    previous pair, each distinct start once; a start that equals one of its
-    exact roots keeps that root's result.  Returns each candidate's
+    previous pair, each distinct start once.  Returns each candidate's
     epoch, its (2, k) frequencies and its cost, epoch by epoch.
     """
     (lo, hi), dev, f = ws.band, ws.device, ws.config.f_multiplier
@@ -624,8 +623,7 @@ def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[
     roots = mid + h * np.stack([x.real, y.real])
     exact = (x.imag == 0.0) & (np.abs(x.real) <= 1.0) & (np.abs(y.real) <= 1.0)
     # NaN never equals, so only exact roots can be copies of each other
-    solved = exact & _first_copies(np.where(exact, roots, np.nan))
-    epochs, k = np.nonzero(solved)
+    epochs, k = np.nonzero(exact & _first_copies(np.where(exact, roots, np.nan)))
     xs, cost = _solve_frequency_pairs(ws, coupling, linewidth, bg, epochs, roots[:, epochs, k])
     redo = np.setdiff1d(np.arange(ws.n), epochs[cost <= TIE_ABS])
     if redo.size:
@@ -635,18 +633,9 @@ def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[
                                  np.repeat(np.reshape(marks, (2, 1, 16)), redo.size, axis=1)]
                                 + prev, axis=2)
         first = _first_copies(starts)
-        # the solver clips its starts, so a start equal to a clipped exact
-        # root (an in-band real root clips to itself) was solved by the first
-        # call: ``done`` is that problem's index, or -1
-        same = ((starts[..., None] == np.clip(roots[:, redo, None], lo, hi)).all(axis=0)
-                & solved[redo, None])
-        index = np.cumsum(solved).reshape(solved.shape) - 1
-        done = np.where(same.any(axis=2), index[redo[:, None], np.argmax(same, axis=2)], -1)[first]
-        again, fresh = np.repeat(redo, first.sum(axis=1)), done < 0
-        x_again, cost_again = np.empty((2, done.size)), np.empty(done.size)
-        x_again[:, ~fresh], cost_again[~fresh] = xs[:, done[~fresh]], cost[done[~fresh]]
-        x_again[:, fresh], cost_again[fresh] = _solve_frequency_pairs(
-            ws, coupling, linewidth, bg, again[fresh], starts[:, first][:, fresh])
+        again = np.repeat(redo, first.sum(axis=1))
+        x_again, cost_again = _solve_frequency_pairs(ws, coupling, linewidth, bg, again,
+                                                     starts[:, first])
         keep = ~np.isin(epochs, redo)
         order = np.argsort(np.concatenate([epochs[keep], again]), kind="stable")
         epochs = np.concatenate([epochs[keep], again])[order]

@@ -796,8 +796,8 @@ def _set_cell(line: str, column: int, text: str) -> str:
     return ",".join(cells)
 
 
-# damage to a table's lines (header first), and for each table the error it
-# must raise after the file's name; the trace's optional last column is
+# damage to a table's lines (header first), and for each table it applies to
+# the error it must raise after the file's name; the trace's optional last column is
 # ``shots``, the series' is ``err_f``; files are written as Latin-1, so
 # "\xff" is a byte that is not UTF-8
 _TABLE_DAMAGE = {
@@ -825,12 +825,15 @@ _TABLE_DAMAGE = {
         lambda lines: lines[:3] + [_set_cell(lines[3], 1, "1" * 200_000)] + lines[4:],
         {"trace": "line 4: field larger than field limit (131072)",
          "series": "line 4: field larger than field limit (131072)"}),
+    "integer beyond int64": (
+        lambda lines: lines[:2] + [_set_cell(lines[2], -1, "9" * 20)] + lines[3:],
+        {"trace": "line 3: column 'shots': expected an integer, got '99999999999999999999'"}),
 }
 
 
 class TestMalformedTable:
-    @pytest.mark.parametrize("table", ["trace", "series"])
-    @pytest.mark.parametrize("damage", list(_TABLE_DAMAGE))
+    @pytest.mark.parametrize("damage,table", [(damage, table) for damage, (_, where)
+                                              in _TABLE_DAMAGE.items() for table in where])
     def test_malformed_table_exit_2(self, cli_inputs, tmp_path, table, damage):
         edit, where = _TABLE_DAMAGE[damage]
         if table == "trace":
