@@ -10,7 +10,6 @@ from .dynamics import (
     bosonic_ratio,
     closed_form_trace,
     integrate_rate_equations,
-    populations_closed_form,
 )
 from .errors import (
     FitDivergedError,
@@ -28,7 +27,6 @@ from .optimize import (
 from .readout import (
     ConfusionMatrix,
     IqBlobModel,
-    assignment_fidelity,
     classify,
     equilateral_blobs,
     mitigate,
@@ -50,8 +48,7 @@ from .tls import (
     TlsDefect,
     TlsParameterSet,
     lorentzian_density,
-    rates_with_background,
-    transition_rates,
+    rate_series,
 )
 from .trace_fit import TraceFit, default_delay_grid, fit_trace, fit_traces, initial_guess
 from .tracker import (

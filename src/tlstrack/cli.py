@@ -193,6 +193,10 @@ def cmd_fit_series(args, config: dict) -> int:
             raise InvalidParameterError(f"{confusion_path}: {err}") from None
 
     weighting = _resolve(args.weighting, config, "weighting", "uniform")
+    if weighting not in ("uniform", "binomial"):
+        raise InvalidParameterError(
+            f"weighting: expected 'uniform' or 'binomial', got {weighting!r}"
+        )
     # accepted and recorded, but reading and mitigating need no worker processes
     jobs = _jobs(args, config)
     scenario_path = run_dir / "scenario.json"
@@ -240,11 +244,16 @@ def _load_device(path: str) -> DeviceFrequencies:
     prefix = "device." if dev is not doc else ""
     keys = [prefix + k for k in ("omega01_mhz", "anharmonicity_mhz")]
     try:
-        return DeviceFrequencies(dev["omega01_mhz"], dev["anharmonicity_mhz"])
+        values = [dev["omega01_mhz"], dev["anharmonicity_mhz"]]
     except (KeyError, TypeError):
         raise InvalidParameterError(
             f"{path}: expected omega01_mhz and anharmonicity_mhz (or a scenario file)"
         ) from None
+    for key, value in zip(keys, values):
+        if not _is_number(value):
+            raise InvalidParameterError(f"{path}: {key}: expected a finite number, got {value!r}")
+    try:
+        return DeviceFrequencies(*values)
     except InvalidParameterError as err:
         # DeviceFrequencies names omega_01 or the anharmonicity, or else their sum
         word = str(err).split()[0]

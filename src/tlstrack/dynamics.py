@@ -340,12 +340,6 @@ def closed_form_populations(rates: DecayRates, t) -> np.ndarray:
     return np.stack(_cascade(rates.gamma_10, rates.gamma_21, t))
 
 
-def populations_closed_form(rates: DecayRates, t: float) -> PopulationState:
-    """Analytic solution of the cascade at a single delay, initial state |2>."""
-    p = closed_form_populations(rates, float(t))
-    return PopulationState(float(p[0]), float(p[1]), float(p[2]))
-
-
 def closed_form_trace(rates: DecayRates, delays) -> PopulationTrace:
     """Closed-form populations evaluated on a delay grid."""
     delays = np.asarray(delays, dtype=float)

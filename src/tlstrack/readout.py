@@ -284,6 +284,7 @@ class ConfusionMatrix:
 
     @property
     def fidelity(self) -> float:
+        """Mean of the diagonal assignment probabilities."""
         return float(np.mean(np.diag(self.m)))
 
     @property
@@ -344,11 +345,6 @@ def simulate_confusion_matrix(
         _classify_frame(blobs, k + 1, rng.standard_normal((shots_per_state, 2)), labels)
         m[:, k] = np.bincount(labels, minlength=3) / float(shots_per_state)
     return ConfusionMatrix(m)
-
-
-def assignment_fidelity(m: ConfusionMatrix) -> float:
-    """Mean of the diagonal assignment probabilities."""
-    return m.fidelity
 
 
 def _require_stable(m: ConfusionMatrix) -> None:

@@ -285,6 +285,11 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
             )
         except InvalidParameterError as err:
             raise ScenarioSchemaError(path, str(err)) from None
+    if not truths and min(background.gamma_10, background.gamma_21) <= 0.0:
+        raise ScenarioSchemaError(
+            "background", "expected gamma10 and gamma21 > 0 in a scenario without defects, "
+            f"got ({background.gamma_10!r}, {background.gamma_21!r})"
+        )
 
     exact = _need(doc, "exact_populations", "", False)
     if not isinstance(exact, bool):

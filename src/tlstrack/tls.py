@@ -12,8 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
-
 import numpy as np
 
 from .dynamics import ZERO_RATES, DecayRates
@@ -162,8 +160,9 @@ def lorentzian_rates(device: DeviceFrequencies, coupling, linewidth, freqs, back
     ``background`` is the (gamma_10, gamma_21) floor.  Starting from the
     floor, each defect in turn adds B*gamma/(Delta^2 + gamma^2) with Delta its
     detuning from omega_01 (gamma_10) or omega_12 (gamma_21); the gamma_21
-    term is scaled by ``f_multiplier``.  No validation or conversion: the
-    tracker calls this in its innermost loops.
+    term is scaled by ``f_multiplier`` (2.0 models the larger matrix element
+    of the upper transition).  No validation or conversion: the tracker calls
+    this in its innermost loops.
     """
     g10 = np.full(freqs.shape[1:], background[0], dtype=float)
     g21 = np.full(freqs.shape[1:], background[1], dtype=float)
@@ -175,58 +174,11 @@ def lorentzian_rates(device: DeviceFrequencies, coupling, linewidth, freqs, back
     return g10, g21
 
 
-def transition_rates(
-    tls: TlsParameterSet,
-    device: DeviceFrequencies,
-    epoch: int,
-    f_multiplier: float = 1.0,
-) -> DecayRates:
-    """Decay rates from the additive multi-defect Lorentzian model.
-
-    gamma_10 sums each defect's spectral density at omega_01, gamma_21 at
-    omega_12, each scaled by the defect's coupling weight.  ``f_multiplier``
-    optionally scales every defect's contribution to the |2> -> |1> channel
-    (2.0 models the larger matrix element of the upper transition; the
-    default 1.0 uses a single shared weight per defect).
-    """
-    if not tls.defects:
-        raise InvalidParameterError(
-            "transition_rates requires at least one defect; "
-            "use rates_with_background for a pure background floor"
-        )
-    return rates_with_background(tls, device, ZERO_RATES, epoch, f_multiplier)
-
-
-def rates_with_background(
-    tls: TlsParameterSet,
-    device: DeviceFrequencies,
-    background: Optional[DecayRates] = None,
-    epoch: int = 0,
-    f_multiplier: float = 1.0,
-) -> DecayRates:
-    """Componentwise sum of the defect rates and a constant background floor.
-
-    ``background=None`` uses the floor stored on ``tls``.  An empty defect
-    set is allowed here (the floor alone must then be positive for any
-    downstream dynamics).
-    """
-    bg = tls.background if background is None else background
-    if not tls.defects:
-        return bg
-    if not 0 <= epoch < tls.n_epochs:
-        raise InvalidParameterError(f"epoch {epoch} outside trajectory range 0..{tls.n_epochs - 1}")
-    g10, g21 = rate_series(tls, device, bg, f_multiplier)
-    return DecayRates(float(g10[epoch]), float(g21[epoch]))
-
-
 def rate_series(
-    tls: TlsParameterSet,
-    device: DeviceFrequencies,
-    background: Optional[DecayRates] = None,
-    f_multiplier: float = 1.0,
+    tls: TlsParameterSet, device: DeviceFrequencies, f_multiplier: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized per-epoch (gamma_10, gamma_21) arrays over all epochs."""
-    bg = tls.background if background is None else background
+    """Per-epoch (gamma_10, gamma_21) arrays over all epochs, with the set's own floor."""
+    bg = tls.background
     return lorentzian_rates(
         device,
         np.array([d.coupling_weight for d in tls.defects]),

@@ -109,6 +109,9 @@ class TestSimulate:
             (lambda d: d.update(blobs={"means": [[0.0, 1.0], [1.0, "x"], [-1.0, 0.0]],
                                        "covariances": [[[1.0, 0.0], [0.0, 1.0]]] * 3}),
              "blobs.means[1][1]"),
+            # without defects the floor alone sets the rates, so both must be > 0
+            pytest.param(lambda d: d.update(tls=[], background={"gamma10": 2.2e-3, "gamma21": 0.0}),
+                         "background", id="no-defects-zero-floor"),
         ],
     )
     def test_bad_optional_field_exit_2(self, tmp_path, capsys, mutate, path):
@@ -120,6 +123,16 @@ class TestSimulate:
         assert main(["simulate", str(bad), "--out", str(out)]) == 2
         assert f"error: {path}: expected" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_no_defects_gives_floor_lifetimes(self, tmp_path):
+        floor = DecayRates(2.2e-3, 2.1e-3)
+        spath = write_scenario(tmp_path / "s.json", tiny_scenario(tls_truth=[], background=floor))
+        out = tmp_path / "run"
+        assert main(["simulate", str(spath), "--out", str(out)]) == 0
+        truth = LifetimeSeries.from_csv(out / "truth_series.csv")
+        assert truth.n_epochs == 4
+        assert np.all(truth.t1e_us == 1.0 / floor.gamma_10)
+        assert np.all(truth.t1f_us == 1.0 / floor.gamma_21)
 
     def test_unknown_scenario_name(self, tmp_path):
         assert main(["simulate", "device_Z", "--out", str(tmp_path / "run")]) == 2
@@ -357,6 +370,10 @@ class TestTrack:
          "device.anharmonicity_mhz: anharmonicity must be negative"),
         ({"omega01_mhz": 200, "anharmonicity_mhz": -280},
          "omega01_mhz + anharmonicity_mhz: omega_12"),
+        ({"omega01_mhz": True, "anharmonicity_mhz": -0.5},
+         "omega01_mhz: expected a finite number, got True"),
+        ({"device": {"omega01_mhz": "5000", "anharmonicity_mhz": -280}},
+         "device.omega01_mhz: expected a finite number, got '5000'"),
     ])
     def test_bad_device_value_names_file_and_key(self, tmp_path, capsys, doc, where):
         spath, _, _ = self.make_series_csv(tmp_path, epochs=12)
@@ -589,6 +606,18 @@ class TestConfigPrecedence:
         assert main(["fit-series", str(run_dir), "--config", str(cfg)]) == 2
         assert not (run_dir / "fits.json").exists()
         assert capsys.readouterr().err.count(f"jobs: expected an integer >= 1, got {jobs!r}") == 2
+
+    def test_bad_weighting_config_exit_2(self, run_dir, tmp_path, capsys, monkeypatch):
+        def no_read(*args, **kwargs):
+            raise AssertionError("a trace was read")
+
+        monkeypatch.setattr("tlstrack.cli.PopulationTrace.from_csv", no_read)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weighting": "fancy"}))
+        assert main(["fit-series", str(run_dir), "--config", str(cfg)]) == 2
+        assert not (run_dir / "fits.json").exists()
+        assert capsys.readouterr().err == \
+            "error: weighting: expected 'uniform' or 'binomial', got 'fancy'\n"
 
     def test_zero_jobs_flag_exit_2(self, run_dir, capsys):
         assert main(["fit-series", str(run_dir), "--jobs", "0"]) == 2

@@ -11,7 +11,6 @@ from tlstrack.errors import InvalidParameterError, MitigationUnstableError
 from tlstrack.readout import (
     ConfusionMatrix,
     IqBlobModel,
-    assignment_fidelity,
     calibrate_equilateral_radius,
     classify,
     classify_points,
@@ -229,15 +228,15 @@ class TestConfusionSimulation:
         assert 1.0 / 3.0 <= cm.fidelity <= 1.0
 
     def test_fidelity_examples(self):
-        assert assignment_fidelity(ConfusionMatrix(np.eye(3))) == 1.0
-        assert assignment_fidelity(ConfusionMatrix(np.full((3, 3), 1.0 / 3.0))) == \
+        assert ConfusionMatrix(np.eye(3)).fidelity == 1.0
+        assert ConfusionMatrix(np.full((3, 3), 1.0 / 3.0)).fidelity == \
             pytest.approx(1.0 / 3.0)
         m = np.array([
             [0.930, 0.060, 0.053],
             [0.040, 0.880, 0.060],
             [0.030, 0.060, 0.887],
         ])
-        assert assignment_fidelity(ConfusionMatrix(m)) == pytest.approx(0.899, abs=1e-12)
+        assert ConfusionMatrix(m).fidelity == pytest.approx(0.899, abs=1e-12)
 
 
 class TestCalibration:

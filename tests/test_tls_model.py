@@ -12,8 +12,6 @@ from tlstrack.tls import (
     lorentzian_density,
     lorentzian_rates,
     rate_series,
-    rates_with_background,
-    transition_rates,
 )
 
 DEVICE_A = DeviceFrequencies(4822.08, -280.37)
@@ -69,69 +67,51 @@ def single_tls(omega, coupling=2.5, linewidth=1.0):
 class TestTransitionRates:
     def test_tls_on_qubit_transition(self):
         b, g = 2.5, 1.0
-        rates = transition_rates(single_tls(DEVICE_A.omega_01, b, g), DEVICE_A, 0)
-        assert rates.gamma_10 == pytest.approx(b / g, rel=1e-12)
+        g10, g21 = rate_series(single_tls(DEVICE_A.omega_01, b, g), DEVICE_A)
+        assert g10[0] == pytest.approx(b / g, rel=1e-12)
         alpha = DEVICE_A.anharmonicity
-        assert rates.gamma_21 == pytest.approx(b * g / (alpha**2 + g**2), rel=1e-12)
+        assert g21[0] == pytest.approx(b * g / (alpha**2 + g**2), rel=1e-12)
         # numeric sanity on the suppression factor
-        assert rates.gamma_21 / rates.gamma_10 == pytest.approx(1.272e-5, rel=1e-3)
+        assert g21[0] / g10[0] == pytest.approx(1.272e-5, rel=1e-3)
 
     def test_additivity(self):
         d1 = TlsDefect(1.5, 8.0, np.array([4700.0]))
         d2 = TlsDefect(0.7, 3.0, np.array([4600.0]))
-        both = transition_rates(TlsParameterSet([d1, d2]), DEVICE_A, 0)
-        r1 = transition_rates(TlsParameterSet([d1]), DEVICE_A, 0)
-        r2 = transition_rates(TlsParameterSet([d2]), DEVICE_A, 0)
-        assert both.gamma_10 == pytest.approx(r1.gamma_10 + r2.gamma_10, rel=1e-14)
-        assert both.gamma_21 == pytest.approx(r1.gamma_21 + r2.gamma_21, rel=1e-14)
+        both = rate_series(TlsParameterSet([d1, d2]), DEVICE_A)
+        r1 = rate_series(TlsParameterSet([d1]), DEVICE_A)
+        r2 = rate_series(TlsParameterSet([d2]), DEVICE_A)
+        assert both[0][0] == pytest.approx(r1[0][0] + r2[0][0], rel=1e-14)
+        assert both[1][0] == pytest.approx(r1[1][0] + r2[1][0], rel=1e-14)
 
     def test_midpoint_symmetry(self):
         mid = DEVICE_A.omega_01 + DEVICE_A.anharmonicity / 2.0
-        rates = transition_rates(single_tls(mid), DEVICE_A, 0)
-        assert rates.gamma_10 == pytest.approx(rates.gamma_21, rel=1e-12)
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            transition_rates(TlsParameterSet([]), DEVICE_A, 0)
-
-    def test_epoch_out_of_range(self):
-        with pytest.raises(InvalidParameterError):
-            transition_rates(single_tls(4700.0), DEVICE_A, 1)
+        g10, g21 = rate_series(single_tls(mid), DEVICE_A)
+        assert g10[0] == pytest.approx(g21[0], rel=1e-12)
 
     def test_f_multiplier(self):
-        base = transition_rates(single_tls(4700.0), DEVICE_A, 0)
-        doubled = transition_rates(single_tls(4700.0), DEVICE_A, 0, f_multiplier=2.0)
-        assert doubled.gamma_10 == base.gamma_10
-        assert doubled.gamma_21 == pytest.approx(2.0 * base.gamma_21, rel=1e-14)
+        base = rate_series(single_tls(4700.0), DEVICE_A)
+        doubled = rate_series(single_tls(4700.0), DEVICE_A, f_multiplier=2.0)
+        assert doubled[0][0] == base[0][0]
+        assert doubled[1][0] == pytest.approx(2.0 * base[1][0], rel=1e-14)
 
 
 class TestBackground:
-    def test_empty_set_returns_floor(self):
-        bg = DecayRates(1 / 155.0, 1 / 64.0)
-        rates = rates_with_background(TlsParameterSet([]), DEVICE_A, bg, 0)
-        assert rates == bg
-
-    def test_zero_floor_equals_transition_rates(self):
-        tls = single_tls(4700.0)
-        assert rates_with_background(tls, DEVICE_A, DecayRates(0.0, 0.0), 0) == \
-            transition_rates(tls, DEVICE_A, 0)
-
     def test_floor_adds_componentwise(self):
         tls = single_tls(DEVICE_A.omega_01)
         b = 7e-4
-        rates = rates_with_background(tls, DEVICE_A, DecayRates(b, b), 0)
-        bare = transition_rates(tls, DEVICE_A, 0)
-        assert rates.gamma_10 == pytest.approx(bare.gamma_10 + b, rel=1e-14)
-        assert rates.gamma_21 == pytest.approx(bare.gamma_21 + b, rel=1e-14)
+        g10, g21 = rate_series(TlsParameterSet(tls.defects, DecayRates(b, b)), DEVICE_A)
+        bare = rate_series(tls, DEVICE_A)
+        assert g10[0] == pytest.approx(bare[0][0] + b, rel=1e-14)
+        assert g21[0] == pytest.approx(bare[1][0] + b, rel=1e-14)
 
     def test_default_floor_comes_from_parameter_set(self):
         tls = TlsParameterSet(
             [TlsDefect(1.0, 5.0, np.array([4650.0]))], DecayRates(1e-3, 2e-3)
         )
-        rates = rates_with_background(tls, DEVICE_A, epoch=0)
-        bare = transition_rates(tls, DEVICE_A, 0)
-        assert rates.gamma_10 == pytest.approx(bare.gamma_10 + 1e-3)
-        assert rates.gamma_21 == pytest.approx(bare.gamma_21 + 2e-3)
+        g10, g21 = rate_series(tls, DEVICE_A)
+        bare = rate_series(TlsParameterSet(tls.defects), DEVICE_A)
+        assert g10[0] == pytest.approx(bare[0][0] + 1e-3)
+        assert g21[0] == pytest.approx(bare[1][0] + 2e-3)
 
 
 class TestForwardModel:
@@ -141,7 +121,6 @@ class TestForwardModel:
             TlsDefect(0.3, 2.0, np.linspace(4580.0, 4560.0, 6)),
         ]
         bg = DecayRates(1e-3, 2e-3)
-        tls = TlsParameterSet(defects, bg)
         coupling = np.array([d.coupling_weight for d in defects])
         linewidth = np.array([d.linewidth_mhz for d in defects])
         freqs = np.array([d.trajectory_mhz for d in defects])
@@ -149,14 +128,12 @@ class TestForwardModel:
                                    (bg.gamma_10, bg.gamma_21), f_multiplier=2.0)
         bare = lorentzian_rates(DEVICE_A, coupling, linewidth, freqs, (0.0, 0.0),
                                 f_multiplier=2.0)
-        for e in range(tls.n_epochs):
-            assert rates_with_background(tls, DEVICE_A, epoch=e, f_multiplier=2.0) == \
-                DecayRates(with_bg[0][e], with_bg[1][e])
-            assert transition_rates(tls, DEVICE_A, e, f_multiplier=2.0) == \
-                DecayRates(bare[0][e], bare[1][e])
-        series = rate_series(tls, DEVICE_A, f_multiplier=2.0)
+        series = rate_series(TlsParameterSet(defects, bg), DEVICE_A, f_multiplier=2.0)
         assert np.array_equal(series[0], with_bg[0])
         assert np.array_equal(series[1], with_bg[1])
+        series = rate_series(TlsParameterSet(defects), DEVICE_A, f_multiplier=2.0)
+        assert np.array_equal(series[0], bare[0])
+        assert np.array_equal(series[1], bare[1])
 
 
 class TestModelProperties:
@@ -177,17 +154,17 @@ class TestModelProperties:
             TlsDefect(2.0 * d.coupling_weight, d.linewidth_mhz, d.trajectory_mhz)
             for d in tls.defects
         ])
-        base = transition_rates(tls, DEVICE_A, 0)
-        doubled = transition_rates(scaled, DEVICE_A, 0)
-        assert doubled.gamma_10 == 2.0 * base.gamma_10
-        assert doubled.gamma_21 == 2.0 * base.gamma_21
+        base = rate_series(tls, DEVICE_A)
+        doubled = rate_series(scaled, DEVICE_A)
+        assert doubled[0][0] == 2.0 * base[0][0]
+        assert doubled[1][0] == 2.0 * base[1][0]
 
     def test_peak_bound(self):
         b, g = 4.0, 6.0
-        for omega in np.linspace(4400.0, 5100.0, 50):
-            rates = transition_rates(single_tls(omega, b, g), DEVICE_A, 0)
-            assert rates.gamma_10 <= b / g + 1e-15
-            assert rates.gamma_21 <= b / g + 1e-15
+        tls = TlsParameterSet([TlsDefect(b, g, np.linspace(4400.0, 5100.0, 50))])
+        g10, g21 = rate_series(tls, DEVICE_A)
+        assert np.all(g10 <= b / g + 1e-15)
+        assert np.all(g21 <= b / g + 1e-15)
 
 
 class TestSerialization:
