@@ -62,7 +62,7 @@ def _read_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    except ValueError as err:   # bad JSON or UTF-8, or an int past Python's digit limit
         raise InvalidParameterError(f"{path}: not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise InvalidParameterError(f"{path}: expected a JSON object")
@@ -96,7 +96,10 @@ def _write_manifest(out_dir: Path, subcommand: str, resolved: dict, inputs: list
 
 
 def _is_number(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:   # an int beyond the float range
+        return False
 
 
 def _valid_tracker_value(value, default) -> bool:

@@ -16,8 +16,11 @@ linear solve.  The generic :func:`levenberg_marquardt` (with
 :func:`solve` and :func:`finite_difference_jacobian`) runs it with a dense
 Jacobian and a direct solve, and the tracker's joint update with its
 Schur-complement step in :mod:`tlstrack.tracker`.  All of them share the
-tolerances, the finite-difference step and the damping schedule below;
-only the iteration budget is an argument.
+tolerances, the finite-difference step and the damping schedule below.
+The iteration budget is an argument, and so is an absolute cost-decrease
+tolerance of :func:`_lm_loop`, 0 by default: the tracker's joint update
+sets it on weighted series, whose cost is χ² in units of the measurement
+variance, so a decrease far below 1 means nothing statistically.
 """
 
 from __future__ import annotations
@@ -182,7 +185,8 @@ def levenberg_marquardt(
     return FitResult(x, math.sqrt(cost), converged, iterations, jac, cost)
 
 
-def _lm_loop(x, lo, hi, residual, linearise, damped_step, max_iterations: int = 500):
+def _lm_loop(x, lo, hi, residual, linearise, damped_step, max_iterations: int = 500,
+             cost_atol: float = 0.0):
     """The bounded Levenberg-Marquardt loop of every single-problem solve.
 
     ``x`` starts inside [``lo``, ``hi``].  ``linearise(x, r)`` returns the
@@ -191,8 +195,10 @@ def _lm_loop(x, lo, hi, residual, linearise, damped_step, max_iterations: int = 
     to 1, or raises LinAlgError, which raises the damping.  The clipped
     trial ``x + step`` is accepted when it lowers the cost.  The loop stops
     at a projected gradient within ``GTOL``, at an accepted step below
-    ``FTOL`` or ``XTOL`` (relative), at damping above ``LAMBDA_MAX``, or
-    after ``max_iterations`` linearisations, unconverged.  A
+    ``FTOL`` or ``XTOL`` (relative), at an accepted step that lowers the
+    cost by less than ``cost_atol`` (absolute; 0 never fires), at damping
+    above ``LAMBDA_MAX``, or after ``max_iterations`` linearisations,
+    unconverged.  A
     non-finite residual raises ``InvalidParameterError`` at the start and
     ``FitDivergedError``, with the last accepted ``x``, at a trial.  Returns
     (x, r, cost, iterations, converged, lin), ``lin`` from the last
@@ -230,10 +236,11 @@ def _lm_loop(x, lo, hi, residual, linearise, damped_step, max_iterations: int = 
             cost_new = float(r_new @ r_new)
             if cost_new < cost:
                 step_norm = float(np.linalg.norm(x_new - x))
-                rel_decrease = (cost - cost_new) / cost
+                decrease = cost - cost_new
+                rel_decrease = decrease / cost
                 x, r, cost = x_new, r_new, cost_new
                 lam = max(lam / LAMBDA_FACTOR, 1e-14)
-                converged = rel_decrease <= FTOL or step_norm <= XTOL * (
+                converged = rel_decrease <= FTOL or decrease < cost_atol or step_norm <= XTOL * (
                     float(np.linalg.norm(x)) + XTOL
                 )
                 break

@@ -174,7 +174,11 @@ def _need(doc: dict, key: str, path: str, default=_REQUIRED):
 
 
 def _check_number(v, path: str) -> float:
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(float(v)):
+    try:
+        ok = isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:   # an int beyond the float range
+        ok = False
+    if not ok:
         raise ScenarioSchemaError(path, f"expected a finite number, got {v!r}")
     return float(v)
 
@@ -345,7 +349,7 @@ def load_scenario(path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        except ValueError as err:   # bad JSON or UTF-8, or an int past Python's digit limit
             raise ScenarioSchemaError(str(path), f"not valid JSON: {err}") from None
     return scenario_from_json_dict(doc)
 

@@ -141,6 +141,7 @@ class LifetimeSeries:
 OUTER_ITERATIONS = 50
 PROBE_ITERATIONS = 2        # outer cycles spent on each start before selection
 JOINT_LM_ITERATIONS = 150   # LM budget for each globals+trajectory update
+JOINT_CHI2_ATOL = 1e-3      # weighted joint updates stop at an accepted step lowering chi^2 by less
 MISFIT_RTOL = 1e-8
 MISFIT_FLOOR = 1e-7         # unweighted runs converge once the per-residual RMS drops below this
 NOISE_FLOOR_FACTOR = 1.15   # weighted runs stop once chi reaches this multiple of sqrt(N)
@@ -401,7 +402,9 @@ def _joint_update(ws: _Workspace, glob: np.ndarray, traj: np.ndarray):
 
     The parameters are one vector, the globals and then the trajectory
     defect by defect, run through :func:`tlstrack.optimize._lm_loop` with
-    ``JOINT_LM_ITERATIONS`` iterations.  Each damped system is solved by
+    ``JOINT_LM_ITERATIONS`` iterations.  On a weighted series the cost is
+    χ², and the update also stops at the first accepted step that lowers it
+    by less than ``JOINT_CHI2_ATOL``.  Each damped system is solved by
     :func:`_schur_step`, in time and memory linear in the number of epochs.
     Returns (glob, traj).
     """
@@ -426,7 +429,8 @@ def _joint_update(ws: _Workspace, glob: np.ndarray, traj: np.ndarray):
         return np.concatenate([step_g, step_w.T.ravel()])
 
     x = np.clip(np.concatenate([glob, traj.ravel()]), lo, hi)
-    x = _lm_loop(x, lo, hi, residual, linearise, damped_step, JOINT_LM_ITERATIONS)[0]
+    x = _lm_loop(x, lo, hi, residual, linearise, damped_step, JOINT_LM_ITERATIONS,
+                 JOINT_CHI2_ATOL if ws.weighted else 0.0)[0]
     return split(x)
 
 
@@ -485,14 +489,17 @@ def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return sum(np.pad(p[:, i, None] * q, ((0, 0), (i, k - 1 - i))) for i in range(k))
 
 
+_BAND_UNITS_ERROR = ("band_margin_mhz: the frequency polynomials in band units under- or "
+                     "overflow; narrow the search band")
+
+
 def _polynomial_roots(coef: np.ndarray) -> np.ndarray:
     """The complex roots of each row of ``coef``, as companion-matrix eigenvalues.
     Leading zeros are dropped, which only adds roots at u = 0.  A row of zeros
     or with a non-finite coefficient, which a band far too wide for band units
     gives, raises ``InvalidParameterError``."""
     if not (np.all(np.isfinite(coef)) and np.all(np.any(coef != 0.0, axis=1))):
-        raise InvalidParameterError("band_margin_mhz: the frequency polynomials in band units "
-                                    "under- or overflow; narrow the search band")
+        raise InvalidParameterError(_BAND_UNITS_ERROR)
     n, k = coef.shape
     lead = np.argmax(coef != 0.0, axis=1)
     coef = np.take_along_axis(np.pad(coef, ((0, 0), (0, k - 1))), lead[:, None] + np.arange(k),
@@ -535,8 +542,13 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
     basis[2], basis[3, 2:] = np.polymul(e_f, p_f), p_f
     a_e = ws.w_e * (1.0 - bg[0] / ws.g10_meas)
     a_f = ws.w_f * (1.0 - bg[1] / ws.g21_meas)
-    c_e = ws.w_e * coupling[0] * linewidth[0] / (ws.g10_meas * h * h)
-    c_f = ws.w_f * cfg.f_multiplier * coupling[0] * linewidth[0] / (ws.g21_meas * h * h)
+    # a band far too wide overflows the rates' band-unit scale
+    with np.errstate(over="ignore"):
+        den_e, den_f = ws.g10_meas * h * h, ws.g21_meas * h * h
+    if not (np.all(np.isfinite(den_e)) and np.all(np.isfinite(den_f))):
+        raise InvalidParameterError(_BAND_UNITS_ERROR)
+    c_e = ws.w_e * coupling[0] * linewidth[0] / den_e
+    c_f = ws.w_f * cfg.f_multiplier * coupling[0] * linewidth[0] / den_f
     # einsum, unlike a BLAS matmul, sums each epoch alike whatever the batch
     coef = np.einsum("nk,kj->nj", np.stack([c_e * a_e, -c_e**2, c_f * a_f, -c_f**2], axis=1),
                      basis)

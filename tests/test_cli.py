@@ -124,6 +124,21 @@ class TestSimulate:
         assert f"error: {path}: expected" in capsys.readouterr().err
         assert not out.exists()
 
+    # 5001 digits pass Python's int-to-str limit: json.load itself refuses them
+    @pytest.mark.parametrize("digits, expected", [
+        (401, "epoch_spacing_hr: expected a finite number, got 1000"),
+        (5001, "not valid JSON: Exceeds the limit"),
+    ])
+    def test_int_beyond_float_range_exit_2(self, tmp_path, capsys, digits, expected):
+        doc = scenario_to_json_dict(tiny_scenario())
+        doc["epoch_spacing_hr"] = "HUGE"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * (digits - 1)))
+        out = tmp_path / "run"
+        assert main(["simulate", str(bad), "--out", str(out)]) == 2
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_defects_gives_floor_lifetimes(self, tmp_path):
         floor = DecayRates(2.2e-3, 2.1e-3)
         spath = write_scenario(tmp_path / "s.json", tiny_scenario(tls_truth=[], background=floor))
@@ -382,6 +397,17 @@ class TestTrack:
         assert main(["track", str(spath), "--device", str(dev), "--order", "1"]) == 2
         assert f"error: {dev}: {where}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("digits, expected", [
+        (401, "omega01_mhz: expected a finite number, got 1000"),
+        (5001, "not valid JSON: Exceeds the limit"),
+    ])
+    def test_device_int_beyond_float_range_exit_2(self, tmp_path, capsys, digits, expected):
+        spath, _, _ = self.make_series_csv(tmp_path, epochs=12)
+        dev = tmp_path / "dev.json"
+        dev.write_text('{"omega01_mhz": 1%s, "anharmonicity_mhz": -280}' % ("0" * (digits - 1)))
+        assert main(["track", str(spath), "--device", str(dev), "--order", "1"]) == 2
+        assert f"error: {dev}: {expected}" in capsys.readouterr().err
+
     def test_non_finite_series_exit_2(self, tmp_path, capsys):
         spath, dev, _ = self.make_series_csv(tmp_path, epochs=12)
         lines = spath.read_text().splitlines()
@@ -473,6 +499,7 @@ class TestTrack:
         ({"band_margin_mhz": 1e160}, "band_margin_mhz: the frequency polynomials"),
         ({"band_margin_mhz": 1e308}, "band_margin_mhz: the frequency polynomials"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_tracker_config_exit_2(self, tmp_path, capsys, tracker, path):
         spath, dev, _ = self.make_series_csv(tmp_path, epochs=12)
         cfg = tmp_path / "cfg.json"

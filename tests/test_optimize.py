@@ -5,6 +5,7 @@ from tlstrack.errors import FitDivergedError, InvalidParameterError
 from tlstrack.optimize import (
     LeastSquaresProblem,
     _damped_newton_2x2,
+    _lm_loop,
     finite_difference_jacobian,
     levenberg_marquardt,
     solve,
@@ -125,6 +126,58 @@ class TestRobustness:
         expected = np.linalg.inv(a.T @ a) * result.residual_norm**2 / (m - n)
         # the solver's Jacobian is a forward difference of the linear residual
         assert np.allclose(cov, expected, rtol=1e-6, atol=0.0)
+
+
+class TestLmLoopCostTolerance:
+    """The absolute cost-decrease stop of :func:`_lm_loop`."""
+
+    @staticmethod
+    def run(**kwargs):
+        """A Rosenbrock valley with a third residual, so that the minimum
+        cost is not 0, from the classic start (-1.2, 1).  Returns the loop's
+        output and the (x, cost) of every linearisation: the accepted states."""
+        seen = []
+
+        def residual(x):
+            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0], 0.5 * (x[0] + x[1]) - 0.3])
+
+        def linearise(x, r):
+            seen.append((x.copy(), float(r @ r)))
+            jac = np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0], [0.5, 0.5]])
+            jtj = jac.T @ jac
+            d = np.diag(jtj).copy()
+            d[d <= 0.0] = 1.0
+            return jac.T @ r, (jtj, np.diag(d), -(jac.T @ r))
+
+        def damped_step(lin, lam):
+            jtj, d, neg_grad = lin
+            return np.linalg.solve(jtj + lam * d, neg_grad)
+
+        unbounded = np.full(2, np.inf)
+        out = _lm_loop(np.array([-1.2, 1.0]), -unbounded, unbounded, residual, linearise,
+                       damped_step, **kwargs)
+        return out, seen
+
+    def test_zero_tolerance_keeps_the_bits_it_had_without_one(self):
+        # recorded before the tolerance existed; like the tracker digests they
+        # assume the same numpy and LAPACK build
+        for kwargs in ({}, {"cost_atol": 0.0}):
+            (x, _, cost, iterations, converged, _), _ = self.run(**kwargs)
+            assert [v.hex() for v in x] == ["0x1.5c4f7f77ab7fep-1", "0x1.d88532697722dp-2"]
+            assert cost.hex() == "0x1.67f7e5aa287b0p-3"
+            assert iterations == 16 and converged
+
+    # at 0.1 the stop comes at the 7th step, and larger decreases follow it
+    @pytest.mark.parametrize("tol", [0.1, 1e-3])
+    def test_stops_at_first_accepted_step_below_tolerance(self, tol):
+        _, seen = self.run()
+        costs = [c for _, c in seen]
+        decreases = np.array(costs[:-1]) - np.array(costs[1:])
+        stop = int(np.argmax(decreases < tol)) + 1     # the accepted state it ends in
+        assert decreases[stop - 1] < tol and np.all(decreases[: stop - 1] >= tol)
+        (x, _, cost, iterations, converged, _), seen_tol = self.run(cost_atol=tol)
+        assert converged and iterations == stop == len(seen_tol)
+        assert np.array_equal(x, seen[stop][0]) and cost == seen[stop][1]
 
 
 class TestDampedNewton2x2:

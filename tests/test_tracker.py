@@ -14,7 +14,7 @@ from tlstrack.dynamics import DecayRates
 from tlstrack.errors import InvalidParameterError, UndefinedCorrelationError
 from tlstrack.synth import DriftProcess, Scenario, TlsTruth, bundled_scenario, \
     generate_trajectories, true_lifetime_series
-from tlstrack import tracker
+from tlstrack import optimize, tracker
 from tlstrack.cli import main
 from tlstrack.optimize import LeastSquaresProblem, levenberg_marquardt
 from tlstrack.tls import DeviceFrequencies, lorentzian_rates, rate_series
@@ -864,6 +864,49 @@ class TestJointUpdate:
         glob = np.where(lo > 0.0, lo * (hi / np.where(lo > 0.0, lo, 1.0)) ** u, u * hi)
         traj = ws.band[0] + np.array(v).reshape(2, 7)[:order] * (ws.band[1] - ws.band[0])
         assert_update_not_above_start(ws, np.clip(glob, lo, hi), traj)
+
+    # sha256 over the updated globals and trajectory from digest_series()'s
+    # first start, recorded before weighted updates stopped on small χ²
+    # decreases; like TRACK_DIGESTS they assume the same numpy and BLAS build
+    UPDATE_DIGESTS = {
+        (False, 1): "f2e9dd2436622426dc73692559bd1784d1b34f995fb2160e31c1da691a7ff25c",
+        (False, 2): "003f72ca0bb8e7a32c6ea4af9f7842f9bf825266406954d8cf3d2f392a53498a",
+        (True, 1): "2dd4c934fe9ab34f95078097a6e491dc52f8cc8e8e254f2cc62f62b67d55c59b",
+    }
+
+    @staticmethod
+    def update_digest(weighted, order):
+        series, scenario = digest_series()
+        if not weighted:
+            series = LifetimeSeries(series.epochs_hr, series.t1e_us, series.t1f_us)
+        ws = tracker._Workspace(series, scenario.device, order, DEFAULT_TRACKER_CONFIG)
+        glob, traj = tracker._initial_states(ws)[0]
+        traj = tracker._solve_epochs(ws, *ws.unpack_globals(glob), traj)
+        glob, traj = tracker._joint_update(ws, glob, traj)
+        return hashlib.sha256(glob.tobytes() + traj.tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_unweighted_update_keeps_its_bits(self, order):
+        assert self.update_digest(False, order) == self.UPDATE_DIGESTS[False, order]
+
+    def test_weighted_update_without_chi2_stop_keeps_its_bits(self, monkeypatch):
+        monkeypatch.setattr(tracker, "JOINT_CHI2_ATOL", 0.0)
+        assert self.update_digest(True, 1) == self.UPDATE_DIGESTS[True, 1]
+
+    def test_weighted_chi2_stop_cuts_lm_iterations(self, monkeypatch):
+        # 786 iterations over the 6 joint updates of this fit without the
+        # stop, five of them at the JOINT_LM_ITERATIONS cap; 157 with it
+        iterations = []
+
+        def counting(*args):
+            out = optimize._lm_loop(*args)
+            iterations.append(out[3])
+            return out
+
+        monkeypatch.setattr(tracker, "_lm_loop", counting)
+        series, scenario = digest_series()
+        track_tls(series, scenario.device, 1)
+        assert sum(iterations) <= 200
 
     def test_peak_memory_linear_in_epochs(self):
         # noiseless device_A at N = 2000: the dense joint LM peaked at 161 MB,
