@@ -313,7 +313,7 @@ class ConfusionMatrix:
             raise InvalidParameterError("confusion document has no matrix_row_major")
         try:
             m = np.array(doc["matrix_row_major"], dtype=float).reshape(3, 3)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):   # or an int beyond the float range
             raise InvalidParameterError("matrix_row_major: expected 9 numbers") from None
         return cls(m)
 

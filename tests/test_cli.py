@@ -789,6 +789,9 @@ class TestMalformedInputProperty:
     @example(case=("scenario.json", b"\xff{}"))
     @example(case=("confusion.json", b"[]"))
     @example(case=("confusion.json", b'{"schema_version": 1}'))
+    @example(case=("confusion.json",
+                   b'{"schema_version": 1, "matrix_row_major": [1%s, 0, 0, 0, 1, 0, 0, 0, 1]}'
+                   % (b"0" * 400)))
     def test_bad_json_file_exit_2(self, cli_inputs, case):
         name, content = case
         with tempfile.TemporaryDirectory() as tmp:

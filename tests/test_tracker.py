@@ -869,29 +869,27 @@ class TestJointUpdate:
     # first start, recorded before weighted updates stopped on small χ²
     # decreases; like TRACK_DIGESTS they assume the same numpy and BLAS build
     UPDATE_DIGESTS = {
-        (False, 1): "f2e9dd2436622426dc73692559bd1784d1b34f995fb2160e31c1da691a7ff25c",
-        (False, 2): "003f72ca0bb8e7a32c6ea4af9f7842f9bf825266406954d8cf3d2f392a53498a",
-        (True, 1): "2dd4c934fe9ab34f95078097a6e491dc52f8cc8e8e254f2cc62f62b67d55c59b",
+        False: "f2e9dd2436622426dc73692559bd1784d1b34f995fb2160e31c1da691a7ff25c",
+        True: "2dd4c934fe9ab34f95078097a6e491dc52f8cc8e8e254f2cc62f62b67d55c59b",
     }
 
     @staticmethod
-    def update_digest(weighted, order):
+    def update_digest(weighted):
         series, scenario = digest_series()
         if not weighted:
             series = LifetimeSeries(series.epochs_hr, series.t1e_us, series.t1f_us)
-        ws = tracker._Workspace(series, scenario.device, order, DEFAULT_TRACKER_CONFIG)
+        ws = tracker._Workspace(series, scenario.device, 1, DEFAULT_TRACKER_CONFIG)
         glob, traj = tracker._initial_states(ws)[0]
         traj = tracker._solve_epochs(ws, *ws.unpack_globals(glob), traj)
         glob, traj = tracker._joint_update(ws, glob, traj)
         return hashlib.sha256(glob.tobytes() + traj.tobytes()).hexdigest()
 
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_unweighted_update_keeps_its_bits(self, order):
-        assert self.update_digest(False, order) == self.UPDATE_DIGESTS[False, order]
+    def test_unweighted_update_keeps_its_bits(self):
+        assert self.update_digest(False) == self.UPDATE_DIGESTS[False]
 
     def test_weighted_update_without_chi2_stop_keeps_its_bits(self, monkeypatch):
         monkeypatch.setattr(tracker, "JOINT_CHI2_ATOL", 0.0)
-        assert self.update_digest(True, 1) == self.UPDATE_DIGESTS[True, 1]
+        assert self.update_digest(True) == self.UPDATE_DIGESTS[True]
 
     def test_weighted_chi2_stop_cuts_lm_iterations(self, monkeypatch):
         # 786 iterations over the 6 joint updates of this fit without the
