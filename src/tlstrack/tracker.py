@@ -33,7 +33,8 @@ The solve alternates two moves until the misfit settles:
 Because the rate levels alone cannot localize a defect (any (B, gamma,
 omega) triple matching the two median rates is statically equivalent), the
 loop is started from a small deterministic set of level-matched positions
-spread over the search band and the best probe is kept.
+spread over the search band, probed in turn until the best so far has misfit
+<= ``PROBE_TIE_ABS`` (a saturated fit), and the best probe is kept.
 
 Residuals are relative rate misfits (1 - Gamma_model/Gamma_measured) so the
 fast and slow channels contribute comparably.
@@ -485,8 +486,10 @@ def _initial_states(ws: _Workspace) -> list[tuple[np.ndarray, np.ndarray]]:
 
 def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Row-wise products of the polynomials in the rows of ``p`` and ``q``."""
-    k = p.shape[1]
-    return sum(np.pad(p[:, i, None] * q, ((0, 0), (i, k - 1 - i))) for i in range(k))
+    out = np.zeros((p.shape[0], p.shape[1] + q.shape[1] - 1))
+    for i in range(p.shape[1]):
+        out[:, i : i + q.shape[1]] += p[:, i, None] * q
+    return out
 
 
 _BAND_UNITS_ERROR = ("band_margin_mhz: the frequency polynomials in band units under- or "
@@ -729,6 +732,13 @@ def _solve_epochs(ws: _Workspace, coupling, linewidth, bg,
     return x[:, group[np.arange(ws.n), picks]]
 
 
+def _probe_winner(misfits: list[float]) -> int:
+    """The earliest probe within max(TIE_REL*m_best, PROBE_TIE_ABS) of the lowest, m_best."""
+    m_best = min(misfits)
+    floor = m_best + max(TIE_REL * m_best, PROBE_TIE_ABS)
+    return next(i for i, m in enumerate(misfits) if m <= floor)
+
+
 # -- public API -------------------------------------------------------------
 
 
@@ -770,18 +780,17 @@ def track_tls(
         coupling, linewidth, bg = ws.unpack_globals(glob)
         return glob, traj, ws.misfit(coupling, linewidth, bg, traj)
 
-    # probe every start before committing to the best basin; near-equal
-    # probes (a saturated model can interpolate from several basins)
-    # tie-break toward the earliest, physically-preferred start
+    # probe the starts in turn; near-equal probes go to the earliest, preferred start.
+    # Stopping at a winner <= PROBE_TIE_ABS is exact: the tie floor is never below that
+    # and later probes only lower it, so the winner stays in and earlier probes out
     probes = []
     for glob, traj in _initial_states(ws):
         for _ in range(PROBE_ITERATIONS):
             glob, traj, misfit = outer_cycle(glob, traj)
         probes.append((misfit, glob, traj))
-    m_best = min(p[0] for p in probes)
-    floor = m_best + max(TIE_REL * m_best, PROBE_TIE_ABS)
-    best = next(i for i, p in enumerate(probes) if p[0] <= floor)
-    misfit, glob, traj = probes[best]
+        misfit, glob, traj = probes[_probe_winner([p[0] for p in probes])]
+        if misfit <= PROBE_TIE_ABS:
+            break
 
     floor_abs = ws.misfit_floor()
     converged = misfit <= floor_abs

@@ -13,7 +13,7 @@ from scipy.optimize import minimize_scalar
 from tlstrack.dynamics import DecayRates
 from tlstrack.errors import InvalidParameterError, UndefinedCorrelationError
 from tlstrack.synth import DriftProcess, Scenario, TlsTruth, bundled_scenario, \
-    generate_trajectories, true_lifetime_series
+    bundled_scenario_path, generate_trajectories, true_lifetime_series
 from tlstrack import optimize, tracker
 from tlstrack.cli import main
 from tlstrack.optimize import LeastSquaresProblem, levenberg_marquardt
@@ -1076,6 +1076,90 @@ class TestSelectionShortcut:
         assert fit.skipped_orders == []
         assert fit.information_score == fit.model_scores[2] < fit.model_scores[1]
         assert fit.to_json_dict()["skipped_orders"] == []
+
+
+def winner_with_stop(misfits):
+    """The probe ``track_tls`` keeps from probes with these misfits: it takes
+    them in turn and stops once the winner so far is <= PROBE_TIE_ABS."""
+    for k in range(1, len(misfits) + 1):
+        best = tracker._probe_winner(misfits[:k])
+        if misfits[best] <= tracker.PROBE_TIE_ABS:
+            break
+    return best
+
+
+class TestProbeStop:
+    """``track_tls`` stops probing starts once the winner so far has misfit
+    <= PROBE_TIE_ABS; it must keep the probe that probing every start keeps."""
+
+    edges = [0.0, tracker.PROBE_TIE_ABS, np.nextafter(tracker.PROBE_TIE_ABS, 1.0),
+             2.0 * tracker.PROBE_TIE_ABS, tracker.PROBE_TIE_ABS / tracker.TIE_REL,
+             tracker.PROBE_TIE_ABS / tracker.TIE_REL * (1.0 + tracker.TIE_REL)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(edges),
+                              st.floats(0.0, 3.0 * tracker.PROBE_TIE_ABS),
+                              st.floats(0.0, 1e6)), min_size=1, max_size=6))
+    @example([tracker.PROBE_TIE_ABS, 0.0])
+    @example([2.0 * tracker.PROBE_TIE_ABS, tracker.PROBE_TIE_ABS, 0.0])
+    def test_property_stop_keeps_the_full_winner(self, misfits):
+        assert winner_with_stop(misfits) == tracker._probe_winner(misfits)
+
+    @staticmethod
+    def count(monkeypatch, series, device, order):
+        """_solve_epochs calls of one fit, and the probe misfits each winner
+        was chosen from."""
+        solves, probed = [], []
+        solve_epochs, probe_winner = tracker._solve_epochs, tracker._probe_winner
+
+        def counting_solve(*args):
+            solves.append(1)
+            return solve_epochs(*args)
+
+        def recording_winner(misfits):
+            probed.append(list(misfits))
+            return probe_winner(misfits)
+
+        monkeypatch.setattr(tracker, "_solve_epochs", counting_solve)
+        monkeypatch.setattr(tracker, "_probe_winner", recording_winner)
+        fit = track_tls(series, device, order)
+        return fit, len(solves), probed
+
+    @pytest.fixture(scope="class")
+    def track_b_series(self, tmp_path_factory):
+        """device_B at 150 epochs, shot-sampled and fitted, at master seed 7000."""
+        root = tmp_path_factory.mktemp("track_b")
+        doc = json.loads(bundled_scenario_path("device_B").read_text())
+        doc["epochs"] = 150
+        (root / "scenario.json").write_text(json.dumps(doc))
+        assert main(["simulate", str(root / "scenario.json"), "--out", str(root / "run"),
+                     "--seed", "7000"]) == 0
+        assert main(["fit-series", str(root / "run"), "--out", str(root / "fit")]) == 0
+        return LifetimeSeries.from_csv(root / "fit" / "series.csv"), DEVICE_B
+
+    @pytest.mark.parametrize("case", ["digest", "track_B"])
+    def test_saturated_order_2_probes_one_start(self, case, request, monkeypatch):
+        # the first start interpolates, so its PROBE_ITERATIONS outer cycles
+        # and the final sync are the only epoch solves; probing all three
+        # starts made 7
+        if case == "digest":
+            series, scenario = digest_series()
+            device = scenario.device
+        else:
+            series, device = request.getfixturevalue("track_b_series")
+        fit, solves, probed = self.count(monkeypatch, series, device, 2)
+        assert fit.misfit <= tracker.PROBE_TIE_ABS
+        assert solves == tracker.PROBE_ITERATIONS + 1 == 3
+        assert len(probed) == 1
+
+    def test_weighted_order_1_probes_every_start(self, monkeypatch):
+        series, scenario = digest_series()
+        fit, solves, probed = self.count(monkeypatch, series, scenario.device, 1)
+        assert [len(m) for m in probed] == [1, 2, 3]
+        assert min(probed[-1]) > tracker.PROBE_TIE_ABS
+        # every start's probe cycles, the kept one's further cycles, the final sync
+        extra = fit.iterations - tracker.PROBE_ITERATIONS
+        assert solves == 3 * tracker.PROBE_ITERATIONS + extra + 1
 
 
 class TestTrajectoryOutputs:
