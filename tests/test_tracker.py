@@ -668,6 +668,9 @@ class TestExactTwoDefectSolve:
         prod = tracker._polymul(p, q)
         for i in range(5):
             assert np.allclose(prod[i], np.polymul(p[i], q[i]), rtol=1e-14, atol=1e-14)
+        # the same bits as a sum of zero-padded shifted products, in the same order
+        padded = sum(np.pad(p[:, i, None] * q, ((0, 0), (i, 2 - i))) for i in range(3))
+        assert np.array_equal(prod, padded)
 
     def test_roots_drop_leading_zeros(self):
         # (u - 1)(u - 2) written with two leading zeros, next to a full row
