@@ -166,8 +166,7 @@ def cmd_simulate(args, config: dict) -> int:
 
     out = _resolve_out(args.out, Path(f"{scenario.name}_run"))
     out.mkdir(parents=True, exist_ok=True)
-    write_run_directory(scenario, out, jobs=jobs)
-    outputs = [str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()]
+    outputs = [str(p.relative_to(out)) for p in write_run_directory(scenario, out, jobs=jobs)]
     _write_manifest(out, "simulate", {"jobs": jobs, "scenario": str(scenario_path)},
                     [str(scenario_path)], outputs, scenario.master_seed, started)
     print(f"simulate: wrote {scenario.epochs} epochs to {out}")

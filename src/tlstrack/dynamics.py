@@ -159,13 +159,9 @@ class PopulationTrace:
     # -- serialization ----------------------------------------------------
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["delay_us", "p0", "p1", "p2", "shots"])
-            for i, t in enumerate(self.delays):
-                row = [repr(float(t))] + [repr(float(v)) for v in self.populations[i]]
-                row.append("" if self.shots is None else int(self.shots[i]))
-                w.writerow(row)
+        shots = [None] * len(self) if self.shots is None else self.shots.tolist()
+        _write_csv(path, ["delay_us", "p0", "p1", "p2", "shots"],
+                   zip(self.delays.tolist(), *self.populations.T.tolist(), shots))
 
     @classmethod
     def from_csv(cls, path) -> "PopulationTrace":
@@ -205,6 +201,21 @@ class _Column(NamedTuple):
     ok: Callable[[np.ndarray], np.ndarray] = np.isfinite
     expected: str = "a finite number"
     required: bool = True
+
+
+def _write_csv(path, header: Sequence[str], rows) -> None:
+    """Write ``header`` and ``rows`` to a CSV file in one call, in the bytes
+    of ``csv.writer``: a float cell as its ``repr``, an int cell as its
+    ``str``, a ``None`` cell blank, and ``\\r\\n`` after every line.
+
+    The cells are Python numbers (an array's ``tolist()``), whose text
+    needs no quoting, and every row has at least two.  What it writes
+    reads back unchanged through :func:`_read_csv`.
+    """
+    lines = [",".join(header)]
+    lines += [",".join(["" if v is None else repr(v) for v in row]) for row in rows]
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _read_csv(path, columns: Sequence[_Column], build):

@@ -4,7 +4,8 @@ and inversion-based error mitigation.
 Classification is equal-prior Gaussian maximum likelihood over the three
 blob models, with ties broken toward the lower state index.  It compares
 the two log-likelihood differences l_1 - l_0 and l_2 - l_0, each a
-quadratic in the input with coefficients cached on the blob model.  The
+quadratic in the input with coefficients cached on the blob model; it is
+linear for blobs that share one covariance, and then evaluated as such.  The
 input is either an IQ point or, for a simulated shot of state k, the
 standard normals z that give its point mean_k + L_k·z, so simulated shots
 are classified without forming their points.  Mitigation multiplies the
@@ -196,6 +197,14 @@ def _classify_frame(blobs: IqBlobModel, frame: int, z: np.ndarray, out: np.ndarr
     Works through the rows in blocks of ``_CLASSIFY_BLOCK`` with one set of
     reused buffers, so the temporaries stay in cache.  Each row's label
     depends only on that row, never on the block it falls in.
+
+    A discriminant whose quadratic coefficients are all zero, as those of
+    blobs with one covariance are, is evaluated as (b0 z0 + b1 z1) + c.
+    For finite z this is the quadratic form's value bit for bit: a ±0
+    product added to b0 leaves b0, and where b0 is 0 only the sign of a
+    zero can differ, which the strict comparisons ignore.  (An infinite
+    row, which the quadratic form turns into NaN and label 0, gets the
+    linear form's label.)
     """
     n = z.shape[0]
     size = min(n, _CLASSIFY_BLOCK)
@@ -209,15 +218,19 @@ def _classify_frame(blobs: IqBlobModel, frame: int, z: np.ndarray, out: np.ndarr
         m = block.shape[0]
         d1, d2, t = work[:, :m]
         for d, (a00, a01, a11, b0, b1, c) in zip((d1, d2), coef):
-            # d = ((a00 z0 + a01 z1 + b0) z0) + ((a11 z1 + b1) z1) + c
-            np.multiply(z0, a00, out=d)
-            np.multiply(z1, a01, out=t)
-            d += t
-            d += b0
-            d *= z0
-            np.multiply(z1, a11, out=t)
-            t += b1
-            t *= z1
+            if a00 == a01 == a11 == 0.0:
+                np.multiply(z0, b0, out=d)
+                np.multiply(z1, b1, out=t)
+            else:
+                # d = ((a00 z0 + a01 z1 + b0) z0) + ((a11 z1 + b1) z1) + c
+                np.multiply(z0, a00, out=d)
+                np.multiply(z1, a01, out=t)
+                d += t
+                d += b0
+                d *= z0
+                np.multiply(z1, a11, out=t)
+                t += b1
+                t *= z1
             d += t
             d += c
         one, two = flags[0, :m], flags[1, :m]
@@ -226,7 +239,7 @@ def _classify_frame(blobs: IqBlobModel, frame: int, z: np.ndarray, out: np.ndarr
         np.greater(d1, 0.0, out=one.view(bool))
         np.maximum(d1, 0.0, out=t)
         np.greater(d2, t, out=two.view(bool))
-        two <<= 1
+        two += two      # 0 or 2
         np.maximum(one, two, out=out[start:start + m])
     return out
 

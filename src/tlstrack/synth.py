@@ -432,10 +432,12 @@ def _classified_counts(
     # both end where their labels go (they never meet, as n0 + n2 <= n);
     # state 1 fills z[n:] upwards and its labels go between the two
     z = np.empty((2 * n, 2))
-    prepared = np.empty((n_delays, 3), dtype=np.int64)
+    prepared = []
     top0, top1, bottom2 = 0, n, n
-    for i in range(n_delays):
-        n0, n1, n2 = prepared[i] = rng.multinomial(shots, p[i])
+    for row in p:
+        # Python ints, which slice faster than numpy scalars
+        n0, n1, n2 = drawn = rng.multinomial(shots, row).tolist()
+        prepared.append(drawn)
         rng.standard_normal(out=z[top0:top0 + n0])
         rng.standard_normal(out=z[top1:top1 + n1])
         rng.standard_normal(out=z[bottom2 - n2:bottom2])
@@ -444,12 +446,19 @@ def _classified_counts(
     _classify_frame(blobs, 1, z[:top0], labels[:top0])
     _classify_frame(blobs, 2, z[n:top1], labels[top0:bottom2])
     _classify_frame(blobs, 3, z[bottom2:n], labels[bottom2:])
-    # key = 3 * delay + label; the state-2 rows run from the last delay to the first
-    delay3 = 3 * np.arange(n_delays)
-    key = np.repeat(np.concatenate([delay3, delay3, delay3[::-1]]),
-                    np.concatenate([prepared[:, 0], prepared[:, 1], prepared[::-1, 2]]))
-    key += labels
-    return np.bincount(key, minlength=3 * n_delays).reshape(n_delays, 3)
+    # the labels form one run per (state, delay), state 2's from the last
+    # delay to the first; per run, the label sum is n1 + 2 n2 and the sum of
+    # label >> 1 is n2 (reduceat needs the empty runs left out)
+    prepared = np.array(prepared)
+    runs = np.concatenate([prepared[:, 0], prepared[:, 1], prepared[::-1, 2]])
+    filled = runs > 0
+    starts = (np.cumsum(runs) - runs)[filled]
+    sums = np.zeros((2, 3 * n_delays), dtype=np.int64)
+    sums[0, filled] = np.add.reduceat(labels, starts)
+    sums[1, filled] = np.add.reduceat(labels >> 1, starts)
+    sums = sums.reshape(2, 3, n_delays)
+    label_sum, twos = sums[:, 0] + sums[:, 1] + sums[:, 2, ::-1]
+    return np.column_stack([shots - label_sum + twos, label_sum - 2 * twos, twos])
 
 
 def synthesize_epoch(scenario: Scenario, epoch: int, rates: DecayRates) -> PopulationTrace:
@@ -486,18 +495,24 @@ def synthesize_experiment(
     return traces, confusion, truth
 
 
-def write_run_directory(scenario: Scenario, out_dir, jobs: int = 1) -> Path:
+def write_run_directory(scenario: Scenario, out_dir, jobs: int = 1) -> list[Path]:
     """Materialize a run: traces/epoch_XXXX.csv, confusion.json, truth.json,
     scenario.json, and the ground-truth lifetime series as truth_series.csv
-    (``fit-series`` writes the measured series.csv beside it)."""
+    (``fit-series`` writes the measured series.csv beside it).  Returns the
+    paths it wrote, in order; a file left in ``out_dir`` by an earlier run is
+    not among them."""
     out = Path(out_dir)
     traces, confusion, truth = synthesize_experiment(scenario, jobs=jobs)
     (out / "traces").mkdir(parents=True, exist_ok=True)
-    with open(out / "scenario.json", "w") as fh:
+    written = [out / name for name in ("scenario.json", "confusion.json", "truth.json",
+                                       "truth_series.csv")]
+    scenario_path, confusion_path, truth_path, series_path = written
+    with open(scenario_path, "w") as fh:
         json.dump(scenario_to_json_dict(scenario), fh, indent=1)
-    confusion.to_json(out / "confusion.json")
-    truth.to_json(out / "truth.json")
-    true_lifetime_series(scenario, truth).to_csv(out / "truth_series.csv")
+    confusion.to_json(confusion_path)
+    truth.to_json(truth_path)
+    true_lifetime_series(scenario, truth).to_csv(series_path)
     for e, trace in enumerate(traces):
-        trace.to_csv(out / "traces" / f"epoch_{e:04d}.csv")
-    return out
+        written.append(out / "traces" / f"epoch_{e:04d}.csv")
+        trace.to_csv(written[-1])
+    return written

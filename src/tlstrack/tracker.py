@@ -42,7 +42,6 @@ fast and slow channels contribute comparably.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -50,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DecayRates, ZERO_RATES, _Column, _read_csv
+from .dynamics import DecayRates, ZERO_RATES, _Column, _read_csv, _write_csv
 from .errors import InvalidParameterError, UndefinedCorrelationError
 from .optimize import FTOL, _damped_newton_2x2, _lm_loop
 from .tls import (DeviceFrequencies, TlsDefect, TlsParameterSet, lorentzian_density,
@@ -105,18 +104,12 @@ class LifetimeSeries:
         return 1.0 / self.t1e_us, 1.0 / self.t1f_us
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            header = ["timestamp_hr", "t1e_us", "t1f_us"]
-            if self.has_errors:
-                header += ["err_e", "err_f"]
-            w.writerow(header)
-            for i in range(self.n_epochs):
-                row = [repr(float(self.epochs_hr[i])), repr(float(self.t1e_us[i])),
-                       repr(float(self.t1f_us[i]))]
-                if self.has_errors:
-                    row += [repr(float(self.err_e_us[i])), repr(float(self.err_f_us[i]))]
-                w.writerow(row)
+        header = ["timestamp_hr", "t1e_us", "t1f_us"]
+        columns = [self.epochs_hr, self.t1e_us, self.t1f_us]
+        if self.has_errors:
+            header += ["err_e", "err_f"]
+            columns += [self.err_e_us, self.err_f_us]
+        _write_csv(path, header, zip(*(np.asarray(c, dtype=float).tolist() for c in columns)))
 
     @classmethod
     def from_csv(cls, path) -> "LifetimeSeries":
@@ -928,24 +921,14 @@ def reconstruct_trajectory(fit: TrackerFit, tls_index: int) -> list[tuple[float,
 
 def write_trajectory_csv(fit: TrackerFit, path) -> None:
     """Plot-ready long-format trajectory table (t_hr, tls, omega_mhz, gamma_mhz)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_hr", "tls", "omega_mhz", "gamma_mhz"])
-        for k in range(fit.model_order):
-            for t, omega, gamma in reconstruct_trajectory(fit, k):
-                w.writerow([repr(t), k, repr(omega), repr(gamma)])
+    _write_csv(path, ["t_hr", "tls", "omega_mhz", "gamma_mhz"],
+               [(t, k, omega, gamma) for k in range(fit.model_order)
+                for t, omega, gamma in reconstruct_trajectory(fit, k)])
 
 
 def write_correlation_csv(fit: TrackerFit, series: LifetimeSeries, path) -> None:
     """Measured vs. fitted lifetime pairs (t1e_us, t1f_us, t1e_fit_us, t1f_fit_us)."""
     g10, g21 = fit.fitted_rate_arrays()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t1e_us", "t1f_us", "t1e_fit_us", "t1f_fit_us"])
-        for i in range(series.n_epochs):
-            w.writerow([
-                repr(float(series.t1e_us[i])),
-                repr(float(series.t1f_us[i])),
-                repr(float(1.0 / g10[i])),
-                repr(float(1.0 / g21[i])),
-            ])
+    _write_csv(path, ["t1e_us", "t1f_us", "t1e_fit_us", "t1f_fit_us"],
+               zip(series.t1e_us.tolist(), series.t1f_us.tolist(),
+                   (1.0 / g10).tolist(), (1.0 / g21).tolist()))

@@ -176,6 +176,21 @@ class TestSimulate:
         for name in ("traces/epoch_0000.csv", "traces/epoch_0003.csv", "truth_series.csv"):
             assert (out1 / name).read_text() == (out2 / name).read_text()
 
+    def test_manifest_lists_only_files_written(self, tmp_path):
+        # a rerun into a used run directory lists neither the old manifest
+        # nor the fit-series outputs in run/fit
+        spath = write_scenario(tmp_path / "s.json", tiny_scenario())
+        out = tmp_path / "run"
+        argv = ["simulate", str(spath), "--out", str(out)]
+        assert main(argv) == 0
+        fresh = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert fresh == sorted(["scenario.json", "confusion.json", "truth.json",
+                                "truth_series.csv"]
+                               + [f"traces/epoch_{e:04d}.csv" for e in range(4)])
+        assert main(["fit-series", str(out), "--out", str(out / "fit")]) == 0
+        assert main(argv) == 0
+        assert json.loads((out / "manifest.json").read_text())["outputs"] == fresh
+
 
 class TestFitSeries:
     def test_outputs_and_oracle_chain(self, tmp_path):

@@ -1,5 +1,10 @@
+import csv
+import io
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from tlstrack.dynamics import (
@@ -7,6 +12,10 @@ from tlstrack.dynamics import (
     HeatingRates,
     PopulationState,
     PopulationTrace,
+    _Column,
+    _int64,
+    _read_csv,
+    _write_csv,
     bosonic_ratio,
     closed_form_populations,
     closed_form_trace,
@@ -185,6 +194,15 @@ class TestTraceSerialization:
         trace.to_csv(path)
         assert PopulationTrace.from_csv(path).shots is None
 
+    @pytest.mark.parametrize("shots", [True, False])
+    def test_trace_bytes_of_csv_writer(self, tmp_path, shots):
+        trace = self.make_trace(shots)
+        trace.to_csv(tmp_path / "trace.csv")
+        rows = [[repr(float(t)), *map(repr, p.tolist()), int(n) if shots else ""]
+                for t, p, n in zip(trace.delays, trace.populations, np.full(12, 2000))]
+        assert (tmp_path / "trace.csv").read_bytes() == csv_writer_bytes(
+            ["delay_us", "p0", "p1", "p2", "shots"], rows)
+
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             PopulationTrace(np.array([2.0, 1.0]), np.zeros((2, 3)))
@@ -194,6 +212,50 @@ class TestTraceSerialization:
             PopulationTrace(np.array([0.0, 1.0]), np.zeros((3, 3)))
         with pytest.raises(InvalidParameterError):
             PopulationTrace(np.array([0.0, 1.0]), np.zeros((2, 3)), np.array([0, 5]))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+def csv_writer_bytes(header, rows):
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().encode()
+
+
+class TestWriteCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(FINITE | st.integers() | st.none(), min_size=2, max_size=2),
+                    max_size=20).map(lambda rows: [tuple(r) for r in rows]))
+    @example([(-0.0, 5e-324), (1e308, -1e308), (None, 3), (2, None), (None, None),
+              (0.1, -2**70)])
+    def test_bytes_of_csv_writer(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        _write_csv(path, ["a", "b"], rows)
+        assert path.read_bytes() == csv_writer_bytes(["a", "b"], rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 20).flatmap(lambda n: st.tuples(
+        st.lists(FINITE, min_size=n, max_size=n),
+        st.lists(INT64, min_size=n, max_size=n),
+        st.none() | st.lists(FINITE, min_size=n, max_size=n))))
+    @example(([-0.0, 5e-324, 1e308], [0, -2**63, 2**63 - 1], None))
+    def test_reads_back_through_read_csv(self, tmp_path_factory, columns):
+        x, k, opt = columns
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        _write_csv(path, ["x", "k", "opt"], zip(x, k, [None] * len(x) if opt is None else opt))
+        spec = [_Column("x"), _Column("k", _int64, expected="an integer"),
+                _Column("opt", required=False)]
+        got_x, got_k, got_opt = _read_csv(path, spec, lambda *cols: cols)
+        assert np.asarray(x).tobytes() == got_x.tobytes()    # -0.0 keeps its sign
+        assert got_k.tolist() == k
+        if opt is None:
+            assert got_opt is None
+        else:
+            assert np.asarray(opt).tobytes() == got_opt.tobytes()
 
 
 def test_closed_form_trace_helper():

@@ -22,6 +22,7 @@ from tlstrack.readout import (
     simulate_confusion_matrix,
     _classify_frame,
 )
+from tlstrack.synth import bundled_scenario
 
 ISO = np.repeat(np.eye(2)[None, :, :], 3, axis=0)
 
@@ -200,6 +201,71 @@ def test_sample_blob_is_elementwise(n):
     expected = [[mx + l00 * a, my + (l10 * a + l11 * b)] for a, b in z.tolist()]
     assert points.shape == (n, 2) and np.array_equal(points, expected)
     assert np.array_equal(points[0], sample_blob(CORRELATED, 2, 1, np.random.default_rng(n))[0])
+
+
+def assert_frames_match_reference(blobs, seed, n):
+    """In every frame, ``_classify_frame`` of n standard-normal rows gives
+    the argmax of the einsum log-likelihoods of the points the rows form:
+    the rows themselves (scaled) in frame 0, blob k's samples in frame k + 1."""
+    z = np.random.default_rng(seed).standard_normal((n, 2))
+    for frame in range(4):
+        if frame == 0:
+            points = 3.0 * z
+        else:
+            points = sample_blob(blobs, frame - 1, n, np.random.default_rng(seed))
+        got = _classify_frame(blobs, frame, points if frame == 0 else z,
+                              np.empty(n, dtype=np.intp))
+        assert np.array_equal(got, np.argmax(einsum_log_likelihoods(blobs, points), axis=1))
+
+
+# means on an axis, symmetric about one or of equal norm, so that under an
+# isotropic covariance some linear coefficients or constants are exactly 0
+# (all of them -0.0 as the model computes them)
+ZERO_COEFFICIENT_MEANS = [
+    [[0.0, 0.0], [2.0, 0.0], [-2.0, 0.0]],
+    [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+    [[0.0, 1.0], [0.0, -1.0], [2.0, 0.0]],
+    [[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]],
+]
+
+
+class TestLinearPath:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        blob_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        hand=st.sampled_from([None, *range(len(ZERO_COEFFICIENT_MEANS))]),
+        n=st.sampled_from([1, 7, 300, 20_000]),
+    )
+    def test_equal_covariances_match_reference(self, blob_seed, seed, hand, n):
+        # one shared covariance: random SPD with random means, or isotropic
+        # with hand-picked means; 20,000 rows cross a block boundary
+        rng = np.random.default_rng(blob_seed)
+        if hand is None:
+            a = rng.normal(size=(2, 2))
+            means, cov = rng.normal(scale=2.0, size=(3, 2)), a @ a.T + 0.05 * np.eye(2)
+        else:
+            means, cov = np.array(ZERO_COEFFICIENT_MEANS[hand]), rng.uniform(0.3, 2.0) * np.eye(2)
+        blobs = IqBlobModel(means, np.repeat(cov[None], 3, axis=0))
+        assert not blobs._discriminants[..., :3].any()
+        if hand is not None:
+            assert (blobs._discriminants[..., 3:] == 0.0).any()
+        assert_frames_match_reference(blobs, seed, n)
+
+    @pytest.mark.parametrize("name", ["device_A", "device_B"])
+    def test_bundled_blobs_are_linear_in_every_frame(self, name):
+        blobs = bundled_scenario(name).blobs
+        assert blobs._discriminants.shape == (4, 2, 6)
+        assert not blobs._discriminants[..., :3].any()
+
+    @pytest.mark.parametrize("radius,sigma", [(0.4, 1.0), (1.8148436104016574, 1.0), (3.0, 0.2)])
+    def test_equilateral_blobs_are_linear_in_every_frame(self, radius, sigma):
+        assert not equilateral_blobs(radius, sigma)._discriminants[..., :3].any()
+
+    def test_unequal_covariances_stay_quadratic(self):
+        # every discriminant of CORRELATED has a quadratic term in every frame
+        assert CORRELATED._discriminants[..., :3].any(axis=-1).all()
+        assert_frames_match_reference(CORRELATED, 11, 20_000)
 
 
 class TestConfusionSimulation:

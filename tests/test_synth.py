@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,12 +242,17 @@ class TestEpochSamplerProperty:
         n_delays=st.integers(1, 12),
         t1e=st.floats(5.0, 500.0),
         t1f=st.floats(5.0, 500.0),
+        shared=st.booleans(),
     )
-    def test_matches_per_state_reference(self, blob_seed, seed, shots, n_delays, t1e, t1f):
-        # delay 0 prepares |2> only, so states 0 and 1 draw no shots there
+    def test_matches_per_state_reference(self, blob_seed, seed, shots, n_delays, t1e, t1f,
+                                         shared):
+        # delay 0 prepares |2> only, so states 0 and 1 draw no shots there;
+        # blobs that share one covariance are classified by linear discriminants
         delays = np.concatenate([[0.0], np.geomspace(0.5, 900.0, n_delays)])
         rates = DecayRates(1.0 / t1e, 1.0 / t1f)
         blobs = random_spd_blobs(blob_seed)
+        if shared:
+            blobs = IqBlobModel(blobs.means, np.repeat(blobs.covariances[:1], 3, axis=0))
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = _sample_epoch_trace(delays, rates, shots, blobs, False, got_rng)
         expected = reference_epoch_trace(delays, rates, shots, blobs, ref_rng)
@@ -277,7 +283,8 @@ def run_digest(name, out_dir, epochs=6):
     sc.epochs = epochs
     if variant:
         sc.blobs = CORRELATED_BLOBS
-    out = write_run_directory(sc, out_dir)
+    out = Path(out_dir)
+    write_run_directory(sc, out)
     h = hashlib.sha256()
     for path in [out / "confusion.json", *sorted((out / "traces").glob("epoch_*.csv"))]:
         h.update(path.relative_to(out).as_posix().encode() + b"\0")
@@ -371,7 +378,9 @@ class TestBundledScenarios:
 class TestRunDirectory:
     def test_layout(self, tmp_path):
         sc = small_scenario(epochs=3)
-        out = write_run_directory(sc, tmp_path / "run")
+        out = tmp_path / "run"
+        written = write_run_directory(sc, out)
+        assert sorted(written) == sorted(p for p in out.rglob("*") if p.is_file())
         assert (out / "confusion.json").exists()
         assert (out / "truth.json").exists()
         assert (out / "truth_series.csv").exists()
