@@ -210,11 +210,10 @@ def assert_frames_match_reference(blobs, seed, n):
     z = np.random.default_rng(seed).standard_normal((n, 2))
     for frame in range(4):
         if frame == 0:
-            points = 3.0 * z
+            rows = points = 3.0 * z
         else:
-            points = sample_blob(blobs, frame - 1, n, np.random.default_rng(seed))
-        got = _classify_frame(blobs, frame, points if frame == 0 else z,
-                              np.empty(n, dtype=np.intp))
+            rows, points = z, sample_blob(blobs, frame - 1, n, np.random.default_rng(seed))
+        got = _classify_frame(blobs, frame, rows, np.empty(n, dtype=np.intp))
         assert np.array_equal(got, np.argmax(einsum_log_likelihoods(blobs, points), axis=1))
 
 
