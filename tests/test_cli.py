@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -23,9 +24,11 @@ from tlstrack.synth import (
     DriftProcess,
     Scenario,
     TlsTruth,
+    bundled_scenario,
     scenario_to_json_dict,
     true_lifetime_series,
     generate_trajectories,
+    write_run_directory,
 )
 from tlstrack.tls import DeviceFrequencies
 from tlstrack.tracker import LifetimeSeries, TrackerConfig
@@ -334,6 +337,46 @@ class TestFitSeries:
                 np.abs(np.concatenate([s.t1e_us - truth.t1e_us, s.t1f_us - truth.t1f_us]))
             )
         assert err["on"] < err["off"]
+
+
+def fit_digest(name, tmp_path, epochs=6):
+    """SHA-256 over fits.json and series.csv of ``fit-series`` on a short
+    synthesis of a bundled scenario at its bundled seed.  ``name`` is the
+    scenario, then any ``fit-series`` flags."""
+    scenario, *flags = name.split()
+    sc = bundled_scenario(scenario)
+    sc.epochs = epochs
+    run = tmp_path / "run"
+    write_run_directory(sc, run)
+    assert main(["fit-series", str(run), *flags]) == 0
+    h = hashlib.sha256()
+    for file in ("fits.json", "series.csv"):
+        h.update(file.encode() + b"\0")
+        h.update((run / file).read_bytes())
+    return h.hexdigest()
+
+
+# recorded before fit-series read, mitigated and fitted the run as stacked
+# arrays; like the synthesis digests they assume the same numpy and BLAS build
+FIT_DIGESTS = {
+    "device_A":
+        "deb6c4f35d4aee6d68507a50758897a24b10f93b1eee6cee0c87458d94d79936",
+    "device_A --no-mitigation":
+        "def550ca975a11cadedd145d570910f0e86fb97b614b95a17a6709bcdd172eec",
+    "device_A --weighting binomial":
+        "b399f714021cd5937a8f8bdba4fbb416953d0f821e42abc54f52731a214bc5db",
+    "device_B":
+        "e7696bba03f085a5e582ca0e85edd4649b48a0b03127ab794f28bed1243f4e99",
+    "device_B --no-mitigation":
+        "05cfa2a0ddcf789644f01da7e4ad0a18f7adbde0d7cfc8fd01642382a9f3113a",
+    "device_B --weighting binomial":
+        "8dc6004a471e47fe87fedf8cc58b075d16ba2e236eea7982cfc3002907212fed",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIT_DIGESTS))
+def test_fit_outputs_match_golden_digest(name, tmp_path):
+    assert fit_digest(name, tmp_path) == FIT_DIGESTS[name]
 
 
 class TestTrack:
