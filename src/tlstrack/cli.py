@@ -19,17 +19,17 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .dynamics import DecayRates, PopulationTrace
+from .dynamics import DecayRates, read_traces
 from .errors import (
     InvalidParameterError,
     ScenarioSchemaError,
     TlstrackError,
     UndefinedCorrelationError,
 )
-from .readout import ConfusionMatrix, mitigate_trace
+from .readout import ConfusionMatrix, mitigate_stack
 from .synth import bundled_scenario_path, scenario_from_json_dict, write_run_directory
 from .tls import DeviceFrequencies
-from .trace_fit import fit_traces
+from .trace_fit import fit_stack
 from .tracker import (
     LifetimeSeries,
     TrackerConfig,
@@ -209,12 +209,11 @@ def cmd_fit_series(args, config: dict) -> int:
             f"{scenario_path}: epoch_spacing_hr: expected a finite number > 0, got {spacing!r}"
         )
 
-    traces = []
-    for path in trace_files:
-        trace = PopulationTrace.from_csv(path)
-        traces.append(trace if confusion is None else mitigate_trace(confusion, trace))
-    # every trace is fitted in one batched solve
-    fits = [fit.to_json_dict() for fit in fit_traces(traces, weighting)]
+    # the run travels as one stack of rows: read, mitigated and fitted at once
+    stack = read_traces(trace_files)
+    if confusion is not None:
+        stack = mitigate_stack(confusion, stack)
+    fits = [fit.to_json_dict() for fit in fit_stack(stack, weighting)]
     unconverged = [i for i, fit in enumerate(fits) if not fit["converged"]]
 
     out = _resolve_out(args.out, run_dir)

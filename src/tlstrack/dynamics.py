@@ -165,16 +165,54 @@ class PopulationTrace:
 
     @classmethod
     def from_csv(cls, path) -> "PopulationTrace":
-        """Read a trace written by :meth:`to_csv` through :func:`_read_csv`.
+        """Read a trace written by :meth:`to_csv`: :func:`read_traces` of
+        the one file.
 
         ``delay_us``, ``p0``, ``p1`` and ``p2`` must be finite numbers; the
         ``shots`` column is optional, and where present every row gives an
         integer or every row leaves it blank.
         """
-        columns = [_Column(name) for name in ("delay_us", "p0", "p1", "p2")]
-        columns.append(_Column("shots", _int64, expected="an integer", required=False))
-        return _read_csv(path, columns, lambda t, p0, p1, p2, shots: cls(
-            t, np.column_stack([p0, p1, p2]), shots))
+        return read_traces([path]).trace(0)
+
+
+class TraceStack(NamedTuple):
+    """A run's traces stacked row by row, in trace order.
+
+    ``delays`` (m,), ``populations`` (m, 3) and ``shots`` (m,) hold the
+    rows of every trace, and ``lengths`` (k,) the number of rows of each.
+    ``shots`` is 0 on every row of a trace without shot counts, since a
+    count is at least 1.  Traces of equal length n are the (k, n) and
+    (k, n, 3) arrays of these rows, reshaped.
+    """
+
+    delays: np.ndarray
+    populations: np.ndarray
+    shots: np.ndarray
+    lengths: np.ndarray
+
+    @classmethod
+    def from_traces(cls, traces: Sequence[PopulationTrace]) -> "TraceStack":
+        traces = list(traces)
+        return cls(
+            np.concatenate([np.empty(0), *(t.delays for t in traces)]),
+            np.concatenate([np.empty((0, 3)), *(t.populations for t in traces)]),
+            np.concatenate([np.empty(0, dtype=np.int64), *(
+                np.zeros(len(t), dtype=np.int64) if t.shots is None else t.shots
+                for t in traces)]),
+            np.array([len(t) for t in traces], dtype=np.intp),
+        )
+
+    @property
+    def starts(self) -> np.ndarray:
+        """The first row of each trace."""
+        return np.cumsum(self.lengths) - self.lengths
+
+    def trace(self, i: int) -> PopulationTrace:
+        """Trace ``i``; its arrays are views of the stack's."""
+        start, stop = int(self.starts[i]), int(self.starts[i] + self.lengths[i])
+        shots = self.shots[start:stop]
+        return PopulationTrace(self.delays[start:stop], self.populations[start:stop],
+                               shots if shots.any() else None)
 
 
 def _int64(text: str) -> int:
@@ -230,34 +268,13 @@ def _read_csv(path, columns: Sequence[_Column], build):
     row and in ``columns`` order within a row.  So does an
     ``InvalidParameterError`` of ``build``, prefixed with the file.
     """
-    # bytes that are not UTF-8 read as U+FFFD, so such a cell is not a number
-    with open(path, newline="", errors="replace") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-            rows = [(reader.line_num, *row) for row in reader if row]
-        except csv.Error as err:     # a cell over the csv module's field limit
-            raise InvalidParameterError(f"{path}: line {reader.line_num}: {err}") from None
-    # the line numbers, then the columns that every row reaches
-    table = list(zip(*rows))
+    lines, cells = _csv_cells(path, columns)
     values, bad = [], []
-    for j, col in enumerate(columns):
-        if header.count(col.name) > 1:
-            raise InvalidParameterError(f"{path}: line 1: repeated column {col.name!r}")
-        if col.name not in header:
-            if col.required:
-                raise InvalidParameterError(f"{path}: line 1: missing column {col.name!r}")
-            values.append(None)
+    for j, (col, texts) in enumerate(zip(columns, cells)):
+        v = None if texts is None else _parse_column(col, texts)
+        values.append(v)
+        if v is None:
             continue
-        i = header.index(col.name) + 1
-        texts = table[i] if i < len(table) else [row[i] if i < len(row) else "" for row in rows]
-        if not col.required and not any(texts):
-            values.append(None)
-            continue
-        try:
-            v = np.array(list(map(col.parse, texts)))
-        except ValueError:
-            v = np.array([_parsed(col.parse, text) for text in texts], dtype=float)
         ok = col.ok(v)
         if not ok.all():
             k = int(np.argmin(ok))
@@ -269,14 +286,98 @@ def _read_csv(path, columns: Sequence[_Column], build):
                 # a partly blank optional column would silently drop it
                 message = f"{col.name} is blank but other rows have it"
             bad.append((k, j, message))
-        values.append(v)
     if bad:
         k, _, message = min(bad)
-        raise InvalidParameterError(f"{path}: line {table[0][k]}: {message}")
+        raise InvalidParameterError(f"{path}: line {lines[k]}: {message}")
     try:
         return build(*values)
     except InvalidParameterError as err:
         raise InvalidParameterError(f"{path}: {err}") from None
+
+
+def _csv_cells(path, columns: Sequence[_Column]):
+    """The line number of each row of a CSV file and, per column, the texts
+    of its cells, or ``None`` for an optional column that is absent or blank
+    on every row.  Raises :func:`_read_csv`'s faults of the header and of
+    lines the csv module cannot split."""
+    # bytes that are not UTF-8 read as U+FFFD, so such a cell is not a number
+    with open(path, newline="", errors="replace") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            rows = [(reader.line_num, *row) for row in reader if row]
+        except csv.Error as err:     # a cell over the csv module's field limit
+            raise InvalidParameterError(f"{path}: line {reader.line_num}: {err}") from None
+    # the line numbers, then the columns that every row reaches
+    table = list(zip(*rows))
+    cells = []
+    for col in columns:
+        if header.count(col.name) > 1:
+            raise InvalidParameterError(f"{path}: line 1: repeated column {col.name!r}")
+        if col.name not in header:
+            if col.required:
+                raise InvalidParameterError(f"{path}: line 1: missing column {col.name!r}")
+            cells.append(None)
+            continue
+        i = header.index(col.name) + 1
+        texts = table[i] if i < len(table) else [row[i] if i < len(row) else "" for row in rows]
+        cells.append(texts if col.required or any(texts) else None)
+    return (table[0] if table else ()), cells
+
+
+def _parse_column(col: _Column, texts) -> np.ndarray:
+    """``col.parse`` of every cell, NaN where it fails."""
+    try:
+        return np.array(list(map(col.parse, texts)))
+    except ValueError:
+        return np.array([_parsed(col.parse, text) for text in texts], dtype=float)
+
+
+#: The columns of a trace file.
+_TRACE_COLUMNS = [_Column(name) for name in ("delay_us", "p0", "p1", "p2")] + [
+    _Column("shots", _int64, expected="an integer", required=False)]
+
+
+def read_traces(paths) -> TraceStack:
+    """The trace files ``paths``, stacked in order.
+
+    Each file is parsed to numbers as it is read, and the checks of
+    :func:`_read_csv` and of :class:`PopulationTrace` run once over the
+    whole stack; a row is compared only with rows of its own file.  If any
+    file is faulty, the first faulty one in order raises what
+    :func:`_read_csv` raises for it, naming the file, line and column.
+    """
+    paths = list(paths)
+    parts, has_shots = [], []
+    for path in paths:
+        try:
+            _, cells = _csv_cells(path, _TRACE_COLUMNS)
+        except InvalidParameterError:
+            break
+        # only shots may be None, and reads as 0 on every row
+        parts.append([np.zeros(len(cells[0]), dtype=np.int64) if texts is None
+                      else _parse_column(col, texts) for col, texts in zip(_TRACE_COLUMNS, cells)])
+        has_shots.append(cells[-1] is not None)
+    columns = ([np.concatenate(part) for part in zip(*parts)]
+               or [np.empty(0)] * 4 + [np.empty(0, dtype=np.int64)])
+    lengths = np.array([len(part[0]) for part in parts], dtype=np.intp)
+    stack = TraceStack(columns[0], np.column_stack(columns[1:4]), columns[4], lengths)
+    # the checks of _read_csv and of PopulationTrace, row by row; a shots
+    # column that failed to parse holds NaN, and then also fails them
+    bad = ~np.all([col.ok(v) for col, v in zip(_TRACE_COLUMNS, columns)], axis=0)
+    bad |= np.repeat(np.array(has_shots, dtype=bool), lengths) & ~(stack.shots >= 1)
+    first = stack.starts[lengths > 0]
+    rising = np.append(-np.inf, stack.delays[:-1]) < stack.delays
+    rising[first] = stack.delays[first] >= 0.0
+    bad |= ~rising
+    faulty = np.unique(np.repeat(np.arange(len(parts)), lengths)[bad]).tolist()
+    if len(parts) < len(paths):
+        faulty.append(len(parts))     # a file whose header or lines did not read
+    for i in faulty:
+        # the per-file reader names the fault
+        _read_csv(paths[i], _TRACE_COLUMNS, lambda t, p0, p1, p2, shots: PopulationTrace(
+            t, np.column_stack([p0, p1, p2]), shots))
+    return stack
 
 
 def _parsed(parse, text: str) -> float:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import PopulationState, PopulationTrace
+from .dynamics import PopulationState, PopulationTrace, TraceStack
 from .errors import InvalidParameterError, MitigationUnstableError
 
 CONFUSION_SCHEMA_VERSION = 1
@@ -184,8 +184,16 @@ def classify(blobs: IqBlobModel, point: Sequence[float]) -> int:
 
 
 def classify_points(blobs: IqBlobModel, points: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`classify` over an (n, 2) array of points."""
+    """Vectorized :func:`classify` over an (n, 2) array of points.
+
+    A point with a NaN or infinite coordinate has no likelihood to compare
+    and raises ``InvalidParameterError`` naming the first such row.
+    """
     points = np.asarray(points, dtype=float).reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise InvalidParameterError(
+            f"points must be finite, got {points[bad[0]].tolist()} at row {bad[0]}")
     return _classify_frame(blobs, 0, points, np.empty(points.shape[0], dtype=np.intp))
 
 
@@ -410,7 +418,27 @@ def mitigate_trace(m: ConfusionMatrix, trace: PopulationTrace, clip: bool = True
     """Apply :func:`mitigate` to every delay point of a trace, checking the
     matrix's condition number once."""
     _require_stable(m)
-    _require_finite(trace.populations, "observed")
-    corrected = _solve_and_clip(m, trace.populations, clip)
+    return PopulationTrace(trace.delays.copy(), _mitigated(m, trace.populations, clip),
+                           None if trace.shots is None else trace.shots.copy())
+
+
+def mitigate_stack(m: ConfusionMatrix, stack: TraceStack, clip: bool = True) -> TraceStack:
+    """:func:`mitigate_trace` of every trace of a stack, with one solve over
+    all its rows; each row is solved on its own, so the bits are the same.
+    The first trace that :func:`mitigate_trace` refuses raises its error."""
+    _require_stable(m)
+    try:
+        return stack._replace(populations=_mitigated(m, stack.populations, clip))
+    except InvalidParameterError:
+        for start, n in zip(stack.starts, stack.lengths):
+            _mitigated(m, stack.populations[start:start + n], clip)
+        raise
+
+
+def _mitigated(m: ConfusionMatrix, observed: np.ndarray, clip: bool) -> np.ndarray:
+    """The rows of ``observed`` (n, 3) mitigated; a non-finite row, before
+    or after, raises naming its delay point."""
+    _require_finite(observed, "observed")
+    corrected = _solve_and_clip(m, observed, clip)
     _require_finite(corrected, "mitigated")
-    return PopulationTrace(trace.delays.copy(), corrected, None if trace.shots is None else trace.shots.copy())
+    return corrected

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -486,6 +485,9 @@ def synthesize_experiment(
     confusion = scenario.confusion_matrix()
     args = [(scenario, e, float(g10[e]), float(g21[e])) for e in range(scenario.epochs)]
     if jobs > 1 and scenario.epochs > 1:
+        # imported here so that importing the CLI does not load the process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_epoch_worker, args, chunksize=8))
         results.sort(key=lambda pair: pair[0])
@@ -499,11 +501,16 @@ def write_run_directory(scenario: Scenario, out_dir, jobs: int = 1) -> list[Path
     """Materialize a run: traces/epoch_XXXX.csv, confusion.json, truth.json,
     scenario.json, and the ground-truth lifetime series as truth_series.csv
     (``fit-series`` writes the measured series.csv beside it).  Returns the
-    paths it wrote, in order; a file left in ``out_dir`` by an earlier run is
-    not among them."""
+    paths it wrote, in order.  A trace file ``traces/epoch_*.csv`` that an
+    earlier run left in ``out_dir`` is deleted unless this run rewrites it,
+    so the directory holds one run's traces; other files are left alone."""
     out = Path(out_dir)
     traces, confusion, truth = synthesize_experiment(scenario, jobs=jobs)
     (out / "traces").mkdir(parents=True, exist_ok=True)
+    names = {f"epoch_{e:04d}.csv" for e in range(len(traces))}
+    for stale in (out / "traces").glob("epoch_*.csv"):
+        if stale.name not in names:
+            stale.unlink()
     written = [out / name for name in ("scenario.json", "confusion.json", "truth.json",
                                        "truth_series.csv")]
     scenario_path, confusion_path, truth_path, series_path = written

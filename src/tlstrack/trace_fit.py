@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import DecayRates, PopulationTrace, _cascade
+from .dynamics import DecayRates, PopulationTrace, TraceStack, _cascade
 from .errors import FitDivergedError, InvalidParameterError
 from .optimize import _damped_newton_2x2
 
@@ -136,8 +136,17 @@ def fit_traces(
     weighting: str = "uniform",
     max_iterations: int = 500,
 ) -> list[TraceFit]:
+    """The fits of :func:`fit_stack` for a list of traces."""
+    return fit_stack(TraceStack.from_traces(traces), weighting, max_iterations)
+
+
+def fit_stack(
+    stack: TraceStack,
+    weighting: str = "uniform",
+    max_iterations: int = 500,
+) -> list[TraceFit]:
     """Simultaneous fit of p0, p1, p2 to the closed-form cascade model, for
-    every trace at once.
+    every trace of a stack at once.
 
     ``weighting`` is "uniform" or "binomial"; the latter weights each point
     by 1/max(sigma, 1e-3) with sigma^2 = p(1-p)/shots and requires every
@@ -147,26 +156,35 @@ def fit_traces(
     rather than raised.  A non-finite trial residual raises
     ``FitDivergedError`` naming the lowest-index trace that met one.
     """
-    traces = list(traces)
     if weighting not in ("uniform", "binomial"):
         raise InvalidParameterError(f"unknown weighting mode {weighting!r}")
-    for i, trace in enumerate(traces):
-        if len(trace) < 5:
+    lengths = stack.lengths
+    k = lengths.size
+    trace_of_row = np.repeat(np.arange(k), lengths)
+    short = lengths < 5
+    unshot = (weighting == "binomial") & (
+        np.bincount(trace_of_row[stack.shots == 0], minlength=k) > 0)
+    infinite = np.bincount(trace_of_row[~np.isfinite(stack.populations).all(axis=1)],
+                           minlength=k) > 0
+    bad = np.flatnonzero(short | unshot | infinite)
+    if bad.size:
+        i = bad[0]
+        if short[i]:
             raise InvalidParameterError(
-                f"trace {i}: need at least 5 delay points, got {len(trace)}")
-        if weighting == "binomial" and trace.shots is None:
+                f"trace {i}: need at least 5 delay points, got {lengths[i]}")
+        if unshot[i]:
             raise InvalidParameterError(
                 f"trace {i}: binomial weighting requires per-point shot counts")
-        if not np.all(np.isfinite(trace.populations)):
-            raise InvalidParameterError(f"trace {i}: populations must be finite")
+        raise InvalidParameterError(f"trace {i}: populations must be finite")
 
-    fits: list = [None] * len(traces)
+    fits: list = [None] * k
     diverged = []
-    lengths = [len(trace) for trace in traces]
-    for n in sorted(set(lengths)):
-        group = [i for i, length in enumerate(lengths) if length == n]
-        group_fits, failed = _fit_equal_length([traces[i] for i in group], weighting,
-                                              max_iterations)
+    starts = stack.starts
+    for n in np.unique(lengths):
+        group = np.flatnonzero(lengths == n)
+        rows = starts[group, None] + np.arange(n)
+        group_fits, failed = _fit_equal_length(stack.delays[rows], stack.populations[rows],
+                                              stack.shots[rows], weighting, max_iterations)
         for i, fit in zip(group, group_fits):
             fits[i] = fit
         diverged += [(group[j], rates) for j, rates in failed]
@@ -177,25 +195,26 @@ def fit_traces(
     return fits
 
 
-def _weights(trace: PopulationTrace, weighting: str) -> np.ndarray:
+def _weights(populations: np.ndarray, shots: np.ndarray, weighting: str) -> np.ndarray:
+    """Per-point weights of populations (..., 3) with shot counts (...)."""
     if weighting == "uniform":
-        return np.ones_like(trace.populations)
-    p = np.clip(trace.populations, 0.0, 1.0)
-    sigma = np.sqrt(p * (1.0 - p) / trace.shots[:, None])
+        return np.ones_like(populations)
+    p = np.clip(populations, 0.0, 1.0)
+    sigma = np.sqrt(p * (1.0 - p) / shots[..., None])
     return 1.0 / np.maximum(sigma, SIGMA_FLOOR)
 
 
-def _fit_equal_length(traces: list[PopulationTrace], weighting: str, max_iterations: int):
-    """Batched fit of traces with equal point counts.
+def _fit_equal_length(t: np.ndarray, data: np.ndarray, shots: np.ndarray, weighting: str,
+                      max_iterations: int):
+    """Batched fit of traces with equal point counts: delays ``t`` (k, n),
+    populations ``data`` (k, n, 3) and shot counts ``shots`` (k, n).
 
     Residual rows are laid out (trace, delay, level) and every sum runs
     along a contiguous row, so a trace's reductions are the same for any
     batch.  Returns the fits and, for each trace whose trial residual turned
     non-finite, its position and the first such trial rates.
     """
-    t = np.stack([trace.delays for trace in traces])
-    data = np.stack([trace.populations for trace in traces])
-    weights = np.stack([_weights(trace, weighting) for trace in traces])
+    weights = _weights(data, shots, weighting)
     x0 = _initial_rates(t, data)
     rows = 3 * t.shape[1]
     failed: dict[int, np.ndarray] = {}
@@ -218,7 +237,7 @@ def _fit_equal_length(traces: list[PopulationTrace], weighting: str, max_iterati
 
     x, (r,), cost, iterations, converged = _damped_newton_2x2(
         x0, RATE_LOWER, RATE_UPPER, residuals, linearise, max_iterations)
-    err = _cluster_robust_errors(*jacobian(x, np.arange(len(traces))), r)
+    err = _cluster_robust_errors(*jacobian(x, np.arange(t.shape[0])), r)
     fits = [
         TraceFit(
             rates=DecayRates(float(x[0, i]), float(x[1, i])),
@@ -228,7 +247,7 @@ def _fit_equal_length(traces: list[PopulationTrace], weighting: str, max_iterati
             converged=bool(converged[i]),
             iterations=int(iterations[i]),
         )
-        for i in range(len(traces))
+        for i in range(t.shape[0])
     ]
     return fits, sorted(failed.items())
 

@@ -195,6 +195,17 @@ class TestSimulate:
         assert json.loads((out / "manifest.json").read_text())["outputs"] == fresh
 
 
+    def test_rerun_with_fewer_epochs_leaves_no_stale_traces(self, tmp_path):
+        out = tmp_path / "run"
+        for epochs in (6, 3):
+            spath = write_scenario(tmp_path / "s.json", tiny_scenario(epochs=epochs))
+            assert main(["simulate", str(spath), "--out", str(out)]) == 0
+        assert sorted(p.name for p in (out / "traces").iterdir()) == \
+            [f"epoch_{e:04d}.csv" for e in range(3)]
+        assert main(["fit-series", str(out)]) == 0
+        assert len(json.loads((out / "fits.json").read_text())["fits"]) == 3
+
+
 class TestFitSeries:
     def test_outputs_and_oracle_chain(self, tmp_path):
         # exact populations and no readout noise: fitted series must match
@@ -282,9 +293,9 @@ class TestFitSeries:
         assert doc_of()["unconverged_epochs"] == []
         assert "flagged" not in capsys.readouterr().out
         # one iteration leaves every trace unconverged
-        capped = cli.fit_traces
-        monkeypatch.setattr(cli, "fit_traces",
-                            lambda traces, weighting: capped(traces, weighting, 1))
+        capped = cli.fit_stack
+        monkeypatch.setattr(cli, "fit_stack",
+                            lambda stack, weighting: capped(stack, weighting, 1))
         assert main(["fit-series", str(run_dir)]) == 0
         doc = doc_of()
         assert doc["unconverged_epochs"] == [0, 1, 2, 3]
@@ -625,13 +636,23 @@ class TestTrack:
         assert doc["information_score"] == doc["model_scores"]["1"] <= floor
 
 
-def test_cli_import_does_not_load_scipy():
+def loaded_after_cli_import(prefix: str) -> str:
+    """The modules under ``prefix`` that a fresh ``import tlstrack.cli`` loads."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys, tlstrack.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if (m + '.').startswith({prefix!r} + '.')))")
     done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy():
+    assert loaded_after_cli_import("scipy") == "[]"
+
+
+def test_cli_import_does_not_load_process_pool():
+    # only simulate --jobs above 1 starts worker processes
+    assert loaded_after_cli_import("concurrent.futures.process") == "[]"
 
 
 class TestCorrelate:
@@ -681,7 +702,7 @@ class TestConfigPrecedence:
             raise AssertionError("a worker pool was started")
 
         # simulate is the one command that starts worker processes
-        monkeypatch.setattr("tlstrack.synth.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         spath = write_scenario(tmp_path / "s.json", tiny_scenario())
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"jobs": jobs}))
@@ -696,7 +717,7 @@ class TestConfigPrecedence:
         def no_read(*args, **kwargs):
             raise AssertionError("a trace was read")
 
-        monkeypatch.setattr("tlstrack.cli.PopulationTrace.from_csv", no_read)
+        monkeypatch.setattr("tlstrack.cli.read_traces", no_read)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"weighting": "fancy"}))
         assert main(["fit-series", str(run_dir), "--config", str(cfg)]) == 2
@@ -954,17 +975,28 @@ class TestMalformedTable:
     def test_malformed_table_exit_2(self, cli_inputs, tmp_path, table, damage):
         edit, where = _TABLE_DAMAGE[damage]
         if table == "trace":
-            run = tmp_path / "run"
-            shutil.copytree(cli_inputs["run"], run)
-            path = run / "traces" / "epoch_0002.csv"
-            inputs, commands = {**cli_inputs, "run": run}, ["fit-series"]
+            # the damaged file first, not first, and before a file with any
+            # damage: the first damaged file's error wins
+            cases = [{0: damage}, {2: damage}]
+            cases += [{1: damage, 3: later} for later in _TABLE_DAMAGE if "trace" in
+                      _TABLE_DAMAGE[later][1]]
+            for i, case in enumerate(cases):
+                run = tmp_path / f"run{i}"
+                shutil.copytree(cli_inputs["run"], run)
+                for epoch, name in case.items():
+                    path = run / "traces" / f"epoch_{epoch:04d}.csv"
+                    lines = _TABLE_DAMAGE[name][0](path.read_text().splitlines())
+                    path.write_bytes("".join(line + "\n" for line in lines).encode("latin-1"))
+                path = run / "traces" / f"epoch_{min(case):04d}.csv"
+                code, err = run_cli({**cli_inputs, "run": run}, "fit-series", tmp_path)
+                assert (code, err) == (2, f"error: {path}: {where[table]}\n"), case
+                assert not (tmp_path / "out").exists()
         else:
             path = tmp_path / "series.csv"
             shutil.copy(cli_inputs["series"], path)
-            inputs, commands = {**cli_inputs, "series": path}, ["track", "correlate"]
-        lines = edit(path.read_text().splitlines())
-        path.write_bytes("".join(line + "\n" for line in lines).encode("latin-1"))
-        for command in commands:
-            code, err = run_cli(inputs, command, tmp_path)
-            assert (code, err) == (2, f"error: {path}: {where[table]}\n")
-            assert not (tmp_path / "out").exists()
+            lines = edit(path.read_text().splitlines())
+            path.write_bytes("".join(line + "\n" for line in lines).encode("latin-1"))
+            for command in ("track", "correlate"):
+                code, err = run_cli({**cli_inputs, "series": path}, command, tmp_path)
+                assert (code, err) == (2, f"error: {path}: {where[table]}\n")
+                assert not (tmp_path / "out").exists()

@@ -12,6 +12,8 @@ from tlstrack.dynamics import (
     HeatingRates,
     PopulationState,
     PopulationTrace,
+    TraceStack,
+    _TRACE_COLUMNS,
     _Column,
     _int64,
     _read_csv,
@@ -21,9 +23,11 @@ from tlstrack.dynamics import (
     closed_form_trace,
     integrate_rate_equations,
     rate_matrix,
+    read_traces,
     steady_state,
 )
 from tlstrack.errors import InvalidParameterError
+from tlstrack.readout import ConfusionMatrix, mitigate_stack, mitigate_trace
 
 DEVICE_A = DecayRates(1.0 / 155.0, 1.0 / 64.0)
 
@@ -256,6 +260,114 @@ class TestWriteCsv:
             assert got_opt is None
         else:
             assert np.asarray(opt).tobytes() == got_opt.tobytes()
+
+
+# a trace: up to 7 rows of increasing delays from >= 0, populations in
+# [0, 1] (which mitigation never clips to zero) and, if drawn, shot counts
+TRACES = st.integers(0, 7).flatmap(lambda n: st.builds(
+    lambda steps, p, shots: PopulationTrace(np.cumsum(steps), np.reshape(p, (n, 3)), shots),
+    st.lists(st.floats(1e-3, 1e3), min_size=n, max_size=n),
+    st.lists(st.floats(0.0, 1.0), min_size=3 * n, max_size=3 * n),
+    st.none() | st.lists(st.integers(1, 2**40), min_size=n, max_size=n)))
+
+# damage to a trace file's lines (header first); a line index past the
+# rows falls on the last line
+_TRACE_DAMAGE = [
+    lambda lines, r: lines[:r] + [lines[r].replace(",", ",abc,", 1)] + lines[r + 1:],
+    lambda lines, r: lines[:r] + ["nan" + lines[r][lines[r].index(","):]] + lines[r + 1:],
+    lambda lines, r: lines[:r] + [lines[r - 1].split(",")[0] + lines[r][lines[r].index(","):]]
+    + lines[r + 1:],
+    lambda lines, r: lines[:1] + ["-1" + lines[1][lines[1].index(","):]] + lines[2:],
+    lambda lines, r: lines[:r] + [lines[r].rsplit(",", 1)[0] + ",0"] + lines[r + 1:],
+    lambda lines, r: lines[:r] + [lines[r].rsplit(",", 1)[0] + ","] + lines[r + 1:],
+    lambda lines, r: lines[:r] + [lines[r].rsplit(",", 1)[0] + ",2.5"] + lines[r + 1:],
+    lambda lines, r: lines[:r] + [",".join(lines[r].split(",")[:2])] + lines[r + 1:],
+    lambda lines, r: [lines[0].replace("p2", "p3")] + lines[1:],
+    lambda lines, r: [line + "," + line.split(",")[1] for line in lines],
+    lambda lines, r: [],
+    lambda lines, r: lines[:1],
+    lambda lines, r: [",".join(line.split(",")[:4]) for line in lines],
+]
+
+
+def per_file_read(path) -> PopulationTrace:
+    """The trace in ``path`` read by the per-file reader on its own."""
+    return _read_csv(path, _TRACE_COLUMNS, lambda t, p0, p1, p2, shots: PopulationTrace(
+        t, np.column_stack([p0, p1, p2]), shots))
+
+
+class TestReadTraces:
+    @settings(max_examples=100, deadline=None)
+    @given(traces=st.lists(TRACES, max_size=5), data=st.data())
+    def test_matches_per_file_read_and_mitigation(self, tmp_path_factory, traces, data):
+        root = tmp_path_factory.mktemp("traces")
+        paths = [root / f"epoch_{i:04d}.csv" for i in range(len(traces))]
+        for trace, path in zip(traces, paths):
+            trace.to_csv(path)
+        m = np.eye(3) + data.draw(st.floats(0.0, 0.2)) * np.array(
+            [[-2, 1, 0], [1, -1, 1], [1, 0, -1]]) / 2.0
+        confusion = ConfusionMatrix(m / m.sum(axis=0))
+        stack = read_traces(paths)
+        mitigated = mitigate_stack(confusion, stack)
+        assert stack.lengths.tolist() == [len(t) for t in traces]
+        for i, (trace, path) in enumerate(zip(traces, paths)):
+            expected = per_file_read(path)
+            for got in (stack.trace(i), mitigated.trace(i), PopulationTrace.from_csv(path)):
+                assert got.delays.tobytes() == expected.delays.tobytes() == trace.delays.tobytes()
+                if len(trace):
+                    assert got.shots is None if trace.shots is None else \
+                        got.shots.tolist() == expected.shots.tolist() == trace.shots.tolist()
+            assert stack.trace(i).populations.tobytes() == expected.populations.tobytes() \
+                == trace.populations.tobytes()
+            assert (mitigated.trace(i).populations.tobytes()
+                    == mitigate_trace(confusion, expected).populations.tobytes())
+
+    @settings(max_examples=150, deadline=None)
+    @given(damage=st.lists(st.none() | st.tuples(st.integers(0, len(_TRACE_DAMAGE) - 1),
+                                                 st.integers(1, 6)), min_size=1, max_size=5))
+    def test_first_faulty_file_raises_its_per_file_error(self, tmp_path_factory, damage):
+        root = tmp_path_factory.mktemp("traces")
+        delays = np.geomspace(1.0, 600.0, 6)
+        trace = PopulationTrace(delays, closed_form_populations(DEVICE_A, delays).T,
+                                np.full(6, 2000))
+        paths = [root / f"epoch_{i:04d}.csv" for i in range(len(damage))]
+        for path, hurt in zip(paths, damage):
+            trace.to_csv(path)
+            if hurt is not None:
+                kind, row = hurt
+                lines = _TRACE_DAMAGE[kind](path.read_text().splitlines(), row)
+                path.write_text("".join(line + "\n" for line in lines))
+        expected = None
+        for path in paths:
+            try:
+                per_file_read(path)
+            except InvalidParameterError as err:
+                expected = str(err)
+                break
+        if expected is None:
+            stack = read_traces(paths)
+            assert np.array_equal(stack.lengths, [len(per_file_read(p)) for p in paths])
+        else:
+            # the stack of all files, and the first faulty file on its own
+            for read in (lambda: read_traces(paths), lambda: PopulationTrace.from_csv(path)):
+                with pytest.raises(InvalidParameterError) as info:
+                    read()
+                assert str(info.value) == expected
+
+    def test_mitigation_fault_names_the_first_faulty_trace(self):
+        delays = np.arange(1.0, 4.0)
+        good = PopulationTrace(delays, np.full((3, 3), 1 / 3))
+        # clipped to zero in trace 1, not finite in trace 2; a check of all
+        # rows at once would name trace 2's row first
+        negative = PopulationTrace(delays, [[0.3, 0.3, 0.4], [0.2, 0.2, 0.6], [-1, -1, -1]])
+        infinite = PopulationTrace(delays, [[np.inf, 0.0, 0.0]] * 3)
+        infinite.populations[0] = 0.0
+        stack = TraceStack.from_traces([good, negative, infinite])
+        confusion = ConfusionMatrix(np.full((3, 3), 0.05) + 0.85 * np.eye(3))
+        with pytest.raises(InvalidParameterError, match="clipped to zero"):
+            mitigate_trace(confusion, negative)
+        with pytest.raises(InvalidParameterError, match="clipped to zero"):
+            mitigate_stack(confusion, stack)
 
 
 def test_closed_form_trace_helper():

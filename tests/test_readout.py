@@ -108,6 +108,16 @@ class TestClassify:
         # x=4 is 1.33 sigma from blob 0 along its wide axis, 1 sigma from blob 1
         assert classify(blobs, [4.0, 0.0]) == 1
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, -np.inf], [np.inf, np.nan]])
+    @pytest.mark.parametrize("blobs", [CORRELATED, equilateral_blobs(1.8)], ids=["quad", "linear"])
+    def test_non_finite_point_raises(self, blobs, bad):
+        points = np.zeros((5, 2))
+        points[3] = points[4] = bad
+        with pytest.raises(InvalidParameterError, match=r"points must be finite, got .* at row 3$"):
+            classify_points(blobs, points)
+        with pytest.raises(InvalidParameterError, match="at row 0"):
+            classify(blobs, bad)
+
     def test_closed_form_matches_einsum_arithmetic(self):
         points = np.random.default_rng(17).normal(scale=2.0, size=(100_000, 2))
         expected = np.argmax(einsum_log_likelihoods(CORRELATED, points), axis=1)

@@ -206,7 +206,7 @@ def fit_key(fit: TraceFit) -> str:
 def generic_cost_and_fit(trace: PopulationTrace, weighting: str):
     """Final cost of the generic LM with forward-difference Jacobians from
     the same start, and the cost of ``fit_trace`` -- both by one formula."""
-    weights = trace_fit._weights(trace, weighting)
+    weights = trace_fit._weights(trace.populations, trace.shots, weighting)
 
     def residual(params):
         model = closed_form_populations(DecayRates(params[0], params[1]), trace.delays).T
