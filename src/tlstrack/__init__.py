@@ -4,12 +4,9 @@ __version__ = "0.1.0"
 
 from .dynamics import (
     DecayRates,
-    HeatingRates,
     PopulationState,
     PopulationTrace,
-    bosonic_ratio,
     closed_form_trace,
-    integrate_rate_equations,
 )
 from .errors import (
     FitDivergedError,
@@ -19,15 +16,9 @@ from .errors import (
     TlstrackError,
     UndefinedCorrelationError,
 )
-from .optimize import (
-    FitResult,
-    LeastSquaresProblem,
-    levenberg_marquardt,
-)
 from .readout import (
     ConfusionMatrix,
     IqBlobModel,
-    classify,
     equilateral_blobs,
     mitigate,
     mitigate_trace,

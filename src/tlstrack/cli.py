@@ -161,6 +161,8 @@ def cmd_simulate(args, config: dict) -> int:
     # validate fully before creating any output
     scenario = scenario_from_json_dict(_read_json(scenario_path))
     if args.seed is not None:
+        if args.seed < 0:
+            raise InvalidParameterError(f"seed: expected an integer >= 0, got {args.seed}")
         scenario.master_seed = args.seed
     jobs = _jobs(args, config)
 

@@ -1,8 +1,8 @@
-"""Three-level cascade decay: closed-form populations and RK4 integration.
+"""Three-level cascade decay: closed-form populations and trace files.
 
 The model is the rate-equation cascade |2> -> |1> -> |0> with decay rates
-``gamma_21`` and ``gamma_10`` (units 1/us), optionally extended with upward
-(heating) rates.  Times are microseconds throughout; rates are 1/us.
+``gamma_21`` and ``gamma_10`` (units 1/us).  Times are microseconds
+throughout; rates are 1/us.
 """
 
 from __future__ import annotations
@@ -58,32 +58,12 @@ ZERO_RATES = DecayRates(0.0, 0.0)
 
 
 @dataclass(frozen=True)
-class HeatingRates:
-    """Upward (heating) rates gamma_01: |0> -> |1>, gamma_12: |1> -> |2>, 1/us.
-
-    Both default to zero, which recovers the pure-decay cascade.
-    """
-
-    gamma_01: float = 0.0
-    gamma_12: float = 0.0
-
-    def __post_init__(self):
-        for name in ("gamma_01", "gamma_12"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise InvalidParameterError(f"{name} must be finite and >= 0, got {v!r}")
-
-
-NO_HEATING = HeatingRates()
-
-
-@dataclass(frozen=True)
 class PopulationState:
     """Occupation probabilities of |0>, |1>, |2>.
 
     Construction only checks finiteness: mitigation with clipping disabled
     may legitimately produce slightly unphysical vectors.  Use
-    :meth:`require_normalized` where a proper probability vector is needed.
+    :meth:`is_normalized` where a proper probability vector is needed.
     """
 
     p0: float
@@ -101,19 +81,11 @@ class PopulationState:
         v = self.vector()
         return bool(np.all(v >= -tol) and np.all(v <= 1.0 + tol) and abs(v.sum() - 1.0) <= tol)
 
-    def require_normalized(self, tol: float = 1e-9) -> "PopulationState":
-        if not self.is_normalized(tol):
-            raise InvalidParameterError(f"population state not normalized within {tol}: {self}")
-        return self
-
     @classmethod
     def from_vector(cls, v: Sequence[float]) -> "PopulationState":
         if len(v) != 3:
             raise InvalidParameterError(f"population vector must have 3 entries, got {len(v)}")
         return cls(float(v[0]), float(v[1]), float(v[2]))
-
-
-SECOND_EXCITED = PopulationState(0.0, 0.0, 1.0)
 
 
 @dataclass
@@ -457,98 +429,3 @@ def closed_form_trace(rates: DecayRates, delays) -> PopulationTrace:
     delays = np.asarray(delays, dtype=float)
     p = closed_form_populations(rates, delays)
     return PopulationTrace(delays, p.T)
-
-
-def rate_matrix(rates: DecayRates, heating: HeatingRates = NO_HEATING) -> np.ndarray:
-    """Generator matrix A with dP/dt = A @ P, ordered (p0, p1, p2)."""
-    g10, g21 = rates.gamma_10, rates.gamma_21
-    g01, g12 = heating.gamma_01, heating.gamma_12
-    return np.array(
-        [
-            [-g01, g10, 0.0],
-            [g01, -g10 - g12, g21],
-            [0.0, g12, -g21],
-        ]
-    )
-
-
-def _rk4_step_matrix(a: np.ndarray, h: float) -> np.ndarray:
-    # For the linear constant-coefficient system the classical RK4 update is
-    # exactly P <- (I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24) P.
-    ha = h * a
-    m = np.eye(3) + ha
-    term = ha
-    for k in (2.0, 3.0, 4.0):
-        term = term @ ha / k
-        m = m + term
-    return m
-
-
-def _integrate_grid(a: np.ndarray, p0: np.ndarray, delays: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty((delays.size, 3))
-    p = p0.copy()
-    t_prev = 0.0
-    for i, t in enumerate(delays):
-        dt = t - t_prev
-        if dt > 0.0:
-            n = max(1, int(math.ceil(dt / h)))
-            step = _rk4_step_matrix(a, dt / n)
-            p = np.linalg.matrix_power(step, n) @ p
-        out[i] = p
-        t_prev = t
-    return out
-
-
-def integrate_rate_equations(
-    rates: DecayRates,
-    heating: HeatingRates = NO_HEATING,
-    initial: PopulationState = SECOND_EXCITED,
-    delays: Sequence[float] = (),
-) -> PopulationTrace:
-    """Fixed-step RK4 solution of the cascade, with optional heating terms.
-
-    Integration starts from ``initial`` at t=0 and records the state at each
-    entry of ``delays``.  The base step is min(T1e, T1f)/200; it is halved
-    until a further halving changes no recorded component by more than
-    1e-10, so the returned trace is step-size converged.
-    """
-    rates.require_positive()
-    initial.require_normalized()
-    delays = np.asarray(delays, dtype=float)
-    if delays.size == 0:
-        raise InvalidParameterError("at least one delay is required")
-    if delays[0] < 0.0 or np.any(np.diff(delays) <= 0.0):
-        raise InvalidParameterError("delays must be >= 0 and strictly increasing")
-
-    a = rate_matrix(rates, heating)
-    p0 = initial.vector()
-    h = min(rates.t1e, rates.t1f) / 200.0
-    coarse = _integrate_grid(a, p0, delays, h)
-    for _ in range(40):
-        fine = _integrate_grid(a, p0, delays, h / 2.0)
-        if np.max(np.abs(fine - coarse)) <= 1e-10:
-            coarse = fine
-            break
-        h /= 2.0
-        coarse = fine
-    return PopulationTrace(delays, coarse)
-
-
-def steady_state(rates: DecayRates, heating: HeatingRates) -> PopulationState:
-    """Stationary distribution of the rate matrix (requires heating > 0 for
-    a non-trivial result; with zero heating the ground state is returned)."""
-    rates.require_positive()
-    a = rate_matrix(rates, heating)
-    m = np.vstack([a[:2], np.ones(3)])
-    p = np.linalg.solve(m, np.array([0.0, 0.0, 1.0]))
-    return PopulationState.from_vector(p)
-
-
-def bosonic_ratio(rates: DecayRates) -> float:
-    """gamma_21 / (2 * gamma_10): equals 1 for ideal bosonic decay.
-
-    Deviations from 1 quantify frequency-selective loss between the two
-    transitions.
-    """
-    rates.require_positive()
-    return rates.gamma_21 / (2.0 * rates.gamma_10)

@@ -12,23 +12,15 @@ equations, and each caller supplies its own residuals and analytic
 derivatives.  :func:`_lm_loop` is the loop of every single-problem solve:
 it owns the damping schedule, the stopping tests, the box clip and the
 acceptance rule, and its caller supplies the linearisation and the damped
-linear solve.  The generic :func:`levenberg_marquardt` (with
-:func:`solve` and :func:`finite_difference_jacobian`) runs it with a dense
-Jacobian and a direct solve, and the tracker's joint update with its
-Schur-complement step in :mod:`tlstrack.tracker`.  All of them share the
-tolerances, the finite-difference step and the damping schedule below.
-The iteration budget is an argument, and so is an absolute cost-decrease
-tolerance of :func:`_lm_loop`, 0 by default: the tracker's joint update
-sets it on weighted series, whose cost is χ² in units of the measurement
-variance, so a decrease far below 1 means nothing statistically.
+linear solve: the tracker's joint update runs it with the Schur-complement
+step of :mod:`tlstrack.tracker`.  Both share the tolerances and the damping
+schedule below.  The iteration budget is an argument, and so is an absolute
+cost-decrease tolerance of :func:`_lm_loop`, 0 by default: the tracker's
+joint update sets it on weighted series, whose cost is χ² in units of the
+measurement variance, so a decrease far below 1 means nothing statistically.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,152 +29,9 @@ from .errors import FitDivergedError, InvalidParameterError
 GTOL = 1e-10         # infinity norm of the (projected) gradient
 FTOL = 1e-12         # relative decrease of the cost between accepted steps
 XTOL = 1e-12         # step norm relative to parameter norm
-FD_STEP = 1e-8       # forward-difference step: max(FD_STEP, FD_STEP*|x|)
 LAMBDA_INIT = 1e-3
 LAMBDA_FACTOR = 10.0  # damping falls by this on an accepted step, rises by it on a rejected one
 LAMBDA_MAX = 1e12
-
-
-@dataclass
-class LeastSquaresProblem:
-    """Residual function with box bounds and an initial guess.
-
-    ``residual`` maps a parameter vector to a residual vector; the solver
-    minimizes half its squared norm.  Bounds must satisfy
-    lower <= initial <= upper componentwise.  ``jacobian``, when provided,
-    must return the (m, n) derivative matrix of the residual; otherwise
-    forward finite differences are used.
-    """
-
-    residual: Callable[[np.ndarray], np.ndarray]
-    initial: np.ndarray
-    lower: Optional[np.ndarray] = None
-    upper: Optional[np.ndarray] = None
-    jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
-
-    def __post_init__(self):
-        self.initial = np.atleast_1d(np.asarray(self.initial, dtype=float))
-        n = self.initial.size
-        self.lower = (
-            np.full(n, -np.inf) if self.lower is None
-            else np.atleast_1d(np.asarray(self.lower, dtype=float))
-        )
-        self.upper = (
-            np.full(n, np.inf) if self.upper is None
-            else np.atleast_1d(np.asarray(self.upper, dtype=float))
-        )
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise InvalidParameterError("bounds must match the parameter count")
-        if np.any(self.lower > self.initial) or np.any(self.initial > self.upper):
-            raise InvalidParameterError("initial guess must satisfy lower <= x0 <= upper")
-
-
-@dataclass
-class FitResult:
-    """Outcome of a least-squares solve.
-
-    ``jacobian`` is the last Jacobian the solver formed and ``cost`` the
-    final squared residual norm.  ``covariance`` is computed from them the
-    first time it is read.
-    """
-
-    parameters: np.ndarray
-    residual_norm: float
-    converged: bool
-    iterations: int
-    jacobian: np.ndarray = field(repr=False)
-    cost: float
-
-    @cached_property
-    def covariance(self) -> np.ndarray:
-        return _covariance(self.jacobian, self.cost)
-
-    def standard_errors(self) -> np.ndarray:
-        d = np.diag(self.covariance).copy()
-        d[d < 0.0] = 0.0
-        return np.sqrt(d)
-
-
-def _eval_residual(fn, x, what="residual"):
-    r = np.atleast_1d(np.asarray(fn(x), dtype=float))
-    if not np.all(np.isfinite(r)):
-        raise FitDivergedError(f"non-finite {what} at parameters {x!r}", x)
-    return r
-
-
-def finite_difference_jacobian(
-    fn: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    r0: Optional[np.ndarray] = None,
-    upper: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Forward-difference Jacobian with step max(FD_STEP, FD_STEP*|x_i|).
-
-    When a forward step would cross ``upper`` the difference is taken
-    backward instead, so bounded problems never evaluate out of the box.
-    """
-    x = np.asarray(x, dtype=float)
-    if r0 is None:
-        r0 = _eval_residual(fn, x)
-    jac = np.empty((r0.size, x.size))
-    for i in range(x.size):
-        h = max(FD_STEP, FD_STEP * abs(x[i]))
-        if upper is not None and x[i] + h > upper[i]:
-            h = -h
-        xp = x.copy()
-        xp[i] += h
-        jac[:, i] = (_eval_residual(fn, xp, "residual (jacobian)") - r0) / h
-    return jac
-
-
-def _covariance(jac: np.ndarray, rnorm_sq: float) -> np.ndarray:
-    m, n = jac.shape
-    cov = np.linalg.pinv(jac.T @ jac)
-    if m > n:
-        cov = cov * (rnorm_sq / (m - n))
-    return cov
-
-
-def levenberg_marquardt(
-    problem: LeastSquaresProblem,
-    max_iterations: int = 500,
-) -> FitResult:
-    """Minimize half the squared residual norm with damped Gauss-Newton steps.
-
-    Bounds are enforced by projecting each trial step onto the box; the
-    gradient test uses the projected gradient so active bounds count as
-    converged.  Raises ``FitDivergedError`` if the residual turns non-finite
-    away from the initial guess; an exhausted iteration budget returns an
-    unconverged result instead of raising.
-    """
-    fn = problem.residual
-
-    def jacobian_at(xp, rp):
-        if problem.jacobian is not None:
-            return np.asarray(problem.jacobian(xp), dtype=float)
-        return finite_difference_jacobian(fn, xp, rp, problem.upper)
-
-    def linearise(xp, rp):
-        try:
-            jac = jacobian_at(xp, rp)
-        except FitDivergedError as err:
-            raise FitDivergedError(str(err), xp) from None
-        grad = jac.T @ rp
-        jtj = jac.T @ jac
-        diag = np.diag(jtj).copy()
-        diag[diag <= 0.0] = 1.0
-        return grad, (jac, jtj, np.diag(diag), -grad)
-
-    def damped_step(lin, lam):
-        _, jtj, d, neg_grad = lin
-        return np.linalg.solve(jtj + lam * d, neg_grad)
-
-    x, r, cost, iterations, converged, lin = _lm_loop(
-        problem.initial.copy(), problem.lower, problem.upper,
-        lambda xp: np.atleast_1d(np.asarray(fn(xp), dtype=float)),
-        linearise, damped_step, max_iterations)
-    jac = jacobian_at(x, r) if lin is None else lin[0]
-    return FitResult(x, math.sqrt(cost), converged, iterations, jac, cost)
 
 
 def _lm_loop(x, lo, hi, residual, linearise, damped_step, max_iterations: int = 500,
@@ -252,18 +101,6 @@ def _lm_loop(x, lo, hi, residual, linearise, damped_step, max_iterations: int = 
         if converged:
             break
     return x, r, cost, iteration, converged, lin
-
-
-def solve(
-    residual: Callable[[np.ndarray], np.ndarray],
-    initial: Sequence[float],
-    lower=None,
-    upper=None,
-    max_iterations: int = 500,
-) -> FitResult:
-    """Convenience wrapper around :func:`levenberg_marquardt`."""
-    return levenberg_marquardt(LeastSquaresProblem(residual, initial, lower, upper),
-                               max_iterations)
 
 
 def _outward(x, grad, lo, hi):

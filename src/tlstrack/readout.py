@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -127,64 +126,9 @@ def equilateral_blobs(radius: float, sigma: float = 1.0) -> IqBlobModel:
     return IqBlobModel(means, covs)
 
 
-def equilateral_assignment_probability(radius: float, sigma: float = 1.0) -> float:
-    """Exact per-state correct-assignment probability for equilateral blobs.
-
-    Integrates one Gaussian over its 120-degree maximum-likelihood wedge in
-    polar coordinates; by symmetry this equals the three-state assignment
-    fidelity of the geometry.
-    """
-    # imported here so that importing the CLI does not load scipy
-    from scipy.integrate import dblquad
-
-    def integrand(rho, theta):
-        return (
-            rho
-            / (2.0 * math.pi * sigma**2)
-            * math.exp(-(rho**2 - 2.0 * rho * radius * math.sin(theta) + radius**2)
-                       / (2.0 * sigma**2))
-        )
-
-    val, _ = dblquad(
-        integrand,
-        math.pi / 6.0,
-        5.0 * math.pi / 6.0,
-        lambda _th: 0.0,
-        lambda _th: radius + 12.0 * sigma,
-        epsabs=1e-11,
-        epsrel=1e-11,
-    )
-    return val
-
-
-def calibrate_equilateral_radius(
-    target_fidelity: float, sigma: float = 1.0, xtol: float = 1e-8
-) -> float:
-    """Blob-triangle radius whose exact assignment fidelity hits the target."""
-    if not 1.0 / 3.0 < target_fidelity < 1.0:
-        raise InvalidParameterError("target fidelity must lie in (1/3, 1)")
-    from scipy.optimize import brentq
-
-    return float(
-        brentq(
-            lambda r: equilateral_assignment_probability(r, sigma) - target_fidelity,
-            1e-3 * sigma,
-            12.0 * sigma,
-            xtol=xtol,
-        )
-    )
-
-
-def classify(blobs: IqBlobModel, point: Sequence[float]) -> int:
-    """Maximum-likelihood state assignment for one IQ point (equal priors).
-
-    Ties break toward the lower state index.
-    """
-    return int(classify_points(blobs, np.asarray(point, dtype=float).reshape(1, 2))[0])
-
-
 def classify_points(blobs: IqBlobModel, points: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`classify` over an (n, 2) array of points.
+    """Maximum-likelihood state assignment of an (n, 2) array of IQ points
+    (equal priors; ties break toward the lower state index).
 
     A point with a NaN or infinite coordinate has no likelihood to compare
     and raises ``InvalidParameterError`` naming the first such row.

@@ -203,11 +203,12 @@ def _number_array(value, path: str) -> np.ndarray:
         raise ScenarioSchemaError(path, "expected a rectangular array") from None
 
 
-def _integer(doc: dict, key: str, path: str, default=_REQUIRED) -> int:
+def _integer(doc: dict, key: str, path: str, default=_REQUIRED, minimum=None) -> int:
     v = _need(doc, key, path, default)
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not isinstance(v, int) or isinstance(v, bool) or (minimum is not None and v < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
         raise ScenarioSchemaError(f"{path}.{key}" if path else key,
-                                  f"expected an integer, got {v!r}")
+                                  f"expected an integer{bound}, got {v!r}")
     return v
 
 
@@ -280,7 +281,7 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
                 start_mhz=_number(drift_doc, "start_mhz", drift_path),
                 sigma_mhz=_number(drift_doc, "sigma_mhz", drift_path, 0.0),
                 theta_per_hr=_number(drift_doc, "theta_per_hr", drift_path, 0.0),
-                seed=_integer(drift_doc, "seed", drift_path, i),
+                seed=_integer(drift_doc, "seed", drift_path, i, minimum=0),
             )
             truths.append(
                 TlsTruth(drift, _number(entry, "coupling_weight", path),
@@ -310,7 +311,7 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
             calibration_shots=_integer(doc, "calibration_shots", "", 100_000),
             blobs=_blobs_from_doc(doc.get("blobs"), "blobs"),
             exact_populations=exact,
-            master_seed=_integer(doc, "master_seed", ""),
+            master_seed=_integer(doc, "master_seed", "", minimum=0),
         )
     except InvalidParameterError as err:
         raise ScenarioSchemaError("", str(err)) from None

@@ -363,7 +363,7 @@ def _schur_step(normal, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """The global and frequency steps solving (JᵀJ + lam*D) delta = -Jᵀr.
 
     ``normal`` is :func:`_normal_equations`' output and D the diagonal of
-    JᵀJ, with entries <= 0 replaced by 1, as in :func:`levenberg_marquardt`.
+    JᵀJ, with entries <= 0 replaced by 1, as in :func:`_lm_loop`.
     The damped frequency blocks V_e* are eliminated in closed form: the
     globals solve the (G, G) Schur complement S = U* - sum_e W_e V_e*⁻¹ W_eᵀ,
     and each epoch's frequencies follow from

@@ -6,21 +6,22 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from tlstrack import tracker
 from tlstrack.dynamics import (
     DecayRates,
     PopulationState,
     PopulationTrace,
     closed_form_populations,
     closed_form_trace,
-    integrate_rate_equations,
 )
-from tlstrack.optimize import finite_difference_jacobian, solve
+from tlstrack.optimize import _damped_newton_2x2
 from tlstrack.readout import ConfusionMatrix, mitigate, mitigate_trace, \
     simulate_confusion_matrix
 from tlstrack.synth import bundled_scenario, generate_trajectories, \
     synthesize_experiment, true_lifetime_series
-from tlstrack.tls import lorentzian_density, rate_series, TlsParameterSet, TlsDefect
+from tlstrack.tls import lorentzian_rates, rate_series, TlsParameterSet, TlsDefect
 from tlstrack.trace_fit import fit_trace
 from tlstrack.tracker import LifetimeSeries, lifetime_correlation, select_model, track_tls
 
@@ -70,14 +71,17 @@ def criterion(number: int, title: str, budget_s: float):
 
 
 def test_criterion_1_closed_form_matches_rk4():
-    with criterion(1, "closed form vs RK4", 10.0):
+    # the reference is scipy's adaptive Runge-Kutta of order 8 (DOP853)
+    with criterion(1, "closed form vs Runge-Kutta", 10.0):
         for g10 in np.geomspace(1.0 / 300.0, 1.0 / 20.0, 10):
             for ratio in np.geomspace(0.2, 20.0, 10):
-                rates = DecayRates(g10, g10 * ratio)
+                g21 = g10 * ratio
+                a = np.array([[0.0, g10, 0.0], [0.0, -g10, g21], [0.0, 0.0, -g21]])
                 delays = np.linspace(0.01, 10.0 / g10, 25)
-                ode = integrate_rate_equations(rates, delays=delays)
-                ref = closed_form_populations(rates, delays).T
-                assert np.max(np.abs(ode.populations - ref)) <= 1e-8
+                ode = solve_ivp(lambda _t, p: a @ p, (0.0, delays[-1]), [0.0, 0.0, 1.0],
+                                method="DOP853", t_eval=delays, rtol=1e-12, atol=1e-14)
+                ref = closed_form_populations(DecayRates(g10, g21), delays)
+                assert np.max(np.abs(ode.y - ref)) <= 1e-8
 
 
 def test_criterion_2_normalization():
@@ -200,25 +204,50 @@ def test_criterion_9_off_resonant_influence():
         assert shift >= 0.10
 
 
-def test_criterion_10_optimizer_sanity():
+def test_criterion_10_optimizer_sanity(dense_lm):
     with criterion(10, "optimizer sanity", 10.0):
+        # the batched 2x2 solver on a stack of linear least-squares problems
+        rng = np.random.default_rng(10)
+        a = rng.normal(size=(10, 15, 2))
+        b = np.einsum("kmi,ik->km", a, rng.normal(size=(2, 10))) + 0.05 * rng.normal(size=(10, 15))
+
+        def residuals(x, idx):
+            r = np.einsum("kmi,ik->km", a[idx], x) - b[idx]
+            return (r,), np.sum(r * r, axis=1)
+
+        def linearise(x, idx, rs):
+            h = np.einsum("kmi,kmj->kij", a[idx], a[idx])
+            return np.einsum("kmi,km->ik", a[idx], rs[0]), h[:, 0, 0], h[:, 0, 1], h[:, 1, 1]
+
+        x, *_, converged = _damped_newton_2x2(np.zeros((2, 10)), -np.inf, np.inf,
+                                             residuals, linearise)
+        expected = np.array([np.linalg.lstsq(a[k], b[k], rcond=None)[0] for k in range(10)]).T
+        assert np.all(converged) and np.max(np.abs(x - expected)) < 1e-8
+
+        # the single-problem loop on dense linear problems
         for seed in range(10):
             rng = np.random.default_rng(seed)
             a = rng.normal(size=(15, 4))
             b = a @ rng.normal(size=4) + 0.05 * rng.normal(size=15)
-            result = solve(lambda x: a @ x - b, np.zeros(4))
+            x, *_ = dense_lm(lambda x: a @ x - b, lambda x: a, np.zeros(4))
             expected = np.linalg.lstsq(a, b, rcond=None)[0]
-            assert np.max(np.abs(result.parameters - expected)) < 1e-8
+            assert np.max(np.abs(x - expected)) < 1e-8
 
-        gamma = 25.0
-        probes = np.linspace(4820.0, 4980.0, 25)
-        for center in np.linspace(4885.3, 4915.3, 5):
-            x = np.array([center])
-            jac = finite_difference_jacobian(
-                lambda p: lorentzian_density(p[0], gamma, probes), x
-            )
-            detuning = probes - center
-            analytic = 2.0 * gamma * detuning / (detuning**2 + gamma**2) ** 2
-            mask = np.abs(detuning) > gamma / 4.0
-            rel = np.abs(jac[mask, 0] - analytic[mask]) / np.abs(analytic[mask])
-            assert np.max(rel) < 1e-5
+        # the tracker's analytic frequency derivatives against central
+        # differences of the forward model
+        device = bundled_scenario("device_A").device
+        coupling, linewidth, f_multiplier, h = 5.14, 14.0, 2.0, 1e-3
+        w = np.linspace(device.omega_12 - 150.0, device.omega_01 + 150.0, 61)
+
+        def rates(freqs):
+            return np.array(lorentzian_rates(device, [coupling], [linewidth], freqs[None, :],
+                                             (0.0, 0.0), f_multiplier))
+
+        quotient = (rates(w + h) - rates(w - h)) / (2.0 * h)
+        analytic = np.array(tracker._frequency_derivatives(device, coupling, linewidth, w,
+                                                           1.0, f_multiplier))
+        # a relative comparison is ill-posed at each channel's zero crossing
+        detuning = np.array([device.omega_01, device.omega_12])[:, None] - w
+        mask = np.abs(detuning) > linewidth / 4.0
+        rel = np.abs(analytic[mask] - quotient[mask]) / np.abs(analytic[mask])
+        assert np.max(rel) < 1e-5

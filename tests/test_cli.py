@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tlstrack
 from tlstrack import cli
 from tlstrack.cli import main
 from tlstrack.dynamics import DecayRates
@@ -25,6 +26,7 @@ from tlstrack.synth import (
     Scenario,
     TlsTruth,
     bundled_scenario,
+    bundled_scenario_path,
     scenario_to_json_dict,
     true_lifetime_series,
     generate_trajectories,
@@ -163,6 +165,24 @@ class TestSimulate:
         t1 = (out1 / "traces" / "epoch_0000.csv").read_text()
         t2 = (out2 / "traces" / "epoch_0000.csv").read_text()
         assert t1 != t2
+
+    @pytest.mark.parametrize("flags, mutate, expected", [
+        (["--seed", "-1"], None, "seed: expected an integer >= 0, got -1"),
+        ([], lambda d: d.update(master_seed=-5), "master_seed: expected an integer >= 0, got -5"),
+        ([], lambda d: d["tls"][0]["drift"].update(seed=-3),
+         "tls[0].drift.seed: expected an integer >= 0, got -3"),
+    ], ids=["flag", "master_seed", "drift"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, flags, mutate, expected):
+        # numpy refuses negative seeds; they are refused before any output
+        doc = json.loads(bundled_scenario_path("device_A").read_text())
+        if mutate is not None:
+            mutate(doc)
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["simulate", str(spath), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not out.exists()
 
     def test_bundled_name_full_run(self, tmp_path):
         out = tmp_path / "run"
@@ -648,6 +668,44 @@ def loaded_after_cli_import(prefix: str) -> str:
 
 def test_cli_import_does_not_load_scipy():
     assert loaded_after_cli_import("scipy") == "[]"
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: in an interpreter where importing
+    # scipy fails, a short bundled run goes through simulate, fit-series and
+    # track --order auto
+    doc = json.loads(bundled_scenario_path("device_A").read_text())
+    doc["epochs"] = 6
+    scenario, run = tmp_path / "device_A.json", tmp_path / "run"
+    scenario.write_text(json.dumps(doc))
+    argvs = [["simulate", str(scenario), "--out", str(run)], ["fit-series", str(run)],
+             ["track", str(run / "series.csv"), "--device", str(scenario), "--order", "auto"]]
+    code = ("import json, sys; sys.modules['scipy'] = None; from tlstrack.cli import main; "
+            "sys.exit(0 if all(main(argv) == 0 for argv in json.loads(sys.argv[1])) else 1)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "track: order 1" in done.stdout
+    assert json.loads((run / "fit.json").read_text())["model_order"] == 1
+
+
+def test_public_api():
+    # a name leaves or joins the package's namespace only in a diff that says so
+    assert sorted(tlstrack.__all__) == [
+        "ConfusionMatrix", "DecayRates", "DeviceFrequencies", "DriftProcess", "FitDivergedError",
+        "InvalidParameterError", "IqBlobModel", "LifetimeSeries", "MitigationUnstableError",
+        "PopulationState", "PopulationTrace", "Scenario", "ScenarioSchemaError", "TlsDefect",
+        "TlsParameterSet", "TlsTruth", "TlstrackError", "TraceFit", "TrackerConfig", "TrackerFit",
+        "UndefinedCorrelationError", "bundled_scenario", "closed_form_trace",
+        "default_delay_grid", "dynamics", "equilateral_blobs", "errors", "fit_trace",
+        "fit_traces", "generate_trajectories", "initial_guess", "lifetime_correlation",
+        "load_scenario", "lorentzian_density", "mitigate", "mitigate_trace", "optimize",
+        "rate_series", "readout", "reconstruct_trajectory", "select_model",
+        "simulate_confusion_matrix", "synth", "synthesize_experiment", "tls", "trace_fit",
+        "track_tls", "tracker", "write_run_directory",
+    ]
 
 
 def test_cli_import_does_not_load_process_pool():

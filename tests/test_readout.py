@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import dblquad
+from scipy.optimize import brentq
 
 from tlstrack.dynamics import DecayRates, PopulationState, PopulationTrace, closed_form_trace
 from tlstrack.errors import InvalidParameterError, MitigationUnstableError
 from tlstrack.readout import (
     ConfusionMatrix,
     IqBlobModel,
-    calibrate_equilateral_radius,
-    classify,
     classify_points,
-    equilateral_assignment_probability,
     equilateral_blobs,
     mitigate,
     mitigate_trace,
@@ -75,11 +74,11 @@ def gauss_elim_solve(a, b):
 class TestClassify:
     def test_point_at_mean(self):
         blobs = iso_blobs([[0, 0], [10, 0], [0, 10]])
-        assert classify(blobs, [10.0, 0.0]) == 1
+        assert classify_points(blobs, [10.0, 0.0]).tolist() == [1]
 
     def test_tie_breaks_to_lower_index(self):
         blobs = iso_blobs([[0, 0], [2, 0], [10, 10]])
-        assert classify(blobs, [1.0, 0.0]) == 0
+        assert classify_points(blobs, [1.0, 0.0]).tolist() == [0]
         relabeled = iso_blobs([[10, 10], [2, 0], [0, 0]])
         assert np.array_equal(classify_points(relabeled, [[1.0, 0.0], [1.0, 5.0]]), [1, 1])
 
@@ -88,7 +87,7 @@ class TestClassify:
         blobs = iso_blobs([[0, 0], [10, 0], [0, 10]])
         point = np.array([6.0, 1.0])
         d2 = [np.sum((point - m) ** 2) for m in blobs.means]
-        assert classify(blobs, point) == int(np.argmin(d2)) == 1
+        assert classify_points(blobs, point).tolist() == [int(np.argmin(d2))] == [1]
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(0)
@@ -106,7 +105,7 @@ class TestClassify:
         covs[0] = [[9.0, 0.0], [0.0, 0.25]]
         blobs = IqBlobModel(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]), covs)
         # x=4 is 1.33 sigma from blob 0 along its wide axis, 1 sigma from blob 1
-        assert classify(blobs, [4.0, 0.0]) == 1
+        assert classify_points(blobs, [4.0, 0.0]).tolist() == [1]
 
     @pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, -np.inf], [np.inf, np.nan]])
     @pytest.mark.parametrize("blobs", [CORRELATED, equilateral_blobs(1.8)], ids=["quad", "linear"])
@@ -116,7 +115,7 @@ class TestClassify:
         with pytest.raises(InvalidParameterError, match=r"points must be finite, got .* at row 3$"):
             classify_points(blobs, points)
         with pytest.raises(InvalidParameterError, match="at row 0"):
-            classify(blobs, bad)
+            classify_points(blobs, bad)
 
     def test_closed_form_matches_einsum_arithmetic(self):
         points = np.random.default_rng(17).normal(scale=2.0, size=(100_000, 2))
@@ -142,7 +141,8 @@ class TestClassify:
         expected = np.argmax(einsum_log_likelihoods(blobs, points), axis=1)
         got = classify_points(blobs, points)
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
-        assert [classify(blobs, p) for p in points[:50]] == expected[:50].tolist()
+        # one point at a time gives the labels of the whole batch
+        assert [int(classify_points(blobs, p)[0]) for p in points[:50]] == expected[:50].tolist()
 
     def test_model_arrays_read_only(self):
         means = np.array(CORRELATED.means)
@@ -314,21 +314,33 @@ class TestConfusionSimulation:
         assert ConfusionMatrix(m).fidelity == pytest.approx(0.899, abs=1e-12)
 
 
+def equilateral_fidelity(radius: float) -> float:
+    """Correct-assignment probability of the equilateral blobs with unit
+    sigma, by quadrature: the mass of blob 0, centred at (0, radius), in its
+    maximum-likelihood wedge y > |x|/sqrt(3), twice the half with x > 0.  By
+    symmetry every state has it, so it is the assignment fidelity."""
+    def density(y, x):
+        return math.exp(-0.5 * (x * x + (y - radius) ** 2)) / (2.0 * math.pi)
+
+    far = radius + 12.0
+    half, _ = dblquad(density, 0.0, far, lambda x: x / math.sqrt(3.0), lambda x: far,
+                      epsabs=1e-11, epsrel=1e-11)
+    return 2.0 * half
+
+
 class TestCalibration:
     def test_quadrature_matches_simulation(self):
         radius = 1.8148436104016574
-        p = equilateral_assignment_probability(radius)
+        p = equilateral_fidelity(radius)
         assert p == pytest.approx(0.899, abs=1e-6)
         cm = simulate_confusion_matrix(equilateral_blobs(radius), 40000, seed=9)
         assert cm.fidelity == pytest.approx(p, abs=5e-3)
 
     def test_bisection_inverts_quadrature(self):
-        r = calibrate_equilateral_radius(0.93)
-        assert equilateral_assignment_probability(r) == pytest.approx(0.93, abs=1e-7)
-
-    def test_invalid_target(self):
-        with pytest.raises(InvalidParameterError):
-            calibrate_equilateral_radius(0.2)
+        # device_A's bundled radius is the one whose fidelity is 0.899
+        r = brentq(lambda r: equilateral_fidelity(r) - 0.899, 0.5, 6.0, xtol=1e-8)
+        assert equilateral_fidelity(r) == pytest.approx(0.899, abs=1e-7)
+        assert bundled_scenario("device_A").blobs.means[0, 1] == pytest.approx(r, abs=1e-7)
 
 
 class TestMitigation:

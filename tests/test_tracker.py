@@ -16,7 +16,6 @@ from tlstrack.synth import DriftProcess, Scenario, TlsTruth, bundled_scenario, \
     bundled_scenario_path, generate_trajectories, true_lifetime_series
 from tlstrack import optimize, tracker
 from tlstrack.cli import main
-from tlstrack.optimize import LeastSquaresProblem, levenberg_marquardt
 from tlstrack.tls import DeviceFrequencies, lorentzian_rates, rate_series
 from tlstrack.tracker import (
     DEFAULT_TRACKER_CONFIG,
@@ -366,7 +365,7 @@ def one_epoch_workspaces(ws, coupling, linewidth, bg, prev_traj=None):
     return solve
 
 
-def scalar_lm_pair(ws, coupling, linewidth, bg):
+def scalar_lm_pair(dense_lm, ws, coupling, linewidth, bg):
     """Scalar bounded LM on one epoch's two frequencies, with the analytic
     Jacobian written out independently of the tracker."""
     cfg = ws.config
@@ -387,11 +386,8 @@ def scalar_lm_pair(ws, coupling, linewidth, bg):
             return np.array([-ws.w_e[e] / ws.g10_meas[e] * dg10,
                              -ws.w_f[e] / ws.g21_meas[e] * dg21])
 
-        result = levenberg_marquardt(
-            LeastSquaresProblem(residual, np.clip(seed, lo, hi), lo, hi, jacobian=jacobian),
-            100,
-        )
-        return result.parameters.copy(), result.cost
+        x, _, cost, _, _, _ = dense_lm(residual, jacobian, np.clip(seed, lo, hi), lo, hi, 100)
+        return x, cost
 
     return solve_pair
 
@@ -452,14 +448,14 @@ class TestBatchedEpochSolves:
                                                                   prev))
             assert got.tobytes() == want.tobytes()
 
-    def test_order2_best_cost_not_above_scalar_lm(self):
+    def test_order2_best_cost_not_above_scalar_lm(self, dense_lm):
         for ws, coupling, linewidth, bg, prev in epoch_solve_cases(2):
             epochs, _, f = tracker._candidates_2d(ws, coupling, linewidth, bg, prev)
             got = best_costs(ws.n, epochs, f)
             _, want = reference_solve_epochs(
                 ws, coupling, linewidth, bg, prev,
                 grid_seeded(ws, coupling, linewidth, bg, prev,
-                            scalar_lm_pair(ws, coupling, linewidth, bg)))
+                            scalar_lm_pair(dense_lm, ws, coupling, linewidth, bg)))
             assert np.all(got <= want * (1.0 + 1e-12) + 1e-15)
 
     @pytest.mark.parametrize("with_previous", [False, True])
