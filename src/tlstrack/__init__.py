@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .dynamics import (
     DecayRates,
-    PopulationState,
     PopulationTrace,
     closed_form_trace,
 )
@@ -20,7 +19,6 @@ from .readout import (
     ConfusionMatrix,
     IqBlobModel,
     equilateral_blobs,
-    mitigate,
     mitigate_trace,
     simulate_confusion_matrix,
 )

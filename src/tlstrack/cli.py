@@ -19,13 +19,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .dynamics import DecayRates, read_traces
-from .errors import (
-    InvalidParameterError,
-    ScenarioSchemaError,
-    TlstrackError,
-    UndefinedCorrelationError,
-)
+from .dynamics import read_traces
+from .errors import InvalidParameterError, TlstrackError
 from .readout import ConfusionMatrix, mitigate_stack
 from .synth import bundled_scenario_path, scenario_from_json_dict, write_run_directory
 from .tls import DeviceFrequencies
@@ -104,9 +99,6 @@ def _is_number(value) -> bool:
 
 def _valid_tracker_value(value, default) -> bool:
     """Whether a JSON ``value`` has the type of the tracker field's ``default``."""
-    if isinstance(default, DecayRates):
-        return (isinstance(value, dict) and set(value) <= {"gamma10", "gamma21"}
-                and all(_is_number(v) and v >= 0.0 for v in value.values()))
     if isinstance(default, tuple):
         return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
     if isinstance(default, float):
@@ -114,11 +106,11 @@ def _valid_tracker_value(value, default) -> bool:
     return type(value) is bool
 
 
-_EXPECTED = {DecayRates: "an object of finite gamma10, gamma21 >= 0", tuple: "two finite numbers",
-             float: "a finite number", bool: "true or false"}
+_EXPECTED = {tuple: "two finite numbers", float: "a finite number", bool: "true or false"}
 
 
 def _jobs(args, config: dict) -> int:
+    """``jobs``, checked and recorded in the manifest; every command runs in one process."""
     jobs = _resolve(args.jobs, config, "jobs", 1)
     if type(jobs) is not int or jobs < 1:
         raise InvalidParameterError(f"jobs: expected an integer >= 1, got {jobs!r}")
@@ -139,8 +131,6 @@ def _tracker_config(config: dict) -> TrackerConfig:
             raise InvalidParameterError(
                 f"tracker.{key}: expected {_EXPECTED[type(default)]}, got {value!r}"
             )
-        if isinstance(default, DecayRates):
-            value = DecayRates(value.get("gamma10", 0.0), value.get("gamma21", 0.0))
         setattr(cfg, key, tuple(value) if isinstance(default, tuple) else value)
     return cfg
 
@@ -168,7 +158,7 @@ def cmd_simulate(args, config: dict) -> int:
 
     out = _resolve_out(args.out, Path(f"{scenario.name}_run"))
     out.mkdir(parents=True, exist_ok=True)
-    outputs = [str(p.relative_to(out)) for p in write_run_directory(scenario, out, jobs=jobs)]
+    outputs = [str(p.relative_to(out)) for p in write_run_directory(scenario, out)]
     _write_manifest(out, "simulate", {"jobs": jobs, "scenario": str(scenario_path)},
                     [str(scenario_path)], outputs, scenario.master_seed, started)
     print(f"simulate: wrote {scenario.epochs} epochs to {out}")
@@ -201,7 +191,6 @@ def cmd_fit_series(args, config: dict) -> int:
         raise InvalidParameterError(
             f"weighting: expected 'uniform' or 'binomial', got {weighting!r}"
         )
-    # accepted and recorded, but reading and mitigating need no worker processes
     jobs = _jobs(args, config)
     scenario_path = run_dir / "scenario.json"
     scenario_doc = _read_json(scenario_path) if scenario_path.exists() else {}
@@ -323,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario JSON path or bundled name (device_A, device_B)")
     p.add_argument("--out", help="output run directory")
     p.add_argument("--seed", type=int, help="override the scenario master seed")
-    p.add_argument("--jobs", type=int, help="parallel workers for epoch synthesis")
+    p.add_argument("--jobs", type=int,
+                   help="accepted and recorded in the manifest; no longer changes anything")
     p.add_argument("--config", help="JSON config file")
     p.set_defaults(func=cmd_simulate)
 
@@ -361,9 +351,6 @@ def main(argv=None) -> int:
     try:
         config = {} if args.config is None else _read_json(args.config)
         return args.func(args, config)
-    except (ScenarioSchemaError, InvalidParameterError, UndefinedCorrelationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
     except TlstrackError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -57,37 +57,6 @@ class DecayRates:
 ZERO_RATES = DecayRates(0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class PopulationState:
-    """Occupation probabilities of |0>, |1>, |2>.
-
-    Construction only checks finiteness: mitigation with clipping disabled
-    may legitimately produce slightly unphysical vectors.  Use
-    :meth:`is_normalized` where a proper probability vector is needed.
-    """
-
-    p0: float
-    p1: float
-    p2: float
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.p0, self.p1, self.p2)):
-            raise InvalidParameterError(f"population components must be finite: {self}")
-
-    def vector(self) -> np.ndarray:
-        return np.array([self.p0, self.p1, self.p2], dtype=float)
-
-    def is_normalized(self, tol: float = 1e-9) -> bool:
-        v = self.vector()
-        return bool(np.all(v >= -tol) and np.all(v <= 1.0 + tol) and abs(v.sum() - 1.0) <= tol)
-
-    @classmethod
-    def from_vector(cls, v: Sequence[float]) -> "PopulationState":
-        if len(v) != 3:
-            raise InvalidParameterError(f"population vector must have 3 entries, got {len(v)}")
-        return cls(float(v[0]), float(v[1]), float(v[2]))
-
-
 @dataclass
 class PopulationTrace:
     """Populations of the three levels versus delay time.
@@ -124,9 +93,6 @@ class PopulationTrace:
 
     def __len__(self) -> int:
         return int(self.delays.size)
-
-    def state(self, i: int) -> PopulationState:
-        return PopulationState.from_vector(self.populations[i])
 
     # -- serialization ----------------------------------------------------
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import PopulationState, PopulationTrace, TraceStack
+from .dynamics import PopulationTrace, TraceStack
 from .errors import InvalidParameterError, MitigationUnstableError
 
 CONFUSION_SCHEMA_VERSION = 1
@@ -345,22 +345,14 @@ def _require_finite(populations: np.ndarray, what: str) -> None:
         )
 
 
-def mitigate(
-    m: ConfusionMatrix, observed: PopulationState, clip: bool = True
-) -> PopulationState:
-    """Recover ideal populations by applying the inverse confusion matrix.
-
-    With ``clip`` (default) negative components of the raw inverse are set
-    to zero and the vector renormalized to unit sum; with ``clip=False`` the
-    raw inverse is returned even if slightly unphysical.
-    """
-    _require_stable(m)
-    return PopulationState.from_vector(_solve_and_clip(m, observed.vector()[None], clip)[0])
-
-
 def mitigate_trace(m: ConfusionMatrix, trace: PopulationTrace, clip: bool = True) -> PopulationTrace:
-    """Apply :func:`mitigate` to every delay point of a trace, checking the
-    matrix's condition number once."""
+    """Recover a trace's ideal populations by applying the inverse confusion
+    matrix to every delay point, checking the matrix's condition number once.
+
+    With ``clip`` (default) a point whose raw inverse has a negative
+    component has it set to zero and is renormalized to unit sum; with
+    ``clip=False`` the raw inverse is returned even if slightly unphysical.
+    """
     _require_stable(m)
     return PopulationTrace(trace.delays.copy(), _mitigated(m, trace.populations, clip),
                            None if trace.shots is None else trace.shots.copy())

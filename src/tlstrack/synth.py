@@ -3,8 +3,9 @@ shot-sampled, readout-corrupted population traces.
 
 Everything is deterministic for a fixed master seed.  Sub-streams are
 derived per consumer (one per defect trajectory, one for the confusion
-calibration, one per epoch), so changing one defect's seed or running
-epochs in parallel never perturbs the other draws.
+calibration, one per epoch), so changing one defect's seed never perturbs
+the other draws, and an epoch's draws depend only on the master seed and
+the epoch's index.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -38,6 +39,12 @@ DRIFT_KINDS = ("static", "random_walk", "ornstein_uhlenbeck")
 def derive_rng(master_seed: int, *keys: int) -> np.random.Generator:
     """Independent deterministic stream for (master seed, key...)."""
     return np.random.default_rng([int(master_seed), *[int(k) for k in keys]])
+
+
+def _require_seed(name: str, value) -> None:
+    """numpy seeds with integers >= 0 only; refuse anything else up front."""
+    if type(value) is bool or not isinstance(value, (int, np.integer)) or value < 0:
+        raise InvalidParameterError(f"{name}: expected an integer >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,7 @@ class DriftProcess:
             raise InvalidParameterError("sigma_mhz must be >= 0")
         if self.theta_per_hr < 0.0:
             raise InvalidParameterError("theta_per_hr must be >= 0")
+        _require_seed("seed", self.seed)
 
     def realize(self, n_epochs: int, dt_hr: float, rng: np.random.Generator) -> np.ndarray:
         if n_epochs < 1:
@@ -137,6 +145,7 @@ class Scenario:
             raise InvalidParameterError("shots_per_delay must be >= 1")
         if self.calibration_shots < 1:
             raise InvalidParameterError("calibration_shots must be >= 1")
+        _require_seed("master_seed", self.master_seed)
         self.delays_us = np.asarray(self.delays_us, dtype=float)
         if self.delays_us.size < 1 or self.delays_us[0] < 0.0 or np.any(
             np.diff(self.delays_us) <= 0.0
@@ -471,34 +480,20 @@ def synthesize_epoch(scenario: Scenario, epoch: int, rates: DecayRates) -> Popul
     )
 
 
-def _epoch_worker(args) -> tuple[int, PopulationTrace]:
-    scenario, epoch, g10, g21 = args
-    return epoch, synthesize_epoch(scenario, epoch, DecayRates(g10, g21))
-
-
 def synthesize_experiment(
-    scenario: Scenario, jobs: int = 1
+    scenario: Scenario,
 ) -> tuple[list[PopulationTrace], ConfusionMatrix, TlsParameterSet]:
     """Full synthetic run: per-epoch traces, the simulated confusion matrix,
     and the ground-truth defect parameters."""
     truth = generate_trajectories(scenario)
     g10, g21 = true_rate_arrays(scenario, truth)
     confusion = scenario.confusion_matrix()
-    args = [(scenario, e, float(g10[e]), float(g21[e])) for e in range(scenario.epochs)]
-    if jobs > 1 and scenario.epochs > 1:
-        # imported here so that importing the CLI does not load the process pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_epoch_worker, args, chunksize=8))
-        results.sort(key=lambda pair: pair[0])
-        traces = [trace for _, trace in results]
-    else:
-        traces = [_epoch_worker(a)[1] for a in args]
+    traces = [synthesize_epoch(scenario, e, DecayRates(float(g10[e]), float(g21[e])))
+              for e in range(scenario.epochs)]
     return traces, confusion, truth
 
 
-def write_run_directory(scenario: Scenario, out_dir, jobs: int = 1) -> list[Path]:
+def write_run_directory(scenario: Scenario, out_dir) -> list[Path]:
     """Materialize a run: traces/epoch_XXXX.csv, confusion.json, truth.json,
     scenario.json, and the ground-truth lifetime series as truth_series.csv
     (``fit-series`` writes the measured series.csv beside it).  Returns the
@@ -506,7 +501,7 @@ def write_run_directory(scenario: Scenario, out_dir, jobs: int = 1) -> list[Path
     earlier run left in ``out_dir`` is deleted unless this run rewrites it,
     so the directory holds one run's traces; other files are left alone."""
     out = Path(out_dir)
-    traces, confusion, truth = synthesize_experiment(scenario, jobs=jobs)
+    traces, confusion, truth = synthesize_experiment(scenario)
     (out / "traces").mkdir(parents=True, exist_ok=True)
     names = {f"epoch_{e:04d}.csv" for e in range(len(traces))}
     for stale in (out / "traces").glob("epoch_*.csv"):

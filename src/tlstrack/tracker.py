@@ -49,7 +49,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DecayRates, ZERO_RATES, _Column, _read_csv, _write_csv
+from .dynamics import DecayRates, _Column, _read_csv, _write_csv
 from .errors import InvalidParameterError, UndefinedCorrelationError
 from .optimize import FTOL, _damped_newton_2x2, _lm_loop
 from .tls import (DeviceFrequencies, TlsDefect, TlsParameterSet, lorentzian_density,
@@ -155,8 +155,7 @@ class TrackerConfig:
     """
 
     band_margin_mhz: float = 200.0   # search band extends this far past both transitions
-    fit_background: bool = True
-    fixed_background: DecayRates = field(default_factory=lambda: ZERO_RATES)
+    fit_background: bool = True      # fit a constant floor; without it the floor is zero
     f_multiplier: float = 1.0        # extra weight on the |2>->|1> channel per defect
     linewidth_bounds_mhz: tuple[float, float] = (0.05, 500.0)
     coupling_bounds: tuple[float, float] = (1e-10, 1e8)
@@ -299,12 +298,7 @@ class _Workspace:
         order = self.order
         coupling = params[0 : 2 * order : 2]
         linewidth = params[1 : 2 * order : 2]
-        if self.config.fit_background:
-            bg = params[2 * order : 2 * order + 2]
-        else:
-            bg = np.array(
-                [self.config.fixed_background.gamma_10, self.config.fixed_background.gamma_21]
-            )
+        bg = params[2 * order : 2 * order + 2] if self.config.fit_background else np.zeros(2)
         return coupling, linewidth, bg
 
     def global_bounds(self):

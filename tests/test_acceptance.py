@@ -11,14 +11,12 @@ from scipy.integrate import solve_ivp
 from tlstrack import tracker
 from tlstrack.dynamics import (
     DecayRates,
-    PopulationState,
     PopulationTrace,
     closed_form_populations,
     closed_form_trace,
 )
 from tlstrack.optimize import _damped_newton_2x2
-from tlstrack.readout import ConfusionMatrix, mitigate, mitigate_trace, \
-    simulate_confusion_matrix
+from tlstrack.readout import ConfusionMatrix, mitigate_trace, simulate_confusion_matrix
 from tlstrack.synth import bundled_scenario, generate_trajectories, \
     synthesize_experiment, true_lifetime_series
 from tlstrack.tls import lorentzian_rates, rate_series, TlsParameterSet, TlsDefect
@@ -106,9 +104,9 @@ def test_criterion_3_mitigation_round_trip():
             m = 0.6 * np.eye(3) + 0.4 * rng.dirichlet(np.ones(3), size=3).T
             cm = ConfusionMatrix(m / m.sum(axis=0))
             p = rng.dirichlet(np.ones(3))
-            observed = PopulationState.from_vector(cm.m @ p)
-            recovered = mitigate(cm, observed, clip=False)
-            assert np.max(np.abs(recovered.vector() - p)) <= 1e-10
+            observed = PopulationTrace([0.0], [cm.m @ p])
+            recovered = mitigate_trace(cm, observed, clip=False).populations[0]
+            assert np.max(np.abs(recovered - p)) <= 1e-10
 
 
 def test_criterion_4_readout_fidelity_calibration():

@@ -21,6 +21,7 @@ import tlstrack
 from tlstrack import cli
 from tlstrack.cli import main
 from tlstrack.dynamics import DecayRates
+from tlstrack.readout import ConfusionMatrix
 from tlstrack.synth import (
     DriftProcess,
     Scenario,
@@ -260,6 +261,22 @@ class TestFitSeries:
 
     def test_empty_run_dir(self, tmp_path):
         assert main(["fit-series", str(tmp_path)]) == 2
+
+    def test_out_is_a_file_exit_3(self, run_dir, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["fit-series", str(run_dir), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("i/o error: [Errno 17] File exists")
+
+    def test_near_singular_confusion_matrix_exit_2(self, run_dir, capsys):
+        m = np.array([[0.5, 0.5, 0.0], [0.5, 0.5, 0.5], [0.0, 0.0, 0.5]])
+        m[0, 1] -= 1e-9
+        m[1, 1] += 1e-9
+        ConfusionMatrix(m).to_json(run_dir / "confusion.json")
+        assert main(["fit-series", str(run_dir)]) == 2
+        assert capsys.readouterr().err == ("error: confusion matrix condition number 1.332e+09 "
+                                           "exceeds the mitigation stability limit\n")
+        assert not (run_dir / "fits.json").exists()
 
     @pytest.mark.parametrize("spacing", ["x", -1, 0, -0.25, None, True, [1.0], float("inf")])
     def test_bad_epoch_spacing_exit_2(self, run_dir, capsys, spacing):
@@ -587,6 +604,12 @@ class TestTrack:
         ({"f_multiplier": -1}, "f_multiplier: expected > 0"),
         ({"band_margin_mhz": 1e160}, "band_margin_mhz: the frequency polynomials"),
         ({"band_margin_mhz": 1e308}, "band_margin_mhz: the frequency polynomials"),
+        ({"fixed_background": {"gamma10": 0.0, "gamma21": 0.0}},
+         "tracker.fixed_background: unknown tracker config key"),
+        ({"fit_background": "yes"}, "tracker.fit_background: expected true or false, got 'yes'"),
+        ({"band_margin_mhz": "200"}, "tracker.band_margin_mhz: expected a finite number, got '200'"),
+        ({"coupling_bounds": [1e-10, 1.0, 1e8]},
+         "tracker.coupling_bounds: expected two finite numbers, got [1e-10, 1.0, 100000000.0]"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_tracker_config_exit_2(self, tmp_path, capsys, tracker, path):
@@ -600,6 +623,16 @@ class TestTrack:
         (key,) = tracker
         if key not in {f.name for f in fields(TrackerConfig)}:
             assert f"tracker.{key}: unknown tracker config key" in err
+
+    def test_fixed_zero_floor(self, tmp_path):
+        spath, dev, _ = self.make_series_csv(tmp_path, epochs=12)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tracker": {"fit_background": False}}))
+        out = tmp_path / "fit"
+        assert main(["track", str(spath), "--device", str(dev), "--order", "1",
+                     "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "fit.json").read_text())["background"] == \
+            {"gamma10": 0.0, "gamma21": 0.0}
 
     def test_order_auto_selects_two_tls(self, tmp_path):
         device_b = DeviceFrequencies(5810.32, -201.32)
@@ -696,12 +729,12 @@ def test_public_api():
     assert sorted(tlstrack.__all__) == [
         "ConfusionMatrix", "DecayRates", "DeviceFrequencies", "DriftProcess", "FitDivergedError",
         "InvalidParameterError", "IqBlobModel", "LifetimeSeries", "MitigationUnstableError",
-        "PopulationState", "PopulationTrace", "Scenario", "ScenarioSchemaError", "TlsDefect",
+        "PopulationTrace", "Scenario", "ScenarioSchemaError", "TlsDefect",
         "TlsParameterSet", "TlsTruth", "TlstrackError", "TraceFit", "TrackerConfig", "TrackerFit",
         "UndefinedCorrelationError", "bundled_scenario", "closed_form_trace",
         "default_delay_grid", "dynamics", "equilateral_blobs", "errors", "fit_trace",
         "fit_traces", "generate_trajectories", "initial_guess", "lifetime_correlation",
-        "load_scenario", "lorentzian_density", "mitigate", "mitigate_trace", "optimize",
+        "load_scenario", "lorentzian_density", "mitigate_trace", "optimize",
         "rate_series", "readout", "reconstruct_trajectory", "select_model",
         "simulate_confusion_matrix", "synth", "synthesize_experiment", "tls", "trace_fit",
         "track_tls", "tracker", "write_run_directory",
@@ -709,7 +742,7 @@ def test_public_api():
 
 
 def test_cli_import_does_not_load_process_pool():
-    # only simulate --jobs above 1 starts worker processes
+    # no command starts worker processes, so none needs the pool's modules
     assert loaded_after_cli_import("concurrent.futures.process") == "[]"
 
 
@@ -755,12 +788,7 @@ class TestConfigPrecedence:
         assert manifest["resolved_config"]["jobs"] == 2
 
     @pytest.mark.parametrize("jobs", ["abc", 2.5, 0, True])
-    def test_bad_jobs_exit_2(self, run_dir, tmp_path, capsys, monkeypatch, jobs):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a worker pool was started")
-
-        # simulate is the one command that starts worker processes
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    def test_bad_jobs_exit_2(self, run_dir, tmp_path, capsys, jobs):
         spath = write_scenario(tmp_path / "s.json", tiny_scenario())
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"jobs": jobs}))
@@ -848,7 +876,8 @@ _UNKNOWN_KEY = st.one_of(st.sampled_from(["coarse_points", "refine_tol_mhz", "dr
                                           "probe_iterations", "joint_lm_iterations", "misfit_rtol",
                                           "misfit_floor", "use_reported_errors",
                                           "noise_floor_factor", "tie_rel", "tie_abs",
-                                          "probe_tie_abs", "linewidth_init_mhz"]),
+                                          "probe_tie_abs", "linewidth_init_mhz",
+                                          "fixed_background"]),
                          st.text(max_size=6).filter(lambda k: k not in _FIELDS))
 
 # (commands it applies to, config document text)

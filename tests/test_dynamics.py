@@ -318,4 +318,6 @@ def test_closed_form_trace_helper():
     delays = np.geomspace(1.0, 100.0, 8)
     trace = closed_form_trace(DEVICE_A, delays)
     assert len(trace) == 8
-    assert trace.state(0).is_normalized()
+    p = trace.populations[0]
+    assert abs(p.sum() - 1.0) <= 1e-9
+    assert np.all((p >= 0.0) & (p <= 1.0))

@@ -162,14 +162,24 @@ class TestDampedNewton2x2:
         truth = np.array([[1.0, 2.5, 0.7], [0.8, 0.3, 1.9]])
         data = (truth[0][:, None] * np.exp(-truth[1][:, None] * self.t)
                 + 0.01 * rng.normal(size=(3, self.t.size)))
-        x0 = np.array([[0.5, 1.0, 1.0], [0.5, 1.0, 0.5]])
+        # each data row from a near start, where every trial is accepted, and
+        # from two far starts, whose rejected trials raise the damping before
+        # accepted ones lower it: a change to either factor of the shared
+        # schedule changes an iteration count
+        rows = np.tile(np.arange(3), 3)
+        x0 = np.array([[0.5, 1.0, 1.0, 9.0, 9.0, 9.0, 5.0, 5.0, 5.0],
+                       [0.5, 1.0, 0.5, 9.0, 9.0, 9.0, 8.0, 8.0, 8.0]])
         lo, hi = 0.01, 10.0
         x, _, cost, iterations, converged = _damped_newton_2x2(
-            x0, lo, hi, *self.decay_problems(data))
+            x0, lo, hi, *self.decay_problems(data[rows]))
         assert np.all(converged)
-        for i in range(3):
+        rejected = []
+        for i, row in enumerate(rows):
+            trials = []
+
             def residual(p):
-                return p[0] * np.exp(-p[1] * self.t) - data[i]
+                trials.append(p)
+                return p[0] * np.exp(-p[1] * self.t) - data[row]
 
             def jacobian(p):
                 e = np.exp(-p[1] * self.t)
@@ -180,6 +190,10 @@ class TestDampedNewton2x2:
             assert np.allclose(x[:, i], want_x, rtol=1e-9, atol=0.0)
             assert cost[i] <= want_cost * (1.0 + 1e-12) + 1e-15
             assert iterations[i] == want_iterations
+            # one evaluation at the start and one per trial, of which at most
+            # one per iteration is accepted
+            rejected.append(len(trials) - 1 - want_iterations > 0)
+        assert rejected[3:6] == [True] * 3
 
     def test_outward_gradient_on_bound_stops_without_trials(self):
         # the minimum lies beyond the upper bound of the first parameter, and

@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 from scipy.optimize import brentq
 
-from tlstrack.dynamics import DecayRates, PopulationState, PopulationTrace, closed_form_trace
+from tlstrack.dynamics import DecayRates, PopulationTrace, closed_form_trace
 from tlstrack.errors import InvalidParameterError, MitigationUnstableError
 from tlstrack.readout import (
     ConfusionMatrix,
     IqBlobModel,
     classify_points,
     equilateral_blobs,
-    mitigate,
     mitigate_trace,
     sample_blob,
     simulate_confusion_matrix,
@@ -343,20 +342,24 @@ class TestCalibration:
         assert bundled_scenario("device_A").blobs.means[0, 1] == pytest.approx(r, abs=1e-7)
 
 
+def mitigate_point(m, p, clip=True):
+    """``mitigate_trace`` of the one-point trace of population vector ``p``."""
+    return mitigate_trace(m, PopulationTrace([0.0], [p]), clip).populations[0]
+
+
 class TestMitigation:
     def test_identity_unchanged(self):
-        p = PopulationState(0.5, 0.3, 0.2)
-        out = mitigate(ConfusionMatrix(np.eye(3)), p)
-        assert np.array_equal(out.vector(), p.vector())
+        p = np.array([0.5, 0.3, 0.2])
+        out = mitigate_point(ConfusionMatrix(np.eye(3)), p)
+        assert np.array_equal(out, p)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_round_trip_random_matrices(self, seed):
         rng = np.random.default_rng(seed)
         m = ConfusionMatrix(_random_stochastic(rng))
         p = rng.dirichlet(np.ones(3))
-        observed = PopulationState.from_vector(m.m @ p)
-        out = mitigate(m, observed, clip=False)
-        assert np.max(np.abs(out.vector() - p)) < 1e-10
+        out = mitigate_point(m, m.m @ p, clip=False)
+        assert np.max(np.abs(out - p)) < 1e-10
 
     def test_raw_inverse_against_elimination_oracle(self):
         m = ConfusionMatrix(np.array([
@@ -364,10 +367,10 @@ class TestMitigation:
             [0.04, 0.88, 0.06],
             [0.03, 0.06, 0.89],
         ]))
-        observed = PopulationState(0.4, 0.35, 0.25)
-        out = mitigate(m, observed, clip=False)
-        expected = gauss_elim_solve(m.m, observed.vector())
-        assert np.max(np.abs(out.vector() - expected)) < 1e-12
+        observed = np.array([0.4, 0.35, 0.25])
+        out = mitigate_point(m, observed, clip=False)
+        expected = gauss_elim_solve(m.m, observed)
+        assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_clipping_renormalizes(self):
         m = ConfusionMatrix(np.array([
@@ -376,11 +379,10 @@ class TestMitigation:
             [0.0, 0.1, 0.9],
         ]))
         # observation outside the reachable simplex forces a negative component
-        out = mitigate(m, PopulationState(1.0, 0.0, 0.0))
-        v = out.vector()
+        v = mitigate_point(m, [1.0, 0.0, 0.0])
         assert np.all(v >= 0.0)
         assert v.sum() == pytest.approx(1.0, abs=1e-12)
-        raw = mitigate(m, PopulationState(1.0, 0.0, 0.0), clip=False).vector()
+        raw = mitigate_point(m, [1.0, 0.0, 0.0], clip=False)
         assert np.any(raw < 0.0)
 
     def test_near_singular_raises(self):
@@ -393,7 +395,7 @@ class TestMitigation:
         m[1, 1] += 1e-9
         cm = ConfusionMatrix(m)
         with pytest.raises(MitigationUnstableError) as exc:
-            mitigate(cm, PopulationState(0.4, 0.4, 0.2))
+            mitigate_point(cm, [0.4, 0.4, 0.2])
         assert exc.value.condition_number >= 1e6
         trace = closed_form_trace(DecayRates(1 / 155.0, 1 / 64.0), np.geomspace(1, 600, 4))
         with pytest.raises(MitigationUnstableError):
@@ -408,7 +410,7 @@ class TestMitigation:
         assert np.max(np.abs(recovered.populations - trace.populations)) < 1e-10
         clipped = mitigate_trace(m, noisy)
         for i in range(len(noisy)):
-            assert np.array_equal(clipped.populations[i], mitigate(m, noisy.state(i)).vector())
+            assert np.array_equal(clipped.populations[i], mitigate_point(m, corrupted[i]))
 
     def test_mitigate_trace_rejects_invalid_points(self):
         delays = np.array([1.0, 2.0, 3.0])
@@ -455,8 +457,9 @@ class TestStackedMitigation:
         assert np.array_equal(got, per_row_mitigation(m, populations, clip))
         raw = per_row_mitigation(m, populations, False)
         assert np.any(raw < 0.0) and np.any(np.all(raw >= 0.0, axis=1))
+        # a row's bits do not depend on the rows mitigated beside it
         for i in range(len(trace)):
-            assert np.array_equal(got[i], mitigate(m, trace.state(i), clip=clip).vector())
+            assert np.array_equal(got[i], mitigate_point(m, populations[i], clip))
 
     def test_single_point_trace(self):
         m = ConfusionMatrix(_random_stochastic(np.random.default_rng(4)))

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -128,12 +129,19 @@ class TestSynthesis:
         for a, b in zip(t1, t2):
             assert np.array_equal(a.populations, b.populations)
 
-    def test_jobs_parallel_identical(self):
-        sc = small_scenario()
-        serial, _, _ = synthesize_experiment(sc, jobs=1)
-        parallel, _, _ = synthesize_experiment(sc, jobs=2)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.populations, b.populations)
+    @pytest.mark.parametrize("build, expected", [
+        (lambda: dataclasses.replace(bundled_scenario("device_A"), epochs=2, master_seed=-1),
+         "master_seed: expected an integer >= 0, got -1"),
+        (lambda: small_scenario(master_seed=2.0), "master_seed: expected an integer >= 0, got 2.0"),
+        (lambda: small_scenario(master_seed=True), "master_seed: expected an integer >= 0, got True"),
+        (lambda: DriftProcess("static", 4700.0, seed=-3), "seed: expected an integer >= 0, got -3"),
+    ])
+    def test_bad_seed_refused_when_built_in_python(self, build, expected):
+        # numpy refuses negative seeds only when the first stream is drawn
+        with pytest.raises(InvalidParameterError) as info:
+            build()
+        assert str(info.value) == expected
+        assert small_scenario(master_seed=np.int64(99)).master_seed == 99
 
     def test_large_shot_limit_matches_closed_form(self):
         sc = small_scenario(epochs=1, shots_per_delay=100_000, blobs=None)
