@@ -34,7 +34,10 @@ Because the rate levels alone cannot localize a defect (any (B, gamma,
 omega) triple matching the two median rates is statically equivalent), the
 loop is started from a small deterministic set of level-matched positions
 spread over the search band, probed in turn until the best so far has misfit
-<= ``PROBE_TIE_ABS`` (a saturated fit), and the best probe is kept.
+<= ``PROBE_TIE_ABS`` (a saturated fit), and the best probe is kept.  An epoch
+solve that brings the misfit to or below min(``PROBE_TIE_ABS``, the
+convergence floor) interpolates every epoch and ends the fit there, with a
+warning that the couplings and linewidths are the values it started from.
 
 Residuals are relative rate misfits (1 - Gamma_model/Gamma_measured) so the
 fast and slow channels contribute comparably.
@@ -759,33 +762,43 @@ def track_tls(
         warnings.append("two-defect model with fewer than 25 epochs: weak identifiability")
 
     ws = _Workspace(series, device, order, config)
+    floor_abs = ws.misfit_floor()
+    # an epoch solve this close to the data interpolates it: the probe stop and
+    # the convergence floor both hold, and no joint update can lower the misfit
+    saturated = min(PROBE_TIE_ABS, floor_abs)
 
     def outer_cycle(glob, traj):
+        """One epoch solve and joint update; the last element is True when the
+        solve alone saturates and the update is skipped, which ends the fit."""
         coupling, linewidth, bg = ws.unpack_globals(glob)
         traj = _solve_epochs(ws, coupling, linewidth, bg, traj)
+        misfit = ws.misfit(coupling, linewidth, bg, traj)
+        if misfit <= saturated:
+            return glob, traj, misfit, True
         glob, traj = _joint_update(ws, glob, traj)
         coupling, linewidth, bg = ws.unpack_globals(glob)
-        return glob, traj, ws.misfit(coupling, linewidth, bg, traj)
+        return glob, traj, ws.misfit(coupling, linewidth, bg, traj), False
 
     # probe the starts in turn; near-equal probes go to the earliest, preferred start.
     # Stopping at a winner <= PROBE_TIE_ABS is exact: the tie floor is never below that
     # and later probes only lower it, so the winner stays in and earlier probes out
     probes = []
-    for glob, traj in _initial_states(ws):
-        for _ in range(PROBE_ITERATIONS):
-            glob, traj, misfit = outer_cycle(glob, traj)
-        probes.append((misfit, glob, traj))
-        misfit, glob, traj = probes[_probe_winner([p[0] for p in probes])]
+    for start, (glob, traj) in enumerate(_initial_states(ws)):
+        for iteration in range(1, PROBE_ITERATIONS + 1):
+            glob, traj, misfit, done = outer_cycle(glob, traj)
+            if done:
+                break
+        probes.append((misfit, glob, traj, iteration, done, start))
+        misfit, glob, traj, iteration, done, start = probes[
+            _probe_winner([p[0] for p in probes])]
         if misfit <= PROBE_TIE_ABS:
             break
 
-    floor_abs = ws.misfit_floor()
     converged = misfit <= floor_abs
     misfit_prev = misfit
-    iteration = PROBE_ITERATIONS
     while not converged and iteration < OUTER_ITERATIONS:
         iteration += 1
-        glob, traj, misfit = outer_cycle(glob, traj)
+        glob, traj, misfit, done = outer_cycle(glob, traj)
         if misfit <= floor_abs or abs(misfit_prev - misfit) <= MISFIT_RTOL * max(
             misfit_prev, _TINY
         ):
@@ -793,10 +806,18 @@ def track_tls(
             break
         misfit_prev = misfit
 
-    # sync trajectories to the final globals
     coupling, linewidth, bg = ws.unpack_globals(glob)
-    traj = _solve_epochs(ws, coupling, linewidth, bg, traj)
-    misfit = ws.misfit(coupling, linewidth, bg, traj)
+    if done:
+        widths = ", ".join(f"{g:.6g}" for g in linewidth)
+        warnings.append(
+            f"saturated: start {start + 1} interpolates every epoch at outer cycle "
+            f"{iteration} (misfit {misfit:.3g}), so the reported couplings and linewidths "
+            f"are the values that cycle started from (linewidths {widths} MHz) and the "
+            "data do not determine them")
+    else:
+        # sync trajectories to the final globals
+        traj = _solve_epochs(ws, coupling, linewidth, bg, traj)
+        misfit = ws.misfit(coupling, linewidth, bg, traj)
 
     g10, g21 = lorentzian_rates(device, coupling, linewidth, traj, bg, config.f_multiplier)
     defects = [

@@ -13,7 +13,7 @@ from scipy.optimize import minimize_scalar
 from tlstrack.dynamics import DecayRates
 from tlstrack.errors import InvalidParameterError, UndefinedCorrelationError
 from tlstrack.synth import DriftProcess, Scenario, TlsTruth, bundled_scenario, \
-    bundled_scenario_path, generate_trajectories, true_lifetime_series
+    bundled_scenario_path, generate_trajectories, load_scenario, true_lifetime_series
 from tlstrack import optimize, tracker
 from tlstrack.cli import main
 from tlstrack.tls import DeviceFrequencies, lorentzian_rates, rate_series
@@ -1105,23 +1105,31 @@ class TestProbeStop:
         assert winner_with_stop(misfits) == tracker._probe_winner(misfits)
 
     @staticmethod
-    def count(monkeypatch, series, device, order):
+    def count(monkeypatch, series, device, order, config=DEFAULT_TRACKER_CONFIG,
+              updates=None):
         """_solve_epochs calls of one fit, and the probe misfits each winner
-        was chosen from."""
+        was chosen from; each _joint_update call appends to ``updates``."""
         solves, probed = [], []
+        updates = [] if updates is None else updates
         solve_epochs, probe_winner = tracker._solve_epochs, tracker._probe_winner
+        joint_update = tracker._joint_update
 
         def counting_solve(*args):
             solves.append(1)
             return solve_epochs(*args)
+
+        def counting_update(*args):
+            updates.append(1)
+            return joint_update(*args)
 
         def recording_winner(misfits):
             probed.append(list(misfits))
             return probe_winner(misfits)
 
         monkeypatch.setattr(tracker, "_solve_epochs", counting_solve)
+        monkeypatch.setattr(tracker, "_joint_update", counting_update)
         monkeypatch.setattr(tracker, "_probe_winner", recording_winner)
-        fit = track_tls(series, device, order)
+        fit = track_tls(series, device, order, config)
         return fit, len(solves), probed
 
     @pytest.fixture(scope="class")
@@ -1138,18 +1146,35 @@ class TestProbeStop:
 
     @pytest.mark.parametrize("case", ["digest", "track_B"])
     def test_saturated_order_2_probes_one_start(self, case, request, monkeypatch):
-        # the first start interpolates, so its PROBE_ITERATIONS outer cycles
-        # and the final sync are the only epoch solves; probing all three
-        # starts made 7
+        # the first start's first epoch solve interpolates, so it is the fit:
+        # no joint update and no sync solve follow it; probing made 3 solves
+        # and 2 updates, and probing all three starts 7 and 6
         if case == "digest":
             series, scenario = digest_series()
             device = scenario.device
         else:
             series, device = request.getfixturevalue("track_b_series")
-        fit, solves, probed = self.count(monkeypatch, series, device, 2)
+        updates = []
+        fit, solves, probed = self.count(monkeypatch, series, device, 2, updates=updates)
         assert fit.misfit <= tracker.PROBE_TIE_ABS
-        assert solves == tracker.PROBE_ITERATIONS + 1 == 3
+        assert (solves, len(updates), fit.iterations) == (1, 0, 1)
         assert len(probed) == 1
+        assert fit.converged
+
+    def test_unsaturated_order_2_runs_every_cycle(self, monkeypatch):
+        # couplings capped at 0.05 cannot reach the digest rates, so no epoch
+        # solve saturates and the fit does the work it did before saturated
+        # solves ended fits: 3 starts' probe cycles, 2 more on start 2 and the
+        # sync solve, 9 solves and 8 joint updates
+        series, scenario = digest_series()
+        config = TrackerConfig(coupling_bounds=(1e-10, 0.05))
+        updates = []
+        fit, solves, probed = self.count(monkeypatch, series, scenario.device, 2, config,
+                                         updates)
+        assert (solves, len(updates), fit.iterations) == (9, 8, 4)
+        assert [len(m) for m in probed] == [1, 2, 3]
+        assert fit.misfit == pytest.approx(29.952354, rel=1e-6)
+        assert not any("saturated" in w for w in fit.warnings)
 
     def test_weighted_order_1_probes_every_start(self, monkeypatch):
         series, scenario = digest_series()
@@ -1159,6 +1184,65 @@ class TestProbeStop:
         # every start's probe cycles, the kept one's further cycles, the final sync
         extra = fit.iterations - tracker.PROBE_ITERATIONS
         assert solves == 3 * tracker.PROBE_ITERATIONS + extra + 1
+
+
+class TestSaturation:
+    """An epoch solve that interpolates every epoch ends the fit, and the fit
+    says that the data do not determine its couplings and linewidths."""
+
+    @pytest.fixture(scope="class")
+    def bundled_run(self, tmp_path_factory):
+        """name -> (series.csv, scenario.json) of the bundled scenario,
+        simulated at its bundled seed and fitted."""
+        root, runs = tmp_path_factory.mktemp("bundled"), {}
+
+        def run(name):
+            if name not in runs:
+                out = root / name
+                assert main(["simulate", str(bundled_scenario_path(name)),
+                             "--out", str(out)]) == 0
+                assert main(["fit-series", str(out), "--out", str(out / "fit")]) == 0
+                runs[name] = out / "fit" / "series.csv", out / "scenario.json"
+            return runs[name]
+        return run
+
+    @staticmethod
+    def fit(run, order):
+        series, scenario = run
+        return track_tls(LifetimeSeries.from_csv(series), load_scenario(scenario).device, order)
+
+    def test_device_b_order_2_warns(self, bundled_run, tmp_path, capsys):
+        series, scenario = bundled_run("device_B")
+        capsys.readouterr()
+        assert main(["track", str(series), "--device", str(scenario), "--order", "2",
+                     "--out", str(tmp_path / "fit")]) == 0
+        doc = json.loads((tmp_path / "fit" / "fit.json").read_text())
+        saturated = [w for w in doc["warnings"] if w.startswith("saturated")]
+        assert len(saturated) == 1
+        assert "start 1 interpolates every epoch at outer cycle 1" in saturated[0]
+        assert "(linewidths 10, 10 MHz) and the data do not determine them" in saturated[0]
+        assert saturated[0] in capsys.readouterr().out
+        assert doc["iterations"] == 1 and doc["converged"]
+        assert [d["gamma_mhz"] for d in doc["tls"]] == [tracker.LINEWIDTH_INIT_MHZ] * 2
+
+    def test_device_a_order_1_does_not_warn(self, bundled_run):
+        fit = self.fit(bundled_run("device_A"), 1)
+        assert fit.misfit > tracker.PROBE_TIE_ABS
+        assert not any("saturated" in w for w in fit.warnings)
+
+    def test_globals_follow_the_start(self, bundled_run, monkeypatch):
+        # moving the start's linewidth moves the reported globals, and the fit
+        # interpolates as well as before: the data do not determine them
+        run = bundled_run("device_B")
+        default = self.fit(run, 2)
+        monkeypatch.setattr(tracker, "LINEWIDTH_INIT_MHZ", 12.0)
+        moved = self.fit(run, 2)
+        assert [d.linewidth_mhz for d in default.parameters.defects] == [10.0, 10.0]
+        assert [d.linewidth_mhz for d in moved.parameters.defects] == [12.0, 12.0]
+        for a, b in zip(default.parameters.defects, moved.parameters.defects):
+            assert abs(b.coupling_weight / a.coupling_weight - 1.0) > 0.05
+        assert max(default.misfit, moved.misfit) <= tracker.PROBE_TIE_ABS
+        assert "(linewidths 12, 12 MHz)" in moved.warnings[-1]
 
 
 class TestTrajectoryOutputs:
