@@ -763,8 +763,8 @@ def track_tls(
 
     ws = _Workspace(series, device, order, config)
     floor_abs = ws.misfit_floor()
-    # an epoch solve this close to the data interpolates it: the probe stop and
-    # the convergence floor both hold, and no joint update can lower the misfit
+    # an epoch solve at or below this interpolates the data: it meets both the
+    # probe stop and the convergence floor, so its state is the fit
     saturated = min(PROBE_TIE_ABS, floor_abs)
 
     def outer_cycle(glob, traj):

@@ -1147,8 +1147,7 @@ class TestProbeStop:
     @pytest.mark.parametrize("case", ["digest", "track_B"])
     def test_saturated_order_2_probes_one_start(self, case, request, monkeypatch):
         # the first start's first epoch solve interpolates, so it is the fit:
-        # no joint update and no sync solve follow it; probing made 3 solves
-        # and 2 updates, and probing all three starts 7 and 6
+        # no joint update, probe cycle or sync solve follows it
         if case == "digest":
             series, scenario = digest_series()
             device = scenario.device
@@ -1163,9 +1162,8 @@ class TestProbeStop:
 
     def test_unsaturated_order_2_runs_every_cycle(self, monkeypatch):
         # couplings capped at 0.05 cannot reach the digest rates, so no epoch
-        # solve saturates and the fit does the work it did before saturated
-        # solves ended fits: 3 starts' probe cycles, 2 more on start 2 and the
-        # sync solve, 9 solves and 8 joint updates
+        # solve saturates and every cycle runs: 3 starts' probe cycles, 2 more
+        # on start 2 and the sync solve, 9 solves and 8 joint updates
         series, scenario = digest_series()
         config = TrackerConfig(coupling_bounds=(1e-10, 0.05))
         updates = []
