@@ -4,8 +4,9 @@ shot-sampled, readout-corrupted population traces.
 Everything is deterministic for a fixed master seed.  Sub-streams are
 derived per consumer (one per defect trajectory, one for the confusion
 calibration, one per epoch), so changing one defect's seed never perturbs
-the other draws, and an epoch's draws depend only on the master seed and
-the epoch's index.
+the other draws.  An epoch's draws come from its own stream of (master
+seed, epoch index), which pins the traces bit for bit; the ideal
+populations of all epochs come from one evaluation of the cascade.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DecayRates, PopulationTrace, closed_form_populations
+from .dynamics import DecayRates, PopulationTrace, _cascade
 from .errors import InvalidParameterError, ScenarioSchemaError
 from .readout import ConfusionMatrix, IDENTITY_CONFUSION, IqBlobModel, _classify_frame, \
     equilateral_blobs, simulate_confusion_matrix
@@ -406,19 +407,20 @@ def true_lifetime_series(scenario: Scenario, truth: Optional[TlsParameterSet] = 
 
 def _sample_epoch_trace(
     delays: np.ndarray,
-    rates: DecayRates,
+    ideal: np.ndarray,
     shots: int,
     blobs: Optional[IqBlobModel],
     exact: bool,
     rng: np.random.Generator,
 ) -> PopulationTrace:
-    ideal = closed_form_populations(rates, delays).T
+    """One epoch's observed trace from its ideal populations (delays, 3)."""
     if exact:
         return PopulationTrace(delays.copy(), ideal)
     p = np.clip(ideal, 0.0, None)
     p /= p.sum(axis=1, keepdims=True)
     if blobs is None:
-        counts = np.array([rng.multinomial(shots, row) for row in p])
+        # one stacked call draws the rows in order, as a call per row would
+        counts = rng.multinomial(shots, p)
     else:
         counts = _classified_counts(p, shots, blobs, rng)
     return PopulationTrace(delays.copy(), counts / float(shots), np.full(delays.size, shots))
@@ -470,14 +472,22 @@ def _classified_counts(
     return np.column_stack([shots - label_sum + twos, label_sum - 2 * twos, twos])
 
 
-def synthesize_epoch(scenario: Scenario, epoch: int, rates: DecayRates) -> PopulationTrace:
-    """One epoch's observed trace; the random stream depends only on
-    (master seed, epoch), so epochs can be produced in any order."""
-    rng = derive_rng(scenario.master_seed, _STREAM_EPOCH, epoch)
-    return _sample_epoch_trace(
-        scenario.delays_us, rates, scenario.shots_per_delay, scenario.blobs,
-        scenario.exact_populations, rng,
-    )
+def _ideal_populations(g10: np.ndarray, g21: np.ndarray, delays: np.ndarray) -> np.ndarray:
+    """Every epoch's cascade populations from |2>, shape (epochs, delays, 3),
+    from one closed-form evaluation after the checks that
+    ``closed_form_populations`` makes per epoch, in its order; a rate fault
+    names its epoch."""
+    bad = np.flatnonzero(~(np.isfinite(g10) & np.isfinite(g21) & (g10 > 0.0) & (g21 > 0.0)))
+    delays_ok = bool(np.all(np.isfinite(delays)) and np.all(delays >= 0.0))
+    # epoch 0 checks its rates before the delays, which every epoch shares
+    if bad.size and (bad[0] == 0 or delays_ok):
+        try:
+            DecayRates(float(g10[bad[0]]), float(g21[bad[0]])).require_positive()
+        except InvalidParameterError as err:
+            raise InvalidParameterError(f"epoch {bad[0]}: {err}") from None
+    if not delays_ok:
+        raise InvalidParameterError("delay times must be finite and >= 0")
+    return np.stack(_cascade(g10[:, None], g21[:, None], delays), axis=-1)
 
 
 def synthesize_experiment(
@@ -488,7 +498,10 @@ def synthesize_experiment(
     truth = generate_trajectories(scenario)
     g10, g21 = true_rate_arrays(scenario, truth)
     confusion = scenario.confusion_matrix()
-    traces = [synthesize_epoch(scenario, e, DecayRates(float(g10[e]), float(g21[e])))
+    ideal = _ideal_populations(g10, g21, scenario.delays_us)
+    traces = [_sample_epoch_trace(scenario.delays_us, ideal[e], scenario.shots_per_delay,
+                                  scenario.blobs, scenario.exact_populations,
+                                  derive_rng(scenario.master_seed, _STREAM_EPOCH, e))
               for e in range(scenario.epochs)]
     return traces, confusion, truth
 

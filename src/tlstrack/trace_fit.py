@@ -25,6 +25,8 @@ RATE_UPPER = 10.0
 
 #: Floor on the per-point binomial standard deviation used for weighting.
 SIGMA_FLOOR = 1e-3
+#: Damped-Newton iterations per trace before its fit is flagged unconverged.
+MAX_ITERATIONS = 500
 
 
 def default_delay_grid(t1e: float, t1f: float, n: int = 30) -> np.ndarray:
@@ -122,29 +124,17 @@ class TraceFit:
         }
 
 
-def fit_trace(
-    trace: PopulationTrace,
-    weighting: str = "uniform",
-    max_iterations: int = 500,
-) -> TraceFit:
-    """The fit of one trace: ``fit_traces([trace], weighting, max_iterations)[0]``."""
-    return fit_traces([trace], weighting, max_iterations)[0]
+def fit_trace(trace: PopulationTrace, weighting: str = "uniform") -> TraceFit:
+    """The fit of one trace: ``fit_traces([trace], weighting)[0]``."""
+    return fit_traces([trace], weighting)[0]
 
 
-def fit_traces(
-    traces: Sequence[PopulationTrace],
-    weighting: str = "uniform",
-    max_iterations: int = 500,
-) -> list[TraceFit]:
+def fit_traces(traces: Sequence[PopulationTrace], weighting: str = "uniform") -> list[TraceFit]:
     """The fits of :func:`fit_stack` for a list of traces."""
-    return fit_stack(TraceStack.from_traces(traces), weighting, max_iterations)
+    return fit_stack(TraceStack.from_traces(traces), weighting)
 
 
-def fit_stack(
-    stack: TraceStack,
-    weighting: str = "uniform",
-    max_iterations: int = 500,
-) -> list[TraceFit]:
+def fit_stack(stack: TraceStack, weighting: str = "uniform") -> list[TraceFit]:
     """Simultaneous fit of p0, p1, p2 to the closed-form cascade model, for
     every trace of a stack at once.
 
@@ -152,7 +142,7 @@ def fit_stack(
     by 1/max(sigma, 1e-3) with sigma^2 = p(1-p)/shots and requires every
     trace to carry shot counts.  Traces of equal length share one batched
     solve; each trace's result is the same whatever else is in the batch.
-    A fit still unconverged after ``max_iterations`` is returned flagged
+    A fit still unconverged after ``MAX_ITERATIONS`` is returned flagged
     rather than raised.  A non-finite trial residual raises
     ``FitDivergedError`` naming the lowest-index trace that met one.
     """
@@ -184,7 +174,7 @@ def fit_stack(
         group = np.flatnonzero(lengths == n)
         rows = starts[group, None] + np.arange(n)
         group_fits, failed = _fit_equal_length(stack.delays[rows], stack.populations[rows],
-                                              stack.shots[rows], weighting, max_iterations)
+                                              stack.shots[rows], weighting)
         for i, fit in zip(group, group_fits):
             fits[i] = fit
         diverged += [(group[j], rates) for j, rates in failed]
@@ -204,8 +194,7 @@ def _weights(populations: np.ndarray, shots: np.ndarray, weighting: str) -> np.n
     return 1.0 / np.maximum(sigma, SIGMA_FLOOR)
 
 
-def _fit_equal_length(t: np.ndarray, data: np.ndarray, shots: np.ndarray, weighting: str,
-                      max_iterations: int):
+def _fit_equal_length(t: np.ndarray, data: np.ndarray, shots: np.ndarray, weighting: str):
     """Batched fit of traces with equal point counts: delays ``t`` (k, n),
     populations ``data`` (k, n, 3) and shot counts ``shots`` (k, n).
 
@@ -236,7 +225,7 @@ def _fit_equal_length(t: np.ndarray, data: np.ndarray, shots: np.ndarray, weight
         return grad, np.sum(j0 * j0, axis=1), np.sum(j0 * j1, axis=1), np.sum(j1 * j1, axis=1)
 
     x, (r,), cost, iterations, converged = _damped_newton_2x2(
-        x0, RATE_LOWER, RATE_UPPER, residuals, linearise, max_iterations)
+        x0, RATE_LOWER, RATE_UPPER, residuals, linearise, MAX_ITERATIONS)
     err = _cluster_robust_errors(*jacobian(x, np.arange(t.shape[0])), r)
     fits = [
         TraceFit(

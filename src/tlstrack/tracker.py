@@ -181,7 +181,7 @@ class TrackerFit:
 
     model_order: int
     parameters: TlsParameterSet
-    fitted_rates: list[DecayRates]
+    fitted_rates: np.ndarray    # (2, N): gamma_10 and gamma_21 per epoch
     misfit: float
     converged: bool
     iterations: int
@@ -190,11 +190,6 @@ class TrackerFit:
     information_score: Optional[float] = None
     model_scores: Optional[dict[int, float]] = None
     skipped_orders: list[int] = field(default_factory=list)
-
-    def fitted_rate_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        g10 = np.array([r.gamma_10 for r in self.fitted_rates])
-        g21 = np.array([r.gamma_21 for r in self.fitted_rates])
-        return g10, g21
 
     def to_json_dict(self) -> dict:
         return {
@@ -482,8 +477,8 @@ def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-_BAND_UNITS_ERROR = ("band_margin_mhz: the frequency polynomials in band units under- or "
-                     "overflow; narrow the search band")
+_BAND_UNITS_ERROR = ("band_margin_mhz: the frequency polynomials in band units do not resolve "
+                     "the two transitions, or under- or overflow; narrow the search band")
 
 
 def _polynomial_roots(coef: np.ndarray) -> np.ndarray:
@@ -748,6 +743,9 @@ def track_tls(
         raise InvalidParameterError(
             f"band_margin_mhz {config.band_margin_mhz} leaves an empty search band {band!r}"
         )
+    # in band units, (omega - mid)/h, the transitions must lie eps or more apart
+    if abs(device.omega_01 - device.omega_12) < np.finfo(float).eps * (band[1] - band[0]) / 2.0:
+        raise InvalidParameterError(_BAND_UNITS_ERROR)
     for name in ("linewidth_bounds_mhz", "coupling_bounds"):
         lo, hi = getattr(config, name)
         if not 0.0 < lo < hi:
@@ -819,13 +817,12 @@ def track_tls(
         traj = _solve_epochs(ws, coupling, linewidth, bg, traj)
         misfit = ws.misfit(coupling, linewidth, bg, traj)
 
-    g10, g21 = lorentzian_rates(device, coupling, linewidth, traj, bg, config.f_multiplier)
+    fitted = np.array(lorentzian_rates(device, coupling, linewidth, traj, bg, config.f_multiplier))
     defects = [
         TlsDefect(float(coupling[k]), float(linewidth[k]), traj[k].copy())
         for k in range(order)
     ]
     parameters = TlsParameterSet(defects, DecayRates(float(bg[0]), float(bg[1])))
-    fitted = [DecayRates(float(a), float(b)) for a, b in zip(g10, g21)]
     if not converged:
         warnings.append("outer loop hit the iteration cap before the misfit settled")
     return TrackerFit(
@@ -943,7 +940,7 @@ def write_trajectory_csv(fit: TrackerFit, path) -> None:
 
 def write_correlation_csv(fit: TrackerFit, series: LifetimeSeries, path) -> None:
     """Measured vs. fitted lifetime pairs (t1e_us, t1f_us, t1e_fit_us, t1f_fit_us)."""
-    g10, g21 = fit.fitted_rate_arrays()
+    g10, g21 = fit.fitted_rates
     _write_csv(path, ["t1e_us", "t1f_us", "t1e_fit_us", "t1f_fit_us"],
                zip(series.t1e_us.tolist(), series.t1f_us.tolist(),
                    (1.0 / g10).tolist(), (1.0 / g21).tolist()))

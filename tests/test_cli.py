@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tlstrack
-from tlstrack import cli
+from tlstrack import cli, trace_fit
 from tlstrack.cli import main
 from tlstrack.dynamics import DecayRates
 from tlstrack.readout import ConfusionMatrix
@@ -330,9 +330,7 @@ class TestFitSeries:
         assert doc_of()["unconverged_epochs"] == []
         assert "flagged" not in capsys.readouterr().out
         # one iteration leaves every trace unconverged
-        capped = cli.fit_stack
-        monkeypatch.setattr(cli, "fit_stack",
-                            lambda stack, weighting: capped(stack, weighting, 1))
+        monkeypatch.setattr(trace_fit, "MAX_ITERATIONS", 1)
         assert main(["fit-series", str(run_dir)]) == 0
         doc = doc_of()
         assert doc["unconverged_epochs"] == [0, 1, 2, 3]

@@ -16,6 +16,7 @@ from tlstrack.synth import (
     DriftProcess,
     Scenario,
     TlsTruth,
+    _ideal_populations,
     _sample_epoch_trace,
     bundled_scenario,
     derive_rng,
@@ -166,6 +167,52 @@ class TestSynthesis:
         assert traces[0].shots is not None
         assert np.all(traces[0].shots == 500)
 
+    @pytest.mark.parametrize("overrides, expected", [
+        (dict(tls_truth=[], background=DecayRates(0.0, 0.0)),
+         "epoch 0: decay rates must be strictly positive, got (0.0, 0.0)"),
+        (dict(delays_us=np.append(np.geomspace(3.2, 620.0, 19), np.inf)),
+         "delay times must be finite and >= 0"),
+    ])
+    def test_unsynthesizable_scenario_built_in_python(self, overrides, expected):
+        # the JSON reader refuses both; a Scenario built in Python reaches synthesis
+        with pytest.raises(InvalidParameterError) as info:
+            synthesize_experiment(small_scenario(**overrides))
+        assert str(info.value) == expected
+
+
+class TestIdealPopulations:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rates=st.lists(st.tuples(st.floats(1e-5, 10.0), st.floats(1e-5, 10.0)),
+                       min_size=1, max_size=8),
+        near=st.floats(-1e-6, 1e-6),
+        delays=st.lists(st.floats(0.0, 1e4), min_size=1, max_size=30, unique=True).map(sorted),
+    )
+    def test_rows_match_closed_form_per_epoch(self, rates, near, delays):
+        # the appended epoch has nearly equal rates, where the series branch runs
+        g10, g21 = np.array(rates + [(rates[0][0], rates[0][0] * (1.0 + near))]).T
+        delays = np.array(delays)
+        ideal = _ideal_populations(g10, g21, delays)
+        assert ideal.shape == (g10.size, delays.size, 3)
+        for e in range(g10.size):
+            expected = closed_form_populations(DecayRates(g10[e], g21[e]), delays).T
+            assert np.array_equal(ideal[e], expected)
+
+    @pytest.mark.parametrize("g10, delays, expected", [
+        ([1.0, 1.0, 0.0, -1.0], [0.0, 1.0], "epoch 2: decay rates must be strictly positive, "
+                                            "got (0.0, 1.0)"),
+        ([1.0, np.nan], [0.0, 1.0], "epoch 1: gamma_10 must be finite and >= 0, got nan"),
+        ([1.0, 0.0], [0.0, np.inf], "delay times must be finite and >= 0"),
+        ([0.0, 1.0], [0.0, np.inf], "epoch 0: decay rates must be strictly positive, "
+                                    "got (0.0, 1.0)"),
+        ([1.0, 1.0], [np.nan, 1.0], "delay times must be finite and >= 0"),
+    ])
+    def test_first_failing_epoch_is_named(self, g10, delays, expected):
+        # per epoch, the rates are checked before the delays that all epochs share
+        with pytest.raises(InvalidParameterError) as info:
+            _ideal_populations(np.array(g10), np.ones(len(g10)), np.array(delays))
+        assert str(info.value) == expected
+
 
 CORRELATED_BLOBS = IqBlobModel(
     np.array([[0.0, 1.7], [-1.5, -0.9], [1.5, -0.9]]),
@@ -214,7 +261,8 @@ class TestEpochStreams:
         delays = np.concatenate([[0.0], np.geomspace(0.5, 900.0, 11)])
         rates = DecayRates(1 / 60.0, 1 / 25.0)
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _sample_epoch_trace(delays, rates, 300, blobs, False, got_rng)
+        ideal = closed_form_populations(rates, delays).T
+        got = _sample_epoch_trace(delays, ideal, 300, blobs, False, got_rng)
         expected = reference_epoch_trace(delays, rates, 300, blobs, ref_rng)
         assert np.array_equal(got.populations, expected)
         assert np.array_equal(got.shots, np.full(delays.size, 300))
@@ -262,7 +310,8 @@ class TestEpochSamplerProperty:
         if shared:
             blobs = IqBlobModel(blobs.means, np.repeat(blobs.covariances[:1], 3, axis=0))
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _sample_epoch_trace(delays, rates, shots, blobs, False, got_rng)
+        ideal = closed_form_populations(rates, delays).T
+        got = _sample_epoch_trace(delays, ideal, shots, blobs, False, got_rng)
         expected = reference_epoch_trace(delays, rates, shots, blobs, ref_rng)
         assert np.array_equal(got.populations, expected)
         assert np.array_equal(got.shots, np.full(delays.size, shots))

@@ -171,7 +171,7 @@ class TestSingleTlsTracking:
 
     def test_forward_inverse_consistency(self, single_tls_case):
         series, _, fit = single_tls_case
-        g10, g21 = fit.fitted_rate_arrays()
+        g10, g21 = fit.fitted_rates
         assert np.max(np.abs(1.0 - g10 * series.t1e_us)) <= 1e-3
         assert np.max(np.abs(1.0 - g21 * series.t1f_us)) <= 1e-3
 
@@ -187,7 +187,7 @@ class TestSingleTlsTracking:
         fit = track_tls(series, DEVICE_A, 1, cfg)
         w = fit.parameters.defects[0].trajectory_mhz
         assert np.all(w > DEVICE_A.omega_12) and np.all(w < DEVICE_A.omega_01)
-        g10, g21 = fit.fitted_rate_arrays()
+        g10, g21 = fit.fitted_rates
         r = np.corrcoef(1.0 / g10, 1.0 / g21)[0, 1]
         assert r < 0.0
 
@@ -234,7 +234,7 @@ class TestTwoTlsTracking:
 
     def test_stable_t1f_reproduced(self, two_tls_case):
         series, _, fit = two_tls_case
-        _, g21 = fit.fitted_rate_arrays()
+        _, g21 = fit.fitted_rates
         t1f_fit = 1.0 / g21
         assert np.std(t1f_fit) / np.mean(t1f_fit) < 0.02
         assert np.max(np.abs(t1f_fit / series.t1f_us - 1.0)) < 0.02
@@ -1184,30 +1184,32 @@ class TestProbeStop:
         assert solves == 3 * tracker.PROBE_ITERATIONS + extra + 1
 
 
+@pytest.fixture(scope="module")
+def bundled_run(tmp_path_factory):
+    """name -> (series.csv, scenario.json) of the bundled scenario,
+    simulated at its bundled seed and fitted."""
+    root, runs = tmp_path_factory.mktemp("bundled"), {}
+
+    def run(name):
+        if name not in runs:
+            out = root / name
+            assert main(["simulate", str(bundled_scenario_path(name)),
+                         "--out", str(out)]) == 0
+            assert main(["fit-series", str(out), "--out", str(out / "fit")]) == 0
+            runs[name] = out / "fit" / "series.csv", out / "scenario.json"
+        return runs[name]
+    return run
+
+
 class TestSaturation:
     """An epoch solve that interpolates every epoch ends the fit, and the fit
     says that the data do not determine its couplings and linewidths."""
 
-    @pytest.fixture(scope="class")
-    def bundled_run(self, tmp_path_factory):
-        """name -> (series.csv, scenario.json) of the bundled scenario,
-        simulated at its bundled seed and fitted."""
-        root, runs = tmp_path_factory.mktemp("bundled"), {}
-
-        def run(name):
-            if name not in runs:
-                out = root / name
-                assert main(["simulate", str(bundled_scenario_path(name)),
-                             "--out", str(out)]) == 0
-                assert main(["fit-series", str(out), "--out", str(out / "fit")]) == 0
-                runs[name] = out / "fit" / "series.csv", out / "scenario.json"
-            return runs[name]
-        return run
-
     @staticmethod
-    def fit(run, order):
+    def fit(run, order, config=DEFAULT_TRACKER_CONFIG):
         series, scenario = run
-        return track_tls(LifetimeSeries.from_csv(series), load_scenario(scenario).device, order)
+        return track_tls(LifetimeSeries.from_csv(series), load_scenario(scenario).device, order,
+                         config)
 
     def test_device_b_order_2_warns(self, bundled_run, tmp_path, capsys):
         series, scenario = bundled_run("device_B")
@@ -1243,7 +1245,51 @@ class TestSaturation:
         assert "(linewidths 12, 12 MHz)" in moved.warnings[-1]
 
 
+class TestWideBand:
+    """A band so wide that, in band units, the two transitions lie less than
+    eps apart is refused; the fits in every narrower band tried are kept."""
+
+    def test_bundled_fit_unchanged_up_to_1e16(self, bundled_run):
+        run = bundled_run("device_A")
+        for margin in (200.0, 1e16):
+            fit = TestSaturation.fit(run, 1, TrackerConfig(band_margin_mhz=margin))
+            assert round(fit.misfit, 6) == 16.117262
+            assert fit.iterations == 2
+
+    def test_bundled_1e20_exits_2(self, bundled_run, tmp_path, capsys):
+        # at the parent this fit ran its 50 outer cycles to misfit 357.92
+        series, scenario = bundled_run("device_A")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tracker": {"band_margin_mhz": 1e20}}))
+        capsys.readouterr()
+        assert main(["track", str(series), "--device", str(scenario), "--order", "auto",
+                     "--config", str(cfg), "--out", str(tmp_path / "fit")]) == 2
+        err = capsys.readouterr().err
+        assert "band_margin_mhz: the frequency polynomials in band units do not resolve " \
+               "the two transitions" in err
+        assert not (tmp_path / "fit" / "fit.json").exists()
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_refused_just_past_the_resolution_limit(self, order):
+        series = LifetimeSeries(np.arange(30.0), np.full(30, 100.0), np.full(30, 60.0))
+        sep = DEVICE_A.omega_01 - DEVICE_A.omega_12
+        # the band's half-width is sep/2 + margin
+        limit = sep / np.finfo(float).eps - sep / 2.0
+        track_tls(series, DEVICE_A, order, TrackerConfig(band_margin_mhz=0.99 * limit))
+        with pytest.raises(InvalidParameterError, match="do not resolve the two transitions"):
+            track_tls(series, DEVICE_A, order, TrackerConfig(band_margin_mhz=1.01 * limit))
+
+
 class TestTrajectoryOutputs:
+    def test_fitted_rates_are_the_forward_model(self, single_tls_case):
+        series, _, fit = single_tls_case
+        d = fit.parameters.defects[0]
+        bg = fit.parameters.background
+        expected = lorentzian_rates(DEVICE_A, [d.coupling_weight], [d.linewidth_mhz],
+                                    d.trajectory_mhz[None], (bg.gamma_10, bg.gamma_21))
+        assert fit.fitted_rates.shape == (2, series.n_epochs)
+        assert np.array_equal(fit.fitted_rates, expected)
+
     def test_reconstruct(self, single_tls_case):
         _, _, fit = single_tls_case
         points = reconstruct_trajectory(fit, 0)
