@@ -474,9 +474,8 @@ def _classified_counts(
 
 def _ideal_populations(g10: np.ndarray, g21: np.ndarray, delays: np.ndarray) -> np.ndarray:
     """Every epoch's cascade populations from |2>, shape (epochs, delays, 3),
-    from one closed-form evaluation after the checks that
-    ``closed_form_populations`` makes per epoch, in its order; a rate fault
-    names its epoch."""
+    from one closed-form evaluation after the one-epoch closed form's rate
+    and delay checks, run once in its order; a rate fault names its epoch."""
     bad = np.flatnonzero(~(np.isfinite(g10) & np.isfinite(g21) & (g10 > 0.0) & (g21 > 0.0)))
     delays_ok = bool(np.all(np.isfinite(delays)) and np.all(delays >= 0.0))
     # epoch 0 checks its rates before the delays, which every epoch shares

@@ -1257,7 +1257,7 @@ class TestWideBand:
             assert fit.iterations == 2
 
     def test_bundled_1e20_exits_2(self, bundled_run, tmp_path, capsys):
-        # at the parent this fit ran its 50 outer cycles to misfit 357.92
+        # without the check this fit ran its 50 outer cycles to misfit 357.92
         series, scenario = bundled_run("device_A")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tracker": {"band_margin_mhz": 1e20}}))
