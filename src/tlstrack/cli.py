@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -19,10 +18,12 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .dynamics import read_traces
-from .errors import InvalidParameterError, TlstrackError
+from .dynamics import _read_json, read_traces
+from .errors import InvalidParameterError, ScenarioSchemaError, TlstrackError
 from .readout import ConfusionMatrix, mitigate_stack
-from .synth import bundled_scenario_path, scenario_from_json_dict, write_run_directory
+from .synth import (_boolean, _check, _field, _finite, _integer, _number, _pair,
+                    bundled_scenario_path, device_from_json_dict, load_scenario,
+                    write_run_directory)
 from .tls import DeviceFrequencies
 from .trace_fit import fit_stack
 from .tracker import (
@@ -52,27 +53,6 @@ def _resolve_out(raw: str | None, default: Path) -> Path:
     return out
 
 
-def _read_json(path) -> dict:
-    """The JSON object in ``path``; anything else is an input error naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as err:   # bad JSON or UTF-8, or an int past Python's digit limit
-        raise InvalidParameterError(f"{path}: not valid JSON: {err}") from None
-    if not isinstance(doc, dict):
-        raise InvalidParameterError(f"{path}: expected a JSON object")
-    return doc
-
-
-def _resolve(flag_value, config: dict, key: str, default):
-    """flags > config file > built-in default"""
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
-
-
 def _write_manifest(out_dir: Path, subcommand: str, resolved: dict, inputs: list[str],
                     outputs: list[str], seed, started: float) -> None:
     manifest = {
@@ -90,31 +70,9 @@ def _write_manifest(out_dir: Path, subcommand: str, resolved: dict, inputs: list
         json.dump(manifest, fh, indent=1)
 
 
-def _is_number(value) -> bool:
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:   # an int beyond the float range
-        return False
-
-
-def _valid_tracker_value(value, default) -> bool:
-    """Whether a JSON ``value`` has the type of the tracker field's ``default``."""
-    if isinstance(default, tuple):
-        return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
-    if isinstance(default, float):
-        return _is_number(value)
-    return type(value) is bool
-
-
-_EXPECTED = {tuple: "two finite numbers", float: "a finite number", bool: "true or false"}
-
-
 def _jobs(args, config: dict) -> int:
     """``jobs``, checked and recorded in the manifest; every command runs in one process."""
-    jobs = _resolve(args.jobs, config, "jobs", 1)
-    if type(jobs) is not int or jobs < 1:
-        raise InvalidParameterError(f"jobs: expected an integer >= 1, got {jobs!r}")
-    return jobs
+    return _integer(config if args.jobs is None else vars(args), "jobs", "", 1, minimum=1)
 
 
 def _tracker_config(config: dict) -> TrackerConfig:
@@ -123,15 +81,11 @@ def _tracker_config(config: dict) -> TrackerConfig:
     if not isinstance(section, dict):
         raise InvalidParameterError("tracker: expected an object")
     known = {f.name for f in fields(TrackerConfig)}
-    for key, value in section.items():
+    for key in section:
         if key not in known:
             raise InvalidParameterError(f"tracker.{key}: unknown tracker config key")
-        default = getattr(cfg, key)
-        if not _valid_tracker_value(value, default):
-            raise InvalidParameterError(
-                f"tracker.{key}: expected {_EXPECTED[type(default)]}, got {value!r}"
-            )
-        setattr(cfg, key, tuple(value) if isinstance(default, tuple) else value)
+        check = {float: _number, bool: _boolean, tuple: _pair}[type(getattr(cfg, key))]
+        setattr(cfg, key, check(section, key, "tracker"))
     return cfg
 
 
@@ -149,11 +103,9 @@ def cmd_simulate(args, config: dict) -> int:
                 f"scenario {args.scenario!r} is neither a file nor a bundled name"
             ) from None
     # validate fully before creating any output
-    scenario = scenario_from_json_dict(_read_json(scenario_path))
+    scenario = load_scenario(scenario_path)
     if args.seed is not None:
-        if args.seed < 0:
-            raise InvalidParameterError(f"seed: expected an integer >= 0, got {args.seed}")
-        scenario.master_seed = args.seed
+        scenario.master_seed = _integer(vars(args), "seed", "", minimum=0)
     jobs = _jobs(args, config)
 
     out = _resolve_out(args.out, Path(f"{scenario.name}_run"))
@@ -180,25 +132,17 @@ def cmd_fit_series(args, config: dict) -> int:
             raise InvalidParameterError(
                 f"{run_dir}: confusion.json missing (pass --no-mitigation to skip)"
             )
-        confusion_doc = _read_json(confusion_path)
-        try:
-            confusion = ConfusionMatrix.from_json_dict(confusion_doc)
-        except InvalidParameterError as err:
-            raise InvalidParameterError(f"{confusion_path}: {err}") from None
+        confusion = ConfusionMatrix.from_json(confusion_path)
 
-    weighting = _resolve(args.weighting, config, "weighting", "uniform")
-    if weighting not in ("uniform", "binomial"):
-        raise InvalidParameterError(
-            f"weighting: expected 'uniform' or 'binomial', got {weighting!r}"
-        )
+    weighting = _field(config if args.weighting is None else vars(args), "weighting", "",
+                       "uniform", lambda w: w in ("uniform", "binomial"), "'uniform' or 'binomial'")
     jobs = _jobs(args, config)
     scenario_path = run_dir / "scenario.json"
     scenario_doc = _read_json(scenario_path) if scenario_path.exists() else {}
     spacing = scenario_doc.get("epoch_spacing_hr", 1.0)
-    if not (_is_number(spacing) and spacing > 0):
-        raise InvalidParameterError(
-            f"{scenario_path}: epoch_spacing_hr: expected a finite number > 0, got {spacing!r}"
-        )
+    # checked, and written as read: an integer spacing stays one in the outputs
+    _check(spacing, f"{scenario_path}: epoch_spacing_hr", lambda v: _finite(v) and v > 0,
+           "a finite number > 0")
 
     # the run travels as one stack of rows: read, mitigated and fitted at once
     stack = read_traces(trace_files)
@@ -231,26 +175,14 @@ def cmd_fit_series(args, config: dict) -> int:
 
 
 def _load_device(path: str) -> DeviceFrequencies:
+    """The device of a device file, or of a scenario file's ``device`` section."""
     doc = _read_json(path)
-    dev = doc.get("device", doc)
-    prefix = "device." if dev is not doc else ""
-    keys = [prefix + k for k in ("omega01_mhz", "anharmonicity_mhz")]
     try:
-        values = [dev["omega01_mhz"], dev["anharmonicity_mhz"]]
-    except (KeyError, TypeError):
-        raise InvalidParameterError(
-            f"{path}: expected omega01_mhz and anharmonicity_mhz (or a scenario file)"
-        ) from None
-    for key, value in zip(keys, values):
-        if not _is_number(value):
-            raise InvalidParameterError(f"{path}: {key}: expected a finite number, got {value!r}")
-    try:
-        return DeviceFrequencies(*values)
-    except InvalidParameterError as err:
-        # DeviceFrequencies names omega_01 or the anharmonicity, or else their sum
-        word = str(err).split()[0]
-        key = {"omega_01": keys[0], "anharmonicity": keys[1]}.get(word, " + ".join(keys))
-        raise InvalidParameterError(f"{path}: {key}: {err}") from None
+        if "device" in doc:
+            return device_from_json_dict(doc["device"], "device")
+        return device_from_json_dict(doc, "")
+    except ScenarioSchemaError as err:
+        raise InvalidParameterError(f"{path}: {err}") from None
 
 
 def cmd_track(args, config: dict) -> int:
@@ -350,6 +282,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = {} if args.config is None else _read_json(args.config)
+        for key in config:   # one config file serves every command
+            if key not in ("jobs", "weighting", "tracker"):
+                raise InvalidParameterError(f"{key}: unknown config key")
         return args.func(args, config)
     except TlstrackError as err:
         print(f"error: {err}", file=sys.stderr)

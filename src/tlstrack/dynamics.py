@@ -1,4 +1,5 @@
-"""Three-level cascade decay: closed-form populations and trace files.
+"""Three-level cascade decay: closed-form populations, trace files, and the
+one reader of the package's JSON files.
 
 The model is the rate-equation cascade |2> -> |1> -> |0> with decay rates
 ``gamma_21`` and ``gamma_10`` (units 1/us).  Times are microseconds
@@ -8,13 +9,14 @@ throughout; rates are 1/us.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ScenarioSchemaError
 
 
 @dataclass(frozen=True)
@@ -192,6 +194,19 @@ def _write_csv(path, header: Sequence[str], rows) -> None:
     lines += [",".join(["" if v is None else repr(v) for v in row]) for row in rows]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
+
+
+def _read_json(path) -> dict:
+    """The JSON object in ``path``.  Anything else raises
+    ``ScenarioSchemaError`` with the file as its field path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as err:   # bad JSON or UTF-8, or an int past Python's digit limit
+        raise ScenarioSchemaError(str(path), f"not valid JSON: {err}") from None
+    if not isinstance(doc, dict):
+        raise ScenarioSchemaError(str(path), "expected a JSON object")
+    return doc
 
 
 def _read_csv(path, columns: Sequence[_Column], build):

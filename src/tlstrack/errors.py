@@ -40,9 +40,11 @@ class UndefinedCorrelationError(TlstrackError, ValueError):
 
 
 class ScenarioSchemaError(TlstrackError, ValueError):
-    """Scenario document violates the schema.
+    """A JSON input violates its schema: a scenario, device, confusion,
+    TLS or config document, or a file that is not one JSON object.
 
-    ``field_path`` points at the offending entry, e.g. ``tls[0].linewidth_mhz``.
+    ``field_path`` points at the offending entry, e.g. ``tls[0].linewidth_mhz``
+    or ``tracker.band_margin_mhz``, or at the file that does not read.
     """
 
     def __init__(self, field_path: str, message: str):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import PopulationTrace, TraceStack
+from .dynamics import PopulationTrace, TraceStack, _read_json
 from .errors import InvalidParameterError, MitigationUnstableError
 
 CONFUSION_SCHEMA_VERSION = 1
@@ -284,8 +284,12 @@ class ConfusionMatrix:
 
     @classmethod
     def from_json(cls, path) -> "ConfusionMatrix":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        """The confusion matrix in ``path``; a fault names the file."""
+        doc = _read_json(path)
+        try:
+            return cls.from_json_dict(doc)
+        except InvalidParameterError as err:
+            raise InvalidParameterError(f"{path}: {err}") from None
 
 
 IDENTITY_CONFUSION = ConfusionMatrix(np.eye(3))

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DecayRates, PopulationTrace, _cascade
+from .dynamics import DecayRates, PopulationTrace, _cascade, _read_json
 from .errors import InvalidParameterError, ScenarioSchemaError
 from .readout import ConfusionMatrix, IDENTITY_CONFUSION, IqBlobModel, _classify_frame, \
     equilateral_blobs, simulate_confusion_matrix
@@ -165,8 +165,10 @@ class Scenario:
         )
 
 
-# -- scenario JSON ----------------------------------------------------------
-
+# -- JSON field checks, for a scenario and for the CLI's device and config ----
+#
+# A fault raises ScenarioSchemaError naming its field path, e.g.
+# ``tls[0].drift.seed`` or ``tracker.coupling_bounds``.
 
 _REQUIRED = object()
 
@@ -182,18 +184,45 @@ def _need(doc: dict, key: str, path: str, default=_REQUIRED):
     return doc[key]
 
 
-def _check_number(v, path: str) -> float:
+def _check(v, path: str, ok, expected: str):
+    """``v``, which ``ok`` must accept; ``expected`` says what it accepts."""
+    if not ok(v):
+        raise ScenarioSchemaError(path, f"expected {expected}, got {v!r}")
+    return v
+
+
+def _field(doc: dict, key: str, path: str, default, ok, expected: str):
+    """:func:`_need`'s value, checked by :func:`_check`."""
+    return _check(_need(doc, key, path, default), f"{path}.{key}" if path else key, ok, expected)
+
+
+def _finite(v) -> bool:
+    """Whether a JSON value is a finite number."""
     try:
-        ok = isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
     except OverflowError:   # an int beyond the float range
-        ok = False
-    if not ok:
-        raise ScenarioSchemaError(path, f"expected a finite number, got {v!r}")
-    return float(v)
+        return False
 
 
 def _number(doc: dict, key: str, path: str, default=_REQUIRED) -> float:
-    return _check_number(_need(doc, key, path, default), f"{path}.{key}" if path else key)
+    return float(_field(doc, key, path, default, _finite, "a finite number"))
+
+
+def _integer(doc: dict, key: str, path: str, default=_REQUIRED, minimum=None) -> int:
+    return _field(doc, key, path, default,
+                  lambda v: type(v) is int and (minimum is None or v >= minimum),
+                  "an integer" + ("" if minimum is None else f" >= {minimum}"))
+
+
+def _boolean(doc: dict, key: str, path: str, default=_REQUIRED) -> bool:
+    return _field(doc, key, path, default, lambda v: type(v) is bool, "true or false")
+
+
+def _pair(doc: dict, key: str, path: str) -> tuple[float, float]:
+    v = _field(doc, key, path, _REQUIRED,
+               lambda v: type(v) is list and len(v) == 2 and all(map(_finite, v)),
+               "two finite numbers")
+    return float(v[0]), float(v[1])
 
 
 def _number_array(value, path: str) -> np.ndarray:
@@ -204,22 +233,13 @@ def _number_array(value, path: str) -> np.ndarray:
             for i, item in enumerate(v):
                 check(item, f"{p}[{i}]")
         else:
-            _check_number(v, p)
+            _check(v, p, _finite, "a finite number")
 
     check(value, path)
     try:
         return np.array(value, dtype=float)
     except ValueError:
         raise ScenarioSchemaError(path, "expected a rectangular array") from None
-
-
-def _integer(doc: dict, key: str, path: str, default=_REQUIRED, minimum=None) -> int:
-    v = _need(doc, key, path, default)
-    if not isinstance(v, int) or isinstance(v, bool) or (minimum is not None and v < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
-        raise ScenarioSchemaError(f"{path}.{key}" if path else key,
-                                  f"expected an integer{bound}, got {v!r}")
-    return v
 
 
 def _delays_from_doc(doc: dict, path: str) -> np.ndarray:
@@ -255,20 +275,28 @@ def _blobs_from_doc(doc, path: str) -> Optional[IqBlobModel]:
     raise ScenarioSchemaError(f"{path}.kind", f"unknown blob kind {kind!r}")
 
 
+def device_from_json_dict(doc: dict, path: str) -> DeviceFrequencies:
+    """The device whose keys ``omega01_mhz`` and ``anharmonicity_mhz`` are in
+    ``doc``, the object at field path ``path`` ("" for a whole document).
+    A fault names the key at fault, or both keys where their sum is."""
+    names = ("omega01_mhz", "anharmonicity_mhz")
+    try:
+        return DeviceFrequencies(*[_number(doc, k, path) for k in names])
+    except InvalidParameterError as err:
+        keys = [f"{path}.{k}" if path else k for k in names]
+        # DeviceFrequencies names omega_01 or the anharmonicity, or else their sum
+        word = str(err).split()[0]
+        key = {"omega_01": keys[0], "anharmonicity": keys[1]}.get(word, " + ".join(keys))
+        raise ScenarioSchemaError(key, str(err)) from None
+
+
 def scenario_from_json_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioSchemaError("", "scenario document must be a JSON object")
     version = _integer(doc, "schema_version", "")
     if version != SCENARIO_SCHEMA_VERSION:
         raise ScenarioSchemaError("schema_version", f"unsupported version {version}")
-    dev_doc = _need(doc, "device", "")
-    try:
-        device = DeviceFrequencies(
-            _number(dev_doc, "omega01_mhz", "device"),
-            _number(dev_doc, "anharmonicity_mhz", "device"),
-        )
-    except InvalidParameterError as err:
-        raise ScenarioSchemaError("device", str(err)) from None
+    device = device_from_json_dict(_need(doc, "device", ""), "device")
 
     bg_doc = _need(doc, "background", "", {})
     try:
@@ -305,9 +333,7 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
             f"got ({background.gamma_10!r}, {background.gamma_21!r})"
         )
 
-    exact = _need(doc, "exact_populations", "", False)
-    if not isinstance(exact, bool):
-        raise ScenarioSchemaError("exact_populations", f"expected true or false, got {exact!r}")
+    exact = _boolean(doc, "exact_populations", "", False)
     try:
         return Scenario(
             name=str(doc.get("name", "scenario")),
@@ -356,12 +382,7 @@ def scenario_to_json_dict(s: Scenario) -> dict:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as err:   # bad JSON or UTF-8, or an int past Python's digit limit
-            raise ScenarioSchemaError(str(path), f"not valid JSON: {err}") from None
-    return scenario_from_json_dict(doc)
+    return scenario_from_json_dict(_read_json(path))
 
 
 def bundled_scenario_path(name: str) -> Path:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .dynamics import ZERO_RATES, DecayRates
+from .dynamics import ZERO_RATES, DecayRates, _read_json
 from .errors import InvalidParameterError
 
 TLS_SCHEMA_VERSION = 1
@@ -135,8 +135,7 @@ class TlsParameterSet:
 
     @classmethod
     def from_json(cls, path) -> "TlsParameterSet":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(_read_json(path))
 
 
 def lorentzian_density(center_mhz, linewidth_mhz, probe_mhz):

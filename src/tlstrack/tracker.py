@@ -439,7 +439,11 @@ def _initial_states(ws: _Workspace) -> list[tuple[np.ndarray, np.ndarray]]:
         for w in (w12 + 0.25 * span, w12 + 0.5 * span, w12 + 0.75 * span):
             ae = lorentzian_density(w, g0, w01) / med_e
             af = lorentzian_density(w, g0, w12) / med_f
-            b0 = float(np.clip((ae + af) / (ae**2 + af**2), blo, bhi))
+            try:
+                b0 = (ae + af) / (ae**2 + af**2)
+            except (OverflowError, ZeroDivisionError):   # a square past the float range
+                b0 = bhi if ae + af < 1.0 else blo
+            b0 = float(np.clip(b0, blo, bhi))
             glob = [b0, g0] + ([0.0, 0.0] if cfg.fit_background else [])
             states.append((np.array(glob), np.full((1, ws.n), w)))
     else:
@@ -477,17 +481,18 @@ def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-_BAND_UNITS_ERROR = ("band_margin_mhz: the frequency polynomials in band units do not resolve "
-                     "the two transitions, or under- or overflow; narrow the search band")
+_SCALE_ERROR = ("the frequency polynomials in band units under- or overflow at these lifetimes, "
+                "lifetime errors and tracker config")
 
 
 def _polynomial_roots(coef: np.ndarray) -> np.ndarray:
     """The complex roots of each row of ``coef``, as companion-matrix eigenvalues.
     Leading zeros are dropped, which only adds roots at u = 0.  A row of zeros
-    or with a non-finite coefficient, which a band far too wide for band units
-    gives, raises ``InvalidParameterError``."""
+    or with a non-finite coefficient raises ``InvalidParameterError``: lifetime
+    errors so large that the weights underflow give one, and so do tracker
+    bounds far wider than the defaults with lifetimes near their limits."""
     if not (np.all(np.isfinite(coef)) and np.all(np.any(coef != 0.0, axis=1))):
-        raise InvalidParameterError(_BAND_UNITS_ERROR)
+        raise InvalidParameterError(_SCALE_ERROR)
     n, k = coef.shape
     lead = np.argmax(coef != 0.0, axis=1)
     coef = np.take_along_axis(np.pad(coef, ((0, 0), (0, k - 1))), lead[:, None] + np.arange(k),
@@ -530,11 +535,12 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
     basis[2], basis[3, 2:] = np.polymul(e_f, p_f), p_f
     a_e = ws.w_e * (1.0 - bg[0] / ws.g10_meas)
     a_f = ws.w_f * (1.0 - bg[1] / ws.g21_meas)
-    # a band far too wide overflows the rates' band-unit scale
+    # a rate near the limits of wide tracker bounds and a wide band overflow
+    # the rates' band-unit scale
     with np.errstate(over="ignore"):
         den_e, den_f = ws.g10_meas * h * h, ws.g21_meas * h * h
     if not (np.all(np.isfinite(den_e)) and np.all(np.isfinite(den_f))):
-        raise InvalidParameterError(_BAND_UNITS_ERROR)
+        raise InvalidParameterError(_SCALE_ERROR)
     c_e = ws.w_e * coupling[0] * linewidth[0] / den_e
     c_f = ws.w_f * cfg.f_multiplier * coupling[0] * linewidth[0] / den_f
     # einsum, unlike a BLAS matmul, sums each epoch alike whatever the batch
@@ -611,9 +617,11 @@ def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[
     p_a = (ws.g10_meas - bg[0])[:, None] * e_a - [0.0, 0.0, c1]
     p_b = (ws.g21_meas - bg[1])[:, None] * e_b - [0.0, 0.0, f * c1]
     n_a, n_b = c2 * e_a - g2 * p_a, f * c2 * e_b - g2 * p_b
-    p_ab = _polymul(p_a, p_b)
-    q = _polymul(n_b, p_a) - _polymul(n_a, p_b) - d**2 * p_ab
-    x = _polynomial_roots(_polymul(q, q) - 4.0 * d**2 * _polymul(_polymul(n_a, p_b), p_ab))
+    # a product that under- or overflows reaches _polynomial_roots' check
+    with np.errstate(over="ignore", invalid="ignore"):
+        p_ab = _polymul(p_a, p_b)
+        q = _polymul(n_b, p_a) - _polymul(n_a, p_b) - d**2 * p_ab
+        x = _polynomial_roots(_polymul(q, q) - 4.0 * d**2 * _polymul(_polymul(n_a, p_b), p_ab))
 
     def at_roots(p):
         return reduce(lambda v, c: v * x + c[:, None], p.T, 0.0)    # Horner, row by row
@@ -745,13 +753,30 @@ def track_tls(
         )
     # in band units, (omega - mid)/h, the transitions must lie eps or more apart
     if abs(device.omega_01 - device.omega_12) < np.finfo(float).eps * (band[1] - band[0]) / 2.0:
-        raise InvalidParameterError(_BAND_UNITS_ERROR)
+        raise InvalidParameterError("band_margin_mhz: the frequency polynomials in band units do "
+                                    "not resolve the two transitions; narrow the search band")
     for name in ("linewidth_bounds_mhz", "coupling_bounds"):
         lo, hi = getattr(config, name)
         if not 0.0 < lo < hi:
             raise InvalidParameterError(f"{name}: expected 0 < lo < hi, got {[lo, hi]!r}")
     if not config.f_multiplier > 0.0:
         raise InvalidParameterError(f"f_multiplier: expected > 0, got {config.f_multiplier!r}")
+    # one defect within the bounds gives a transition a rate from b_lo times its
+    # least Lorentzian value at d, the widest detuning in the band, up to b_hi/g_lo
+    # at resonance; the floor only adds to it, and f_multiplier scales the f channel
+    (b_lo, b_hi), (g_lo, g_hi) = config.coupling_bounds, config.linewidth_bounds_mhz
+    d = band[1] - device.omega_12
+    slowest = b_lo * min(g / (d * d + g * g) for g in (g_lo, g_hi))
+    for name, scale in (("t1e_us", 1.0), ("t1f_us", config.f_multiplier)):
+        with np.errstate(divide="ignore", over="ignore"):
+            lo, hi = 1.0 / (scale * np.array([b_hi / g_lo, slowest]))
+        lifetimes = getattr(series, name)
+        bad = np.flatnonzero((lifetimes < lo) | (lifetimes > hi))
+        if bad.size:
+            raise InvalidParameterError(
+                f"{name}: {float(lifetimes[bad[0]])!r} us at epoch {bad[0]} is outside the "
+                f"supported range [{lo:.3g}, {hi:.3g}] us, the lifetimes that one defect "
+                "within coupling_bounds and linewidth_bounds_mhz can give")
 
     warnings = []
     if series.n_epochs < 10:

@@ -501,6 +501,36 @@ class TestTrack:
         assert main(["track", str(spath), "--device", str(dev), "--order", "1"]) == 2
         assert f"error: {dev}: {where}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("device, where", [
+        ({"omega01_mhz": -5, "anharmonicity_mhz": -280},
+         "device.omega01_mhz: omega_01 must be positive, got -5.0"),
+        ({"omega01_mhz": 4822.08, "anharmonicity_mhz": 3},
+         "device.anharmonicity_mhz: anharmonicity must be negative, got 3.0"),
+        ({"omega01_mhz": 200, "anharmonicity_mhz": -280},
+         "device.omega01_mhz + device.anharmonicity_mhz: "
+         "omega_12 = omega_01 + anharmonicity must be positive"),
+        ({"omega01_mhz": True, "anharmonicity_mhz": -0.5},
+         "device.omega01_mhz: expected a finite number, got True"),
+        ({"omega01_mhz": 4822.08}, "device.anharmonicity_mhz: missing required field"),
+        (5, "device: expected an object, got 5"),
+    ])
+    def test_device_file_and_scenario_section_give_one_message(self, tmp_path, capsys,
+                                                               device, where):
+        # one function reads both, so a fault has one key path and message
+        spath, _, _ = self.make_series_csv(tmp_path, epochs=12)
+        dev = tmp_path / "dev.json"
+        dev.write_text(json.dumps({"device": device}))
+        assert main(["track", str(spath), "--device", str(dev), "--order", "1",
+                     "--out", str(tmp_path / "fit")]) == 2
+        assert capsys.readouterr().err == f"error: {dev}: {where}\n"
+        doc = scenario_to_json_dict(tiny_scenario())
+        doc["device"] = device
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(doc))
+        assert main(["simulate", str(scenario), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {where}\n"
+        assert not (tmp_path / "fit").exists() and not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("digits, expected", [
         (401, "omega01_mhz: expected a finite number, got 1000"),
         (5001, "not valid JSON: Exceeds the limit"),
@@ -813,6 +843,26 @@ class TestConfigPrecedence:
         assert main(["fit-series", str(run_dir), "--jobs", "0"]) == 2
         assert "jobs: expected an integer >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["simulate", "fit-series", "track", "correlate"])
+    def test_unknown_top_level_key_exit_2(self, cli_inputs, tmp_path, command):
+        # a misspelt key once changed nothing without a word
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"weighing": "binomial"}))
+        assert run_cli(cli_inputs, command, tmp_path, config=cfg) == \
+            (2, "error: weighing: unknown config key\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "fit-series", "track", "correlate"])
+    def test_one_config_serves_every_command(self, cli_inputs, tmp_path, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 1, "weighting": "binomial",
+                                   "tracker": {"fit_background": True}}))
+        inputs = dict(cli_inputs)
+        if command == "fit-series":
+            inputs["run"] = tmp_path / "run"
+            shutil.copytree(cli_inputs["run"], inputs["run"])
+        assert run_cli(inputs, command, tmp_path, config=cfg) == (0, "")
+
     def test_out_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TLSTRACK_OUT_ROOT", str(tmp_path / "root"))
         spath = write_scenario(tmp_path / "s.json", tiny_scenario(epochs=1))
@@ -888,6 +938,11 @@ _BAD_CONFIGS = st.one_of(
     st.tuples(st.just(("simulate", "fit-series")), st.one_of(
         _WRONG_TYPE, st.booleans(), st.floats(allow_nan=False), st.integers(max_value=0),
     ).map(lambda v: json.dumps({"jobs": v}))),
+    # a top-level key that no command reads
+    st.tuples(st.just(("simulate", "fit-series", "track", "correlate")), st.builds(
+        lambda k, v: json.dumps({k: v}),
+        st.text(max_size=8).filter(lambda k: k not in ("jobs", "weighting", "tracker")),
+        st.integers())),
     st.tuples(st.just(("fit-series",)), st.one_of(
         st.none(), st.integers(), st.text(max_size=8).filter(lambda w: w not in ("uniform", "binomial")),
     ).map(lambda v: json.dumps({"weighting": v}))),

@@ -1,5 +1,8 @@
+import ast
 import csv
 import io
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,12 +18,14 @@ from tlstrack.dynamics import (
     _Column,
     _int64,
     _read_csv,
+    _read_json,
     _write_csv,
     closed_form_populations,
     closed_form_trace,
     read_traces,
 )
-from tlstrack.errors import InvalidParameterError
+import tlstrack
+from tlstrack.errors import InvalidParameterError, ScenarioSchemaError
 from tlstrack.readout import ConfusionMatrix, mitigate_stack, mitigate_trace
 
 DEVICE_A = DecayRates(1.0 / 155.0, 1.0 / 64.0)
@@ -321,3 +326,42 @@ def test_closed_form_trace_helper():
     p = trace.populations[0]
     assert abs(p.sum() - 1.0) <= 1e-9
     assert np.all((p >= 0.0) & (p <= 1.0))
+
+
+class TestReadJson:
+    """``_read_json`` is the package's one reader of JSON files."""
+
+    def test_object(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"a": [1, 2.5]}')
+        assert _read_json(path) == {"a": [1, 2.5]}
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"a": 1,', "not valid JSON: "),
+        (b'\xff{}', "not valid JSON: "),
+        (b"1" * 5001, "not valid JSON: Exceeds the limit"),
+        (b"[]", "expected a JSON object"),
+        (b"null", "expected a JSON object"),
+    ])
+    def test_anything_else_names_the_file(self, tmp_path, content, message):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        with pytest.raises(ScenarioSchemaError) as exc:
+            _read_json(path)
+        assert exc.value.field_path == str(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
+
+    def test_no_other_json_parser_in_the_package(self):
+        # every line of the package that names json.load or json.loads lies
+        # in _read_json, and nothing imports from json directly
+        source = Path(tlstrack.__file__).parent
+        tree = ast.parse((source / "dynamics.py").read_text(encoding="utf-8"))
+        reader = next(node for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef) and node.name == "_read_json")
+        hits = []
+        for path in sorted(source.glob("*.py")):
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+                if re.search(r"json\.loads?\b|from\s+json\s+import", line):
+                    hits.append((path.name, number))
+        assert hits and all(name == "dynamics.py" and reader.lineno <= number <= reader.end_lineno
+                            for name, number in hits), hits

@@ -9,7 +9,7 @@ from scipy.integrate import dblquad
 from scipy.optimize import brentq
 
 from tlstrack.dynamics import DecayRates, PopulationTrace, closed_form_trace
-from tlstrack.errors import InvalidParameterError, MitigationUnstableError
+from tlstrack.errors import InvalidParameterError, MitigationUnstableError, TlstrackError
 from tlstrack.readout import (
     ConfusionMatrix,
     IqBlobModel,
@@ -498,6 +498,18 @@ class TestConfusionSerialization:
         doc = cm.to_json_dict()
         assert doc["assignment_fidelity"] == pytest.approx(cm.fidelity)
         assert doc["condition_number"] == pytest.approx(cm.condition_number)
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"schema_version": 1,', "not valid JSON: "),
+        ("[]", "expected a JSON object"),
+        ('{"schema_version": 1}', "confusion document has no matrix_row_major"),
+    ])
+    def test_faulty_file_is_named(self, tmp_path, content, message):
+        path = tmp_path / "confusion.json"
+        path.write_text(content)
+        with pytest.raises(TlstrackError) as exc:
+            ConfusionMatrix.from_json(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

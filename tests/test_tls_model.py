@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tlstrack.dynamics import DecayRates
-from tlstrack.errors import InvalidParameterError
+from tlstrack.errors import InvalidParameterError, TlstrackError
 from tlstrack.tls import (
     DeviceFrequencies,
     TlsDefect,
@@ -187,6 +187,17 @@ class TestSerialization:
         for a, b in zip(back.defects, tls.defects):
             assert a.coupling_weight == b.coupling_weight
             assert np.array_equal(a.trajectory_mhz, b.trajectory_mhz)
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"schema_version": 1, "tls": [', "not valid JSON: "),
+        ("[]", "expected a JSON object"),
+    ])
+    def test_unreadable_file_is_named(self, tmp_path, content, message):
+        path = tmp_path / "tls.json"
+        path.write_text(content)
+        with pytest.raises(TlstrackError) as exc:
+            TlsParameterSet.from_json(path)
+        assert str(exc.value).startswith(f"{path}: {message}")
 
     def test_mismatched_trajectories_rejected(self):
         with pytest.raises(InvalidParameterError):

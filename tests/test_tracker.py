@@ -1280,6 +1280,123 @@ class TestWideBand:
             track_tls(series, DEVICE_A, order, TrackerConfig(band_margin_mhz=1.01 * limit))
 
 
+def constant_series(t1e, t1f=None, n=12, **errors):
+    return LifetimeSeries(np.arange(float(n)), np.full(n, t1e), np.full(n, t1f or t1e), **errors)
+
+
+class TestLifetimeRange:
+    """A lifetime that no defect within the coupling and linewidth bounds
+    can give is refused before the fit starts, naming its column and the
+    supported range."""
+
+    @staticmethod
+    def default_range(device):
+        # the fastest rate: b_hi at resonance with the narrowest line; the
+        # slowest: b_lo at the widest detuning in the band, |alpha| + margin
+        cfg = TrackerConfig()
+        (b_lo, b_hi), (g_lo, _) = cfg.coupling_bounds, cfg.linewidth_bounds_mhz
+        d = device.omega_01 - device.omega_12 + cfg.band_margin_mhz
+        return g_lo / b_hi, (d**2 + g_lo**2) / (b_lo * g_lo)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("side, inside, outside", [(0, 1.01, 0.99), (1, 0.99, 1.01)])
+    def test_edges(self, order, side, inside, outside):
+        edge = self.default_range(DEVICE_A)[side]
+        track_tls(constant_series(inside * edge), DEVICE_A, order)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^t1e_us: .* us at epoch 0 is outside the supported range "):
+            track_tls(constant_series(outside * edge), DEVICE_A, order)
+
+    def test_t1f_range_scales_with_f_multiplier(self):
+        lo, _ = self.default_range(DEVICE_A)
+        series = constant_series(100.0, 0.5 * lo)
+        with pytest.raises(InvalidParameterError, match="^t1f_us: "):
+            track_tls(series, DEVICE_A, 1)
+        track_tls(series, DEVICE_A, 1, TrackerConfig(f_multiplier=4.0))
+
+    @pytest.mark.parametrize("lifetime", [1e-300, 1e-100, 1e-20, 1e154, 1e300])
+    @pytest.mark.parametrize("order", ["1", "2", "auto"])
+    def test_extreme_lifetimes_exit_2_naming_the_column(self, tmp_path, capsys, lifetime,
+                                                        order):
+        # each of these once ended in a traceback, numpy warnings, a message
+        # blaming band_margin_mhz or a silent misfit of sqrt(2N)
+        series, device = tmp_path / "series.csv", tmp_path / "device.json"
+        constant_series(lifetime).to_csv(series)
+        device.write_text(json.dumps({"omega01_mhz": DEVICE_A.omega_01,
+                                      "anharmonicity_mhz": DEVICE_A.anharmonicity}))
+        assert main(["track", str(series), "--device", str(device), "--order", order,
+                     "--out", str(tmp_path / "fit")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: t1e_us: {lifetime!r} us at epoch 0 is outside the supported "
+                       "range [5e-10, 4.62e+16] us, the lifetimes that one defect within "
+                       "coupling_bounds and linewidth_bounds_mhz can give\n")
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_fit_scales_with_the_lifetimes_inside_the_range(self, bundled_run, order):
+        # T -> s T with B -> B/s leaves the model unchanged while B stays
+        # within its bounds: on device_A's fitted series from 10^-6 to 10^10
+        series, scenario = bundled_run("device_A")
+        base = LifetimeSeries.from_csv(series)
+        device = load_scenario(scenario).device
+        fits = []
+        for k in (0, -6, 10):
+            s = 10.0**k
+            fits.append(track_tls(LifetimeSeries(base.epochs_hr, s * base.t1e_us,
+                                                 s * base.t1f_us, s * base.err_e_us,
+                                                 s * base.err_f_us), device, order))
+        for k, fit in zip((-6, 10), fits[1:]):
+            assert fit.misfit == pytest.approx(fits[0].misfit, rel=1e-9, abs=1e-9)
+            for a, b in zip(fit.parameters.defects, fits[0].parameters.defects):
+                assert np.allclose(a.trajectory_mhz, b.trajectory_mhz, rtol=0, atol=1e-9)
+                assert a.coupling_weight * 10.0**k == pytest.approx(b.coupling_weight, rel=1e-9)
+
+
+class TestScaleGuards:
+    """Inside the supported range, the per-epoch polynomials can still under-
+    or overflow: at lifetime errors so large that the weights underflow, or
+    under tracker bounds far wider than the defaults.  Each check ends the
+    fit with a message that does not blame the search band."""
+
+    MESSAGE = ("the frequency polynomials in band units under- or overflow at these lifetimes, "
+               "lifetime errors and tracker config")
+
+    def test_underflowing_weights_reach_the_roots_check(self, monkeypatch):
+        roots = []
+        real = tracker._polynomial_roots
+        monkeypatch.setattr(tracker, "_polynomial_roots",
+                            lambda coef: roots.append(coef) or real(coef))
+        series = constant_series(100.0, 60.0, err_e_us=np.full(12, 1e200),
+                                 err_f_us=np.full(12, 1e200))
+        with pytest.raises(InvalidParameterError) as exc:
+            track_tls(series, DEVICE_A, 1)
+        assert str(exc.value) == self.MESSAGE
+        assert not np.any(roots[-1])     # the weights' squares underflow to 0
+
+    def test_rate_times_band_overflow_reaches_the_band_unit_check(self, monkeypatch):
+        # 1e300 /us times a half-width of about 2e4 MHz squared passes 1.8e308
+        monkeypatch.setattr(tracker, "_polynomial_roots", lambda coef: pytest.fail("reached"))
+        config = TrackerConfig(coupling_bounds=(1e-10, 1e300), band_margin_mhz=2e4)
+        with pytest.raises(InvalidParameterError) as exc:
+            track_tls(constant_series(1e-300), DEVICE_A, 1, config)
+        assert str(exc.value) == self.MESSAGE
+
+    def test_two_defect_overflow_is_refused_without_warnings(self):
+        # the eliminant's coefficients grow as the fourth power of the rates;
+        # pytest turns any numpy warning on the way into an error
+        config = TrackerConfig(coupling_bounds=(1e-10, 1e300))
+        with pytest.raises(InvalidParameterError) as exc:
+            track_tls(constant_series(1e-100), DEVICE_A, 2, config)
+        assert str(exc.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("lifetime, bound", [(1e-300, 1), (1e300, 0)])
+    def test_starts_past_the_float_range_take_a_coupling_bound(self, lifetime, bound):
+        # the level-matched coupling's squares under- or overflow there
+        config = TrackerConfig(coupling_bounds=(1e-300, 1e300))
+        ws = tracker._Workspace(constant_series(lifetime), DEVICE_A, 1, config)
+        for glob, _ in tracker._initial_states(ws):
+            assert glob[0] == config.coupling_bounds[bound]
+
+
 class TestTrajectoryOutputs:
     def test_fitted_rates_are_the_forward_model(self, single_tls_case):
         series, _, fit = single_tls_case
