@@ -202,7 +202,9 @@ def _read_json(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as err:   # bad JSON or UTF-8, or an int past Python's digit limit
+    # bad JSON or UTF-8, an int past Python's digit limit, or nesting past the
+    # recursion limit
+    except (ValueError, RecursionError) as err:
         raise ScenarioSchemaError(str(path), f"not valid JSON: {err}") from None
     if not isinstance(doc, dict):
         raise ScenarioSchemaError(str(path), "expected a JSON object")

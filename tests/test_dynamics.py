@@ -340,6 +340,7 @@ class TestReadJson:
         (b'{"a": 1,', "not valid JSON: "),
         (b'\xff{}', "not valid JSON: "),
         (b"1" * 5001, "not valid JSON: Exceeds the limit"),
+        (b"[" * 100000 + b"]" * 100000, "not valid JSON: maximum recursion depth exceeded"),
         (b"[]", "expected a JSON object"),
         (b"null", "expected a JSON object"),
     ])
