@@ -18,12 +18,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .dynamics import _read_json, read_traces
-from .errors import InvalidParameterError, ScenarioSchemaError, TlstrackError
+from .dynamics import (_boolean, _check, _field, _finite, _integer, _number, _pair, _read_json,
+                       _read_json_as, read_traces)
+from .errors import InvalidParameterError, TlstrackError
 from .readout import ConfusionMatrix, mitigate_stack
-from .synth import (_boolean, _check, _field, _finite, _integer, _number, _pair,
-                    bundled_scenario_path, device_from_json_dict, load_scenario,
-                    write_run_directory)
+from .synth import bundled_scenario_path, device_from_json_dict, load_scenario, write_run_directory
 from .tls import DeviceFrequencies
 from .trace_fit import fit_stack
 from .tracker import (
@@ -176,13 +175,8 @@ def cmd_fit_series(args, config: dict) -> int:
 
 def _load_device(path: str) -> DeviceFrequencies:
     """The device of a device file, or of a scenario file's ``device`` section."""
-    doc = _read_json(path)
-    try:
-        if "device" in doc:
-            return device_from_json_dict(doc["device"], "device")
-        return device_from_json_dict(doc, "")
-    except ScenarioSchemaError as err:
-        raise InvalidParameterError(f"{path}: {err}") from None
+    return _read_json_as(path, lambda doc: device_from_json_dict(doc["device"], "device")
+                         if "device" in doc else device_from_json_dict(doc, ""))
 
 
 def cmd_track(args, config: dict) -> int:

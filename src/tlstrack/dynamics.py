@@ -1,5 +1,5 @@
 """Three-level cascade decay: closed-form populations, trace files, and the
-one reader of the package's JSON files.
+one reader and the field checks of the package's JSON files.
 
 The model is the rate-equation cascade |2> -> |1> -> |0> with decay rates
 ``gamma_21`` and ``gamma_10`` (units 1/us).  Times are microseconds
@@ -209,6 +209,93 @@ def _read_json(path) -> dict:
     if not isinstance(doc, dict):
         raise ScenarioSchemaError(str(path), "expected a JSON object")
     return doc
+
+
+def _read_json_as(path, build):
+    """``build`` of the JSON object in ``path``.  Any fault, of the file or
+    of ``build``, raises ``ScenarioSchemaError`` that starts with the file."""
+    doc = _read_json(path)
+    try:
+        return build(doc)
+    except (InvalidParameterError, ScenarioSchemaError) as err:
+        raise ScenarioSchemaError(str(path), str(err)) from None
+
+
+# -- JSON field checks, for every JSON document the package reads ------------
+#
+# A fault raises ScenarioSchemaError naming its field path, e.g.
+# ``tls[0].drift.seed`` or ``tracker.coupling_bounds``.
+
+_REQUIRED = object()
+
+
+def _need(doc: dict, key: str, path: str, default=_REQUIRED):
+    """``doc[key]``; ``default`` if the key is absent and one is given."""
+    if not isinstance(doc, dict):
+        raise ScenarioSchemaError(path, f"expected an object, got {doc!r}")
+    if key not in doc:
+        if default is not _REQUIRED:
+            return default
+        raise ScenarioSchemaError(f"{path}.{key}" if path else key, "missing required field")
+    return doc[key]
+
+
+def _check(v, path: str, ok, expected: str):
+    """``v``, which ``ok`` must accept; ``expected`` says what it accepts."""
+    if not ok(v):
+        raise ScenarioSchemaError(path, f"expected {expected}, got {v!r}")
+    return v
+
+
+def _field(doc: dict, key: str, path: str, default, ok, expected: str):
+    """:func:`_need`'s value, checked by :func:`_check`."""
+    return _check(_need(doc, key, path, default), f"{path}.{key}" if path else key, ok, expected)
+
+
+def _finite(v) -> bool:
+    """Whether a JSON value is a finite number."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
+def _number(doc: dict, key: str, path: str, default=_REQUIRED) -> float:
+    return float(_field(doc, key, path, default, _finite, "a finite number"))
+
+
+def _integer(doc: dict, key: str, path: str, default=_REQUIRED, minimum=None) -> int:
+    return _field(doc, key, path, default,
+                  lambda v: type(v) is int and (minimum is None or v >= minimum),
+                  "an integer" + ("" if minimum is None else f" >= {minimum}"))
+
+
+def _boolean(doc: dict, key: str, path: str, default=_REQUIRED) -> bool:
+    return _field(doc, key, path, default, lambda v: type(v) is bool, "true or false")
+
+
+def _pair(doc: dict, key: str, path: str) -> tuple[float, float]:
+    v = _field(doc, key, path, _REQUIRED,
+               lambda v: type(v) is list and len(v) == 2 and all(map(_finite, v)),
+               "two finite numbers")
+    return float(v[0]), float(v[1])
+
+
+def _number_array(value, path: str) -> np.ndarray:
+    """Nested JSON lists of finite numbers as a float array; a bad entry is
+    named by its index path, e.g. ``blobs.means[1][0]``."""
+    def check(v, p):
+        if isinstance(v, list):
+            for i, item in enumerate(v):
+                check(item, f"{p}[{i}]")
+        else:
+            _check(v, p, _finite, "a finite number")
+
+    check(value, path)
+    try:
+        return np.array(value, dtype=float)
+    except ValueError:
+        raise ScenarioSchemaError(path, "expected a rectangular array") from None
 
 
 def _read_csv(path, columns: Sequence[_Column], build):

@@ -6,11 +6,10 @@ blob models, with ties broken toward the lower state index.  It compares
 the two log-likelihood differences l_1 - l_0 and l_2 - l_0, each a
 quadratic in the input with coefficients cached on the blob model; it is
 linear for blobs that share one covariance, and then evaluated as such.  The
-input is either an IQ point or, for a simulated shot of state k, the
-standard normals z that give its point mean_k + L_k·z, so simulated shots
-are classified without forming their points.  Mitigation multiplies the
-inverse confusion matrix into observed population vectors, clipping small
-negative components by default.
+input of a simulated shot of state k is the standard normals z that give
+its point mean_k + L_k·z, so shots are classified without forming their
+points.  Mitigation multiplies the inverse confusion matrix into observed
+population vectors, clipping small negative components by default.
 """
 
 from __future__ import annotations
@@ -21,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import PopulationTrace, TraceStack, _read_json
-from .errors import InvalidParameterError, MitigationUnstableError
+from .dynamics import (_REQUIRED, PopulationTrace, TraceStack, _field, _finite, _number,
+                       _read_json_as)
+from .errors import InvalidParameterError, MitigationUnstableError, ScenarioSchemaError
 
 CONFUSION_SCHEMA_VERSION = 1
 
@@ -40,15 +40,14 @@ class IqBlobModel:
 
     ``means`` has shape (3, 2); ``covariances`` has shape (3, 2, 2) and every
     covariance must be symmetric positive definite.  Both are stored as
-    read-only copies, so the Cholesky factors and discriminant coefficients
-    computed here stay valid.
+    read-only copies, so the discriminant coefficients computed here stay
+    valid.
 
-    ``_discriminants[f, j - 1]`` holds (a00, a01 + a10, a11, b0, b1, c) of
-    d_j = l_j - l_0 = z'Az + b'z + c, for j = 1, 2, in 4 frames.  Frame
-    k + 1 takes the normals z of a state-k shot, whose point is
-    mean_k + L_k z; frame 0 takes the point itself (mean 0, L = I).  With
-    P_i the precision, h_i the half log-determinant and
-    delta_i = mean_k - mean_i: A = -L'(P_j - P_0)L/2,
+    ``_discriminants[k, j - 1]`` holds (a00, a01 + a10, a11, b0, b1, c) of
+    d_j = l_j - l_0 = z'Az + b'z + c, for j = 1, 2, in 3 frames.  Frame k
+    takes the normals z of a state-k shot, whose point is mean_k + L z, with
+    L = L_k the blob's lower Cholesky factor.  With P_i the precision, h_i
+    the half log-determinant and delta_i = mean_k - mean_i: A = -L'(P_j - P_0)L/2,
     b = -L'(P_j delta_j - P_0 delta_0) and
     c = -(delta_j'P_j delta_j - delta_0'P_0 delta_0)/2 - (h_j - h_0).
     A blob identical to blob i < j gives the same d_j as d_i bit for bit
@@ -57,7 +56,6 @@ class IqBlobModel:
 
     means: np.ndarray
     covariances: np.ndarray
-    _cholesky: np.ndarray = field(init=False, repr=False, compare=False)
     _discriminants: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -81,9 +79,8 @@ class IqBlobModel:
                 raise InvalidParameterError(
                     f"covariance of blob {k} is numerically singular (determinant {det[k]:.3g})"
                 )
-        precisions, cholesky = np.linalg.inv(covs), np.linalg.cholesky(covs)
-        factor = np.concatenate([np.eye(2)[None], cholesky])
-        delta = np.concatenate([np.zeros((1, 2)), means])[:, None] - means     # (frame, i, 2)
+        precisions, factor = np.linalg.inv(covs), np.linalg.cholesky(covs)
+        delta = means[:, None] - means     # (frame, i, 2)
         p_delta = np.einsum("iab,fib->fia", precisions, delta)
         quad = np.einsum("fia,fia->fi", delta, p_delta)
         a = -0.5 * np.einsum("fai,jab,fbk->fjik", factor, precisions[1:] - precisions[0], factor)
@@ -93,7 +90,6 @@ class IqBlobModel:
         cached = {
             "means": means,
             "covariances": covs,
-            "_cholesky": cholesky,
             "_discriminants": np.stack([a[..., 0, 0], a[..., 0, 1] + a[..., 1, 0], a[..., 1, 1],
                                         b[..., 0], b[..., 1], c], axis=-1),
         }
@@ -126,25 +122,10 @@ def equilateral_blobs(radius: float, sigma: float = 1.0) -> IqBlobModel:
     return IqBlobModel(means, covs)
 
 
-def classify_points(blobs: IqBlobModel, points: np.ndarray) -> np.ndarray:
-    """Maximum-likelihood state assignment of an (n, 2) array of IQ points
-    (equal priors; ties break toward the lower state index).
-
-    A point with a NaN or infinite coordinate has no likelihood to compare
-    and raises ``InvalidParameterError`` naming the first such row.
-    """
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if bad.size:
-        raise InvalidParameterError(
-            f"points must be finite, got {points[bad[0]].tolist()} at row {bad[0]}")
-    return _classify_frame(blobs, 0, points, np.empty(points.shape[0], dtype=np.intp))
-
-
 def _classify_frame(blobs: IqBlobModel, frame: int, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Maximum-likelihood labels of the rows of ``z`` (m, 2), written into
-    ``out`` (m,) and returned: IQ points for ``frame`` 0, the standard
-    normals of state k's shots for ``frame`` k + 1.
+    """Maximum-likelihood labels of the rows of ``z`` (m, 2), the standard
+    normals of state ``frame``'s shots, written into ``out`` (m,) and
+    returned.
 
     Works through the rows in blocks of ``_CLASSIFY_BLOCK`` with one set of
     reused buffers, so the temporaries stay in cache.  Each row's label
@@ -154,9 +135,7 @@ def _classify_frame(blobs: IqBlobModel, frame: int, z: np.ndarray, out: np.ndarr
     blobs with one covariance are, is evaluated as (b0 z0 + b1 z1) + c.
     For finite z this is the quadratic form's value bit for bit: a ±0
     product added to b0 leaves b0, and where b0 is 0 only the sign of a
-    zero can differ, which the strict comparisons ignore.  (An infinite
-    row, which the quadratic form turns into NaN and label 0, gets the
-    linear form's label.)
+    zero can differ, which the strict comparisons ignore.
     """
     n = z.shape[0]
     size = min(n, _CLASSIFY_BLOCK)
@@ -194,30 +173,6 @@ def _classify_frame(blobs: IqBlobModel, frame: int, z: np.ndarray, out: np.ndarr
         two += two      # 0 or 2
         np.maximum(one, two, out=out[start:start + m])
     return out
-
-
-def sample_blob(
-    blobs: IqBlobModel, state: int, n: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Draw ``n`` IQ points from blob ``state`` using the supplied stream:
-    point = mean + L·z, with L the blob's lower Cholesky factor.
-
-    The (n, 2) result is a view of planar (2, n) storage.  The arithmetic is
-    elementwise, so a point's bits do not depend on ``n`` (a BLAS
-    ``z @ L.T`` gives different last bits for different n).
-    """
-    (l00, _), (l10, l11) = blobs._cholesky[state]
-    z = rng.standard_normal((n, 2))
-    z0, z1 = z[:, 0], z[:, 1]
-    out = np.empty((2, n))
-    x, y = out
-    np.multiply(z0, l00, out=x)
-    x += blobs.means[state, 0]
-    np.multiply(z0, l10, out=y)
-    z1 *= l11
-    y += z1
-    y += blobs.means[state, 1]
-    return out.T
 
 
 @dataclass(frozen=True)
@@ -270,26 +225,28 @@ class ConfusionMatrix:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ConfusionMatrix":
+        """The matrix in ``doc``; a fault raises ``ScenarioSchemaError``
+        naming its field, except a missing matrix."""
         if doc.get("schema_version") != CONFUSION_SCHEMA_VERSION:
-            raise InvalidParameterError(
-                f"unsupported confusion schema_version {doc.get('schema_version')!r}"
-            )
+            raise ScenarioSchemaError(
+                "schema_version",
+                f"unsupported confusion schema_version {doc.get('schema_version')!r}")
         if "matrix_row_major" not in doc:
             raise InvalidParameterError("confusion document has no matrix_row_major")
+        m = _field(doc, "matrix_row_major", "", _REQUIRED,
+                   lambda v: type(v) is list and len(v) == 9 and all(map(_finite, v)),
+                   "9 finite numbers")
+        for key in ("assignment_fidelity", "condition_number"):   # derived: checked, not used
+            _number(doc, key, "", 0.0)
         try:
-            m = np.array(doc["matrix_row_major"], dtype=float).reshape(3, 3)
-        except (TypeError, ValueError, OverflowError):   # or an int beyond the float range
-            raise InvalidParameterError("matrix_row_major: expected 9 numbers") from None
-        return cls(m)
+            return cls(np.reshape(m, (3, 3)))
+        except InvalidParameterError as err:
+            raise ScenarioSchemaError("matrix_row_major", str(err)) from None
 
     @classmethod
     def from_json(cls, path) -> "ConfusionMatrix":
         """The confusion matrix in ``path``; a fault names the file."""
-        doc = _read_json(path)
-        try:
-            return cls.from_json_dict(doc)
-        except InvalidParameterError as err:
-            raise InvalidParameterError(f"{path}: {err}") from None
+        return _read_json_as(path, cls.from_json_dict)
 
 
 IDENTITY_CONFUSION = ConfusionMatrix(np.eye(3))
@@ -310,8 +267,7 @@ def simulate_confusion_matrix(
     m = np.zeros((3, 3))
     labels = np.empty(shots_per_state, dtype=np.intp)
     for k in range(3):
-        # the normals of sample_blob's stream, classified without forming points
-        _classify_frame(blobs, k + 1, rng.standard_normal((shots_per_state, 2)), labels)
+        _classify_frame(blobs, k, rng.standard_normal((shots_per_state, 2)), labels)
         m[:, k] = np.bincount(labels, minlength=3) / float(shots_per_state)
     return ConfusionMatrix(m)
 
@@ -350,22 +306,22 @@ def _require_finite(populations: np.ndarray, what: str) -> None:
 
 
 def mitigate_trace(m: ConfusionMatrix, trace: PopulationTrace, clip: bool = True) -> PopulationTrace:
-    """Recover a trace's ideal populations by applying the inverse confusion
-    matrix to every delay point, checking the matrix's condition number once.
-
-    With ``clip`` (default) a point whose raw inverse has a negative
-    component has it set to zero and is renormalized to unit sum; with
-    ``clip=False`` the raw inverse is returned even if slightly unphysical.
-    """
-    _require_stable(m)
-    return PopulationTrace(trace.delays.copy(), _mitigated(m, trace.populations, clip),
-                           None if trace.shots is None else trace.shots.copy())
+    """:func:`mitigate_stack` of the one trace ``trace``."""
+    return mitigate_stack(m, TraceStack.from_traces([trace]), clip).trace(0)
 
 
 def mitigate_stack(m: ConfusionMatrix, stack: TraceStack, clip: bool = True) -> TraceStack:
-    """:func:`mitigate_trace` of every trace of a stack, with one solve over
-    all its rows; each row is solved on its own, so the bits are the same.
-    The first trace that :func:`mitigate_trace` refuses raises its error."""
+    """Recover the ideal populations of every trace of a stack by applying
+    the inverse confusion matrix to every row, checking the matrix's
+    condition number once.  Each row is solved on its own, so its bits do
+    not depend on the rows beside it.
+
+    With ``clip`` (default) a row whose raw inverse has a negative
+    component has it set to zero and is renormalized to unit sum; with
+    ``clip=False`` the raw inverse is returned even if slightly unphysical.
+    A row that is refused raises naming its delay point within the first
+    trace that has one.
+    """
     _require_stable(m)
     try:
         return stack._replace(populations=_mitigated(m, stack.populations, clip))

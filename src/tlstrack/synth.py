@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import DecayRates, PopulationTrace, _cascade, _read_json
+from .dynamics import (DecayRates, PopulationTrace, _boolean, _cascade, _check, _integer, _need,
+                       _number, _number_array, _read_json)
 from .errors import InvalidParameterError, ScenarioSchemaError
 from .readout import ConfusionMatrix, IDENTITY_CONFUSION, IqBlobModel, _classify_frame, \
     equilateral_blobs, simulate_confusion_matrix
@@ -165,98 +166,31 @@ class Scenario:
         )
 
 
-# -- JSON field checks, for a scenario and for the CLI's device and config ----
-#
-# A fault raises ScenarioSchemaError naming its field path, e.g.
-# ``tls[0].drift.seed`` or ``tracker.coupling_bounds``.
-
-_REQUIRED = object()
-
-
-def _need(doc: dict, key: str, path: str, default=_REQUIRED):
-    """``doc[key]``; ``default`` if the key is absent and one is given."""
-    if not isinstance(doc, dict):
-        raise ScenarioSchemaError(path, f"expected an object, got {doc!r}")
-    if key not in doc:
-        if default is not _REQUIRED:
-            return default
-        raise ScenarioSchemaError(f"{path}.{key}" if path else key, "missing required field")
-    return doc[key]
-
-
-def _check(v, path: str, ok, expected: str):
-    """``v``, which ``ok`` must accept; ``expected`` says what it accepts."""
-    if not ok(v):
-        raise ScenarioSchemaError(path, f"expected {expected}, got {v!r}")
-    return v
-
-
-def _field(doc: dict, key: str, path: str, default, ok, expected: str):
-    """:func:`_need`'s value, checked by :func:`_check`."""
-    return _check(_need(doc, key, path, default), f"{path}.{key}" if path else key, ok, expected)
-
-
-def _finite(v) -> bool:
-    """Whether a JSON value is a finite number."""
-    try:
-        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-    except OverflowError:   # an int beyond the float range
-        return False
-
-
-def _number(doc: dict, key: str, path: str, default=_REQUIRED) -> float:
-    return float(_field(doc, key, path, default, _finite, "a finite number"))
-
-
-def _integer(doc: dict, key: str, path: str, default=_REQUIRED, minimum=None) -> int:
-    return _field(doc, key, path, default,
-                  lambda v: type(v) is int and (minimum is None or v >= minimum),
-                  "an integer" + ("" if minimum is None else f" >= {minimum}"))
-
-
-def _boolean(doc: dict, key: str, path: str, default=_REQUIRED) -> bool:
-    return _field(doc, key, path, default, lambda v: type(v) is bool, "true or false")
-
-
-def _pair(doc: dict, key: str, path: str) -> tuple[float, float]:
-    v = _field(doc, key, path, _REQUIRED,
-               lambda v: type(v) is list and len(v) == 2 and all(map(_finite, v)),
-               "two finite numbers")
-    return float(v[0]), float(v[1])
-
-
-def _number_array(value, path: str) -> np.ndarray:
-    """Nested JSON lists of finite numbers as a float array; a bad entry is
-    named by its index path, e.g. ``blobs.means[1][0]``."""
-    def check(v, p):
-        if isinstance(v, list):
-            for i, item in enumerate(v):
-                check(item, f"{p}[{i}]")
-        else:
-            _check(v, p, _finite, "a finite number")
-
-    check(value, path)
-    try:
-        return np.array(value, dtype=float)
-    except ValueError:
-        raise ScenarioSchemaError(path, "expected a rectangular array") from None
-
-
 def _delays_from_doc(doc: dict, path: str) -> np.ndarray:
+    """The delay grid of ``doc``; a fault names the key it comes from."""
     kind = _need(doc, "kind", path)
+    key = path
     if kind == "explicit":
+        key = f"{path}.values_us"
         values = _need(doc, "values_us", path)
         if not isinstance(values, list) or not values:
-            raise ScenarioSchemaError(f"{path}.values_us", "expected a non-empty list")
-        return _number_array(values, f"{path}.values_us")
-    if kind in ("log", "linear"):
+            raise ScenarioSchemaError(key, "expected a non-empty list")
+        delays = _number_array(values, key)
+        if delays.ndim != 1:
+            raise ScenarioSchemaError(key, "expected a list of numbers")
+    elif kind in ("log", "linear"):
         n = _integer(doc, "n", path)
         lo = _number(doc, "min_us", path)
         hi = _number(doc, "max_us", path)
         if n < 2 or hi <= lo or (kind == "log" and lo <= 0.0):
             raise ScenarioSchemaError(path, f"invalid delay grid (n={n}, min={lo}, max={hi})")
-        return np.geomspace(lo, hi, n) if kind == "log" else np.linspace(lo, hi, n)
-    raise ScenarioSchemaError(f"{path}.kind", f"unknown delay grid kind {kind!r}")
+        delays = np.geomspace(lo, hi, n) if kind == "log" else np.linspace(lo, hi, n)
+    else:
+        raise ScenarioSchemaError(f"{path}.kind", f"unknown delay grid kind {kind!r}")
+    # Scenario's own check, run here so that a fault names its key
+    if delays[0] < 0.0 or np.any(np.diff(delays) <= 0.0):
+        raise ScenarioSchemaError(key, "delays must be >= 0 and strictly increasing")
+    return delays
 
 
 def _blobs_from_doc(doc, path: str) -> Optional[IqBlobModel]:
@@ -334,23 +268,22 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
         )
 
     exact = _boolean(doc, "exact_populations", "", False)
-    try:
-        return Scenario(
-            name=str(doc.get("name", "scenario")),
-            device=device,
-            tls_truth=truths,
-            background=background,
-            epochs=_integer(doc, "epochs", ""),
-            epoch_spacing_hr=_number(doc, "epoch_spacing_hr", ""),
-            delays_us=_delays_from_doc(_need(doc, "delays", ""), "delays"),
-            shots_per_delay=_integer(doc, "shots_per_delay", ""),
-            calibration_shots=_integer(doc, "calibration_shots", "", 100_000),
-            blobs=_blobs_from_doc(doc.get("blobs"), "blobs"),
-            exact_populations=exact,
-            master_seed=_integer(doc, "master_seed", "", minimum=0),
-        )
-    except InvalidParameterError as err:
-        raise ScenarioSchemaError("", str(err)) from None
+    # each range that Scenario checks is checked where its key is read
+    return Scenario(
+        name=str(doc.get("name", "scenario")),
+        device=device,
+        tls_truth=truths,
+        background=background,
+        epochs=_integer(doc, "epochs", "", minimum=1),
+        epoch_spacing_hr=_check(_number(doc, "epoch_spacing_hr", ""), "epoch_spacing_hr",
+                                lambda v: v > 0.0, "a number > 0"),
+        delays_us=_delays_from_doc(_need(doc, "delays", ""), "delays"),
+        shots_per_delay=_integer(doc, "shots_per_delay", "", minimum=1),
+        calibration_shots=_integer(doc, "calibration_shots", "", 100_000, minimum=1),
+        blobs=_blobs_from_doc(doc.get("blobs"), "blobs"),
+        exact_populations=exact,
+        master_seed=_integer(doc, "master_seed", "", minimum=0),
+    )
 
 
 def scenario_to_json_dict(s: Scenario) -> dict:
@@ -475,9 +408,9 @@ def _classified_counts(
         rng.standard_normal(out=z[bottom2 - n2:bottom2])
         top0, top1, bottom2 = top0 + n0, top1 + n1, bottom2 - n2
     labels = np.empty(n, dtype=np.intp)
-    _classify_frame(blobs, 1, z[:top0], labels[:top0])
-    _classify_frame(blobs, 2, z[n:top1], labels[top0:bottom2])
-    _classify_frame(blobs, 3, z[bottom2:n], labels[bottom2:])
+    _classify_frame(blobs, 0, z[:top0], labels[:top0])
+    _classify_frame(blobs, 1, z[n:top1], labels[top0:bottom2])
+    _classify_frame(blobs, 2, z[bottom2:n], labels[bottom2:])
     # the labels form one run per (state, delay), state 2's from the last
     # delay to the first; per run, the label sum is n1 + 2 n2 and the sum of
     # label >> 1 is n2 (reduceat needs the empty runs left out)

@@ -14,8 +14,9 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .dynamics import ZERO_RATES, DecayRates, _read_json
-from .errors import InvalidParameterError
+from .dynamics import (_REQUIRED, ZERO_RATES, DecayRates, _check, _field, _finite, _need, _number,
+                       _read_json_as)
+from .errors import InvalidParameterError, ScenarioSchemaError
 
 TLS_SCHEMA_VERSION = 1
 
@@ -121,21 +122,38 @@ class TlsParameterSet:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TlsParameterSet":
+        """The set in ``doc``; a fault raises ``ScenarioSchemaError`` naming its field."""
         if doc.get("schema_version") != TLS_SCHEMA_VERSION:
-            raise InvalidParameterError(
-                f"unsupported TLS schema_version {doc.get('schema_version')!r}"
-            )
-        defects = [
-            TlsDefect(entry["B"], entry["gamma_mhz"], np.array(entry["omega_mhz"]))
-            for entry in doc["tls"]
-        ]
-        bg = doc.get("background", {})
-        background = DecayRates(bg.get("gamma10", 0.0), bg.get("gamma21", 0.0))
-        return cls(defects, background)
+            raise ScenarioSchemaError(
+                "schema_version", f"unsupported TLS schema_version {doc.get('schema_version')!r}")
+        entries = _check(_need(doc, "tls", ""), "tls", lambda v: type(v) is list,
+                         "a list of defects")
+        defects = []
+        for i, entry in enumerate(entries):
+            path = f"tls[{i}]"
+            coupling, linewidth = _number(entry, "B", path), _number(entry, "gamma_mhz", path)
+            omega = _field(entry, "omega_mhz", path, _REQUIRED,
+                           lambda v: type(v) is list and all(map(_finite, v)),
+                           "a list of finite numbers")
+            try:
+                defects.append(TlsDefect(coupling, linewidth, omega))
+            except InvalidParameterError as err:
+                raise ScenarioSchemaError(path, str(err)) from None
+        bg = _need(doc, "background", "", {})
+        try:
+            background = DecayRates(_number(bg, "gamma10", "background", 0.0),
+                                    _number(bg, "gamma21", "background", 0.0))
+        except InvalidParameterError as err:
+            raise ScenarioSchemaError("background", str(err)) from None
+        try:
+            return cls(defects, background)
+        except InvalidParameterError as err:     # trajectories of unequal lengths
+            raise ScenarioSchemaError("tls", str(err)) from None
 
     @classmethod
     def from_json(cls, path) -> "TlsParameterSet":
-        return cls.from_json_dict(_read_json(path))
+        """The set in ``path``; a fault names the file and the field."""
+        return _read_json_as(path, cls.from_json_dict)
 
 
 def lorentzian_density(center_mhz, linewidth_mhz, probe_mhz):

@@ -146,6 +146,10 @@ TIE_REL = 0.05              # candidates within this relative misfit tie-break
 TIE_ABS = 1e-12
 PROBE_TIE_ABS = 1e-5        # start probes below this misfit gap count as tied
 LINEWIDTH_INIT_MHZ = 10.0
+#: Lifetime errors above this multiple of their lifetime are refused.  The
+#: residual weights are lifetime/error, and their squares leave the normal
+#: float range from about 1e155; this bound keeps 50 decades of margin.
+MAX_RELATIVE_ERROR = 1e100
 
 
 @dataclass
@@ -488,9 +492,10 @@ _SCALE_ERROR = ("the frequency polynomials in band units under- or overflow at t
 def _polynomial_roots(coef: np.ndarray) -> np.ndarray:
     """The complex roots of each row of ``coef``, as companion-matrix eigenvalues.
     Leading zeros are dropped, which only adds roots at u = 0.  A row of zeros
-    or with a non-finite coefficient raises ``InvalidParameterError``: lifetime
-    errors so large that the weights underflow give one, and so do tracker
-    bounds far wider than the defaults with lifetimes near their limits."""
+    or with a non-finite coefficient raises ``InvalidParameterError``: tracker
+    bounds far wider than the defaults with lifetimes near their limits give
+    one, such as a lower coupling bound of 1e-300 with lifetimes of 1e100 us,
+    whose two-defect eliminant underflows to zeros."""
     if not (np.all(np.isfinite(coef)) and np.all(np.any(coef != 0.0, axis=1))):
         raise InvalidParameterError(_SCALE_ERROR)
     n, k = coef.shape
@@ -777,6 +782,16 @@ def track_tls(
                 f"{name}: {float(lifetimes[bad[0]])!r} us at epoch {bad[0]} is outside the "
                 f"supported range [{lo:.3g}, {hi:.3g}] us, the lifetimes that one defect "
                 "within coupling_bounds and linewidth_bounds_mhz can give")
+    if series.has_errors:
+        for name, errors, lifetimes in (("err_e", series.err_e_us, series.t1e_us),
+                                        ("err_f", series.err_f_us, series.t1f_us)):
+            with np.errstate(over="ignore"):
+                bad = np.flatnonzero(errors / lifetimes > MAX_RELATIVE_ERROR)
+            if bad.size:
+                raise InvalidParameterError(
+                    f"{name}: {float(errors[bad[0]])!r} us at epoch {bad[0]} is more than "
+                    f"{MAX_RELATIVE_ERROR:.0e} times its lifetime, the largest relative error "
+                    "the tracker's weights support")
 
     warnings = []
     if series.n_epochs < 10:
@@ -841,6 +856,15 @@ def track_tls(
         # sync trajectories to the final globals
         traj = _solve_epochs(ws, coupling, linewidth, bg, traj)
         misfit = ws.misfit(coupling, linewidth, bg, traj)
+        # a saturated fit keeps its start's globals, so only a solved one is checked
+        for k in range(order):
+            for key, value, name in ((f"tls[{k}].B", coupling[k], "coupling_bounds"),
+                                     (f"tls[{k}].gamma_mhz", linewidth[k], "linewidth_bounds_mhz")):
+                lo, hi = getattr(config, name)
+                if value in (lo, hi):
+                    end = "lower" if value == lo else "upper"
+                    warnings.append(f"at a bound: {key} = {float(value)!r} is the {end} end of "
+                                    f"{name} {[lo, hi]!r}, so the fit is held there")
 
     fitted = np.array(lorentzian_rates(device, coupling, linewidth, traj, bg, config.f_multiplier))
     defects = [

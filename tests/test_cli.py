@@ -33,7 +33,8 @@ from tlstrack.synth import (
     generate_trajectories,
     write_run_directory,
 )
-from tlstrack.tls import DeviceFrequencies
+from tlstrack.errors import TlstrackError
+from tlstrack.tls import DeviceFrequencies, TlsParameterSet
 from tlstrack.tracker import LifetimeSeries, TrackerConfig
 
 DEVICE = DeviceFrequencies(4822.08, -280.37)
@@ -1140,3 +1141,108 @@ class TestMalformedTable:
                 code, err = run_cli({**cli_inputs, "series": path}, command, tmp_path)
                 assert (code, err) == (2, f"error: {path}: {where[table]}\n")
                 assert not (tmp_path / "out").exists()
+
+
+def _key_paths(doc, path=""):
+    """(field path, parent, key) of every key of a JSON document, keys of
+    objects inside lists included, e.g. ``tls[0].drift.seed``."""
+    for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        sub = f"{path}[{key}]" if isinstance(doc, list) else f"{path}.{key}" if path else key
+        if isinstance(doc, dict):
+            yield sub, doc, key
+        if isinstance(value, (dict, list)):
+            yield from _key_paths(value, sub)
+
+
+def _with_value(doc, path, value):
+    """A copy of ``doc`` with the key at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    _, parent, key = next(k for k in _key_paths(doc) if k[0] == path)
+    parent[key] = value
+    return doc
+
+
+def _names_key(err, prefix, path):
+    """Whether ``err`` is one ``error: <prefix><field>: `` line, with no
+    traceback, whose field is ``path`` or an object that holds it (a device
+    fault may name both frequency keys, joined by " + ")."""
+    if err.count("\n") != 1 or not err.startswith(f"error: {prefix}") or "Traceback" in err:
+        return False
+    field = err[len(f"error: {prefix}"):].split(": ")[0]
+    cuts = [i for i, c in enumerate(path) if c in ".["] + [len(path)]
+    return bool(field) and any(path[:i] in field.split(" + ") for i in cuts)
+
+
+# an out-of-range value of each scalar scenario key's own type, by key name;
+# any string is a valid name, and both booleans are valid exact_populations
+_OUT_OF_RANGE = {
+    "schema_version": 2, "omega01_mhz": -5.0, "anharmonicity_mhz": 5.0, "gamma10": -1.0,
+    "gamma21": -1.0, "coupling_weight": -1.0, "linewidth_mhz": -1.0, "kind": "wiggle",
+    "start_mhz": math.inf, "sigma_mhz": -1.0, "theta_per_hr": -1.0, "seed": -1, "epochs": 0,
+    "epoch_spacing_hr": -1.0, "n": 1, "min_us": -5.0, "max_us": -5.0, "shots_per_delay": 0,
+    "calibration_shots": 0, "radius": -1.0, "sigma": -1.0, "master_seed": -1,
+}
+_ALWAYS_VALID = ("name", "exact_populations")
+
+
+def _scenario_keys():
+    """(scenario, key path, key, value) of every scalar key of the bundled
+    scenarios that has values out of range."""
+    for name in ("device_A", "device_B"):
+        doc = json.loads(bundled_scenario_path(name).read_text())
+        for path, parent, key in _key_paths(doc):
+            if not isinstance(parent[key], (dict, list)) and key not in _ALWAYS_VALID:
+                yield name, path, key, parent[key]
+
+
+_SCENARIO_KEYS = list(_scenario_keys())
+
+# every key of a run's truth.json (one defect) and confusion.json
+_RUN_FILE_KEYS = {
+    "truth.json": ["schema_version", "tls", "tls[0].B", "tls[0].gamma_mhz", "tls[0].omega_mhz",
+                   "background", "background.gamma10", "background.gamma21"],
+    "confusion.json": ["schema_version", "matrix_row_major", "assignment_fidelity",
+                       "condition_number"],
+}
+
+
+class TestEveryFaultNamesItsKey:
+    """One fault per key of each JSON input: a scalar key of a bundled
+    scenario set out of its range, and each key of a run's ``truth.json`` and
+    ``confusion.json`` set to a value of the wrong type.  Each fault names
+    its key, or an object that holds it, and never an empty path."""
+
+    def test_every_key_has_a_case(self, cli_inputs):
+        assert {key for _, _, key, _ in _SCENARIO_KEYS} == set(_OUT_OF_RANGE)
+        for file, paths in _RUN_FILE_KEYS.items():
+            doc = json.loads((cli_inputs["run"] / file).read_text())
+            assert sorted(path for path, _, _ in _key_paths(doc)) == sorted(paths)
+
+    @pytest.mark.parametrize("name, path, key, value", _SCENARIO_KEYS,
+                             ids=[f"{name}-{path}" for name, path, _, _ in _SCENARIO_KEYS])
+    def test_scenario_range_fault(self, cli_inputs, tmp_path, name, path, key, value):
+        doc = json.loads(bundled_scenario_path(name).read_text())
+        bad = _OUT_OF_RANGE[key]
+        assert type(bad) is type(value)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(_with_value(doc, path, bad)))
+        code, err = run_cli({**cli_inputs, "scenario": scenario}, "simulate", tmp_path)
+        assert code == 2 and _names_key(err, "", path), err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("file, path", [(file, path) for file, paths in _RUN_FILE_KEYS.items()
+                                            for path in paths])
+    def test_run_file_type_fault(self, cli_inputs, tmp_path, file, path):
+        run = tmp_path / "run"
+        shutil.copytree(cli_inputs["run"], run)
+        bad = run / file
+        bad.write_text(json.dumps(_with_value(json.loads(bad.read_text()), path, "x")))
+        if file == "confusion.json":
+            code, err = run_cli({**cli_inputs, "run": run}, "fit-series", tmp_path)
+            assert code == 2 and _names_key(err, f"{bad}: ", path), err
+            assert not (tmp_path / "out").exists()
+        else:
+            # no command reads truth.json; its reader raises what a command prints
+            with pytest.raises(TlstrackError) as exc:
+                TlsParameterSet.from_json(bad)
+            assert _names_key(f"error: {exc.value}\n", f"{bad}: ", path), exc.value

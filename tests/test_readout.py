@@ -13,10 +13,8 @@ from tlstrack.errors import InvalidParameterError, MitigationUnstableError, Tlst
 from tlstrack.readout import (
     ConfusionMatrix,
     IqBlobModel,
-    classify_points,
     equilateral_blobs,
     mitigate_trace,
-    sample_blob,
     simulate_confusion_matrix,
     _classify_frame,
 )
@@ -51,6 +49,28 @@ def einsum_log_likelihoods(blobs, points):
     return out
 
 
+def shot_points(blobs, state, z):
+    """The IQ points of state ``state``'s shots drawn from the normals ``z``:
+    point = mean + L·z one scalar at a time, with L the blob's lower
+    Cholesky factor."""
+    (l00, _), (l10, l11) = np.linalg.cholesky(blobs.covariances[state]).tolist()
+    mx, my = blobs.means[state].tolist()
+    z = np.asarray(z, dtype=float).reshape(-1, 2)
+    points = [[mx + l00 * a, my + (l10 * a + l11 * b)] for a, b in z.tolist()]
+    return np.array(points).reshape(-1, 2)
+
+
+def frame_labels(blobs, state, z):
+    """``_classify_frame``'s labels of state ``state``'s shots from the normals ``z``."""
+    z = np.asarray(z, dtype=float).reshape(-1, 2)
+    return _classify_frame(blobs, state, z, np.empty(z.shape[0], dtype=np.intp))
+
+
+def reference_labels(blobs, state, z):
+    """The argmax of the einsum log-likelihoods of the same shots' points."""
+    return np.argmax(einsum_log_likelihoods(blobs, shot_points(blobs, state, z)), axis=1)
+
+
 def gauss_elim_solve(a, b):
     """Independent 3x3 solver: Gaussian elimination with partial pivoting."""
     a = np.array(a, dtype=float)
@@ -73,54 +93,59 @@ def gauss_elim_solve(a, b):
 class TestClassify:
     def test_point_at_mean(self):
         blobs = iso_blobs([[0, 0], [10, 0], [0, 10]])
-        assert classify_points(blobs, [10.0, 0.0]).tolist() == [1]
+        # zero normals put a shot at its blob's mean
+        for state in range(3):
+            assert frame_labels(blobs, state, [0.0, 0.0]).tolist() == [state]
 
     def test_tie_breaks_to_lower_index(self):
+        # (1, 0) is as likely under blob 0 as under blob 1, from either frame
         blobs = iso_blobs([[0, 0], [2, 0], [10, 10]])
-        assert classify_points(blobs, [1.0, 0.0]).tolist() == [0]
+        assert frame_labels(blobs, 0, [1.0, 0.0]).tolist() == [0]
+        assert frame_labels(blobs, 1, [-1.0, 0.0]).tolist() == [0]
+        # (1, 0) and (1, 5) tie blobs 1 and 2 of the relabeled set
         relabeled = iso_blobs([[10, 10], [2, 0], [0, 0]])
-        assert np.array_equal(classify_points(relabeled, [[1.0, 0.0], [1.0, 5.0]]), [1, 1])
+        z = [[1.0, 0.0], [1.0, 5.0]]
+        assert np.array_equal(frame_labels(relabeled, 2, z), [1, 1])
+        assert np.array_equal(reference_labels(relabeled, 2, z), [1, 1])
 
     def test_likelihood_comparison(self):
         # nearest mean wins for equal isotropic covariances
         blobs = iso_blobs([[0, 0], [10, 0], [0, 10]])
-        point = np.array([6.0, 1.0])
+        point = shot_points(blobs, 1, [-4.0, 1.0])[0]
         d2 = [np.sum((point - m) ** 2) for m in blobs.means]
-        assert classify_points(blobs, point).tolist() == [int(np.argmin(d2))] == [1]
+        assert frame_labels(blobs, 1, [-4.0, 1.0]).tolist() == [int(np.argmin(d2))] == [1]
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(0)
         blobs = iso_blobs([[0, 0], [4, 0], [0, 4]])
         perm = [2, 0, 1]
         permuted = iso_blobs(blobs.means[perm])
-        points = rng.normal(scale=3.0, size=(200, 2))
-        base = classify_points(blobs, points)
-        relabeled = classify_points(permuted, points)
         lookup = {orig: new for new, orig in enumerate(perm)}
-        assert np.array_equal(relabeled, np.array([lookup[s] for s in base]))
+        for state in range(3):
+            # blob ``state`` is blob lookup[state] of the permuted set
+            z = rng.standard_normal((200, 2))
+            base = frame_labels(blobs, state, z)
+            relabeled = frame_labels(permuted, lookup[state], z)
+            assert np.array_equal(relabeled, np.array([lookup[s] for s in base]))
 
     def test_anisotropic_covariance(self):
         covs = ISO.copy()
         covs[0] = [[9.0, 0.0], [0.0, 0.25]]
         blobs = IqBlobModel(np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]), covs)
-        # x=4 is 1.33 sigma from blob 0 along its wide axis, 1 sigma from blob 1
-        assert classify_points(blobs, [4.0, 0.0]).tolist() == [1]
-
-    @pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, -np.inf], [np.inf, np.nan]])
-    @pytest.mark.parametrize("blobs", [CORRELATED, equilateral_blobs(1.8)], ids=["quad", "linear"])
-    def test_non_finite_point_raises(self, blobs, bad):
-        points = np.zeros((5, 2))
-        points[3] = points[4] = bad
-        with pytest.raises(InvalidParameterError, match=r"points must be finite, got .* at row 3$"):
-            classify_points(blobs, points)
-        with pytest.raises(InvalidParameterError, match="at row 0"):
-            classify_points(blobs, bad)
+        # x=4 is 1.33 sigma from blob 0 along its wide axis, 1 sigma from blob 1:
+        # a state-1 shot there, and a state-0 shot there (L_0 = diag(3, 0.5))
+        assert frame_labels(blobs, 1, [-1.0, 0.0]).tolist() == [1]
+        assert frame_labels(blobs, 0, [4.0 / 3.0, 0.0]).tolist() == [1]
+        assert reference_labels(blobs, 0, [4.0 / 3.0, 0.0]).tolist() == [1]
 
     def test_closed_form_matches_einsum_arithmetic(self):
-        points = np.random.default_rng(17).normal(scale=2.0, size=(100_000, 2))
-        expected = np.argmax(einsum_log_likelihoods(CORRELATED, points), axis=1)
-        assert np.array_equal(classify_points(CORRELATED, points), expected)
-        assert set(np.unique(expected)) == {0, 1, 2}
+        z = np.random.default_rng(17).standard_normal((100_000, 2))
+        found = set()
+        for state in range(3):
+            expected = reference_labels(CORRELATED, state, z)
+            assert np.array_equal(frame_labels(CORRELATED, state, z), expected)
+            found.update(np.unique(expected).tolist())
+        assert found == {0, 1, 2}
 
     @pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
     def test_identical_blobs_take_lower_label(self, pair):
@@ -128,20 +153,26 @@ class TestClassify:
         covs = CORRELATED.covariances.copy()
         means[pair[1]], covs[pair[1]] = means[pair[0]], covs[pair[0]]
         blobs = IqBlobModel(means, covs)
-        labels = classify_points(blobs, np.random.default_rng(5).normal(scale=2.0, size=(5000, 2)))
+        z = np.random.default_rng(5).standard_normal((5000, 2))
+        labels = np.concatenate([frame_labels(blobs, state, z) for state in range(3)])
         assert pair[1] not in labels and pair[0] in labels
+        for state in range(3):
+            assert np.array_equal(frame_labels(blobs, state, z), reference_labels(blobs, state, z))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_argmax_of_log_likelihoods(self, seed):
         rng = np.random.default_rng(seed)
         a = rng.normal(size=(3, 2, 2))
-        blobs = IqBlobModel(rng.normal(scale=2.0, size=(3, 2)), a @ a.transpose(0, 2, 1) + 0.1 * ISO)
-        points = rng.normal(scale=3.0, size=(20_000, 2))
-        expected = np.argmax(einsum_log_likelihoods(blobs, points), axis=1)
-        got = classify_points(blobs, points)
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
-        # one point at a time gives the labels of the whole batch
-        assert [int(classify_points(blobs, p)[0]) for p in points[:50]] == expected[:50].tolist()
+        covs = a @ a.transpose(0, 2, 1) + 0.1 * ISO
+        blobs = IqBlobModel(rng.normal(scale=2.0, size=(3, 2)), covs)
+        for state in range(3):
+            z = rng.standard_normal((20_000, 2))
+            expected = reference_labels(blobs, state, z)
+            got = frame_labels(blobs, state, z)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+            # one shot at a time gives the labels of the whole batch
+            assert [int(frame_labels(blobs, state, row)[0]) for row in z[:50]] == \
+                expected[:50].tolist()
 
     def test_model_arrays_read_only(self):
         means = np.array(CORRELATED.means)
@@ -154,7 +185,10 @@ class TestClassify:
         assert blobs.means[0, 0] == 0.0
         copy = pickle.loads(pickle.dumps(blobs))
         assert not copy.covariances.flags.writeable
-        assert np.array_equal(classify_points(copy, means), classify_points(blobs, means))
+        assert not copy._discriminants.flags.writeable
+        z = np.random.default_rng(3).standard_normal((100, 2))
+        for state in range(3):
+            assert np.array_equal(frame_labels(copy, state, z), frame_labels(blobs, state, z))
 
     @pytest.mark.parametrize("scale", [1e-200, 1e200])
     def test_numerically_singular_covariance_rejected(self, scale):
@@ -183,8 +217,9 @@ class TestNormalsFrameProperty:
         n=st.sampled_from([1, 2, 7, 300, 20_000]),
     )
     def test_matches_classify_points_of_sampled_points(self, blob_seed, seed, state, duplicate, n):
-        # random SPD blobs, with blob j a copy of blob i < j for a duplicate (i, j);
-        # 20,000 rows cross a block boundary
+        # the frame's labels are those of the shots' points, classified by the
+        # einsum reference; random SPD blobs, with blob j a copy of blob i < j
+        # for a duplicate (i, j); 20,000 rows cross a block boundary
         rng = np.random.default_rng(blob_seed)
         a = rng.normal(size=(3, 2, 2))
         means, covs = rng.normal(scale=2.0, size=(3, 2)), a @ a.transpose(0, 2, 1) + 0.05 * ISO
@@ -193,37 +228,18 @@ class TestNormalsFrameProperty:
             means[high], covs[high] = means[low], covs[low]
         blobs = IqBlobModel(means, covs)
         z = np.random.default_rng(seed).standard_normal((n, 2))
-        got = _classify_frame(blobs, state + 1, z, np.empty(n, dtype=np.intp))
-        points = sample_blob(blobs, state, n, np.random.default_rng(seed))
-        assert np.array_equal(got, classify_points(blobs, points))
+        got = frame_labels(blobs, state, z)
+        assert np.array_equal(got, reference_labels(blobs, state, z))
         if duplicate is not None:
             assert duplicate[1] not in got
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 300])
-def test_sample_blob_is_elementwise(n):
-    # point = mean + L·z one scalar at a time, so no row's bits depend on n
-    z = np.random.default_rng(n).standard_normal((n, 2))
-    points = sample_blob(CORRELATED, 2, n, np.random.default_rng(n))
-    (l00, _), (l10, l11) = np.linalg.cholesky(CORRELATED.covariances[2]).tolist()
-    mx, my = CORRELATED.means[2].tolist()
-    expected = [[mx + l00 * a, my + (l10 * a + l11 * b)] for a, b in z.tolist()]
-    assert points.shape == (n, 2) and np.array_equal(points, expected)
-    assert np.array_equal(points[0], sample_blob(CORRELATED, 2, 1, np.random.default_rng(n))[0])
-
-
 def assert_frames_match_reference(blobs, seed, n):
-    """In every frame, ``_classify_frame`` of n standard-normal rows gives
-    the argmax of the einsum log-likelihoods of the points the rows form:
-    the rows themselves (scaled) in frame 0, blob k's samples in frame k + 1."""
+    """In every frame k, ``_classify_frame`` of n standard-normal rows gives
+    the argmax of the einsum log-likelihoods of blob k's shots they form."""
     z = np.random.default_rng(seed).standard_normal((n, 2))
-    for frame in range(4):
-        if frame == 0:
-            rows = points = 3.0 * z
-        else:
-            rows, points = z, sample_blob(blobs, frame - 1, n, np.random.default_rng(seed))
-        got = _classify_frame(blobs, frame, rows, np.empty(n, dtype=np.intp))
-        assert np.array_equal(got, np.argmax(einsum_log_likelihoods(blobs, points), axis=1))
+    for state in range(3):
+        assert np.array_equal(frame_labels(blobs, state, z), reference_labels(blobs, state, z))
 
 
 # means on an axis, symmetric about one or of equal norm, so that under an
@@ -263,7 +279,7 @@ class TestLinearPath:
     @pytest.mark.parametrize("name", ["device_A", "device_B"])
     def test_bundled_blobs_are_linear_in_every_frame(self, name):
         blobs = bundled_scenario(name).blobs
-        assert blobs._discriminants.shape == (4, 2, 6)
+        assert blobs._discriminants.shape == (3, 2, 6)
         assert not blobs._discriminants[..., :3].any()
 
     @pytest.mark.parametrize("radius,sigma", [(0.4, 1.0), (1.8148436104016574, 1.0), (3.0, 0.2)])

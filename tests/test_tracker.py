@@ -1361,16 +1361,34 @@ class TestScaleGuards:
                "lifetime errors and tracker config")
 
     def test_underflowing_weights_reach_the_roots_check(self, monkeypatch):
+        # errors whose weights' squares would underflow are refused under every
+        # order before any polynomial is formed, naming the column and the epoch
+        monkeypatch.setattr(tracker, "_polynomial_roots", lambda coef: pytest.fail("reached"))
+        series = constant_series(100.0, 60.0, err_e_us=np.full(12, 1e200),
+                                 err_f_us=np.full(12, 1e200))
+        for fit in (lambda: track_tls(series, DEVICE_A, 1), lambda: track_tls(series, DEVICE_A, 2),
+                    lambda: select_model(series, DEVICE_A)):
+            with pytest.raises(InvalidParameterError) as exc:
+                fit()
+            assert str(exc.value) == (
+                "err_e: 1e+200 us at epoch 0 is more than 1e+100 times its lifetime, "
+                "the largest relative error the tracker's weights support")
+
+    def test_underflowing_eliminant_reaches_the_roots_check(self, monkeypatch):
+        # under a lower coupling bound far below the default, the two-defect
+        # eliminant at lifetimes of 1e100 us underflows to a row of zeros,
+        # with errors of an ordinary 2%
         roots = []
         real = tracker._polynomial_roots
         monkeypatch.setattr(tracker, "_polynomial_roots",
                             lambda coef: roots.append(coef) or real(coef))
-        series = constant_series(100.0, 60.0, err_e_us=np.full(12, 1e200),
-                                 err_f_us=np.full(12, 1e200))
+        series = constant_series(1e100, 6e99, err_e_us=np.full(12, 2e98),
+                                 err_f_us=np.full(12, 1.2e98))
         with pytest.raises(InvalidParameterError) as exc:
-            track_tls(series, DEVICE_A, 1)
+            track_tls(series, DEVICE_A, 2, TrackerConfig(coupling_bounds=(1e-300, 1e8)))
         assert str(exc.value) == self.MESSAGE
-        assert not np.any(roots[-1])     # the weights' squares underflow to 0
+        assert not np.any(roots[-1], axis=1).all()     # some row is all zeros
+        assert np.isfinite(roots[-1]).all()
 
     def test_rate_times_band_overflow_reaches_the_band_unit_check(self, monkeypatch):
         # 1e300 /us times a half-width of about 2e4 MHz squared passes 1.8e308
