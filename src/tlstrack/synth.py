@@ -7,12 +7,18 @@ calibration, one per epoch), so changing one defect's seed never perturbs
 the other draws.  An epoch's draws come from its own stream of (master
 seed, epoch index), which pins the traces bit for bit; the ideal
 populations of all epochs come from one evaluation of the cascade.
+
+Where more than one CPU is available, the epochs are sampled on two
+threads, whatever ``--jobs`` says; each epoch still draws from its own
+stream into its own slot, so no output depends on the thread count.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -20,8 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (DecayRates, PopulationTrace, _boolean, _cascade, _check, _integer, _need,
-                       _number, _number_array, _read_json)
+from .dynamics import (DecayRates, PopulationTrace, _boolean, _cascade, _check, _field, _integer,
+                       _need, _number, _number_array, _read_json)
 from .errors import InvalidParameterError, ScenarioSchemaError
 from .readout import ConfusionMatrix, IDENTITY_CONFUSION, IqBlobModel, _classify_frame, \
     equilateral_blobs, simulate_confusion_matrix
@@ -224,6 +230,13 @@ def device_from_json_dict(doc: dict, path: str) -> DeviceFrequencies:
         raise ScenarioSchemaError(key, str(err)) from None
 
 
+def _plain_file_name(v) -> bool:
+    """Whether ``v`` names a file in the working directory: ``simulate``
+    writes to ``<name>_run`` there unless ``--out`` is given."""
+    return (isinstance(v, str) and v not in ("", ".", "..") and "\0" not in v
+            and Path(v).name == v)
+
+
 def scenario_from_json_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioSchemaError("", "scenario document must be a JSON object")
@@ -270,7 +283,7 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
     exact = _boolean(doc, "exact_populations", "", False)
     # each range that Scenario checks is checked where its key is read
     return Scenario(
-        name=str(doc.get("name", "scenario")),
+        name=_field(doc, "name", "", "scenario", _plain_file_name, "a plain file name"),
         device=device,
         tls_truth=truths,
         background=background,
@@ -366,8 +379,10 @@ def _sample_epoch_trace(
     blobs: Optional[IqBlobModel],
     exact: bool,
     rng: np.random.Generator,
+    scratch: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> PopulationTrace:
-    """One epoch's observed trace from its ideal populations (delays, 3)."""
+    """One epoch's observed trace from its ideal populations (delays, 3).
+    ``scratch`` is passed on to :func:`_classified_counts`."""
     if exact:
         return PopulationTrace(delays.copy(), ideal)
     p = np.clip(ideal, 0.0, None)
@@ -376,12 +391,19 @@ def _sample_epoch_trace(
         # one stacked call draws the rows in order, as a call per row would
         counts = rng.multinomial(shots, p)
     else:
-        counts = _classified_counts(p, shots, blobs, rng)
+        counts = _classified_counts(p, shots, blobs, rng, scratch)
     return PopulationTrace(delays.copy(), counts / float(shots), np.full(delays.size, shots))
 
 
+def _epoch_scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Buffers for :func:`_classified_counts` of ``n`` shots per epoch: the
+    normals (2n, 2) and the labels (n,)."""
+    return np.empty((2 * n, 2)), np.empty(n, dtype=np.uint8)
+
+
 def _classified_counts(
-    p: np.ndarray, shots: int, blobs: IqBlobModel, rng: np.random.Generator
+    p: np.ndarray, shots: int, blobs: IqBlobModel, rng: np.random.Generator,
+    scratch: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Per-delay assignment counts (delays, 3) of ``shots`` prepared shots
     per delay, each drawn from its state's blob and classified.
@@ -389,14 +411,16 @@ def _classified_counts(
     The stream is the per-delay one: a multinomial draw of the prepared
     states, then each state's normals in state order.  Each state's normals
     go into their own region of one buffer, and each region is classified
-    in one call, from the normals themselves.
+    in one call, from the normals themselves.  ``scratch``, the buffers of
+    :func:`_epoch_scratch` for these ``delays * shots`` shots, is used in
+    place of new ones; every element that is read is written first.
     """
     n_delays = p.shape[0]
     n = n_delays * shots
     # state 0 fills z[:n] upwards and state 2 fills it downwards from n, so
     # both end where their labels go (they never meet, as n0 + n2 <= n);
     # state 1 fills z[n:] upwards and its labels go between the two
-    z = np.empty((2 * n, 2))
+    z, labels = _epoch_scratch(n) if scratch is None else scratch
     prepared = []
     top0, top1, bottom2 = 0, n, n
     for row in p:
@@ -407,7 +431,6 @@ def _classified_counts(
         rng.standard_normal(out=z[top1:top1 + n1])
         rng.standard_normal(out=z[bottom2 - n2:bottom2])
         top0, top1, bottom2 = top0 + n0, top1 + n1, bottom2 - n2
-    labels = np.empty(n, dtype=np.intp)
     _classify_frame(blobs, 0, z[:top0], labels[:top0])
     _classify_frame(blobs, 1, z[n:top1], labels[top0:bottom2])
     _classify_frame(blobs, 2, z[bottom2:n], labels[bottom2:])
@@ -419,8 +442,8 @@ def _classified_counts(
     filled = runs > 0
     starts = (np.cumsum(runs) - runs)[filled]
     sums = np.zeros((2, 3 * n_delays), dtype=np.int64)
-    sums[0, filled] = np.add.reduceat(labels, starts)
-    sums[1, filled] = np.add.reduceat(labels >> 1, starts)
+    sums[0, filled] = np.add.reduceat(labels, starts, dtype=np.int64)
+    sums[1, filled] = np.add.reduceat(labels >> 1, starts, dtype=np.int64)
     sums = sums.reshape(2, 3, n_delays)
     label_sum, twos = sums[:, 0] + sums[:, 1] + sums[:, 2, ::-1]
     return np.column_stack([shots - label_sum + twos, label_sum - 2 * twos, twos])
@@ -443,20 +466,80 @@ def _ideal_populations(g10: np.ndarray, g21: np.ndarray, delays: np.ndarray) -> 
     return np.stack(_cascade(g10[:, None], g21[:, None], delays), axis=-1)
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity query on this platform
+        return os.cpu_count() or 1
+
+
+def _sample_epochs(scenario: Scenario, ideal: np.ndarray) -> list[PopulationTrace]:
+    """Every epoch's trace from its ideal populations, in epoch order.
+
+    With more than one CPU and epoch, the calling thread samples the even
+    epochs and one worker thread the odd ones; numpy releases the GIL while
+    it draws, so the two overlap.  Each epoch draws from its own stream into
+    its own slot, so the traces are the serial loop's bit for bit.  Each
+    thread stops at its first fault, and the fault re-raised here is the
+    lowest failing epoch's, as in the serial loop.  Both threads' buffers
+    are made here, once, and reused by every epoch.
+    """
+    n_epochs = scenario.epochs
+    traces: list = [None] * n_epochs
+    faults: dict[int, Exception] = {}
+    stop = threading.Event()
+    classified = scenario.blobs is not None and not scenario.exact_populations
+    shots = scenario.shots_per_delay
+
+    def buffers():
+        return _epoch_scratch(scenario.delays_us.size * shots) if classified else None
+
+    def sample(first: int, step: int, scratch) -> None:
+        for e in range(first, n_epochs, step):
+            if stop.is_set():
+                return
+            try:
+                traces[e] = _sample_epoch_trace(
+                    scenario.delays_us, ideal[e], shots, scenario.blobs,
+                    scenario.exact_populations,
+                    derive_rng(scenario.master_seed, _STREAM_EPOCH, e), scratch)
+            except Exception as err:
+                faults[e] = err
+                return
+
+    if n_epochs > 1 and _cpu_count() > 1:
+        worker = threading.Thread(target=sample, args=(1, 2, buffers()), name="tlstrack-epochs")
+        try:
+            worker.start()
+            sample(0, 2, buffers())
+            worker.join()
+        finally:
+            # a worker still running here, after an interrupt, ends after its epoch
+            stop.set()
+            if worker.is_alive():
+                worker.join()
+    else:
+        sample(0, 1, buffers())
+    if faults:
+        raise faults[min(faults)]
+    return traces
+
+
 def synthesize_experiment(
     scenario: Scenario,
 ) -> tuple[list[PopulationTrace], ConfusionMatrix, TlsParameterSet]:
     """Full synthetic run: per-epoch traces, the simulated confusion matrix,
-    and the ground-truth defect parameters."""
+    and the ground-truth defect parameters.
+
+    The epochs are sampled on two threads where more than one CPU is
+    available (see :func:`_sample_epochs`); the outputs are the same bytes
+    on one thread or two."""
     truth = generate_trajectories(scenario)
     g10, g21 = true_rate_arrays(scenario, truth)
     confusion = scenario.confusion_matrix()
     ideal = _ideal_populations(g10, g21, scenario.delays_us)
-    traces = [_sample_epoch_trace(scenario.delays_us, ideal[e], scenario.shots_per_delay,
-                                  scenario.blobs, scenario.exact_populations,
-                                  derive_rng(scenario.master_seed, _STREAM_EPOCH, e))
-              for e in range(scenario.epochs)]
-    return traces, confusion, truth
+    return _sample_epochs(scenario, ideal), confusion, truth
 
 
 def write_run_directory(scenario: Scenario, out_dir) -> list[Path]:

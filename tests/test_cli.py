@@ -1174,15 +1174,15 @@ def _names_key(err, prefix, path):
 
 
 # an out-of-range value of each scalar scenario key's own type, by key name;
-# any string is a valid name, and both booleans are valid exact_populations
+# both booleans are valid exact_populations
 _OUT_OF_RANGE = {
-    "schema_version": 2, "omega01_mhz": -5.0, "anharmonicity_mhz": 5.0, "gamma10": -1.0,
-    "gamma21": -1.0, "coupling_weight": -1.0, "linewidth_mhz": -1.0, "kind": "wiggle",
-    "start_mhz": math.inf, "sigma_mhz": -1.0, "theta_per_hr": -1.0, "seed": -1, "epochs": 0,
-    "epoch_spacing_hr": -1.0, "n": 1, "min_us": -5.0, "max_us": -5.0, "shots_per_delay": 0,
-    "calibration_shots": 0, "radius": -1.0, "sigma": -1.0, "master_seed": -1,
+    "name": "../escaped", "schema_version": 2, "omega01_mhz": -5.0, "anharmonicity_mhz": 5.0,
+    "gamma10": -1.0, "gamma21": -1.0, "coupling_weight": -1.0, "linewidth_mhz": -1.0,
+    "kind": "wiggle", "start_mhz": math.inf, "sigma_mhz": -1.0, "theta_per_hr": -1.0, "seed": -1,
+    "epochs": 0, "epoch_spacing_hr": -1.0, "n": 1, "min_us": -5.0, "max_us": -5.0,
+    "shots_per_delay": 0, "calibration_shots": 0, "radius": -1.0, "sigma": -1.0, "master_seed": -1,
 }
-_ALWAYS_VALID = ("name", "exact_populations")
+_ALWAYS_VALID = ("exact_populations",)
 
 
 def _scenario_keys():
@@ -1204,6 +1204,23 @@ _RUN_FILE_KEYS = {
     "confusion.json": ["schema_version", "matrix_row_major", "assignment_fidelity",
                        "condition_number"],
 }
+
+
+@pytest.mark.parametrize("name", [None, "", "../escaped", "a/b", ".."])
+def test_simulate_refuses_a_name_that_is_not_a_plain_file_name(tmp_path, monkeypatch, name):
+    # without --out, simulate writes to <name>_run in the working directory
+    doc = scenario_to_json_dict(tiny_scenario(epochs=1))
+    doc["name"] = name
+    work = tmp_path / "work"
+    work.mkdir()
+    scenario = work / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    monkeypatch.chdir(work)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(["simulate", str(scenario)]) == 2
+    assert err.getvalue() == f"error: name: expected a plain file name, got {name!r}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.json", "work"]
 
 
 class TestEveryFaultNamesItsKey:

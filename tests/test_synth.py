@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tlstrack import synth
 from tlstrack.dynamics import DecayRates, closed_form_populations
 from tlstrack.errors import InvalidParameterError, ScenarioSchemaError
 from tlstrack.readout import IqBlobModel, equilateral_blobs, simulate_confusion_matrix
@@ -16,6 +20,7 @@ from tlstrack.synth import (
     DriftProcess,
     Scenario,
     TlsTruth,
+    _STREAM_EPOCH,
     _ideal_populations,
     _sample_epoch_trace,
     bundled_scenario,
@@ -26,6 +31,7 @@ from tlstrack.synth import (
     scenario_to_json_dict,
     synthesize_experiment,
     true_lifetime_series,
+    true_rate_arrays,
     write_run_directory,
 )
 from tlstrack.tls import DeviceFrequencies
@@ -331,6 +337,133 @@ class TestEpochSamplerProperty:
         assert np.array_equal(got.m, expected)
 
 
+def serial_traces(sc):
+    """The traces of a plain serial loop over the epochs, one stream each."""
+    g10, g21 = true_rate_arrays(sc)
+    ideal = _ideal_populations(g10, g21, sc.delays_us)
+    return [_sample_epoch_trace(sc.delays_us, ideal[e], sc.shots_per_delay, sc.blobs,
+                                sc.exact_populations, derive_rng(sc.master_seed, _STREAM_EPOCH, e))
+            for e in range(sc.epochs)]
+
+
+def assert_same_traces(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.delays, b.delays)
+        assert np.array_equal(a.populations, b.populations)
+        assert (a.shots is None) == (b.shots is None)
+        if b.shots is not None:
+            assert np.array_equal(a.shots, b.shots)
+
+
+def epoch_of(rng):
+    """The epoch index of an epoch stream from ``derive_rng``."""
+    return rng.bit_generator.seed_seq.entropy[-1]
+
+
+# odd and even epoch counts, one epoch (the worker gets none), no blobs,
+# exact populations, and unequal covariances
+THREAD_CASES = {
+    "odd": dict(epochs=7),
+    "even": dict(epochs=6),
+    "one_epoch": dict(epochs=1),
+    "no_blobs": dict(epochs=5, blobs=None),
+    "exact": dict(epochs=4, exact_populations=True),
+    "correlated": dict(epochs=5, blobs=CORRELATED_BLOBS),
+}
+
+
+class TestEpochThreads:
+    """The epochs are sampled on two threads where more than one CPU is
+    available; the traces and faults are those of the serial loop."""
+
+    @pytest.fixture()
+    def threads_seen(self, monkeypatch):
+        """Epoch index -> the thread that sampled it."""
+        seen = {}
+        sample = synth._sample_epoch_trace
+
+        def recording(*args, **kwargs):
+            seen[epoch_of(args[5])] = threading.current_thread()
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "_sample_epoch_trace", recording)
+        return seen
+
+    @pytest.mark.parametrize("overrides", THREAD_CASES.values(), ids=THREAD_CASES.keys())
+    def test_two_cpus_match_serial_loop(self, monkeypatch, threads_seen, overrides):
+        monkeypatch.setattr(synth, "_cpu_count", lambda: 2)
+        sc = small_scenario(**overrides)
+        before = threading.active_count()
+        traces, _, _ = synthesize_experiment(sc)
+        assert threading.active_count() == before
+        assert_same_traces(traces, serial_traces(sc))
+        # the caller takes the even epochs and one worker the odd ones
+        caller = threading.current_thread()
+        assert sorted(threads_seen) == list(range(sc.epochs))
+        assert all((threads_seen[e] is caller) == (e % 2 == 0) for e in threads_seen)
+
+    def test_frequent_thread_switches(self, monkeypatch):
+        monkeypatch.setattr(synth, "_cpu_count", lambda: 2)
+        sc = small_scenario(epochs=31, shots_per_delay=50)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            traces, _, _ = synthesize_experiment(sc)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_traces(traces, serial_traces(sc))
+
+    @pytest.mark.parametrize("overrides", THREAD_CASES.values(), ids=THREAD_CASES.keys())
+    def test_one_cpu_runs_serial_loop_on_caller(self, monkeypatch, threads_seen, overrides):
+        monkeypatch.setattr(synth, "_cpu_count", lambda: 1)
+        sc = small_scenario(**overrides)
+        traces, _, _ = synthesize_experiment(sc)
+        assert_same_traces(traces, serial_traces(sc))
+        assert set(threads_seen.values()) == {threading.current_thread()}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("failing, raised", [
+        ((3, 6), 3), ((4, 5), 4), ((5,), 5), ((0, 1), 0), ((6,), 6),
+    ])
+    def test_lowest_failing_epoch_raises(self, monkeypatch, cpus, failing, raised):
+        monkeypatch.setattr(synth, "_cpu_count", lambda: cpus)
+        sample = synth._sample_epoch_trace
+
+        def failing_epochs(*args, **kwargs):
+            e = epoch_of(args[5])
+            if e in failing:
+                raise InvalidParameterError(f"epoch {e} cannot be sampled")
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "_sample_epoch_trace", failing_epochs)
+        before = threading.active_count()
+        with pytest.raises(InvalidParameterError) as info:
+            synthesize_experiment(small_scenario(epochs=7))
+        assert str(info.value) == f"epoch {raised} cannot be sampled"
+        assert threading.active_count() == before
+
+    def test_interrupt_stops_and_joins_worker(self, monkeypatch, threads_seen):
+        monkeypatch.setattr(synth, "_cpu_count", lambda: 2)
+        recording = synth._sample_epoch_trace
+
+        def interrupted(*args, **kwargs):
+            e = epoch_of(args[5])
+            if e == 2:
+                raise KeyboardInterrupt
+            if e % 2:
+                time.sleep(0.01)    # the worker's 20 epochs take 0.2 s or more
+            return recording(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "_sample_epoch_trace", interrupted)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            synthesize_experiment(small_scenario(epochs=40))
+        assert threading.active_count() == before
+        # the worker stops after the epoch it was sampling, not after its last
+        assert 0 in threads_seen and sum(e % 2 for e in threads_seen) < 20
+
+
 def run_digest(name, out_dir, epochs=6):
     """SHA-256 over the trace CSVs and confusion.json of a short synthesis
     of a bundled scenario at its bundled seed.  A name ending in
@@ -399,6 +532,24 @@ class TestScenarioJson:
         with pytest.raises(ScenarioSchemaError) as exc:
             scenario_from_json_dict(doc)
         assert exc.value.field_path == path
+
+    @pytest.mark.parametrize("name", [None, "", "../escaped", "a/b", "..", ".", "/abs", "a/",
+                                      "nul\0byte", 7])
+    def test_name_must_be_a_plain_file_name(self, name):
+        # simulate writes to <name>_run in the working directory
+        doc = scenario_to_json_dict(small_scenario())
+        doc["name"] = name
+        with pytest.raises(ScenarioSchemaError) as exc:
+            scenario_from_json_dict(doc)
+        assert str(exc.value) == f"name: expected a plain file name, got {name!r}"
+
+    @pytest.mark.parametrize("name", ["unit", "device A", "..hidden", "a.b"])
+    def test_plain_names_are_kept(self, name):
+        doc = scenario_to_json_dict(small_scenario())
+        doc["name"] = name
+        assert scenario_from_json_dict(doc).name == name
+        del doc["name"]
+        assert scenario_from_json_dict(doc).name == "scenario"
 
     @pytest.mark.parametrize("content", [b'{"epochs": 3,', b'\xff\xfe{'])
     def test_unreadable_json_is_a_schema_error(self, tmp_path, content):
