@@ -379,10 +379,11 @@ def _sample_epoch_trace(
     blobs: Optional[IqBlobModel],
     exact: bool,
     rng: np.random.Generator,
-    scratch: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    scratch: Optional[tuple[np.ndarray, np.ndarray]],
 ) -> PopulationTrace:
     """One epoch's observed trace from its ideal populations (delays, 3).
-    ``scratch`` is passed on to :func:`_classified_counts`."""
+    ``scratch`` is passed on to :func:`_classified_counts`; it is not read
+    unless the shots are classified (``blobs`` given and not ``exact``)."""
     if exact:
         return PopulationTrace(delays.copy(), ideal)
     p = np.clip(ideal, 0.0, None)
@@ -395,15 +396,19 @@ def _sample_epoch_trace(
     return PopulationTrace(delays.copy(), counts / float(shots), np.full(delays.size, shots))
 
 
-def _epoch_scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Buffers for :func:`_classified_counts` of ``n`` shots per epoch: the
-    normals (2n, 2) and the labels (n,)."""
-    return np.empty((2 * n, 2)), np.empty(n, dtype=np.uint8)
+def _epoch_scratch(n: int, threads: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each thread's buffers for :func:`_classified_counts` of ``n`` shots
+    per epoch: the normals (2n, 2) and the labels (n,).  All threads'
+    normals are one allocation: two 1.9 MB blocks freed together went back
+    to the OS, and the next command faulted their pages in again."""
+    z = np.empty((threads, 2 * n, 2))
+    labels = np.empty((threads, n), dtype=np.uint8)
+    return list(zip(z, labels))
 
 
 def _classified_counts(
     p: np.ndarray, shots: int, blobs: IqBlobModel, rng: np.random.Generator,
-    scratch: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    scratch: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Per-delay assignment counts (delays, 3) of ``shots`` prepared shots
     per delay, each drawn from its state's blob and classified.
@@ -411,16 +416,16 @@ def _classified_counts(
     The stream is the per-delay one: a multinomial draw of the prepared
     states, then each state's normals in state order.  Each state's normals
     go into their own region of one buffer, and each region is classified
-    in one call, from the normals themselves.  ``scratch``, the buffers of
-    :func:`_epoch_scratch` for these ``delays * shots`` shots, is used in
-    place of new ones; every element that is read is written first.
+    in one call, from the normals themselves.  ``scratch`` holds one
+    thread's buffers from :func:`_epoch_scratch` for these ``delays * shots``
+    shots; every element that is read is written first.
     """
     n_delays = p.shape[0]
     n = n_delays * shots
     # state 0 fills z[:n] upwards and state 2 fills it downwards from n, so
     # both end where their labels go (they never meet, as n0 + n2 <= n);
     # state 1 fills z[n:] upwards and its labels go between the two
-    z, labels = _epoch_scratch(n) if scratch is None else scratch
+    z, labels = scratch
     prepared = []
     top0, top1, bottom2 = 0, n, n
     for row in p:
@@ -480,49 +485,51 @@ def _sample_epochs(scenario: Scenario, ideal: np.ndarray) -> list[PopulationTrac
     With more than one CPU and epoch, the calling thread samples the even
     epochs and one worker thread the odd ones; numpy releases the GIL while
     it draws, so the two overlap.  Each epoch draws from its own stream into
-    its own slot, so the traces are the serial loop's bit for bit.  Each
-    thread stops at its first fault, and the fault re-raised here is the
-    lowest failing epoch's, as in the serial loop.  Both threads' buffers
-    are made here, once, and reused by every epoch.
+    its own slot, so the traces are the serial loop's bit for bit.  A thread
+    stops at its first fault, or before an epoch above the other thread's
+    fault, and the fault re-raised here is the lowest failing epoch's, as in
+    the serial loop.  The buffers of both threads are made here, once, and
+    reused by every epoch.
     """
     n_epochs = scenario.epochs
+    threads = 2 if n_epochs > 1 and _cpu_count() > 1 else 1
     traces: list = [None] * n_epochs
-    faults: dict[int, Exception] = {}
+    faults: list[tuple[int, Exception]] = []
     stop = threading.Event()
-    classified = scenario.blobs is not None and not scenario.exact_populations
     shots = scenario.shots_per_delay
+    if scenario.blobs is not None and not scenario.exact_populations:
+        scratch = _epoch_scratch(scenario.delays_us.size * shots, threads)
+    else:
+        scratch = [None] * threads
 
-    def buffers():
-        return _epoch_scratch(scenario.delays_us.size * shots) if classified else None
-
-    def sample(first: int, step: int, scratch) -> None:
-        for e in range(first, n_epochs, step):
-            if stop.is_set():
+    def sample(first: int) -> None:
+        for e in range(first, n_epochs, threads):
+            if stop.is_set() or any(f < e for f, _ in faults):
                 return
             try:
                 traces[e] = _sample_epoch_trace(
                     scenario.delays_us, ideal[e], shots, scenario.blobs,
                     scenario.exact_populations,
-                    derive_rng(scenario.master_seed, _STREAM_EPOCH, e), scratch)
+                    derive_rng(scenario.master_seed, _STREAM_EPOCH, e), scratch[first])
             except Exception as err:
-                faults[e] = err
+                faults.append((e, err))
                 return
 
-    if n_epochs > 1 and _cpu_count() > 1:
-        worker = threading.Thread(target=sample, args=(1, 2, buffers()), name="tlstrack-epochs")
+    if threads == 1:
+        sample(0)
+    else:
+        worker = threading.Thread(target=sample, args=(1,), name="tlstrack-epochs")
         try:
             worker.start()
-            sample(0, 2, buffers())
+            sample(0)
             worker.join()
         finally:
             # a worker still running here, after an interrupt, ends after its epoch
             stop.set()
             if worker.is_alive():
                 worker.join()
-    else:
-        sample(0, 1, buffers())
     if faults:
-        raise faults[min(faults)]
+        raise min(faults, key=lambda fault: fault[0])[1]
     return traces
 
 

@@ -21,6 +21,7 @@ from tlstrack.synth import (
     Scenario,
     TlsTruth,
     _STREAM_EPOCH,
+    _epoch_scratch,
     _ideal_populations,
     _sample_epoch_trace,
     bundled_scenario,
@@ -268,7 +269,8 @@ class TestEpochStreams:
         rates = DecayRates(1 / 60.0, 1 / 25.0)
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         ideal = closed_form_populations(rates, delays).T
-        got = _sample_epoch_trace(delays, ideal, 300, blobs, False, got_rng)
+        got = _sample_epoch_trace(delays, ideal, 300, blobs, False, got_rng,
+                                  _epoch_scratch(delays.size * 300, 1)[0])
         expected = reference_epoch_trace(delays, rates, 300, blobs, ref_rng)
         assert np.array_equal(got.populations, expected)
         assert np.array_equal(got.shots, np.full(delays.size, 300))
@@ -317,7 +319,8 @@ class TestEpochSamplerProperty:
             blobs = IqBlobModel(blobs.means, np.repeat(blobs.covariances[:1], 3, axis=0))
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         ideal = closed_form_populations(rates, delays).T
-        got = _sample_epoch_trace(delays, ideal, shots, blobs, False, got_rng)
+        got = _sample_epoch_trace(delays, ideal, shots, blobs, False, got_rng,
+                                  _epoch_scratch(delays.size * shots, 1)[0])
         expected = reference_epoch_trace(delays, rates, shots, blobs, ref_rng)
         assert np.array_equal(got.populations, expected)
         assert np.array_equal(got.shots, np.full(delays.size, shots))
@@ -341,8 +344,10 @@ def serial_traces(sc):
     """The traces of a plain serial loop over the epochs, one stream each."""
     g10, g21 = true_rate_arrays(sc)
     ideal = _ideal_populations(g10, g21, sc.delays_us)
+    # each epoch gets new buffers, so reused ones must not change a trace
     return [_sample_epoch_trace(sc.delays_us, ideal[e], sc.shots_per_delay, sc.blobs,
-                                sc.exact_populations, derive_rng(sc.master_seed, _STREAM_EPOCH, e))
+                                sc.exact_populations, derive_rng(sc.master_seed, _STREAM_EPOCH, e),
+                                _epoch_scratch(sc.delays_us.size * sc.shots_per_delay, 1)[0])
             for e in range(sc.epochs)]
 
 
@@ -442,6 +447,26 @@ class TestEpochThreads:
             synthesize_experiment(small_scenario(epochs=7))
         assert str(info.value) == f"epoch {raised} cannot be sampled"
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "worker"])
+    def test_fault_stops_the_other_thread(self, monkeypatch, threads_seen, failing):
+        monkeypatch.setattr(synth, "_cpu_count", lambda: 2)
+        recording = synth._sample_epoch_trace
+
+        def failing_epoch(*args, **kwargs):
+            e = epoch_of(args[5])
+            if e == failing:
+                raise InvalidParameterError(f"epoch {e} cannot be sampled")
+            time.sleep(0.01)    # the other thread's 20 epochs take 0.2 s or more
+            return recording(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "_sample_epoch_trace", failing_epoch)
+        before = threading.active_count()
+        with pytest.raises(InvalidParameterError, match=f"^epoch {failing} cannot"):
+            synthesize_experiment(small_scenario(epochs=40))
+        assert threading.active_count() == before
+        # the other thread stops before its next epoch above the fault
+        assert len([e for e in threads_seen if e > failing]) < 10
 
     def test_interrupt_stops_and_joins_worker(self, monkeypatch, threads_seen):
         monkeypatch.setattr(synth, "_cpu_count", lambda: 2)
