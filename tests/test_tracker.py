@@ -1478,19 +1478,26 @@ def digest_series():
     return LifetimeSeries(clean.epochs_hr, t1e, t1f, 0.01 * t1e, 0.01 * t1f), scenario
 
 
-def track_digest(order, tmp_path):
+def track_digest(order, tmp_path, weighted=True, tracker_config=None):
     """SHA-256 over trajectory.csv, correlation.csv and fit.json of
-    ``track --order order`` on :func:`digest_series`.  The series is built
-    from the rate model, not from synthesized traces, so only the tracker
-    moves the digest."""
+    ``track --order order`` on :func:`digest_series`, without its error
+    columns unless ``weighted``, and with the ``tracker`` config section
+    ``tracker_config`` when given.  The series is built from the rate model,
+    not from synthesized traces, so only the tracker moves the digest."""
     series, scenario = digest_series()
+    if not weighted:
+        series = LifetimeSeries(series.epochs_hr, series.t1e_us, series.t1f_us)
     series_path, device_path = tmp_path / "series.csv", tmp_path / "device.json"
     series.to_csv(series_path)
     device_path.write_text(json.dumps({"omega01_mhz": scenario.device.omega_01,
                                        "anharmonicity_mhz": scenario.device.anharmonicity}))
     out = tmp_path / "fit"
-    assert main(["track", str(series_path), "--device", str(device_path),
-                 "--order", order, "--out", str(out)]) == 0
+    argv = ["track", str(series_path), "--device", str(device_path), "--order", order,
+            "--out", str(out)]
+    if tracker_config is not None:
+        (tmp_path / "config.json").write_text(json.dumps({"tracker": tracker_config}))
+        argv += ["--config", str(tmp_path / "config.json")]
+    assert main(argv) == 0
     h = hashlib.sha256()
     for name in ("trajectory.csv", "correlation.csv", "fit.json"):
         h.update(name.encode() + b"\0")
@@ -1523,3 +1530,24 @@ TRACK_DIGESTS = {
 @pytest.mark.parametrize("order", sorted(TRACK_DIGESTS))
 def test_track_outputs_match_golden_digest(order, tmp_path):
     assert track_digest(order, tmp_path) == TRACK_DIGESTS[order]
+
+
+# TRACK_DIGESTS' order 2 saturates at its first epoch solve, so these pin the
+# tracker paths it misses: couplings capped at 0.05 keep every order-2 solve
+# from saturating, so every cycle runs, the two-defect fallback fires and 8
+# 2x2-block joint updates run; without error columns the order-1 joint
+# updates are unweighted (7 outer cycles).  name -> (order, weighted,
+# tracker config, digest)
+PATH_DIGESTS = {
+    "order2_capped_couplings": (
+        "2", True, {"coupling_bounds": [1e-10, 0.05]},
+        "c45a4207883bd7a0c3bb3210c73614dca91e7bed3946fb169c5f3a7a7283e7bd"),
+    "order1_unweighted": (
+        "1", False, None, "3e81e3537611fa574ff2625a80125d01c165f7f6b1cffd9ba9af7bae6b5e8243"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PATH_DIGESTS))
+def test_track_paths_match_golden_digest(name, tmp_path):
+    order, weighted, tracker_config, digest = PATH_DIGESTS[name]
+    assert track_digest(order, tmp_path, weighted, tracker_config) == digest
