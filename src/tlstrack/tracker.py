@@ -235,7 +235,7 @@ def _frequency_derivatives(device: DeviceFrequencies, b, g, w, scale_e, scale_f)
 
 
 class _Workspace:
-    """Shared arrays and closures for one tracker run."""
+    """The arrays and quantities fixed for one tracker run, and its closures."""
 
     def __init__(self, series: LifetimeSeries, device: DeviceFrequencies,
                  order: int, config: TrackerConfig):
@@ -247,35 +247,36 @@ class _Workspace:
         self.n = series.n_epochs
         self.band = config.band(device)
         self.n_globals = config.n_globals(order)
+        # the band's centre and half-width, and the transitions in band units
+        # u = (omega - mid)/h, the frequency solves' variable
+        lo, hi = self.band
+        self.mid, self.h = (lo + hi) / 2.0, (hi - lo) / 2.0
+        self.u01 = (device.omega_01 - self.mid) / self.h
+        self.u12 = (device.omega_12 - self.mid) / self.h
         # residual weights: inverse relative lifetime errors when reported
-        if series.has_errors:
+        self.weighted = series.has_errors
+        if self.weighted:
             self.w_e = 1.0 / np.maximum(series.err_e_us / series.t1e_us, 1e-12)
             self.w_f = 1.0 / np.maximum(series.err_f_us / series.t1f_us, 1e-12)
-            self.weighted = True
         else:
             self.w_e = np.ones(self.n)
             self.w_f = np.ones(self.n)
-            self.weighted = False
-
-    def misfit_floor(self) -> float:
-        """Convergence floor for the weighted misfit.
-
-        With reported errors the residuals are in units of their standard
-        deviation, so descending below ~sqrt(N) only chases measurement
-        noise (discrepancy principle); without errors the floor is a pure
-        numerical-accuracy guard.
-        """
-        n_res = math.sqrt(2.0 * self.n)
-        if self.weighted:
-            return NOISE_FLOOR_FACTOR * n_res
-        return MISFIT_FLOOR * n_res
+        # d(r_e, r_f)/d(Gamma10, Gamma21): a model rate derivative times these
+        # is a residual derivative
+        self.scale_e = -self.w_e / self.g10_meas
+        self.scale_f = -config.f_multiplier * self.w_f / self.g21_meas
+        # convergence floor for the weighted misfit: with reported errors the
+        # residuals are in units of their standard deviation, so descending
+        # below ~sqrt(N) only chases measurement noise (discrepancy
+        # principle); without errors it is a pure numerical-accuracy guard
+        self.misfit_floor = (NOISE_FLOOR_FACTOR if self.weighted
+                             else MISFIT_FLOOR) * math.sqrt(2.0 * self.n)
 
     def residuals(self, coupling, linewidth, bg, traj) -> np.ndarray:
         g10, g21 = lorentzian_rates(
             self.device, coupling, linewidth, traj, bg, self.config.f_multiplier
         )
-        # epoch-major (e, f) interleaving; fixed order keeps the misfit
-        # accumulation independent of any inner parallelism
+        # epoch-major (e, f) interleaving, the row order _normal_equations assumes
         r = np.empty(2 * self.n)
         r[0::2], r[1::2] = self.epoch_residuals(g10, g21, slice(None))
         return r
@@ -332,8 +333,7 @@ def _normal_equations(ws: _Workspace, glob: np.ndarray, traj: np.ndarray, r: np.
     """
     coupling, linewidth, _ = ws.unpack_globals(glob)
     dev, n, order = ws.device, ws.n, ws.order
-    scale_e = -ws.w_e / ws.g10_meas
-    scale_f = -ws.config.f_multiplier * ws.w_f / ws.g21_meas
+    scale_e, scale_f = ws.scale_e, ws.scale_f
     # per epoch, the rows of its (e, f) residuals
     jac_g = np.zeros((n, 2, ws.n_globals))
     jac_w = np.empty((n, 2, order))
@@ -347,7 +347,7 @@ def _normal_equations(ws: _Workspace, glob: np.ndarray, traj: np.ndarray, r: np.
         jac_g[:, 1, 2 * k + 1] = scale_f * b * (df**2 - g**2) / den_f**2
         jac_w[:, 0, k], jac_w[:, 1, k] = _frequency_derivatives(dev, b, g, w, scale_e, scale_f)
     if ws.config.fit_background:
-        jac_g[:, 0, 2 * order] = -ws.w_e / ws.g10_meas
+        jac_g[:, 0, 2 * order] = scale_e
         jac_g[:, 1, 2 * order + 1] = -ws.w_f / ws.g21_meas
     dense_g = jac_g.reshape(2 * n, ws.n_globals)    # rows in residual order
     jac_wt = jac_w.transpose(0, 2, 1)
@@ -528,9 +528,8 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
     Returns every local minimum's epoch, its (1, k) frequencies and its
     cost, epoch by epoch and, within an epoch, in increasing cost.
     """
-    cfg, dev = ws.config, ws.device
-    mid, h = (ws.band[0] + ws.band[1]) / 2.0, (ws.band[1] - ws.band[0]) / 2.0
-    u01, u12, g2 = (dev.omega_01 - mid) / h, (dev.omega_12 - mid) / h, (linewidth[0] / h) ** 2
+    cfg, dev, mid, h, u01, u12 = ws.config, ws.device, ws.mid, ws.h, ws.u01, ws.u12
+    g2 = (linewidth[0] / h) ** 2
     # polynomials as coefficient arrays, highest power first
     e_e, e_f = np.array([1.0, -2.0 * u01, u01**2 + g2]), np.array([1.0, -2.0 * u12, u12**2 + g2])
     p_e = np.polymul([-1.0, u01], np.polymul(e_f, np.polymul(e_f, e_f)))
@@ -566,9 +565,9 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
     is_min = (fs <= padded[:, :-2]) & (fs <= padded[:, 2:]) & (fs < np.inf)
     g, grad, curv = linewidth[0], 0.0, 0.0
     for r, w0, s in zip(ws.epoch_residuals(g10, g21, rows), (dev.omega_01, dev.omega_12),
-                        (ws.w_e / ws.g10_meas, cfg.f_multiplier * ws.w_f / ws.g21_meas)):
+                        (ws.scale_e, ws.scale_f)):
         d, den = w0 - xs, (w0 - xs) ** 2 + g**2
-        lor = -2.0 * s[:, None] * coupling[0] * g / den**2   # d r / d omega = lor * d
+        lor = 2.0 * s[:, None] * coupling[0] * g / den**2   # d r / d omega = lor * d
         grad = grad + r * lor * d
         curv = curv + (lor * d) ** 2 + r * lor * (3.0 * d**2 - g**2) / den
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -592,7 +591,7 @@ def _first_copies(starts: np.ndarray) -> np.ndarray:
     return ~np.tril(same, -1).any(axis=2)
 
 
-def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[np.ndarray]
+def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every epoch's exact solutions of its two rate equations, from one
     polynomial of degree 8, or else its least-squares minima.
@@ -613,8 +612,7 @@ def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[
     epoch, its (2, k) frequencies and its cost, epoch by epoch.
     """
     (lo, hi), dev, f = ws.band, ws.device, ws.config.f_multiplier
-    mid, h = (lo + hi) / 2.0, (hi - lo) / 2.0
-    a, b = (dev.omega_01 - mid) / h, (dev.omega_12 - mid) / h
+    mid, h, a, b = ws.mid, ws.h, ws.u01, ws.u12
     d = b - a
     (c1, c2), (g1, g2) = coupling * linewidth / (h * h), (linewidth / h) ** 2
     # polynomials in x as coefficient arrays, highest power first
@@ -641,10 +639,9 @@ def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: Optional[
     redo = np.setdiff1d(np.arange(ws.n), epochs[cost <= TIE_ABS])
     if redo.size:
         marks = np.meshgrid(*[[lo, dev.omega_12, dev.omega_01, hi]] * 2, indexing="ij")
-        prev = [] if prev_traj is None else [prev_traj[:, redo, None]]
         starts = np.concatenate([np.clip(np.nan_to_num(roots[:, redo]), lo, hi),
-                                 np.repeat(np.reshape(marks, (2, 1, 16)), redo.size, axis=1)]
-                                + prev, axis=2)
+                                 np.repeat(np.reshape(marks, (2, 1, 16)), redo.size, axis=1),
+                                 prev_traj[:, redo, None]], axis=2)
         first = _first_copies(starts)
         again = np.repeat(redo, first.sum(axis=1))
         x_again, cost_again = _solve_frequency_pairs(ws, coupling, linewidth, bg, again,
@@ -667,8 +664,6 @@ def _solve_frequency_pairs(ws: _Workspace, coupling, linewidth, bg, epochs: np.n
     and runs 100 iterations at most.  Returns the final frequencies and costs.
     """
     cfg = ws.config
-    scale_e = -ws.w_e[epochs] / ws.g10_meas[epochs]
-    scale_f = -cfg.f_multiplier * ws.w_f[epochs] / ws.g21_meas[epochs]
 
     def residuals(x, cols):
         g10, g21 = lorentzian_rates(ws.device, coupling, linewidth, x, bg, cfg.f_multiplier)
@@ -677,9 +672,10 @@ def _solve_frequency_pairs(ws: _Workspace, coupling, linewidth, bg, epochs: np.n
 
     def linearise(xa, cols, r):
         # J = [[e0, e1], [f0, f1]]: d(r_e, r_f)/d(omega_0, omega_1)
+        e = epochs[cols]
         (e0, f0), (e1, f1) = (
             _frequency_derivatives(ws.device, coupling[k], linewidth[k], xa[k],
-                                   scale_e[cols], scale_f[cols]) for k in (0, 1))
+                                   ws.scale_e[e], ws.scale_f[e]) for k in (0, 1))
         r_e, r_f = r
         grad = np.stack([e0 * r_e + f0 * r_f, e1 * r_e + f1 * r_f])
         return grad, e0**2 + f0**2, e0 * e1 + f0 * f1, e1**2 + f1**2
@@ -688,16 +684,14 @@ def _solve_frequency_pairs(ws: _Workspace, coupling, linewidth, bg, epochs: np.n
     return x, cost
 
 
-def _solve_epochs(ws: _Workspace, coupling, linewidth, bg,
-                  prev_traj: Optional[np.ndarray]) -> np.ndarray:
+def _solve_epochs(ws: _Workspace, coupling, linewidth, bg, prev_traj: np.ndarray) -> np.ndarray:
     """Per-epoch frequency solves followed by a sequential continuity pass.
 
     The candidates of all epochs are found at once; the final selection runs
     in epoch order.  Of an epoch's candidates, those within the tie band of
     its best cost are near-equal; among them the one nearest (L1) the
     previous epoch's pick wins -- for the first epoch, ``prev_traj``'s first
-    column -- and without ``prev_traj`` the first epoch takes the lowest
-    cost.  On equal keys the first candidate wins.  Every epoch's pick for
+    column.  On equal keys the first candidate wins.  Every epoch's pick for
     each possible previous pick is computed at once, so only a walk through
     that table runs epoch by epoch.
     """
@@ -720,10 +714,7 @@ def _solve_epochs(ws: _Workspace, coupling, linewidth, bg,
     # nearest in L1; argmin takes the first of equal keys)
     dist = np.abs(xg[:, 1:, None, :] - xg[:, :-1, :, None]).sum(axis=0)
     step = np.argmin(np.where(pad[1:, None, :], np.inf, dist), axis=2)
-    if prev_traj is None:
-        key = f[group[0]]
-    else:
-        key = np.abs(xg[:, 0] - prev_traj[:, :1]).sum(axis=0)
+    key = np.abs(xg[:, 0] - prev_traj[:, :1]).sum(axis=0)
     picks = [int(np.argmin(np.where(pad[0], np.inf, key)))]
     for row in step.tolist():
         picks.append(row[picks[-1]])
@@ -800,7 +791,7 @@ def track_tls(
         warnings.append("two-defect model with fewer than 25 epochs: weak identifiability")
 
     ws = _Workspace(series, device, order, config)
-    floor_abs = ws.misfit_floor()
+    floor_abs = ws.misfit_floor
     # an epoch solve at or below this interpolates the data: it meets both the
     # probe stop and the convergence floor, so its state is the fit
     saturated = min(PROBE_TIE_ABS, floor_abs)

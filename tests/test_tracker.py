@@ -271,12 +271,12 @@ def epoch_cost_function(ws, coupling, linewidth, bg):
 
 def select_candidate(cands, ref):
     """The continuity rule on one epoch's (x, cost) list: of the candidates
-    within the tie band of the best cost, the lowest cost without a
-    reference, else the nearest (L1) the reference; first wins on ties."""
+    within the tie band of the best cost, the nearest (L1) the reference;
+    first wins on ties."""
     fbest = min(f for _, f in cands)
     near = [(x, f) for x, f in cands if f <= fbest * (1.0 + tracker.TIE_REL) + tracker.TIE_ABS]
-    if ref is None or len(near) == 1:
-        return min(near, key=lambda c: c[1])[0]
+    if len(near) == 1:
+        return near[0][0]
     return min(near, key=lambda c: float(np.sum(np.abs(c[0] - ref))))[0]
 
 
@@ -285,7 +285,7 @@ def reference_solve_epochs(ws, coupling, linewidth, bg, prev_traj, solve):
     ``solve(e)`` gives epoch e's candidates.  Returns the trajectory and each
     epoch's best candidate cost."""
     traj, best = np.empty((ws.order, ws.n)), np.empty(ws.n)
-    ref = None if prev_traj is None else prev_traj[:, 0].copy()
+    ref = prev_traj[:, 0].copy()
     for e in range(ws.n):
         cands = solve(e)
         ref = traj[:, e] = select_candidate(cands, ref)
@@ -316,8 +316,7 @@ def grid_seeded(ws, coupling, linewidth, bg, prev_traj, solve_pair):
                 seeds.append(grid[:, i])
             if len(seeds) >= GRID_SEEDS_2D:
                 break
-        if prev_traj is not None:
-            seeds.append(prev_traj[:, e])
+        seeds.append(prev_traj[:, e])
         return [solve_pair(e, seed) for seed in seeds]
 
     return solve
@@ -346,7 +345,7 @@ def bounded_scalar_minima(ws, coupling, linewidth, bg, points=257):
     return solve
 
 
-def one_epoch_workspaces(ws, coupling, linewidth, bg, prev_traj=None):
+def one_epoch_workspaces(ws, coupling, linewidth, bg, prev_traj):
     """The tracker's epoch solve on a workspace holding epoch e alone."""
     s = ws.series
 
@@ -358,8 +357,7 @@ def one_epoch_workspaces(ws, coupling, linewidth, bg, prev_traj=None):
         if ws.order == 1:
             _, x, f = tracker._candidates_1d(alone, coupling, linewidth, bg)
         else:
-            _, x, f = tracker._candidates_2d(alone, coupling, linewidth, bg,
-                                             None if prev_traj is None else prev_traj[:, one])
+            _, x, f = tracker._candidates_2d(alone, coupling, linewidth, bg, prev_traj[:, one])
         return [(x[:, j], float(f[j])) for j in range(f.size)]
 
     return solve
@@ -399,8 +397,7 @@ def epoch_solve_cases(order):
     ws = floor_workspace(order)
     for k, (glob, traj) in enumerate(tracker._initial_states(ws)):
         coupling, linewidth, bg = ws.unpack_globals(glob * (1.0 + 0.3 * k))
-        for prev in (None, traj + 7.0 * k):
-            yield ws, coupling, linewidth, bg, prev
+        yield ws, coupling, linewidth, bg, traj + 7.0 * k
     ws = floor_workspace(order, floor_epoch=3)
     glob, traj = tracker._initial_states(ws)[0]
     coupling, linewidth, _ = ws.unpack_globals(glob)
@@ -440,7 +437,7 @@ class TestBatchedEpochSolves:
         cases = list(epoch_solve_cases(order))
         if order == 2:
             ws, coupling, linewidth, bg, traj = second_start_case()
-            cases += [(ws, coupling, linewidth, bg, None), (ws, coupling, linewidth, bg, traj)]
+            cases.append((ws, coupling, linewidth, bg, traj))
         for ws, coupling, linewidth, bg, prev in cases:
             got = tracker._solve_epochs(ws, coupling, linewidth, bg, prev)
             want, _ = reference_solve_epochs(ws, coupling, linewidth, bg, prev,
@@ -458,15 +455,13 @@ class TestBatchedEpochSolves:
                             scalar_lm_pair(dense_lm, ws, coupling, linewidth, bg)))
             assert np.all(got <= want * (1.0 + 1e-12) + 1e-15)
 
-    @pytest.mark.parametrize("with_previous", [False, True])
-    def test_no_exact_solution_falls_back_near_one_defect_minimum(self, with_previous):
+    def test_no_exact_solution_falls_back_near_one_defect_minimum(self):
         # with defect 1's coupling at 1e-10, no epoch has an exact solution,
         # and the least-squares minimum is all but the exact one-defect
         # minimum of defect 2 alone
         ws, coupling, linewidth, bg, traj = second_start_case()
         assert coupling[0] == ws.config.coupling_bounds[0]
-        epochs, _, f = tracker._candidates_2d(ws, coupling, linewidth, bg,
-                                              traj if with_previous else None)
+        epochs, _, f = tracker._candidates_2d(ws, coupling, linewidth, bg, traj)
         got = best_costs(ws.n, epochs, f)
         one = tracker._Workspace(ws.series, ws.device, 1, ws.config)
         e1, _, f1 = tracker._candidates_1d(one, coupling[1:], linewidth[1:], bg)
@@ -498,10 +493,10 @@ class TestBatchedEpochSolves:
             scenario = dataclasses.replace(bundled_scenario("device_B"), epochs=epochs)
             ws = tracker._Workspace(true_lifetime_series(scenario), scenario.device, 2,
                                     DEFAULT_TRACKER_CONFIG)
-            glob, _ = tracker._initial_states(ws)[0]
+            glob, traj = tracker._initial_states(ws)[0]
             tracemalloc.start()
             try:
-                tracker._candidates_2d(ws, *ws.unpack_globals(glob), None)
+                tracker._candidates_2d(ws, *ws.unpack_globals(glob), traj)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -511,16 +506,15 @@ class TestBatchedEpochSolves:
         assert peak(400) - peak(100) < 1e6
 
 
-def select_from(monkeypatch, epochs, x, f, prev_traj=None):
-    """``_solve_epochs``'s pick from hand-made candidates: ``x`` has one row
-    per defect and one column per candidate of ``epochs``."""
+def select_from(monkeypatch, epochs, x, f, prev_traj):
+    """``_solve_epochs``'s pick from hand-made candidates after ``prev_traj``:
+    ``x`` has one row per defect and one column per candidate of ``epochs``."""
     x = np.array(x, dtype=float)
     ws = SimpleNamespace(order=x.shape[0], n=max(epochs) + 1)
     made = (np.array(epochs), x, np.array(f, dtype=float))
     monkeypatch.setattr(tracker, "_candidates_1d" if ws.order == 1 else "_candidates_2d",
                         lambda *args: made)
-    prev = None if prev_traj is None else np.array(prev_traj, dtype=float)
-    return tracker._solve_epochs(ws, None, None, None, prev)
+    return tracker._solve_epochs(ws, None, None, None, np.array(prev_traj, dtype=float))
 
 
 class TestCandidateSelection:
@@ -548,28 +542,21 @@ class TestCandidateSelection:
                           [1.0, 1.0, 1.0, 1.0], [[0.0, 0.0], [0.0, 0.0]])
         assert got.tolist() == [[0.0, 0.5], [3.0, 3.0]]
 
-    def test_without_previous_first_epoch_takes_lowest_cost(self, monkeypatch):
-        # epoch 1 then follows epoch 0's pick rather than its own lowest cost
-        got = select_from(monkeypatch, [0, 0, 1, 1], [[0.0, 10.0, 0.0, 9.0]],
-                          [1.02, 1.0, 1.0, 1.01])
-        assert got.tolist() == [[10.0, 9.0]]
-
-
     @pytest.mark.parametrize("order", [1, 2])
     def test_matches_the_rule_epoch_by_epoch(self, monkeypatch, order):
         # one to five candidates an epoch on a small integer grid, so ties
         # in cost and in distance are common
         rng = np.random.default_rng(order)
-        for prev in (None, rng.integers(0, 4, (order, 1))):
-            epochs = np.repeat(np.arange(40), rng.integers(1, 6, 40))
-            x = rng.integers(0, 4, (order, epochs.size)).astype(float)
-            f = rng.choice([1.0, 1.02, 1.2], epochs.size)
-            got = select_from(monkeypatch, epochs.tolist(), x, f, prev)
-            ref, want = None if prev is None else prev[:, 0], []
-            for e in range(40):
-                ref = select_candidate([(x[:, i], f[i]) for i in np.flatnonzero(epochs == e)], ref)
-                want.append(ref)
-            assert got.tobytes() == np.array(want).T.tobytes()
+        prev = rng.integers(0, 4, (order, 1))
+        epochs = np.repeat(np.arange(40), rng.integers(1, 6, 40))
+        x = rng.integers(0, 4, (order, epochs.size)).astype(float)
+        f = rng.choice([1.0, 1.02, 1.2], epochs.size)
+        got = select_from(monkeypatch, epochs.tolist(), x, f, prev)
+        ref, want = prev[:, 0], []
+        for e in range(40):
+            ref = select_candidate([(x[:, i], f[i]) for i in np.flatnonzero(epochs == e)], ref)
+            want.append(ref)
+        assert got.tobytes() == np.array(want).T.tobytes()
 
 
 def best_costs(n, epochs, costs):
@@ -587,8 +574,8 @@ def assert_not_above_bounded_scalar(ws, coupling, linewidth, bg):
     cost = epoch_cost_function(ws, coupling, linewidth, bg)
     for step in (-1e-3, 1e-3):
         assert np.all(cost(np.clip(x + step, *ws.band), epochs) >= f * (1.0 - 1e-9) - 1e-15)
-    _, want = reference_solve_epochs(ws, coupling, linewidth, bg, None,
-                                     bounded_scalar_minima(ws, coupling, linewidth, bg))
+    solve = bounded_scalar_minima(ws, coupling, linewidth, bg)
+    want = np.array([min(f for _, f in solve(e)) for e in range(ws.n)])
     assert np.all(best_costs(ws.n, epochs, f) <= want * (1.0 + 1e-9) + 1e-15)
 
 
@@ -650,7 +637,8 @@ class TestExactTwoDefectSolve:
         g10, g21 = lorentzian_rates(DEVICE_B, self.coupling, self.linewidth, truth, self.bg)
         series = LifetimeSeries(np.arange(4.0), 1.0 / g10, 1.0 / g21)
         ws = tracker._Workspace(series, DEVICE_B, 2, DEFAULT_TRACKER_CONFIG)
-        epochs, x, f = tracker._candidates_2d(ws, self.coupling, self.linewidth, self.bg, None)
+        prev = np.vstack([np.full(ws.n, 5700.0), np.full(ws.n, 5650.0)])
+        epochs, x, f = tracker._candidates_2d(ws, self.coupling, self.linewidth, self.bg, prev)
         assert np.all(best_costs(ws.n, epochs, f) <= 1e-20)
         # every exact solution is a candidate, the true pair among them
         dist = np.full(ws.n, np.inf)
