@@ -75,17 +75,17 @@ def _jobs(args, config: dict) -> int:
 
 
 def _tracker_config(config: dict) -> TrackerConfig:
-    cfg = TrackerConfig()
     section = config.get("tracker", {})
     if not isinstance(section, dict):
         raise InvalidParameterError("tracker: expected an object")
-    known = {f.name for f in fields(TrackerConfig)}
+    defaults = {f.name: f.default for f in fields(TrackerConfig)}
+    values = {}
     for key in section:
-        if key not in known:
+        if key not in defaults:
             raise InvalidParameterError(f"tracker.{key}: unknown tracker config key")
-        check = {float: _number, bool: _boolean, tuple: _pair}[type(getattr(cfg, key))]
-        setattr(cfg, key, check(section, key, "tracker"))
-    return cfg
+        check = {float: _number, bool: _boolean, tuple: _pair}[type(defaults[key])]
+        values[key] = check(section, key, "tracker")
+    return TrackerConfig(**values)
 
 
 # -- subcommands -------------------------------------------------------------

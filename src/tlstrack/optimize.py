@@ -5,19 +5,20 @@ parameters, and keeping the solvers local makes the bound handling,
 stopping tests and convergence reporting exact to this package's contracts.
 
 :func:`_damped_newton_2x2` is the solver of every pipeline stage with two
-unknowns per problem: the trace fits (:func:`tlstrack.trace_fit.fit_traces`)
-and the tracker's per-epoch two-defect frequency solves.  It runs a whole
-stack of independent problems at once with closed-form 2x2 damped normal
-equations, and each caller supplies its own residuals and analytic
-derivatives.  :func:`_lm_loop` is the loop of every single-problem solve:
-it owns the damping schedule, the stopping tests, the box clip and the
-acceptance rule, and its caller supplies the linearisation and the damped
-linear solve: the tracker's joint update runs it with the Schur-complement
-step of :mod:`tlstrack.tracker`.  Both share the tolerances and the damping
-schedule below.  The iteration budget is an argument, and so is an absolute
-cost-decrease tolerance of :func:`_lm_loop`, 0 by default: the tracker's
-joint update sets it on weighted series, whose cost is χ² in units of the
-measurement variance, so a decrease far below 1 means nothing statistically.
+unknowns per problem: the trace fits (:func:`tlstrack.trace_fit.fit_stack`,
+through ``_fit_equal_length``) and the tracker's per-epoch two-defect
+frequency solves.  It runs a whole stack of independent problems at once
+with closed-form 2x2 damped normal equations, and each caller supplies its
+own residuals and analytic derivatives.  :func:`_lm_loop` is the loop of
+every single-problem solve: it owns the damping schedule, the stopping
+tests, the box clip and the acceptance rule, and its caller supplies the
+linearisation and the damped linear solve: the tracker's joint update runs
+it with the Schur-complement step of :mod:`tlstrack.tracker`.  Both share
+the tolerances and the damping schedule below.  The iteration budget is an
+argument, and so is an absolute cost-decrease tolerance of :func:`_lm_loop`,
+0 by default: the tracker's joint update sets it on weighted series, whose
+cost is χ² in units of the measurement variance, so a decrease far below 1
+means nothing statistically.
 """
 
 from __future__ import annotations

@@ -150,15 +150,19 @@ LINEWIDTH_INIT_MHZ = 10.0
 #: residual weights are lifetime/error, and their squares leave the normal
 #: float range from about 1e155; this bound keeps 50 decades of margin.
 MAX_RELATIVE_ERROR = 1e100
+#: Lifetimes (us) above this or below its inverse are refused: the joint update
+#: squares residual scales that grow as the lifetime and couplings that grow as
+#: the rate, and these leave the float range from about 1e148.
+MAX_LIFETIME_US = 1e100
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackerConfig:
     """The rate model the tracker fits, beyond the device and the series.
 
     Residuals are weighted by the series' standard errors exactly when it
     has them (the ``err_e``/``err_f`` columns); the solver's settings are
-    the module constants above.
+    the module constants above.  Frozen: vary one with ``dataclasses.replace``.
     """
 
     band_margin_mhz: float = 200.0   # search band extends this far past both transitions
@@ -245,11 +249,9 @@ class _Workspace:
         self.config = config
         self.g10_meas, self.g21_meas = series.rates()
         self.n = series.n_epochs
-        self.band = config.band(device)
+        lo, hi = self.band = config.band(device)
         self.n_globals = config.n_globals(order)
-        # the band's centre and half-width, and the transitions in band units
-        # u = (omega - mid)/h, the frequency solves' variable
-        lo, hi = self.band
+        # band centre, half-width and transitions in band units u = (omega - mid)/h
         self.mid, self.h = (lo + hi) / 2.0, (hi - lo) / 2.0
         self.u01 = (device.omega_01 - self.mid) / self.h
         self.u12 = (device.omega_12 - self.mid) / self.h
@@ -261,14 +263,11 @@ class _Workspace:
         else:
             self.w_e = np.ones(self.n)
             self.w_f = np.ones(self.n)
-        # d(r_e, r_f)/d(Gamma10, Gamma21): a model rate derivative times these
-        # is a residual derivative
+        # d(r_e, r_f)/d(Gamma10, Gamma21), which turn rate into residual derivatives
         self.scale_e = -self.w_e / self.g10_meas
         self.scale_f = -config.f_multiplier * self.w_f / self.g21_meas
-        # convergence floor for the weighted misfit: with reported errors the
-        # residuals are in units of their standard deviation, so descending
-        # below ~sqrt(N) only chases measurement noise (discrepancy
-        # principle); without errors it is a pure numerical-accuracy guard
+        # the misfit's convergence floor: with errors, going below ~sqrt(N) only
+        # chases noise (discrepancy principle); without, a numerical-accuracy guard
         self.misfit_floor = (NOISE_FLOOR_FACTOR if self.weighted
                              else MISFIT_FLOOR) * math.sqrt(2.0 * self.n)
 
@@ -332,8 +331,7 @@ def _normal_equations(ws: _Workspace, glob: np.ndarray, traj: np.ndarray, r: np.
     truncation error, which stalls the solver.
     """
     coupling, linewidth, _ = ws.unpack_globals(glob)
-    dev, n, order = ws.device, ws.n, ws.order
-    scale_e, scale_f = ws.scale_e, ws.scale_f
+    dev, n, order, scale_e, scale_f = ws.device, ws.n, ws.order, ws.scale_e, ws.scale_f
     # per epoch, the rows of its (e, f) residuals
     jac_g = np.zeros((n, 2, ws.n_globals))
     jac_w = np.empty((n, 2, order))
@@ -767,12 +765,14 @@ def track_tls(
         with np.errstate(divide="ignore", over="ignore"):
             lo, hi = 1.0 / (scale * np.array([b_hi / g_lo, slowest]))
         lifetimes = getattr(series, name)
-        bad = np.flatnonzero((lifetimes < lo) | (lifetimes > hi))
-        if bad.size:
-            raise InvalidParameterError(
-                f"{name}: {float(lifetimes[bad[0]])!r} us at epoch {bad[0]} is outside the "
-                f"supported range [{lo:.3g}, {hi:.3g}] us, the lifetimes that one defect "
-                "within coupling_bounds and linewidth_bounds_mhz can give")
+        for lo, hi, why in ((lo, hi, "the lifetimes that one defect within coupling_bounds and "
+                             "linewidth_bounds_mhz can give"),
+                            (1 / MAX_LIFETIME_US, MAX_LIFETIME_US, "the joint update's range")):
+            bad = np.flatnonzero((lifetimes < lo) | (lifetimes > hi))
+            if bad.size:
+                raise InvalidParameterError(
+                    f"{name}: {float(lifetimes[bad[0]])!r} us at epoch {bad[0]} is outside the "
+                    f"supported range [{lo:.3g}, {hi:.3g}] us, {why}")
     if series.has_errors:
         for name, errors, lifetimes in (("err_e", series.err_e_us, series.t1e_us),
                                         ("err_f", series.err_f_us, series.t1f_us)):

@@ -275,8 +275,6 @@ def select_candidate(cands, ref):
     first wins on ties."""
     fbest = min(f for _, f in cands)
     near = [(x, f) for x, f in cands if f <= fbest * (1.0 + tracker.TIE_REL) + tracker.TIE_ABS]
-    if len(near) == 1:
-        return near[0][0]
     return min(near, key=lambda c: float(np.sum(np.abs(c[0] - ref))))[0]
 
 
@@ -1319,6 +1317,34 @@ class TestLifetimeRange:
                        "range [5e-10, 4.62e+16] us, the lifetimes that one defect within "
                        "coupling_bounds and linewidth_bounds_mhz can give\n")
 
+    @pytest.mark.parametrize("lifetime", [1e154, 1e-300])
+    @pytest.mark.parametrize("order", ["1", "2", "auto"])
+    def test_past_the_joint_update_range_exit_2_under_wide_bounds(self, tmp_path, capsys,
+                                                                   lifetime, order):
+        # coupling_bounds [1e-300, 1e300] let one defect give these lifetimes;
+        # they once ended in numpy overflow warnings from the joint update and
+        # a wrong stop, or in a message that named no key
+        series, device, config = (tmp_path / n for n in ("series.csv", "device.json",
+                                                          "config.json"))
+        constant_series(lifetime).to_csv(series)
+        device.write_text(json.dumps({"omega01_mhz": DEVICE_A.omega_01,
+                                      "anharmonicity_mhz": DEVICE_A.anharmonicity}))
+        config.write_text(json.dumps({"tracker": {"coupling_bounds": [1e-300, 1e300]}}))
+        assert main(["track", str(series), "--device", str(device), "--order", order,
+                     "--config", str(config), "--out", str(tmp_path / "fit")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: t1e_us: {lifetime!r} us at epoch 0 is outside the supported "
+                       "range [1e-100, 1e+100] us, the joint update's range\n")
+
+    @pytest.mark.parametrize("edge, outside, bounds", [(1e100, 1.01, (1e-300, 1e8)),
+                                                       (1e-100, 0.99, (1e-10, 1e300))])
+    def test_joint_update_range_edges(self, edge, outside, bounds):
+        # the edge fits without a numpy warning, which pytest turns into an error
+        config = TrackerConfig(coupling_bounds=bounds)
+        assert track_tls(constant_series(edge), DEVICE_A, 1, config).converged
+        with pytest.raises(InvalidParameterError, match=r"^t1e_us: .* the joint update's range$"):
+            track_tls(constant_series(outside * edge), DEVICE_A, 1, config)
+
     @pytest.mark.parametrize("order", [1, 2])
     def test_fit_scales_with_the_lifetimes_inside_the_range(self, bundled_run, order):
         # T -> s T with B -> B/s leaves the model unchanged while B stays
@@ -1379,11 +1405,13 @@ class TestScaleGuards:
         assert np.isfinite(roots[-1]).all()
 
     def test_rate_times_band_overflow_reaches_the_band_unit_check(self, monkeypatch):
-        # 1e300 /us times a half-width of about 2e4 MHz squared passes 1.8e308
+        # lifetimes below MAX_LIFETIME_US's inverse are refused up front, so only a
+        # band as wide as a device at 1e120 MHz gets there: 1e100 /us times a
+        # half-width of 5e118 MHz squared passes 1.8e308
         monkeypatch.setattr(tracker, "_polynomial_roots", lambda coef: pytest.fail("reached"))
-        config = TrackerConfig(coupling_bounds=(1e-10, 1e300), band_margin_mhz=2e4)
+        config = TrackerConfig(coupling_bounds=(1e-10, 1e300))
         with pytest.raises(InvalidParameterError) as exc:
-            track_tls(constant_series(1e-300), DEVICE_A, 1, config)
+            track_tls(constant_series(1e-100), DeviceFrequencies(1e120, -1e119), 1, config)
         assert str(exc.value) == self.MESSAGE
 
     def test_two_defect_overflow_is_refused_without_warnings(self):
@@ -1447,6 +1475,15 @@ class TestTrajectoryOutputs:
         assert doc["model_order"] == 1
         assert doc["n_epochs"] == 120
         assert len(doc["tls"]) == 1
+
+
+def test_tracker_config_is_frozen():
+    # the default is every fit's shared default argument
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        DEFAULT_TRACKER_CONFIG.band_margin_mhz = 50.0
+    assert DEFAULT_TRACKER_CONFIG == TrackerConfig()
+    wide = dataclasses.replace(DEFAULT_TRACKER_CONFIG, band_margin_mhz=400.0)
+    assert wide.band_margin_mhz == 400.0 and DEFAULT_TRACKER_CONFIG.band_margin_mhz == 200.0
 
 
 def test_information_score_penalizes_order(single_tls_case):
