@@ -58,8 +58,6 @@ from .optimize import FTOL, _damped_newton_2x2, _lm_loop
 from .tls import (DeviceFrequencies, TlsDefect, TlsParameterSet, lorentzian_density,
                   lorentzian_rates)
 
-_TINY = 1e-300
-
 
 @dataclass
 class LifetimeSeries:
@@ -146,14 +144,28 @@ TIE_REL = 0.05              # candidates within this relative misfit tie-break
 TIE_ABS = 1e-12
 PROBE_TIE_ABS = 1e-5        # start probes below this misfit gap count as tied
 LINEWIDTH_INIT_MHZ = 10.0
-#: Lifetime errors above this multiple of their lifetime are refused.  The
-#: residual weights are lifetime/error, and their squares leave the normal
-#: float range from about 1e155; this bound keeps 50 decades of margin.
-MAX_RELATIVE_ERROR = 1e100
-#: Lifetimes (us) above this or below its inverse are refused: the joint update
-#: squares residual scales that grow as the lifetime and couplings that grow as
-#: the rate, and these leave the float range from about 1e148.
-MAX_LIFETIME_US = 1e100
+#: The inputs :func:`track_tls` accepts, (lo, hi) per key with both ends
+#: included, in decades around a transmon's scales.  A bound's limits hold for
+#: both its ends, and ``err_e``'s and ``err_f``'s for each error over its lifetime.
+DOMAIN = {
+    "omega01_mhz": (1e-2, 1e6),            # transmons: 4e3 to 8e3
+    "anharmonicity_mhz": (-1e5, -1e-2),    # transmons: -400 to -100
+    "band_margin_mhz": (0.0, 1e5),         # default 200
+    "linewidth_bounds_mhz": (1e-6, 1e6),   # default (0.05, 500)
+    "coupling_bounds": (1e-20, 1e20),      # default (1e-10, 1e8)
+    "f_multiplier": (1e-3, 1e3),           # default 1
+    "err_e": (0.0, 1e10),                  # >= 0 by LifetimeSeries; bundled fits: <= 0.023
+    "err_f": (0.0, 1e10),
+}
+# Inside DOMAIN every intermediate stays in the float range (bounds from its
+# corners; a polynomial's is the sum of its coefficients' magnitudes).  h =
+# |alpha|/2 + margin lies in [5e-3, 1.5e5] MHz, so the transitions lie in [-1, 1]
+# and 1e-7 or more apart in band units, and (gamma/h)^2 <= 4e16.  The lifetime
+# check puts the rates in [2.5e-40, 1e29] /us, and the weights lie in [1e-10,
+# 1e12].  So scale_e, scale_f <= 4e54, Gamma*h^2 lies in [6e-45, 3e39] and C_e,
+# C_f in [4e-79, 2e85] keep the degree-9 coefficients <= 6e237; the eliminant's
+# P <= 4e45, N <= 2e62 and Q <= 2e108 keep it <= 2e216.  Jacobian entries <= 4e86
+# and residuals <= 2e81 give JᵀJ <= 4e173 N; the starts square ratios in [1e-38, 4e38].
 
 
 @dataclass(frozen=True)
@@ -441,11 +453,7 @@ def _initial_states(ws: _Workspace) -> list[tuple[np.ndarray, np.ndarray]]:
         for w in (w12 + 0.25 * span, w12 + 0.5 * span, w12 + 0.75 * span):
             ae = lorentzian_density(w, g0, w01) / med_e
             af = lorentzian_density(w, g0, w12) / med_f
-            try:
-                b0 = (ae + af) / (ae**2 + af**2)
-            except (OverflowError, ZeroDivisionError):   # a square past the float range
-                b0 = bhi if ae + af < 1.0 else blo
-            b0 = float(np.clip(b0, blo, bhi))
+            b0 = float(np.clip((ae + af) / (ae**2 + af**2), blo, bhi))
             glob = [b0, g0] + ([0.0, 0.0] if cfg.fit_background else [])
             states.append((np.array(glob), np.full((1, ws.n), w)))
     else:
@@ -483,19 +491,9 @@ def _polymul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-_SCALE_ERROR = ("the frequency polynomials in band units under- or overflow at these lifetimes, "
-                "lifetime errors and tracker config")
-
-
 def _polynomial_roots(coef: np.ndarray) -> np.ndarray:
     """The complex roots of each row of ``coef``, as companion-matrix eigenvalues.
-    Leading zeros are dropped, which only adds roots at u = 0.  A row of zeros
-    or with a non-finite coefficient raises ``InvalidParameterError``: tracker
-    bounds far wider than the defaults with lifetimes near their limits give
-    one, such as a lower coupling bound of 1e-300 with lifetimes of 1e100 us,
-    whose two-defect eliminant underflows to zeros."""
-    if not (np.all(np.isfinite(coef)) and np.all(np.any(coef != 0.0, axis=1))):
-        raise InvalidParameterError(_SCALE_ERROR)
+    Leading zeros are dropped, which only adds roots at u = 0."""
     n, k = coef.shape
     lead = np.argmax(coef != 0.0, axis=1)
     coef = np.take_along_axis(np.pad(coef, ((0, 0), (0, k - 1))), lead[:, None] + np.arange(k),
@@ -537,14 +535,8 @@ def _candidates_1d(ws: _Workspace, coupling, linewidth,
     basis[2], basis[3, 2:] = np.polymul(e_f, p_f), p_f
     a_e = ws.w_e * (1.0 - bg[0] / ws.g10_meas)
     a_f = ws.w_f * (1.0 - bg[1] / ws.g21_meas)
-    # a rate near the limits of wide tracker bounds and a wide band overflow
-    # the rates' band-unit scale
-    with np.errstate(over="ignore"):
-        den_e, den_f = ws.g10_meas * h * h, ws.g21_meas * h * h
-    if not (np.all(np.isfinite(den_e)) and np.all(np.isfinite(den_f))):
-        raise InvalidParameterError(_SCALE_ERROR)
-    c_e = ws.w_e * coupling[0] * linewidth[0] / den_e
-    c_f = ws.w_f * cfg.f_multiplier * coupling[0] * linewidth[0] / den_f
+    c_e = ws.w_e * coupling[0] * linewidth[0] / (ws.g10_meas * h * h)
+    c_f = ws.w_f * cfg.f_multiplier * coupling[0] * linewidth[0] / (ws.g21_meas * h * h)
     # einsum, unlike a BLAS matmul, sums each epoch alike whatever the batch
     coef = np.einsum("nk,kj->nj", np.stack([c_e * a_e, -c_e**2, c_f * a_f, -c_f**2], axis=1),
                      basis)
@@ -618,11 +610,9 @@ def _candidates_2d(ws: _Workspace, coupling, linewidth, bg, prev_traj: np.ndarra
     p_a = (ws.g10_meas - bg[0])[:, None] * e_a - [0.0, 0.0, c1]
     p_b = (ws.g21_meas - bg[1])[:, None] * e_b - [0.0, 0.0, f * c1]
     n_a, n_b = c2 * e_a - g2 * p_a, f * c2 * e_b - g2 * p_b
-    # a product that under- or overflows reaches _polynomial_roots' check
-    with np.errstate(over="ignore", invalid="ignore"):
-        p_ab = _polymul(p_a, p_b)
-        q = _polymul(n_b, p_a) - _polymul(n_a, p_b) - d**2 * p_ab
-        x = _polynomial_roots(_polymul(q, q) - 4.0 * d**2 * _polymul(_polymul(n_a, p_b), p_ab))
+    p_ab = _polymul(p_a, p_b)
+    q = _polymul(n_b, p_a) - _polymul(n_a, p_b) - d**2 * p_ab
+    x = _polynomial_roots(_polymul(q, q) - 4.0 * d**2 * _polymul(_polymul(n_a, p_b), p_ab))
 
     def at_roots(p):
         return reduce(lambda v, c: v * x + c[:, None], p.T, 0.0)    # Horner, row by row
@@ -740,49 +730,41 @@ def track_tls(
         raise InvalidParameterError(f"model order must be 1 or 2, got {order!r}")
     if series.n_epochs < 3:
         raise InvalidParameterError("need at least 3 epochs to track")
-    band = config.band(device)
-    if not band[1] > band[0]:
-        raise InvalidParameterError(
-            f"band_margin_mhz {config.band_margin_mhz} leaves an empty search band {band!r}"
-        )
-    # in band units, (omega - mid)/h, the transitions must lie eps or more apart
-    if abs(device.omega_01 - device.omega_12) < np.finfo(float).eps * (band[1] - band[0]) / 2.0:
-        raise InvalidParameterError("band_margin_mhz: the frequency polynomials in band units do "
-                                    "not resolve the two transitions; narrow the search band")
-    for name in ("linewidth_bounds_mhz", "coupling_bounds"):
-        lo, hi = getattr(config, name)
-        if not 0.0 < lo < hi:
-            raise InvalidParameterError(f"{name}: expected 0 < lo < hi, got {[lo, hi]!r}")
-    if not config.f_multiplier > 0.0:
-        raise InvalidParameterError(f"f_multiplier: expected > 0, got {config.f_multiplier!r}")
+    # DOMAIN's keys of the device and the config, in its order
+    inputs = (device.omega_01, device.anharmonicity, config.band_margin_mhz,
+              config.linewidth_bounds_mhz, config.coupling_bounds, config.f_multiplier)
+    for (key, (lo, hi)), value in zip(DOMAIN.items(), inputs):
+        pair = isinstance(value, (tuple, list))
+        if not all(lo <= v <= hi for v in (value if pair else [value])):
+            raise InvalidParameterError(
+                f"{key}: expected {'both ends' if pair else 'a value'} in [{lo:g}, {hi:g}], the "
+                f"tracker's input domain, got {[*value] if pair else value!r}")
+        if pair and not value[0] < value[1]:
+            raise InvalidParameterError(f"{key}: expected lo < hi, got {[*value]!r}")
     # one defect within the bounds gives a transition a rate from b_lo times its
     # least Lorentzian value at d, the widest detuning in the band, up to b_hi/g_lo
     # at resonance; the floor only adds to it, and f_multiplier scales the f channel
     (b_lo, b_hi), (g_lo, g_hi) = config.coupling_bounds, config.linewidth_bounds_mhz
-    d = band[1] - device.omega_12
+    d = config.band(device)[1] - device.omega_12
     slowest = b_lo * min(g / (d * d + g * g) for g in (g_lo, g_hi))
     for name, scale in (("t1e_us", 1.0), ("t1f_us", config.f_multiplier)):
-        with np.errstate(divide="ignore", over="ignore"):
-            lo, hi = 1.0 / (scale * np.array([b_hi / g_lo, slowest]))
+        lo, hi = 1.0 / (scale * np.array([b_hi / g_lo, slowest]))
         lifetimes = getattr(series, name)
-        for lo, hi, why in ((lo, hi, "the lifetimes that one defect within coupling_bounds and "
-                             "linewidth_bounds_mhz can give"),
-                            (1 / MAX_LIFETIME_US, MAX_LIFETIME_US, "the joint update's range")):
-            bad = np.flatnonzero((lifetimes < lo) | (lifetimes > hi))
-            if bad.size:
-                raise InvalidParameterError(
-                    f"{name}: {float(lifetimes[bad[0]])!r} us at epoch {bad[0]} is outside the "
-                    f"supported range [{lo:.3g}, {hi:.3g}] us, {why}")
+        bad = np.flatnonzero((lifetimes < lo) | (lifetimes > hi))
+        if bad.size:
+            raise InvalidParameterError(
+                f"{name}: {float(lifetimes[bad[0]])!r} us at epoch {bad[0]} is outside the "
+                f"supported range [{lo:.3g}, {hi:.3g}] us, the lifetimes that one defect within "
+                "coupling_bounds and linewidth_bounds_mhz can give")
     if series.has_errors:
-        for name, errors, lifetimes in (("err_e", series.err_e_us, series.t1e_us),
-                                        ("err_f", series.err_f_us, series.t1f_us)):
-            with np.errstate(over="ignore"):
-                bad = np.flatnonzero(errors / lifetimes > MAX_RELATIVE_ERROR)
+        for key, errors, lifetimes in (("err_e", series.err_e_us, series.t1e_us),
+                                       ("err_f", series.err_f_us, series.t1f_us)):
+            hi = DOMAIN[key][1]
+            bad = np.flatnonzero(errors > hi * lifetimes)
             if bad.size:
                 raise InvalidParameterError(
-                    f"{name}: {float(errors[bad[0]])!r} us at epoch {bad[0]} is more than "
-                    f"{MAX_RELATIVE_ERROR:.0e} times its lifetime, the largest relative error "
-                    "the tracker's weights support")
+                    f"{key}: {float(errors[bad[0]])!r} us at epoch {bad[0]} is more than {hi:g} "
+                    "times its lifetime, the tracker's input domain")
 
     warnings = []
     if series.n_epochs < 10:
@@ -828,9 +810,7 @@ def track_tls(
     while not converged and iteration < OUTER_ITERATIONS:
         iteration += 1
         glob, traj, misfit, done = outer_cycle(glob, traj)
-        if misfit <= floor_abs or abs(misfit_prev - misfit) <= MISFIT_RTOL * max(
-            misfit_prev, _TINY
-        ):
+        if misfit <= floor_abs or abs(misfit_prev - misfit) <= MISFIT_RTOL * misfit_prev:
             converged = True
             break
         misfit_prev = misfit

@@ -931,7 +931,8 @@ class TestWarningsAndErrors:
     def test_empty_search_rejected(self):
         series = LifetimeSeries(np.arange(30.0), np.full(30, 100.0), np.full(30, 60.0))
         for margin in (-200.0, -(DEVICE_A.omega_01 - DEVICE_A.omega_12) / 2):
-            with pytest.raises(InvalidParameterError, match="empty search band"):
+            with pytest.raises(InvalidParameterError,
+                               match=r"^band_margin_mhz: expected a value in \[0, 100000\], "):
                 track_tls(series, DEVICE_A, 2, TrackerConfig(band_margin_mhz=margin))
 
     def test_few_epoch_warnings(self):
@@ -1232,38 +1233,20 @@ class TestSaturation:
 
 
 class TestWideBand:
-    """A band so wide that, in band units, the two transitions lie less than
-    eps apart is refused; the fits in every narrower band tried are kept."""
-
-    def test_bundled_fit_unchanged_up_to_1e16(self, bundled_run):
-        run = bundled_run("device_A")
-        for margin in (200.0, 1e16):
-            fit = TestSaturation.fit(run, 1, TrackerConfig(band_margin_mhz=margin))
-            assert round(fit.misfit, 6) == 16.117262
-            assert fit.iterations == 2
+    """A band margin past the input domain is refused before the fit, naming
+    the key; the domain keeps the transitions resolved in band units."""
 
     def test_bundled_1e20_exits_2(self, bundled_run, tmp_path, capsys):
-        # without the check this fit ran its 50 outer cycles to misfit 357.92
+        # without a check this fit ran its 50 outer cycles to misfit 357.92
         series, scenario = bundled_run("device_A")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tracker": {"band_margin_mhz": 1e20}}))
         capsys.readouterr()
         assert main(["track", str(series), "--device", str(scenario), "--order", "auto",
                      "--config", str(cfg), "--out", str(tmp_path / "fit")]) == 2
-        err = capsys.readouterr().err
-        assert "band_margin_mhz: the frequency polynomials in band units do not resolve " \
-               "the two transitions" in err
+        assert capsys.readouterr().err == ("error: band_margin_mhz: expected a value in "
+                                           "[0, 100000], the tracker's input domain, got 1e+20\n")
         assert not (tmp_path / "fit" / "fit.json").exists()
-
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_refused_just_past_the_resolution_limit(self, order):
-        series = LifetimeSeries(np.arange(30.0), np.full(30, 100.0), np.full(30, 60.0))
-        sep = DEVICE_A.omega_01 - DEVICE_A.omega_12
-        # the band's half-width is sep/2 + margin
-        limit = sep / np.finfo(float).eps - sep / 2.0
-        track_tls(series, DEVICE_A, order, TrackerConfig(band_margin_mhz=0.99 * limit))
-        with pytest.raises(InvalidParameterError, match="do not resolve the two transitions"):
-            track_tls(series, DEVICE_A, order, TrackerConfig(band_margin_mhz=1.01 * limit))
 
 
 def constant_series(t1e, t1f=None, n=12, **errors):
@@ -1321,9 +1304,9 @@ class TestLifetimeRange:
     @pytest.mark.parametrize("order", ["1", "2", "auto"])
     def test_past_the_joint_update_range_exit_2_under_wide_bounds(self, tmp_path, capsys,
                                                                    lifetime, order):
-        # coupling_bounds [1e-300, 1e300] let one defect give these lifetimes;
-        # they once ended in numpy overflow warnings from the joint update and
-        # a wrong stop, or in a message that named no key
+        # coupling_bounds [1e-300, 1e300] would let one defect give these
+        # lifetimes; they once ended in numpy overflow warnings from the joint
+        # update and a wrong stop, or in a message that named no key
         series, device, config = (tmp_path / n for n in ("series.csv", "device.json",
                                                           "config.json"))
         constant_series(lifetime).to_csv(series)
@@ -1333,17 +1316,8 @@ class TestLifetimeRange:
         assert main(["track", str(series), "--device", str(device), "--order", order,
                      "--config", str(config), "--out", str(tmp_path / "fit")]) == 2
         err = capsys.readouterr().err
-        assert err == (f"error: t1e_us: {lifetime!r} us at epoch 0 is outside the supported "
-                       "range [1e-100, 1e+100] us, the joint update's range\n")
-
-    @pytest.mark.parametrize("edge, outside, bounds", [(1e100, 1.01, (1e-300, 1e8)),
-                                                       (1e-100, 0.99, (1e-10, 1e300))])
-    def test_joint_update_range_edges(self, edge, outside, bounds):
-        # the edge fits without a numpy warning, which pytest turns into an error
-        config = TrackerConfig(coupling_bounds=bounds)
-        assert track_tls(constant_series(edge), DEVICE_A, 1, config).converged
-        with pytest.raises(InvalidParameterError, match=r"^t1e_us: .* the joint update's range$"):
-            track_tls(constant_series(outside * edge), DEVICE_A, 1, config)
+        assert err == ("error: coupling_bounds: expected both ends in [1e-20, 1e+20], the "
+                       "tracker's input domain, got [1e-300, 1e+300]\n")
 
     @pytest.mark.parametrize("order", [1, 2])
     def test_fit_scales_with_the_lifetimes_inside_the_range(self, bundled_run, order):
@@ -1366,13 +1340,8 @@ class TestLifetimeRange:
 
 
 class TestScaleGuards:
-    """Inside the supported range, the per-epoch polynomials can still under-
-    or overflow: at lifetime errors so large that the weights underflow, or
-    under tracker bounds far wider than the defaults.  Each check ends the
-    fit with a message that does not blame the search band."""
-
-    MESSAGE = ("the frequency polynomials in band units under- or overflow at these lifetimes, "
-               "lifetime errors and tracker config")
+    """Inputs that once under- or overflowed the per-epoch polynomials are
+    refused before the fit, naming the key outside the input domain."""
 
     def test_underflowing_weights_reach_the_roots_check(self, monkeypatch):
         # errors whose weights' squares would underflow are refused under every
@@ -1384,35 +1353,8 @@ class TestScaleGuards:
                     lambda: select_model(series, DEVICE_A)):
             with pytest.raises(InvalidParameterError) as exc:
                 fit()
-            assert str(exc.value) == (
-                "err_e: 1e+200 us at epoch 0 is more than 1e+100 times its lifetime, "
-                "the largest relative error the tracker's weights support")
-
-    def test_underflowing_eliminant_reaches_the_roots_check(self, monkeypatch):
-        # under a lower coupling bound far below the default, the two-defect
-        # eliminant at lifetimes of 1e100 us underflows to a row of zeros,
-        # with errors of an ordinary 2%
-        roots = []
-        real = tracker._polynomial_roots
-        monkeypatch.setattr(tracker, "_polynomial_roots",
-                            lambda coef: roots.append(coef) or real(coef))
-        series = constant_series(1e100, 6e99, err_e_us=np.full(12, 2e98),
-                                 err_f_us=np.full(12, 1.2e98))
-        with pytest.raises(InvalidParameterError) as exc:
-            track_tls(series, DEVICE_A, 2, TrackerConfig(coupling_bounds=(1e-300, 1e8)))
-        assert str(exc.value) == self.MESSAGE
-        assert not np.any(roots[-1], axis=1).all()     # some row is all zeros
-        assert np.isfinite(roots[-1]).all()
-
-    def test_rate_times_band_overflow_reaches_the_band_unit_check(self, monkeypatch):
-        # lifetimes below MAX_LIFETIME_US's inverse are refused up front, so only a
-        # band as wide as a device at 1e120 MHz gets there: 1e100 /us times a
-        # half-width of 5e118 MHz squared passes 1.8e308
-        monkeypatch.setattr(tracker, "_polynomial_roots", lambda coef: pytest.fail("reached"))
-        config = TrackerConfig(coupling_bounds=(1e-10, 1e300))
-        with pytest.raises(InvalidParameterError) as exc:
-            track_tls(constant_series(1e-100), DeviceFrequencies(1e120, -1e119), 1, config)
-        assert str(exc.value) == self.MESSAGE
+            assert str(exc.value) == ("err_e: 1e+200 us at epoch 0 is more than 1e+10 times its "
+                                      "lifetime, the tracker's input domain")
 
     def test_two_defect_overflow_is_refused_without_warnings(self):
         # the eliminant's coefficients grow as the fourth power of the rates;
@@ -1420,15 +1362,175 @@ class TestScaleGuards:
         config = TrackerConfig(coupling_bounds=(1e-10, 1e300))
         with pytest.raises(InvalidParameterError) as exc:
             track_tls(constant_series(1e-100), DEVICE_A, 2, config)
-        assert str(exc.value) == self.MESSAGE
+        assert str(exc.value) == ("coupling_bounds: expected both ends in [1e-20, 1e+20], the "
+                                  "tracker's input domain, got [1e-10, 1e+300]")
 
-    @pytest.mark.parametrize("lifetime, bound", [(1e-300, 1), (1e300, 0)])
-    def test_starts_past_the_float_range_take_a_coupling_bound(self, lifetime, bound):
-        # the level-matched coupling's squares under- or overflow there
-        config = TrackerConfig(coupling_bounds=(1e-300, 1e300))
-        ws = tracker._Workspace(constant_series(lifetime), DEVICE_A, 1, config)
-        for glob, _ in tracker._initial_states(ws):
-            assert glob[0] == config.coupling_bounds[bound]
+
+def domain_input(device=(DEVICE_A.omega_01, DEVICE_A.anharmonicity), rel_e=0.02, rel_f=0.02,
+                 n=12, **tracker_keys):
+    """A constant series with relative errors (rel_e, rel_f), a device and tracker keys."""
+    return constant_series(100.0, 60.0, n, err_e_us=np.full(n, 100.0 * rel_e),
+                           err_f_us=np.full(n, 60.0 * rel_f)), device, tracker_keys
+
+
+class TestInputDomain:
+    """``tracker.DOMAIN``: an input just inside a limit fits without a numpy
+    warning (pytest makes one an error); just outside it, ``track_tls`` and
+    ``track`` refuse it, naming the key."""
+
+    # key, end, and the changes to domain_input() just inside and just outside it
+    EDGES = [
+        ("omega01_mhz", "lo", dict(device=(1.01e-2, -1e-2)), dict(device=(0.99e-2, -0.5e-2))),
+        ("omega01_mhz", "hi", dict(device=(1e6, -280.37)), dict(device=(1.01e6, -280.37))),
+        ("anharmonicity_mhz", "lo", dict(device=(1e6, -1e5)), dict(device=(1e6, -1.01e5))),
+        ("anharmonicity_mhz", "hi", dict(device=(4822.08, -1e-2)),
+         dict(device=(4822.08, -0.99e-2))),
+        ("band_margin_mhz", "lo", dict(band_margin_mhz=0.0), dict(band_margin_mhz=-1e-3)),
+        ("band_margin_mhz", "hi", dict(band_margin_mhz=1e5), dict(band_margin_mhz=1.01e5)),
+        ("linewidth_bounds_mhz", "lo", dict(linewidth_bounds_mhz=(1e-6, 500.0)),
+         dict(linewidth_bounds_mhz=(0.99e-6, 500.0))),
+        ("linewidth_bounds_mhz", "hi", dict(linewidth_bounds_mhz=(0.05, 1e6)),
+         dict(linewidth_bounds_mhz=(0.05, 1.01e6))),
+        ("coupling_bounds", "lo", dict(coupling_bounds=(1e-20, 1e8)),
+         dict(coupling_bounds=(0.99e-20, 1e8))),
+        ("coupling_bounds", "hi", dict(coupling_bounds=(1e-10, 1e20)),
+         dict(coupling_bounds=(1e-10, 1.01e20))),
+        ("f_multiplier", "lo", dict(f_multiplier=1e-3), dict(f_multiplier=0.99e-3)),
+        ("f_multiplier", "hi", dict(f_multiplier=1e3), dict(f_multiplier=1.01e3)),
+        # an error's lower limit, 0, is LifetimeSeries' own
+        ("err_e", "hi", dict(rel_e=1e10), dict(rel_e=1.01e10)),
+        ("err_f", "hi", dict(rel_f=1e10), dict(rel_f=1.01e10)),
+    ]
+
+    def test_edges_cover_every_key(self):
+        ends = {key: [e[1] for e in self.EDGES if e[0] == key] for key in tracker.DOMAIN}
+        assert len(self.EDGES) == sum(map(len, ends.values()))
+        assert all(v == (["hi"] if k.startswith("err_") else ["lo", "hi"])
+                   for k, v in ends.items())
+
+    @pytest.mark.parametrize("key, end, inside, outside", EDGES,
+                             ids=[f"{e[0]}-{e[1]}" for e in EDGES])
+    def test_inside_fits_outside_refused(self, tmp_path, capsys, key, end, inside, outside):
+        series, device, keys = domain_input(**inside)
+        for order in (1, 2):
+            assert np.isfinite(track_tls(series, DeviceFrequencies(*device), order,
+                                         TrackerConfig(**keys)).misfit)
+        series, device, keys = domain_input(**outside)
+        with pytest.raises(InvalidParameterError, match=f"^{key}: "):
+            track_tls(series, DeviceFrequencies(*device), 1, TrackerConfig(**keys))
+        paths = [tmp_path / name for name in ("series.csv", "device.json", "config.json")]
+        series.to_csv(paths[0])
+        paths[1].write_text(json.dumps(dict(zip(("omega01_mhz", "anharmonicity_mhz"), device))))
+        paths[2].write_text(json.dumps({"tracker": keys}))
+        capsys.readouterr()
+        assert main(["track", str(paths[0]), "--device", str(paths[1]), "--order", "1",
+                     "--config", str(paths[2]), "--out", str(tmp_path / "fit")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("omega01", [1e120, 1e160, 1e200])
+    def test_devices_far_above_transmon_scales_exit_2(self, tmp_path, capsys, omega01):
+        # at these frequencies numpy once warned of overflow or invalid values
+        series, device = tmp_path / "series.csv", tmp_path / "device.json"
+        constant_series(1.0).to_csv(series)
+        device.write_text(json.dumps({"omega01_mhz": omega01, "anharmonicity_mhz": -omega01 / 10}))
+        assert main(["track", str(series), "--device", str(device), "--order", "1",
+                     "--out", str(tmp_path / "fit")]) == 2
+        assert capsys.readouterr().err == (
+            "error: omega01_mhz: expected a value in [0.01, 1e+06], the tracker's input domain, "
+            f"got {omega01!r}\n")
+
+    @staticmethod
+    def log_uniform(lo, hi):
+        """Either end of [lo, hi], or a log-uniform point inside it (lo, hi > 0)."""
+        return st.one_of(st.sampled_from([lo, hi]), st.floats(np.log10(lo), np.log10(hi)).map(
+            lambda e: min(max(10.0**e, lo), hi)))
+
+    @classmethod
+    def ordered_pair(cls, key):
+        lo, hi = tracker.DOMAIN[key]
+        return st.tuples(cls.log_uniform(lo, hi), cls.log_uniform(lo, hi)).map(
+            lambda p: (min(p), max(p)) if p[0] != p[1] else (lo, hi))
+
+    @staticmethod
+    def supported_lifetimes(device, config):
+        """(lo, hi) of t1e and of t1f, computed as track_tls computes them."""
+        (b_lo, b_hi), (g_lo, g_hi) = config.coupling_bounds, config.linewidth_bounds_mhz
+        d = config.band(device)[1] - device.omega_12
+        slowest = b_lo * min(g / (d * d + g * g) for g in (g_lo, g_hi))
+        return [1.0 / (s * np.array([b_hi / g_lo, slowest])) for s in (1.0, config.f_multiplier)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_property_inside_fits_outside_names_its_key(self, data):
+        draw, inside = data.draw, self.log_uniform
+        alpha = -draw(inside(1e-2, 1e5))
+        # omega_01 above |alpha|, so that omega_12 > 0
+        omega01 = draw(st.one_of(st.just(1e6), inside(1e-6, 1e8).map(
+            lambda t: min(-alpha * (1.0 + t), 1e6))))
+        keys = dict(band_margin_mhz=draw(st.one_of(st.just(0.0), inside(1e-3, 1e5))),
+                    fit_background=draw(st.booleans()),
+                    f_multiplier=draw(inside(1e-3, 1e3)),
+                    linewidth_bounds_mhz=draw(self.ordered_pair("linewidth_bounds_mhz")),
+                    coupling_bounds=draw(self.ordered_pair("coupling_bounds")))
+        device, config = DeviceFrequencies(omega01, alpha), TrackerConfig(**keys)
+        n = draw(st.integers(3, 8))
+        lifetimes = [np.array(draw(st.lists(inside(lo, hi), min_size=n, max_size=n)))
+                     for lo, hi in self.supported_lifetimes(device, config)]
+        relative = st.lists(st.one_of(st.just(0.0), inside(1e-14, 1e10)), min_size=n, max_size=n)
+        errors = draw(st.one_of(st.none(), st.tuples(relative, relative)))
+        errors = errors and [np.array(rel) * t for rel, t in zip(errors, lifetimes)]
+        # one key just past a limit, or none
+        outside = draw(st.one_of(st.none(), st.sampled_from(list(tracker.DOMAIN))))
+        if outside == "omega01_mhz":
+            device = DeviceFrequencies(1.01e6, alpha)
+        elif outside == "anharmonicity_mhz":
+            device = DeviceFrequencies(1e6, -1.01e5)
+        elif outside in ("err_e", "err_f"):
+            channel = int(outside == "err_f")
+            errors = errors or [0.0 * t for t in lifetimes]
+            errors[channel] = 1.01e10 * lifetimes[channel]
+        elif outside is not None:
+            past = 1.01 * tracker.DOMAIN[outside][1]
+            value = keys[outside]
+            config = dataclasses.replace(config, **{
+                outside: (value[0], past) if isinstance(value, tuple) else past})
+        series = LifetimeSeries(np.arange(float(n)), *lifetimes, *(errors or ()))
+        order = draw(st.sampled_from([1, 2, "auto"]))
+
+        def fit():
+            if order == "auto":
+                return select_model(series, device, config)
+            return track_tls(series, device, order, config)
+
+        if outside is None:
+            assert np.isfinite(fit().misfit)
+        else:
+            with pytest.raises(InvalidParameterError, match=f"^{outside}: "):
+                fit()
+
+    def test_bundled_fitted_series_lie_a_decade_inside(self, bundled_run):
+        # the domain never refuses the pipeline's own output
+        for name in ("device_A", "device_B"):
+            path, scenario = bundled_run(name)
+            series, device = LifetimeSeries.from_csv(path), load_scenario(scenario).device
+            cfg = DEFAULT_TRACKER_CONFIG
+            values = {"omega01_mhz": device.omega_01, "anharmonicity_mhz": device.anharmonicity,
+                      "band_margin_mhz": cfg.band_margin_mhz,
+                      "linewidth_bounds_mhz": cfg.linewidth_bounds_mhz,
+                      "coupling_bounds": cfg.coupling_bounds, "f_multiplier": cfg.f_multiplier,
+                      "err_e": series.err_e_us / series.t1e_us,
+                      "err_f": series.err_f_us / series.t1f_us}
+            for key, value in values.items():
+                lo, hi = tracker.DOMAIN[key]
+                for limit in (lo, hi):
+                    if limit != 0.0:
+                        ratio = np.asarray(value) / limit
+                        assert np.all((ratio <= 0.1) | (ratio >= 10.0)), key
+                assert np.all((lo <= np.asarray(value)) & (np.asarray(value) <= hi)), key
+            lo, hi = TestLifetimeRange.default_range(device)
+            for lifetimes in (series.t1e_us, series.t1f_us):
+                assert 10 * lo <= lifetimes.min() and lifetimes.max() <= hi / 10
 
 
 class TestTrajectoryOutputs:
