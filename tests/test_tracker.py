@@ -1236,6 +1236,36 @@ class TestWideBand:
     """A band margin past the input domain is refused before the fit, naming
     the key; the domain keeps the transitions resolved in band units."""
 
+    def test_bundled_fit_unchanged_up_to_1e16(self, bundled_run):
+        # the fit is the same at every margin the domain admits; margins up to
+        # 1e16, which once fitted unchanged, now lie past its limit and are refused
+        run = bundled_run("device_A")
+        for margin in (200.0, tracker.DOMAIN["band_margin_mhz"][1]):
+            fit = TestSaturation.fit(run, 1, TrackerConfig(band_margin_mhz=margin))
+            assert round(fit.misfit, 6) == 16.117262
+            assert fit.iterations == 2
+        with pytest.raises(InvalidParameterError, match=r"^band_margin_mhz: .* got 1e\+16$"):
+            TestSaturation.fit(run, 1, TrackerConfig(band_margin_mhz=1e16))
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_refused_just_past_the_resolution_limit(self, order):
+        # past the margin at which the transitions lie eps apart in band units,
+        # and well before it, the margin is refused naming the key; at the
+        # domain's corner of the least anharmonicity and the widest margin they
+        # lie 1e-7 apart, and the fit runs there without a numpy warning
+        series = LifetimeSeries(np.arange(30.0), np.full(30, 100.0), np.full(30, 60.0))
+        sep = DEVICE_A.omega_01 - DEVICE_A.omega_12
+        # the band's half-width is sep/2 + margin
+        limit = sep / np.finfo(float).eps - sep / 2.0
+        for margin in (0.99 * limit, 1.01 * limit):
+            with pytest.raises(InvalidParameterError, match="^band_margin_mhz: "):
+                track_tls(series, DEVICE_A, order, TrackerConfig(band_margin_mhz=margin))
+        alpha, margin = tracker.DOMAIN["anharmonicity_mhz"][1], tracker.DOMAIN["band_margin_mhz"][1]
+        assert -alpha / (-alpha / 2.0 + margin) == pytest.approx(1e-7)
+        fit = track_tls(series, DeviceFrequencies(DEVICE_A.omega_01, alpha), order,
+                        TrackerConfig(band_margin_mhz=margin))
+        assert np.isfinite(fit.misfit)
+
     def test_bundled_1e20_exits_2(self, bundled_run, tmp_path, capsys):
         # without a check this fit ran its 50 outer cycles to misfit 357.92
         series, scenario = bundled_run("device_A")
@@ -1319,6 +1349,23 @@ class TestLifetimeRange:
         assert err == ("error: coupling_bounds: expected both ends in [1e-20, 1e+20], the "
                        "tracker's input domain, got [1e-300, 1e+300]\n")
 
+    @pytest.mark.parametrize("edge, outside, bounds", [(1e100, 1.01, (1e-300, 1e8)),
+                                                       (1e-100, 0.99, (1e-10, 1e300))])
+    def test_joint_update_range_edges(self, edge, outside, bounds):
+        # the joint update's old range [1e-100, 1e100] us took bounds past the
+        # input domain, which are now refused; inside it, the longest (shortest)
+        # lifetime the domain's bound gives fits without a numpy warning, which
+        # pytest turns into an error, and one just past it is refused
+        with pytest.raises(InvalidParameterError, match="^coupling_bounds: "):
+            track_tls(constant_series(edge), DEVICE_A, 1, TrackerConfig(coupling_bounds=bounds))
+        lo, hi = tracker.DOMAIN["coupling_bounds"]
+        config = TrackerConfig(coupling_bounds=(max(bounds[0], lo), min(bounds[1], hi)))
+        edge = TestInputDomain.supported_lifetimes(DEVICE_A, config)[0][int(outside > 1.0)]
+        for order in (1, 2):
+            assert np.isfinite(track_tls(constant_series(edge), DEVICE_A, order, config).misfit)
+        with pytest.raises(InvalidParameterError, match=r"^t1e_us: .* the lifetimes that one "):
+            track_tls(constant_series(outside * edge), DEVICE_A, 1, config)
+
     @pytest.mark.parametrize("order", [1, 2])
     def test_fit_scales_with_the_lifetimes_inside_the_range(self, bundled_run, order):
         # T -> s T with B -> B/s leaves the model unchanged while B stays
@@ -1355,6 +1402,30 @@ class TestScaleGuards:
                 fit()
             assert str(exc.value) == ("err_e: 1e+200 us at epoch 0 is more than 1e+10 times its "
                                       "lifetime, the tracker's input domain")
+
+    def test_underflowing_eliminant_reaches_the_roots_check(self, monkeypatch):
+        # under a lower coupling bound of 1e-300 the two-defect eliminant at
+        # lifetimes of 1e100 us, with errors of an ordinary 2%, once underflowed
+        # to a row of zeros; that bound is now refused before any roots are
+        # taken, and at the domain's lowest bound and the longest lifetime it
+        # gives, every polynomial handed to the roots has finite, nonzero rows
+        roots = []
+        real = tracker._polynomial_roots
+        monkeypatch.setattr(tracker, "_polynomial_roots",
+                            lambda coef: roots.append(coef) or real(coef))
+        series = constant_series(1e100, 6e99, err_e_us=np.full(12, 2e98),
+                                 err_f_us=np.full(12, 1.2e98))
+        with pytest.raises(InvalidParameterError, match=r"^coupling_bounds: .* got \[1e-300, "):
+            track_tls(series, DEVICE_A, 2, TrackerConfig(coupling_bounds=(1e-300, 1e8)))
+        assert not roots
+        config = TrackerConfig(coupling_bounds=(tracker.DOMAIN["coupling_bounds"][0], 1e8))
+        t1e, t1f = (hi for _, hi in TestInputDomain.supported_lifetimes(DEVICE_A, config))
+        series = constant_series(t1e, 0.6 * t1f, err_e_us=np.full(12, 0.02 * t1e),
+                                 err_f_us=np.full(12, 0.012 * t1f))
+        assert np.isfinite(track_tls(series, DEVICE_A, 2, config).misfit)
+        assert roots
+        for coef in roots:
+            assert np.any(coef, axis=1).all() and np.isfinite(coef).all()
 
     def test_two_defect_overflow_is_refused_without_warnings(self):
         # the eliminant's coefficients grow as the fourth power of the rates;
