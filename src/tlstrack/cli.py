@@ -9,7 +9,6 @@ beats built-in defaults), seeds, and timing.  Exit codes: 0 success
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -19,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .dynamics import (_boolean, _check, _field, _finite, _integer, _number, _pair, _read_json,
-                       _read_json_as, read_traces)
+                       _read_json_as, _write_csv, _write_json, read_traces)
 from .errors import InvalidParameterError, TlstrackError
 from .readout import ConfusionMatrix, mitigate_stack
 from .synth import bundled_scenario_path, device_from_json_dict, load_scenario, write_run_directory
@@ -65,8 +64,7 @@ def _write_manifest(out_dir: Path, subcommand: str, resolved: dict, inputs: list
         "started_at": datetime.fromtimestamp(started, tz=timezone.utc).isoformat(),
         "duration_s": time.time() - started,
     }
-    with open(out_dir / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=1)
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def _jobs(args, config: dict) -> int:
@@ -152,17 +150,12 @@ def cmd_fit_series(args, config: dict) -> int:
 
     out = _resolve_out(args.out, run_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "fits.json", "w") as fh:
-        json.dump({"epoch_spacing_hr": spacing, "unconverged_epochs": unconverged, "fits": fits},
-                  fh, indent=1)
+    _write_json(out / "fits.json",
+                {"epoch_spacing_hr": spacing, "unconverged_epochs": unconverged, "fits": fits})
     series_path = out / "series.csv"
-    with open(series_path, "w", newline="") as fh:
-        fh.write("timestamp_hr,t1e_us,t1f_us,err_e,err_f,converged\n")
-        for i, fit in enumerate(fits):
-            fh.write(
-                f"{i * spacing!r},{fit['t1e_us']!r},{fit['t1f_us']!r},"
-                f"{fit['stderr_t1e']!r},{fit['stderr_t1f']!r},{int(fit['converged'])}\n"
-            )
+    _write_csv(series_path, ["timestamp_hr", "t1e_us", "t1f_us", "err_e", "err_f", "converged"],
+               ([i * spacing, fit["t1e_us"], fit["t1f_us"], fit["stderr_t1e"], fit["stderr_t1f"],
+                 int(fit["converged"])] for i, fit in enumerate(fits)))
     _write_manifest(out, "fit-series",
                     {"weighting": weighting, "jobs": jobs,
                      "mitigation": confusion is not None},
@@ -194,8 +187,7 @@ def cmd_track(args, config: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(fit, out / "trajectory.csv")
     write_correlation_csv(fit, series, out / "correlation.csv")
-    with open(out / "fit.json", "w") as fh:
-        json.dump(fit.to_json_dict(), fh, indent=1)
+    _write_json(out / "fit.json", fit.to_json_dict())
     _write_manifest(out, "track", {"order": args.order, "device": args.device},
                     [args.series], ["trajectory.csv", "correlation.csv", "fit.json"],
                     None, started)
@@ -213,10 +205,7 @@ def cmd_correlate(args, config: dict) -> int:
     out = _resolve_out(args.out, Path(args.series).resolve().parent)
     out.mkdir(parents=True, exist_ok=True)
     scatter = out / "correlation_scatter.csv"
-    with open(scatter, "w", newline="") as fh:
-        fh.write("t1e_us,t1f_us\n")
-        for a, b in zip(series.t1e_us, series.t1f_us):
-            fh.write(f"{float(a)!r},{float(b)!r}\n")
+    _write_csv(scatter, ["t1e_us", "t1f_us"], zip(series.t1e_us.tolist(), series.t1f_us.tolist()))
     _write_manifest(out, "correlate", {}, [args.series],
                     ["correlation_scatter.csv"], None, started)
     print(f"pearson_r = {r:.6f}")
@@ -282,6 +271,9 @@ def main(argv=None) -> int:
         return args.func(args, config)
     except TlstrackError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as err:   # numpy's names the size it could not allocate
+        print("error: out of memory" + (f": {err}" if str(err) else ""), file=sys.stderr)
         return EXIT_INPUT
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)

@@ -1,5 +1,5 @@
 """Three-level cascade decay: closed-form populations, trace files, and the
-one reader and the field checks of the package's JSON files.
+package's one CSV writer and one JSON reader, writer and set of field checks.
 
 The model is the rate-equation cascade |2> -> |1> -> |0> with decay rates
 ``gamma_21`` and ``gamma_10`` (units 1/us).  Times are microseconds
@@ -209,6 +209,18 @@ def _read_json(path) -> dict:
     if not isinstance(doc, dict):
         raise ScenarioSchemaError(str(path), "expected a JSON object")
     return doc
+
+
+def _write_json(path, doc) -> None:
+    """Write ``doc`` to ``path`` as UTF-8 JSON with ``indent=1``, in one call.
+    A NaN or an infinity, which JSON cannot hold, raises
+    ``InvalidParameterError`` naming the file, and nothing is written."""
+    try:
+        text = json.dumps(doc, indent=1, allow_nan=False)
+    except ValueError as err:
+        raise InvalidParameterError(f"{path}: {err}") from None
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _read_json_as(path, build):

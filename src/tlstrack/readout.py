@@ -14,14 +14,13 @@ population vectors, clipping small negative components by default.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import (_REQUIRED, PopulationTrace, TraceStack, _field, _finite, _number,
-                       _read_json_as)
+                       _read_json_as, _write_json)
 from .errors import InvalidParameterError, MitigationUnstableError, ScenarioSchemaError
 
 CONFUSION_SCHEMA_VERSION = 1
@@ -212,16 +211,17 @@ class ConfusionMatrix:
         return self._condition_number
 
     def to_json_dict(self) -> dict:
+        # a singular matrix's infinite condition number is left out: JSON has no Infinity
+        cond = self.condition_number
         return {
             "schema_version": CONFUSION_SCHEMA_VERSION,
             "matrix_row_major": [float(v) for v in self.m.reshape(-1)],
             "assignment_fidelity": self.fidelity,
-            "condition_number": self.condition_number,
+            **({"condition_number": cond} if math.isfinite(cond) else {}),
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
+        _write_json(path, self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ConfusionMatrix":

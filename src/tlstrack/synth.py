@@ -15,7 +15,6 @@ stream into its own slot, so no output depends on the thread count.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
@@ -27,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import (DecayRates, PopulationTrace, _boolean, _cascade, _check, _field, _integer,
-                       _need, _number, _number_array, _read_json)
+                       _need, _number, _number_array, _read_json, _write_json)
 from .errors import InvalidParameterError, ScenarioSchemaError
 from .readout import ConfusionMatrix, IDENTITY_CONFUSION, IqBlobModel, _classify_frame, \
     equilateral_blobs, simulate_confusion_matrix
@@ -566,8 +565,7 @@ def write_run_directory(scenario: Scenario, out_dir) -> list[Path]:
     written = [out / name for name in ("scenario.json", "confusion.json", "truth.json",
                                        "truth_series.csv")]
     scenario_path, confusion_path, truth_path, series_path = written
-    with open(scenario_path, "w") as fh:
-        json.dump(scenario_to_json_dict(scenario), fh, indent=1)
+    _write_json(scenario_path, scenario_to_json_dict(scenario))
     confusion.to_json(confusion_path)
     truth.to_json(truth_path)
     true_lifetime_series(scenario, truth).to_csv(series_path)

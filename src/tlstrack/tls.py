@@ -9,13 +9,12 @@ absorbed into the coupling weight.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import (_REQUIRED, ZERO_RATES, DecayRates, _check, _field, _finite, _need, _number,
-                       _read_json_as)
+                       _read_json_as, _write_json)
 from .errors import InvalidParameterError, ScenarioSchemaError
 
 TLS_SCHEMA_VERSION = 1
@@ -117,8 +116,7 @@ class TlsParameterSet:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1)
+        _write_json(path, self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "TlsParameterSet":

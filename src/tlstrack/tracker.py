@@ -467,11 +467,9 @@ def _initial_states(ws: _Workspace) -> list[tuple[np.ndarray, np.ndarray]]:
                 [lorentzian_density(w1, g0, w01), lorentzian_density(w2, g0, w01)],
                 [lorentzian_density(w1, g0, w12), lorentzian_density(w2, g0, w12)],
             ])
-            try:
-                b = np.linalg.solve(a, np.array([med_e, med_f]))
-            except np.linalg.LinAlgError:
-                b = np.array([g0 * med_e, g0 * med_f])
-            b = np.clip(b, blo, bhi)
+            # a = [[L(x), L(y)], [L(y), L(x)]] for the pair's detunings x != y in
+            # units of |alpha| >= 0.01 MHz (DOMAIN), so L(x) != L(y) and a is regular
+            b = np.clip(np.linalg.solve(a, np.array([med_e, med_f])), blo, bhi)
             glob = [float(b[0]), g0, float(b[1]), g0] + (
                 [0.0, 0.0] if cfg.fit_background else []
             )

@@ -21,7 +21,7 @@ import tlstrack
 from tlstrack import cli, trace_fit
 from tlstrack.cli import main
 from tlstrack.dynamics import DecayRates
-from tlstrack.readout import ConfusionMatrix
+from tlstrack.readout import ConfusionMatrix, IqBlobModel
 from tlstrack.synth import (
     DriftProcess,
     Scenario,
@@ -186,6 +186,17 @@ class TestSimulate:
         assert capsys.readouterr().err == f"error: {expected}\n"
         assert not out.exists()
 
+    def test_out_of_memory_exit_2(self, tmp_path, capsys):
+        # 2**50 classified shots per delay ask for about 1.9 EiB of normals,
+        # beyond any address space, so the allocation fails at once
+        doc = json.loads(bundled_scenario_path("device_A").read_text())
+        doc.update(epochs=2, shots_per_delay=2**50)
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(doc))
+        assert main(["simulate", str(spath), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: Unable to allocate ") and err.count("\n") == 1
+
     def test_bundled_name_full_run(self, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", "device_A", "--out", str(out), "--jobs", "2"]) == 0
@@ -278,6 +289,29 @@ class TestFitSeries:
         assert capsys.readouterr().err == ("error: confusion matrix condition number 1.332e+09 "
                                            "exceeds the mitigation stability limit\n")
         assert not (run_dir / "fits.json").exists()
+
+    def test_coinciding_blobs_write_strict_json_and_refuse_mitigation(self, tmp_path, capsys):
+        # blobs 0 and 1 coincide, so the confusion matrix is singular
+        blobs = IqBlobModel(np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0]]),
+                            np.stack([np.eye(2)] * 3))
+        spath = write_scenario(tmp_path / "s.json", tiny_scenario(blobs=blobs, epochs=3))
+        run = tmp_path / "run"
+        assert main(["simulate", str(spath), "--out", str(run)]) == 0
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        docs = {name: json.loads((run / name).read_text(encoding="utf-8"), parse_constant=refuse)
+                for name in ("confusion.json", "manifest.json", "scenario.json", "truth.json")}
+        assert "condition_number" not in docs["confusion.json"]
+        capsys.readouterr()
+        assert main(["fit-series", str(run)]) == 2
+        assert capsys.readouterr().err == ("error: confusion matrix condition number inf "
+                                           "exceeds the mitigation stability limit\n")
+        assert not (run / "fits.json").exists()
+        assert main(["fit-series", str(run), "--no-mitigation"]) == 0
+        doc = json.loads((run / "fits.json").read_text(encoding="utf-8"), parse_constant=refuse)
+        assert len(doc["fits"]) == 3
 
     @pytest.mark.parametrize("spacing", ["x", -1, 0, -0.25, None, True, [1.0], float("inf")])
     def test_bad_epoch_spacing_exit_2(self, run_dir, capsys, spacing):

@@ -1,6 +1,7 @@
 import ast
 import csv
 import io
+import json
 import re
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from tlstrack.dynamics import (
     _read_csv,
     _read_json,
     _write_csv,
+    _write_json,
     closed_form_populations,
     closed_form_trace,
     read_traces,
@@ -366,3 +368,66 @@ class TestReadJson:
                     hits.append((path.name, number))
         assert hits and all(name == "dynamics.py" and reader.lineno <= number <= reader.end_lineno
                             for name, number in hits), hits
+
+
+class TestWriteJson:
+    """``_write_json`` is the package's one writer of JSON files, and
+    ``_write_csv`` its one writer of CSV files."""
+
+    def test_bytes_of_json_dumps(self, tmp_path):
+        doc = {"a": [1, 2.5, -0.0, 1e300, 5e-324], "b": {"c": None, "d": True, "\u00e9": "\u00fc"}}
+        path = tmp_path / "doc.json"
+        _write_json(path, doc)
+        assert path.read_bytes() == json.dumps(doc, indent=1).encode("ascii")
+        assert _read_json(path) == doc
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_names_the_file_and_writes_nothing(self, tmp_path, value):
+        path = tmp_path / "doc.json"
+        with pytest.raises(InvalidParameterError) as exc:
+            _write_json(path, {"fits": [{"t1e_us": 1.0}, {"t1e_us": value}]})
+        assert str(exc.value).startswith(f"{path}: Out of range float values are not JSON")
+        assert not path.exists()
+
+    def test_no_other_writer_in_the_package(self):
+        # every line that names json.dump or json.dumps lies in _write_json,
+        # every open() in a write mode lies in _write_json or _write_csv, and
+        # only dynamics imports json
+        source = Path(tlstrack.__file__).parent
+        tree = ast.parse((source / "dynamics.py").read_text(encoding="utf-8"))
+        writers = {node.name: range(node.lineno, node.end_lineno + 1) for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name in ("_write_json", "_write_csv")}
+
+        def writer(name, number):
+            return next((w for w, span in writers.items()
+                         if name == "dynamics.py" and number in span), None)
+
+        dumps, opens, imports = [], [], []
+        for path in sorted(source.glob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            for number, line in enumerate(text.splitlines(), 1):
+                if re.search(r"json\.dumps?\b", line):
+                    dumps.append(writer(path.name, number))
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    names = [node.module] if isinstance(node, ast.ImportFrom) else \
+                        [alias.name for alias in node.names]
+                    imports += [path.name for name in names if name == "json"]
+                elif isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                    if name in ("write_text", "write_bytes"):
+                        opens.append(None)
+                    elif name == "open":
+                        # builtin open(file, mode) or Path.open(mode); a mode
+                        # that is not a literal counts as a write
+                        args = node.args[1:] if isinstance(func, ast.Name) else node.args
+                        mode = next((k.value for k in node.keywords if k.arg == "mode"),
+                                    args[0] if args else ast.Constant("r"))
+                        if not (isinstance(mode, ast.Constant)
+                                and not set("wax+") & set(mode.value)):
+                            opens.append(writer(path.name, node.lineno))
+        assert dumps == ["_write_json"]
+        assert sorted(opens, key=str) == ["_write_csv", "_write_json"]
+        assert imports == ["dynamics.py"]

@@ -1,3 +1,4 @@
+import json
 import math
 import pickle
 
@@ -514,6 +515,23 @@ class TestConfusionSerialization:
         doc = cm.to_json_dict()
         assert doc["assignment_fidelity"] == pytest.approx(cm.fidelity)
         assert doc["condition_number"] == pytest.approx(cm.condition_number)
+
+    def test_singular_matrix_leaves_condition_number_out(self, tmp_path):
+        # blobs 0 and 1 coincide and ties go to 0, so no shot reads as 1
+        cm = ConfusionMatrix(np.array([[0.9, 0.9, 0.1], [0.0, 0.0, 0.0], [0.1, 0.1, 0.9]]))
+        assert cm.condition_number == math.inf
+        path = tmp_path / "confusion.json"
+        cm.to_json(path)
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        doc = json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+        assert list(doc) == ["schema_version", "matrix_row_major", "assignment_fidelity"]
+        back = ConfusionMatrix.from_json(path)
+        assert np.array_equal(back.m, cm.m) and back.condition_number == math.inf
+        with pytest.raises(MitigationUnstableError, match="condition number inf exceeds"):
+            mitigate_trace(back, closed_form_trace(DecayRates(0.05, 0.1), [0.0, 1.0]))
 
     @pytest.mark.parametrize("content, message", [
         ('{"schema_version": 1,', "not valid JSON: "),
