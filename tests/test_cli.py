@@ -437,21 +437,22 @@ def fit_digest(name, tmp_path, epochs=6):
     return h.hexdigest()
 
 
-# recorded before fit-series read, mitigated and fitted the run as stacked
-# arrays; like the synthesis digests they assume the same numpy and BLAS build
+# re-recorded when series.csv took CRLF line endings, with fits.json and the
+# series values unchanged; like the synthesis digests they assume the same
+# numpy and BLAS build
 FIT_DIGESTS = {
     "device_A":
-        "deb6c4f35d4aee6d68507a50758897a24b10f93b1eee6cee0c87458d94d79936",
+        "6755e7f510bcbcf59ed56558718bf9c2ce2950a7b55342d2a975f7a96957dacc",
     "device_A --no-mitigation":
-        "def550ca975a11cadedd145d570910f0e86fb97b614b95a17a6709bcdd172eec",
+        "f36e29b62d669deca5220119867bd505c8025da29529d65fec26a28728febf10",
     "device_A --weighting binomial":
-        "b399f714021cd5937a8f8bdba4fbb416953d0f821e42abc54f52731a214bc5db",
+        "5f9dd1cfb169d5e4d6c1b1e711e935a7d15d62becafbc204a80fa5556c145c11",
     "device_B":
-        "e7696bba03f085a5e582ca0e85edd4649b48a0b03127ab794f28bed1243f4e99",
+        "eceb489b5f4c465c88017372cc348a10e23d299f74ec7d83ff89dc191aaf8644",
     "device_B --no-mitigation":
-        "05cfa2a0ddcf789644f01da7e4ad0a18f7adbde0d7cfc8fd01642382a9f3113a",
+        "5af3eba4bcd25c0cc6923a8cb143b295bf0e339ef7e4cfe7f894af5c3ced08cb",
     "device_B --weighting binomial":
-        "8dc6004a471e47fe87fedf8cc58b075d16ba2e236eea7982cfc3002907212fed",
+        "f0999e1e779b152ab3aa114cd0bae9b4dee5682dbe0d74f1c363202562797d2c",
 }
 
 
