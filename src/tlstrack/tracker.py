@@ -467,8 +467,8 @@ def _initial_states(ws: _Workspace) -> list[tuple[np.ndarray, np.ndarray]]:
                 [lorentzian_density(w1, g0, w01), lorentzian_density(w2, g0, w01)],
                 [lorentzian_density(w1, g0, w12), lorentzian_density(w2, g0, w12)],
             ])
-            # a = [[L(x), L(y)], [L(y), L(x)]] for the pair's detunings x != y in
-            # units of |alpha| >= 0.01 MHz (DOMAIN), so L(x) != L(y) and a is regular
+            # a = [[L(x), L(y)], [L(y), L(x)]] with detunings |x| != |y|; |alpha| >= 0.01
+            # MHz (DOMAIN) keeps their x^2 + g0^2 >= 3e-5 MHz^2 apart, so a is regular
             b = np.clip(np.linalg.solve(a, np.array([med_e, med_f])), blo, bhi)
             glob = [float(b[0]), g0, float(b[1]), g0] + (
                 [0.0, 0.0] if cfg.fit_background else []
