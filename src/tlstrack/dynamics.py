@@ -59,6 +59,22 @@ class DecayRates:
 ZERO_RATES = DecayRates(0.0, 0.0)
 
 
+def _background_from_doc(doc: dict) -> DecayRates:
+    """The floor at key ``background`` of ``doc``, an object whose ``gamma10``
+    and ``gamma21`` are each 0 where absent; a fault names ``background``."""
+    bg = _need(doc, "background", "", {})
+    try:
+        return DecayRates(_number(bg, "gamma10", "background", 0.0),
+                          _number(bg, "gamma21", "background", 0.0))
+    except InvalidParameterError as err:
+        raise ScenarioSchemaError("background", str(err)) from None
+
+
+def _background_doc(floor: DecayRates) -> dict:
+    """The JSON object :func:`_background_from_doc` reads back as ``floor``."""
+    return {"gamma10": floor.gamma_10, "gamma21": floor.gamma_21}
+
+
 @dataclass
 class PopulationTrace:
     """Populations of the three levels versus delay time.
@@ -276,10 +292,14 @@ def _number(doc: dict, key: str, path: str, default=_REQUIRED) -> float:
     return float(_field(doc, key, path, default, _finite, "a finite number"))
 
 
-def _integer(doc: dict, key: str, path: str, default=_REQUIRED, minimum=None) -> int:
+def _integer(doc: dict, key: str, path: str, default=_REQUIRED, minimum=None,
+             maximum=None) -> int:
+    limits = " and ".join(f"{op} {v}" for op, v in ((">=", minimum), ("<=", maximum))
+                          if v is not None)
     return _field(doc, key, path, default,
-                  lambda v: type(v) is int and (minimum is None or v >= minimum),
-                  "an integer" + ("" if minimum is None else f" >= {minimum}"))
+                  lambda v: (type(v) is int and (minimum is None or v >= minimum)
+                             and (maximum is None or v <= maximum)),
+                  f"an integer {limits}".rstrip())
 
 
 def _boolean(doc: dict, key: str, path: str, default=_REQUIRED) -> bool:

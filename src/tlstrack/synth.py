@@ -8,15 +8,14 @@ the other draws.  An epoch's draws come from its own stream of (master
 seed, epoch index), which pins the traces bit for bit; the ideal
 populations of all epochs come from one evaluation of the cascade.
 
-Where more than one CPU is available, the epochs are sampled on two
-threads, whatever ``--jobs`` says; each epoch still draws from its own
-stream into its own slot, so no output depends on the thread count.
+The epochs are sampled on two threads, whatever ``--jobs`` says; each
+epoch still draws from its own stream into its own slot, so no output
+depends on the thread count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 from importlib import resources
@@ -25,8 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (DecayRates, PopulationTrace, _boolean, _cascade, _check, _field, _integer,
-                       _need, _number, _number_array, _read_json, _write_json)
+from .dynamics import (DecayRates, PopulationTrace, _background_doc, _background_from_doc, _boolean,
+                       _cascade, _check, _field, _integer, _need, _number, _number_array,
+                       _read_json, _write_json)
 from .errors import InvalidParameterError, ScenarioSchemaError
 from .readout import ConfusionMatrix, IDENTITY_CONFUSION, IqBlobModel, _classify_frame, \
     equilateral_blobs, simulate_confusion_matrix
@@ -41,6 +41,16 @@ _STREAM_CONFUSION = 202
 _STREAM_EPOCH = 303
 
 DRIFT_KINDS = ("static", "random_walk", "ornstein_uhlenbeck")
+
+#: Upper limits of a scenario's counts.  With them the largest array that
+#: ``simulate`` asks for, one epoch's normals of its classified shots
+#: (delays x shots x 2 x 2 float64), is <= 2**61 bytes, and the ideal
+#: populations (epochs x delays x 3 float64) are <= 2**45 bytes; both stay
+#: inside numpy's index range, so a request too large for the machine is a
+#: MemoryError (exit 2), never an overflow.
+MAX_EPOCHS = 2**24
+MAX_DELAYS = 2**16
+MAX_SHOTS = 2**40       # shots_per_delay and calibration_shots
 
 
 def derive_rng(master_seed: int, *keys: int) -> np.random.Generator:
@@ -144,16 +154,19 @@ class Scenario:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise InvalidParameterError("epochs must be >= 1")
+        if not 1 <= self.epochs <= MAX_EPOCHS:
+            raise InvalidParameterError(f"epochs must be >= 1 and <= {MAX_EPOCHS}")
         if self.epoch_spacing_hr <= 0.0:
             raise InvalidParameterError("epoch_spacing_hr must be positive")
-        if self.shots_per_delay < 1:
-            raise InvalidParameterError("shots_per_delay must be >= 1")
-        if self.calibration_shots < 1:
-            raise InvalidParameterError("calibration_shots must be >= 1")
+        if not 1 <= self.shots_per_delay <= MAX_SHOTS:
+            raise InvalidParameterError(f"shots_per_delay must be >= 1 and <= {MAX_SHOTS}")
+        if not 1 <= self.calibration_shots <= MAX_SHOTS:
+            raise InvalidParameterError(f"calibration_shots must be >= 1 and <= {MAX_SHOTS}")
         _require_seed("master_seed", self.master_seed)
         self.delays_us = np.asarray(self.delays_us, dtype=float)
+        if self.delays_us.size > MAX_DELAYS:
+            raise InvalidParameterError(f"expected at most {MAX_DELAYS} delays, "
+                                        f"got {self.delays_us.size}")
         if self.delays_us.size < 1 or self.delays_us[0] < 0.0 or np.any(
             np.diff(self.delays_us) <= 0.0
         ):
@@ -180,11 +193,14 @@ def _delays_from_doc(doc: dict, path: str) -> np.ndarray:
         values = _need(doc, "values_us", path)
         if not isinstance(values, list) or not values:
             raise ScenarioSchemaError(key, "expected a non-empty list")
+        if len(values) > MAX_DELAYS:
+            raise ScenarioSchemaError(key, f"expected at most {MAX_DELAYS} delays, "
+                                           f"got {len(values)}")
         delays = _number_array(values, key)
         if delays.ndim != 1:
             raise ScenarioSchemaError(key, "expected a list of numbers")
     elif kind in ("log", "linear"):
-        n = _integer(doc, "n", path)
+        n = _integer(doc, "n", path, maximum=MAX_DELAYS)
         lo = _number(doc, "min_us", path)
         hi = _number(doc, "max_us", path)
         if n < 2 or hi <= lo or (kind == "log" and lo <= 0.0):
@@ -244,12 +260,7 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
         raise ScenarioSchemaError("schema_version", f"unsupported version {version}")
     device = device_from_json_dict(_need(doc, "device", ""), "device")
 
-    bg_doc = _need(doc, "background", "", {})
-    try:
-        background = DecayRates(_number(bg_doc, "gamma10", "background", 0.0),
-                                _number(bg_doc, "gamma21", "background", 0.0))
-    except InvalidParameterError as err:
-        raise ScenarioSchemaError("background", str(err)) from None
+    background = _background_from_doc(doc)
 
     tls_doc = _need(doc, "tls", "")
     if not isinstance(tls_doc, list):
@@ -286,12 +297,13 @@ def scenario_from_json_dict(doc: dict) -> Scenario:
         device=device,
         tls_truth=truths,
         background=background,
-        epochs=_integer(doc, "epochs", "", minimum=1),
+        epochs=_integer(doc, "epochs", "", minimum=1, maximum=MAX_EPOCHS),
         epoch_spacing_hr=_check(_number(doc, "epoch_spacing_hr", ""), "epoch_spacing_hr",
                                 lambda v: v > 0.0, "a number > 0"),
         delays_us=_delays_from_doc(_need(doc, "delays", ""), "delays"),
-        shots_per_delay=_integer(doc, "shots_per_delay", "", minimum=1),
-        calibration_shots=_integer(doc, "calibration_shots", "", 100_000, minimum=1),
+        shots_per_delay=_integer(doc, "shots_per_delay", "", minimum=1, maximum=MAX_SHOTS),
+        calibration_shots=_integer(doc, "calibration_shots", "", 100_000, minimum=1,
+                                   maximum=MAX_SHOTS),
         blobs=_blobs_from_doc(doc.get("blobs"), "blobs"),
         exact_populations=exact,
         master_seed=_integer(doc, "master_seed", "", minimum=0),
@@ -306,7 +318,7 @@ def scenario_to_json_dict(s: Scenario) -> dict:
             "omega01_mhz": s.device.omega_01,
             "anharmonicity_mhz": s.device.anharmonicity,
         },
-        "background": {"gamma10": s.background.gamma_10, "gamma21": s.background.gamma_21},
+        "background": _background_doc(s.background),
         "tls": [
             {
                 "coupling_weight": t.coupling_weight,
@@ -378,11 +390,8 @@ def _sample_epoch_trace(
     blobs: Optional[IqBlobModel],
     exact: bool,
     rng: np.random.Generator,
-    scratch: Optional[tuple[np.ndarray, np.ndarray]],
 ) -> PopulationTrace:
-    """One epoch's observed trace from its ideal populations (delays, 3).
-    ``scratch`` is passed on to :func:`_classified_counts`; it is not read
-    unless the shots are classified (``blobs`` given and not ``exact``)."""
+    """One epoch's observed trace from its ideal populations (delays, 3)."""
     if exact:
         return PopulationTrace(delays.copy(), ideal)
     p = np.clip(ideal, 0.0, None)
@@ -391,23 +400,12 @@ def _sample_epoch_trace(
         # one stacked call draws the rows in order, as a call per row would
         counts = rng.multinomial(shots, p)
     else:
-        counts = _classified_counts(p, shots, blobs, rng, scratch)
+        counts = _classified_counts(p, shots, blobs, rng)
     return PopulationTrace(delays.copy(), counts / float(shots), np.full(delays.size, shots))
 
 
-def _epoch_scratch(n: int, threads: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each thread's buffers for :func:`_classified_counts` of ``n`` shots
-    per epoch: the normals (2n, 2) and the labels (n,).  All threads'
-    normals are one allocation: two 1.9 MB blocks freed together went back
-    to the OS, and the next command faulted their pages in again."""
-    z = np.empty((threads, 2 * n, 2))
-    labels = np.empty((threads, n), dtype=np.uint8)
-    return list(zip(z, labels))
-
-
 def _classified_counts(
-    p: np.ndarray, shots: int, blobs: IqBlobModel, rng: np.random.Generator,
-    scratch: tuple[np.ndarray, np.ndarray],
+    p: np.ndarray, shots: int, blobs: IqBlobModel, rng: np.random.Generator
 ) -> np.ndarray:
     """Per-delay assignment counts (delays, 3) of ``shots`` prepared shots
     per delay, each drawn from its state's blob and classified.
@@ -415,16 +413,17 @@ def _classified_counts(
     The stream is the per-delay one: a multinomial draw of the prepared
     states, then each state's normals in state order.  Each state's normals
     go into their own region of one buffer, and each region is classified
-    in one call, from the normals themselves.  ``scratch`` holds one
-    thread's buffers from :func:`_epoch_scratch` for these ``delays * shots``
-    shots; every element that is read is written first.
+    in one call, from the normals themselves.  The buffers of these n =
+    ``delays * shots`` shots, the normals (2n, 2) and the labels (n,), are
+    left uninitialised: every element that is read is written first.
     """
     n_delays = p.shape[0]
     n = n_delays * shots
     # state 0 fills z[:n] upwards and state 2 fills it downwards from n, so
     # both end where their labels go (they never meet, as n0 + n2 <= n);
     # state 1 fills z[n:] upwards and its labels go between the two
-    z, labels = scratch
+    z = np.empty((2 * n, 2))
+    labels = np.empty(n, dtype=np.uint8)
     prepared = []
     top0, top1, bottom2 = 0, n, n
     for row in p:
@@ -470,63 +469,44 @@ def _ideal_populations(g10: np.ndarray, g21: np.ndarray, delays: np.ndarray) -> 
     return np.stack(_cascade(g10[:, None], g21[:, None], delays), axis=-1)
 
 
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity query on this platform
-        return os.cpu_count() or 1
-
-
 def _sample_epochs(scenario: Scenario, ideal: np.ndarray) -> list[PopulationTrace]:
     """Every epoch's trace from its ideal populations, in epoch order.
 
-    With more than one CPU and epoch, the calling thread samples the even
-    epochs and one worker thread the odd ones; numpy releases the GIL while
-    it draws, so the two overlap.  Each epoch draws from its own stream into
-    its own slot, so the traces are the serial loop's bit for bit.  A thread
-    stops at its first fault, or before an epoch above the other thread's
-    fault, and the fault re-raised here is the lowest failing epoch's, as in
-    the serial loop.  The buffers of both threads are made here, once, and
-    reused by every epoch.
+    The calling thread samples the even epochs and one worker thread the
+    odd ones (none, with one epoch); numpy releases the GIL while it draws,
+    so the two overlap.  Each epoch draws from its own stream into its own
+    slot, so the traces are a serial loop's bit for bit.  A thread stops at
+    its first fault, or before an epoch above the other thread's fault, and
+    the fault re-raised here is the lowest failing epoch's, as in a serial
+    loop.
     """
     n_epochs = scenario.epochs
-    threads = 2 if n_epochs > 1 and _cpu_count() > 1 else 1
     traces: list = [None] * n_epochs
     faults: list[tuple[int, Exception]] = []
     stop = threading.Event()
-    shots = scenario.shots_per_delay
-    if scenario.blobs is not None and not scenario.exact_populations:
-        scratch = _epoch_scratch(scenario.delays_us.size * shots, threads)
-    else:
-        scratch = [None] * threads
 
     def sample(first: int) -> None:
-        for e in range(first, n_epochs, threads):
+        for e in range(first, n_epochs, 2):
             if stop.is_set() or any(f < e for f, _ in faults):
                 return
             try:
                 traces[e] = _sample_epoch_trace(
-                    scenario.delays_us, ideal[e], shots, scenario.blobs,
-                    scenario.exact_populations,
-                    derive_rng(scenario.master_seed, _STREAM_EPOCH, e), scratch[first])
+                    scenario.delays_us, ideal[e], scenario.shots_per_delay, scenario.blobs,
+                    scenario.exact_populations, derive_rng(scenario.master_seed, _STREAM_EPOCH, e))
             except Exception as err:
                 faults.append((e, err))
                 return
 
-    if threads == 1:
+    worker = threading.Thread(target=sample, args=(1,), name="tlstrack-epochs")
+    try:
+        worker.start()
         sample(0)
-    else:
-        worker = threading.Thread(target=sample, args=(1,), name="tlstrack-epochs")
-        try:
-            worker.start()
-            sample(0)
+        worker.join()
+    finally:
+        # a worker still running here, after an interrupt, ends after its epoch
+        stop.set()
+        if worker.is_alive():
             worker.join()
-        finally:
-            # a worker still running here, after an interrupt, ends after its epoch
-            stop.set()
-            if worker.is_alive():
-                worker.join()
     if faults:
         raise min(faults, key=lambda fault: fault[0])[1]
     return traces
@@ -538,9 +518,8 @@ def synthesize_experiment(
     """Full synthetic run: per-epoch traces, the simulated confusion matrix,
     and the ground-truth defect parameters.
 
-    The epochs are sampled on two threads where more than one CPU is
-    available (see :func:`_sample_epochs`); the outputs are the same bytes
-    on one thread or two."""
+    The epochs are sampled on two threads (see :func:`_sample_epochs`); the
+    outputs are the same bytes as a serial loop's."""
     truth = generate_trajectories(scenario)
     g10, g21 = true_rate_arrays(scenario, truth)
     confusion = scenario.confusion_matrix()

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 import numpy as np
 
-from .dynamics import (_REQUIRED, ZERO_RATES, DecayRates, _check, _field, _finite, _need, _number,
-                       _read_json_as, _write_json)
+from .dynamics import (_REQUIRED, ZERO_RATES, DecayRates, _background_doc, _background_from_doc,
+                       _check, _field, _finite, _need, _number, _read_json_as, _write_json)
 from .errors import InvalidParameterError, ScenarioSchemaError
 
 TLS_SCHEMA_VERSION = 1
@@ -109,10 +109,7 @@ class TlsParameterSet:
                 }
                 for d in self.defects
             ],
-            "background": {
-                "gamma10": self.background.gamma_10,
-                "gamma21": self.background.gamma_21,
-            },
+            "background": _background_doc(self.background),
         }
 
     def to_json(self, path) -> None:
@@ -137,12 +134,7 @@ class TlsParameterSet:
                 defects.append(TlsDefect(coupling, linewidth, omega))
             except InvalidParameterError as err:
                 raise ScenarioSchemaError(path, str(err)) from None
-        bg = _need(doc, "background", "", {})
-        try:
-            background = DecayRates(_number(bg, "gamma10", "background", 0.0),
-                                    _number(bg, "gamma21", "background", 0.0))
-        except InvalidParameterError as err:
-            raise ScenarioSchemaError("background", str(err)) from None
+        background = _background_from_doc(doc)
         try:
             return cls(defects, background)
         except InvalidParameterError as err:     # trajectories of unequal lengths

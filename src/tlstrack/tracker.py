@@ -52,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DecayRates, _Column, _read_csv, _write_csv
+from .dynamics import DecayRates, _background_doc, _Column, _read_csv, _write_csv
 from .errors import InvalidParameterError, UndefinedCorrelationError
 from .optimize import FTOL, _damped_newton_2x2, _lm_loop
 from .tls import (DeviceFrequencies, TlsDefect, TlsParameterSet, lorentzian_density,
@@ -229,10 +229,7 @@ class TrackerFit:
                 {"B": d.coupling_weight, "gamma_mhz": d.linewidth_mhz}
                 for d in self.parameters.defects
             ],
-            "background": {
-                "gamma10": self.parameters.background.gamma_10,
-                "gamma21": self.parameters.background.gamma_21,
-            },
+            "background": _background_doc(self.parameters.background),
             "n_epochs": int(self.epochs_hr.size),
         }
 

@@ -187,15 +187,37 @@ class TestSimulate:
         assert not out.exists()
 
     def test_out_of_memory_exit_2(self, tmp_path, capsys):
-        # 2**50 classified shots per delay ask for about 1.9 EiB of normals,
+        # 2**40 classified shots per delay ask for about 1 PiB of normals,
         # beyond any address space, so the allocation fails at once
         doc = json.loads(bundled_scenario_path("device_A").read_text())
-        doc.update(epochs=2, shots_per_delay=2**50)
+        doc.update(epochs=2, shots_per_delay=2**40)
         spath = tmp_path / "s.json"
         spath.write_text(json.dumps(doc))
         assert main(["simulate", str(spath), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory: Unable to allocate ") and err.count("\n") == 1
+
+    # each ended in a traceback before the counts had upper limits
+    @pytest.mark.parametrize("mutate, key", [
+        (lambda d: d.update(shots_per_delay=2**63, blobs=None), "shots_per_delay"),
+        (lambda d: d.update(shots_per_delay=2**56), "shots_per_delay"),
+        (lambda d: d.update(shots_per_delay=2**50), "shots_per_delay"),
+        (lambda d: d.update(calibration_shots=2**63), "calibration_shots"),
+        (lambda d: d.update(epochs=2**62), "epochs"),
+        (lambda d: d["delays"].update(n=2**62), "delays.n"),
+    ], ids=["shots-2**63-no-blobs", "shots-2**56", "shots-2**50", "calibration-2**63",
+            "epochs-2**62", "log-grid-n-2**62"])
+    def test_count_above_its_limit_exit_2(self, tmp_path, capsys, mutate, key):
+        doc = json.loads(bundled_scenario_path("device_A").read_text())
+        doc.update(epochs=2)
+        mutate(doc)
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert main(["simulate", str(spath), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}: expected an integer ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_bundled_name_full_run(self, tmp_path):
         out = tmp_path / "run"

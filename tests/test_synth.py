@@ -18,10 +18,12 @@ from tlstrack.errors import InvalidParameterError, ScenarioSchemaError
 from tlstrack.readout import IqBlobModel, equilateral_blobs, simulate_confusion_matrix
 from tlstrack.synth import (
     DriftProcess,
+    MAX_DELAYS,
+    MAX_EPOCHS,
+    MAX_SHOTS,
     Scenario,
     TlsTruth,
     _STREAM_EPOCH,
-    _epoch_scratch,
     _ideal_populations,
     _sample_epoch_trace,
     bundled_scenario,
@@ -269,8 +271,7 @@ class TestEpochStreams:
         rates = DecayRates(1 / 60.0, 1 / 25.0)
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         ideal = closed_form_populations(rates, delays).T
-        got = _sample_epoch_trace(delays, ideal, 300, blobs, False, got_rng,
-                                  _epoch_scratch(delays.size * 300, 1)[0])
+        got = _sample_epoch_trace(delays, ideal, 300, blobs, False, got_rng)
         expected = reference_epoch_trace(delays, rates, 300, blobs, ref_rng)
         assert np.array_equal(got.populations, expected)
         assert np.array_equal(got.shots, np.full(delays.size, 300))
@@ -319,8 +320,7 @@ class TestEpochSamplerProperty:
             blobs = IqBlobModel(blobs.means, np.repeat(blobs.covariances[:1], 3, axis=0))
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         ideal = closed_form_populations(rates, delays).T
-        got = _sample_epoch_trace(delays, ideal, shots, blobs, False, got_rng,
-                                  _epoch_scratch(delays.size * shots, 1)[0])
+        got = _sample_epoch_trace(delays, ideal, shots, blobs, False, got_rng)
         expected = reference_epoch_trace(delays, rates, shots, blobs, ref_rng)
         assert np.array_equal(got.populations, expected)
         assert np.array_equal(got.shots, np.full(delays.size, shots))
@@ -344,10 +344,8 @@ def serial_traces(sc):
     """The traces of a plain serial loop over the epochs, one stream each."""
     g10, g21 = true_rate_arrays(sc)
     ideal = _ideal_populations(g10, g21, sc.delays_us)
-    # each epoch gets new buffers, so reused ones must not change a trace
     return [_sample_epoch_trace(sc.delays_us, ideal[e], sc.shots_per_delay, sc.blobs,
-                                sc.exact_populations, derive_rng(sc.master_seed, _STREAM_EPOCH, e),
-                                _epoch_scratch(sc.delays_us.size * sc.shots_per_delay, 1)[0])
+                                sc.exact_populations, derive_rng(sc.master_seed, _STREAM_EPOCH, e))
             for e in range(sc.epochs)]
 
 
@@ -379,8 +377,8 @@ THREAD_CASES = {
 
 
 class TestEpochThreads:
-    """The epochs are sampled on two threads where more than one CPU is
-    available; the traces and faults are those of the serial loop."""
+    """The epochs are sampled on two threads; the traces and faults are
+    those of the serial loop."""
 
     @pytest.fixture()
     def threads_seen(self, monkeypatch):
@@ -396,8 +394,7 @@ class TestEpochThreads:
         return seen
 
     @pytest.mark.parametrize("overrides", THREAD_CASES.values(), ids=THREAD_CASES.keys())
-    def test_two_cpus_match_serial_loop(self, monkeypatch, threads_seen, overrides):
-        monkeypatch.setattr(synth, "_cpu_count", lambda: 2)
+    def test_two_cpus_match_serial_loop(self, threads_seen, overrides):
         sc = small_scenario(**overrides)
         before = threading.active_count()
         traces, _, _ = synthesize_experiment(sc)
@@ -408,8 +405,7 @@ class TestEpochThreads:
         assert sorted(threads_seen) == list(range(sc.epochs))
         assert all((threads_seen[e] is caller) == (e % 2 == 0) for e in threads_seen)
 
-    def test_frequent_thread_switches(self, monkeypatch):
-        monkeypatch.setattr(synth, "_cpu_count", lambda: 2)
+    def test_frequent_thread_switches(self):
         sc = small_scenario(epochs=31, shots_per_delay=50)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -419,20 +415,10 @@ class TestEpochThreads:
             sys.setswitchinterval(interval)
         assert_same_traces(traces, serial_traces(sc))
 
-    @pytest.mark.parametrize("overrides", THREAD_CASES.values(), ids=THREAD_CASES.keys())
-    def test_one_cpu_runs_serial_loop_on_caller(self, monkeypatch, threads_seen, overrides):
-        monkeypatch.setattr(synth, "_cpu_count", lambda: 1)
-        sc = small_scenario(**overrides)
-        traces, _, _ = synthesize_experiment(sc)
-        assert_same_traces(traces, serial_traces(sc))
-        assert set(threads_seen.values()) == {threading.current_thread()}
-
-    @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("failing, raised", [
         ((3, 6), 3), ((4, 5), 4), ((5,), 5), ((0, 1), 0), ((6,), 6),
     ])
-    def test_lowest_failing_epoch_raises(self, monkeypatch, cpus, failing, raised):
-        monkeypatch.setattr(synth, "_cpu_count", lambda: cpus)
+    def test_lowest_failing_epoch_raises(self, monkeypatch, failing, raised):
         sample = synth._sample_epoch_trace
 
         def failing_epochs(*args, **kwargs):
@@ -450,7 +436,6 @@ class TestEpochThreads:
 
     @pytest.mark.parametrize("failing", [0, 1], ids=["caller", "worker"])
     def test_fault_stops_the_other_thread(self, monkeypatch, threads_seen, failing):
-        monkeypatch.setattr(synth, "_cpu_count", lambda: 2)
         recording = synth._sample_epoch_trace
 
         def failing_epoch(*args, **kwargs):
@@ -469,7 +454,6 @@ class TestEpochThreads:
         assert len([e for e in threads_seen if e > failing]) < 10
 
     def test_interrupt_stops_and_joins_worker(self, monkeypatch, threads_seen):
-        monkeypatch.setattr(synth, "_cpu_count", lambda: 2)
         recording = synth._sample_epoch_trace
 
         def interrupted(*args, **kwargs):
@@ -584,6 +568,39 @@ class TestScenarioJson:
             load_scenario(path)
         assert exc.value.field_path == str(path)
         assert str(exc.value).startswith(f"{path}: not valid JSON")
+
+    @pytest.mark.parametrize("key, limit", [
+        ("epochs", MAX_EPOCHS), ("shots_per_delay", MAX_SHOTS), ("calibration_shots", MAX_SHOTS),
+        ("delays.n", MAX_DELAYS), ("delays.values_us", MAX_DELAYS),
+    ])
+    def test_count_limit_is_read(self, key, limit):
+        def doc_with(count):
+            doc = scenario_to_json_dict(small_scenario())
+            if key == "delays.n":
+                doc["delays"] = {"kind": "log", "n": count, "min_us": 1.0, "max_us": 100.0}
+            elif key == "delays.values_us":
+                doc["delays"]["values_us"] = list(range(count))
+            else:
+                doc[key] = count
+            return doc
+
+        scenario_from_json_dict(doc_with(limit))
+        with pytest.raises(ScenarioSchemaError) as exc:
+            scenario_from_json_dict(doc_with(limit + 1))
+        assert exc.value.field_path == key
+        assert f" {limit}" in str(exc.value) and str(exc.value).endswith(f"got {limit + 1}")
+
+    @pytest.mark.parametrize("key, limit", [
+        ("epochs", MAX_EPOCHS), ("shots_per_delay", MAX_SHOTS), ("calibration_shots", MAX_SHOTS),
+        ("delays_us", MAX_DELAYS),
+    ])
+    def test_count_limit_is_checked_when_built_in_python(self, key, limit):
+        def count(n):
+            return np.arange(float(n)) if key == "delays_us" else n
+
+        small_scenario(**{key: count(limit)})
+        with pytest.raises(InvalidParameterError, match=f"<= {limit}|at most {limit} "):
+            small_scenario(**{key: count(limit + 1)})
 
     def test_log_delay_grid_expansion(self):
         doc = scenario_to_json_dict(small_scenario())
